@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-pkg lint-gate lint-baseline race check bench bench-tsdb bench-obs bench-ingest bench-query smoke-obs smoke-cluster smoke-query
+.PHONY: build test vet lint lint-pkg lint-gate lint-baseline race check bench bench-tsdb bench-obs bench-ingest bench-query bench-e2e bench-e2e-test smoke-obs smoke-cluster smoke-query
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,21 @@ bench-ingest:
 # of the raw scan.
 bench-query:
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCentury' -benchmem ./internal/query/
+
+# bench-e2e runs the repository's end-to-end benchmark (bench/, the
+# nested module BENCHMARK.json declares): it builds endpointd and routerd
+# from this tree and drives them over loopback. One workload, or all four:
+#   make bench-e2e WORKLOAD=frames_durable
+WORKLOAD ?= all
+bench-e2e:
+	$(GO) run -C bench . --workload $(WORKLOAD)
+
+# bench-e2e-test vets and tests the nested module, which root ./... does
+# not reach: a change that reshapes an API bench/ compiles against fails
+# here, in seconds and with no daemons, instead of in the benchmark
+# pipeline.
+bench-e2e-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # smoke-query is the tiered-read-path drill against the real binary:
 # endpointd with -retain-raw pumps two years of cluster-stamped virtual

@@ -11,9 +11,9 @@
 // EUI-64, so the endpoint needs no per-device database.
 //
 // Storage plays two complementary roles. With -data-dir set, every
-// accepted reading is appended to a sharded write-ahead log before it is
-// acknowledged (fsync per -wal-fsync), so a crash or kill loses zero
-// acknowledged readings. With -snapshot set, the versioned-JSON snapshot
+// accepted reading is appended to the write-ahead log all shards share
+// and flushed before it is acknowledged (fsync per -wal-fsync), so a
+// crash or kill loses zero acknowledged readings. With -snapshot set, the versioned-JSON snapshot
 // remains the portable checkpoint — the artifact a 2060 operator can
 // read with whatever tools exist then — written atomically every
 // -save-every and on clean shutdown; each successful snapshot truncates
@@ -80,7 +80,7 @@ func main() {
 		snapshot   = flag.String("snapshot", "", "snapshot file: portable JSON checkpoint (optional)")
 		saveEvery  = flag.Duration("save-every", 10*time.Minute, "checkpoint interval when -snapshot is set")
 		dataDir    = flag.String("data-dir", "", "storage directory for the sharded WAL (optional; enables crash-safe ingest)")
-		shards     = flag.Int("shards", 16, "storage shard count (ingest concurrency)")
+		shards     = flag.Int("shards", 16, "in-memory storage shard count (ingest concurrency; all shards share one WAL)")
 		walFsync   = flag.String("wal-fsync", "always", "WAL fsync policy: always | interval | never")
 		walSyncEv  = flag.Duration("wal-sync-every", time.Second, "fsync cadence under -wal-fsync interval")
 		compactEv  = flag.Duration("compact-every", 0, "background retention compaction interval (0 = off)")
@@ -179,6 +179,10 @@ func main() {
 		}
 		return nil
 	})
+
+	// Degraded, not failed, while the WAL cannot flush: reads are served
+	// and ingest answers 503 until a retry succeeds.
+	health.Register("wal", store.DB().Health)
 
 	srv := &http.Server{Addr: *listen, Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -14,18 +14,19 @@ import (
 
 // Batched ingest: the endpoint half of the gateway→endpoint frame path.
 // One POST /ingest/batch frame of N packets becomes one pass of
-// per-packet verification plus one WAL group commit per touched shard —
-// the fsync amortization that closes ROADMAP item 1's gap between the
-// ~3 µs instrumented ingest and the ~0.8 µs bare append. The durability
-// contract is byte-for-byte the single-packet one: no packet in the
-// frame is acknowledged until the group fsync covering it has returned.
+// per-packet verification, one short critical section per touched shard
+// (no I/O inside), and one WAL flush barrier for the whole frame —
+// however many shards it touched. The durability contract is the
+// single-packet one: no packet in the frame is acknowledged until the
+// flush covering it has returned.
 
 // BatchResult summarizes one frame's disposition, echoed as the 202
 // response body so the gateway can reconcile its counters.
 type BatchResult struct {
 	// Total is the packet count the frame declared.
 	Total int `json:"total"`
-	// Accepted packets are verified, durably stored, and acknowledged.
+	// Accepted packets are verified and stored — and, when IngestBatch
+	// returned a nil error with the result, flushed: acknowledgeable.
 	Accepted int `json:"accepted"`
 	// Duplicates covers replay-guard rejects and intra-frame repeats.
 	Duplicates int `json:"duplicates"`
@@ -46,15 +47,15 @@ type devSeq struct {
 }
 
 // batchScratch is the pooled per-frame working set: candidate packets,
-// the current shard's group, the points handed to the group commit, and
-// the intra-frame dedup map. Pooling these is what holds the batched
-// path at ≤2 allocs/packet — steady state reuses every buffer.
+// their one bucketing by shard, the points handed to the log, and the
+// intra-frame dedup map. Pooling these is what holds the batched path at
+// ≤2 allocs/packet — steady state reuses every buffer.
 type batchScratch struct {
-	cands []telemetry.Packet
-	wires [][]byte // wire bytes of cands, parallel; views into the frame
-	group []telemetry.Packet
-	fresh []tsdb.Point
-	seen  map[devSeq]struct{}
+	cands  []telemetry.Packet
+	wires  [][]byte             // wire bytes of cands, parallel; views into the frame
+	groups [][]telemetry.Packet // admissible packets, one bucket per guard shard
+	fresh  []tsdb.Point
+	seen   map[devSeq]struct{}
 	// verifiers caches one keyed HMAC state per device across the
 	// scratch's lifetime — keys never rotate (burned in at manufacture),
 	// so the cache is only ever warm, never wrong. It survives release()
@@ -78,7 +79,9 @@ var batchScratchPool = sync.Pool{
 func (sc *batchScratch) release() {
 	sc.cands = sc.cands[:0]
 	sc.wires = sc.wires[:0]
-	sc.group = sc.group[:0]
+	for i := range sc.groups {
+		sc.groups[i] = sc.groups[i][:0]
+	}
 	sc.fresh = sc.fresh[:0]
 	clear(sc.seen)
 	if len(sc.verifiers) > maxCachedVerifiers {
@@ -93,13 +96,14 @@ func (sc *batchScratch) release() {
 // checks that depend only on it, and — the point — the WAL fsync.
 //
 // Error semantics: a non-nil error means the caller must NOT treat the
-// frame as acknowledged. ErrPersist reports that at least one shard's
-// group commit failed — packets on other shards may have committed, but
-// the sender retries the whole frame and the replay guards deduplicate
-// the survivors, the same contract a retried single packet has always
-// had. Frame-structure errors (torn, bad CRC) reject before any packet
-// is examined. A per-packet refusal (bad signature, duplicate) is not
-// an error; it is counted in the result.
+// frame as acknowledged. ErrPersist reports that the frame's flush
+// failed: its packets are admitted (readable, and flushed by the next
+// flush that succeeds) but not yet on disk, so the sender retries the
+// whole frame, the replay guards find every packet a duplicate, and the
+// retry is acknowledged only once a flush has covered them. Frame-
+// structure errors (torn, bad CRC) reject before any packet is examined.
+// A per-packet refusal (bad signature, duplicate) is not an error; it is
+// counted in the result.
 func (s *Store) IngestBatch(at time.Duration, frame []byte) (BatchResult, error) {
 	o := s.obs.Load()
 	if o == nil || o.batchLatency == nil {
@@ -111,7 +115,7 @@ func (s *Store) IngestBatch(at time.Duration, frame []byte) (BatchResult, error)
 	return res, err
 }
 
-//lint:hotpath budget=3 per-frame admission: pooled scratch and dedup map amortize to zero, plus one verifier build per device-cache miss — misses are bounded by fleet size, not traffic. Per packet the loops parse, verify, and append into reused buffers; the runtime contract (≤2 allocs/packet, measured ~1) is pinned by BenchmarkIngestBatched
+//lint:hotpath budget=3 per-frame admission: pooled scratch, its per-shard buckets and the dedup map amortize to zero, plus one verifier build per device-cache miss — misses are bounded by fleet size, not traffic. Per packet the loops parse, verify, and append into reused buffers, and the frame's one flush reuses the log's double buffer; the runtime contract (≤2 allocs/packet, measured ~1) is pinned by BenchmarkIngestBatched
 func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error) {
 	var res BatchResult
 	payload, n, err := batch.Split(frame, 0)
@@ -173,7 +177,15 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 
 	// Pass 2: arrival-time policy under one aux-lock acquisition for the
 	// whole frame. A lapse rejects everything (nobody was listening at
-	// the published name); quarantine is per device.
+	// the published name); quarantine is per device. Survivors are
+	// bucketed by shard here, once: guard shards and storage shards use
+	// the same hash and count (freshGuards(db.Shards())), so a bucket is
+	// one guard lock and one storage-shard critical section.
+	nsh := len(s.guards)
+	if cap(sc.groups) < nsh {
+		sc.groups = make([][]telemetry.Packet, nsh)
+	}
+	groups := sc.groups[:nsh]
 	s.mu.Lock()
 	if s.inLapseLocked(at) {
 		s.mu.Unlock()
@@ -182,36 +194,38 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 		res.Rejected += k
 		return res, ErrLeaseLapsed
 	}
-	keep := sc.cands[:0]
+	admissible := 0
 	for _, p := range sc.cands {
 		if s.quarantinedLocked(p.Device, at) {
 			s.stats.quarantined.Add(1)
 			res.Rejected++
 			continue
 		}
-		keep = append(keep, p)
+		si := tsdb.ShardIndex(p.Device, nsh)
+		groups[si] = append(groups[si], p)
+		admissible++
 	}
 	s.mu.Unlock()
-	sc.cands = keep
 
-	// Pass 3: per guard shard — freshness, group commit, admission, all
-	// under that shard's lock. Guard shards and storage shards use the
-	// same hash and count (freshGuards(db.Shards())), so one guard
-	// shard's group lands in exactly one storage shard: one fsync.
-	// The ordering inside the lock is the single-packet invariant lifted
-	// to the group: Fresh (no mutation) for every packet, the fallible
-	// group commit, and only then Admit — so a failed commit leaves the
-	// guard clean and every packet of the group retryable.
-	var firstPersist error
-	nsh := len(s.guards)
-	for si := range s.guards {
-		sc.group = sc.group[:0]
-		for _, p := range sc.cands {
-			if tsdb.ShardIndex(p.Device, nsh) == si {
-				sc.group = append(sc.group, p)
-			}
-		}
-		if len(sc.group) == 0 {
+	// While the log is failed, retry its flush before admitting anything
+	// more: a frame that cannot be made durable is refused here, ahead of
+	// Admit, so memory never runs ahead of the disk without bound.
+	if err := s.db.Flush(0); err != nil {
+		return res, s.persistFailed(admissible, err)
+	}
+
+	// Pass 3: per guard shard — freshness, deferred append, admission,
+	// all under that shard's lock and none of it I/O. The log-buffer
+	// append and the memtable insert share the storage shard's critical
+	// section, and Admit follows under the same guard lock, so guard,
+	// memtable and log move together; only the acknowledgement waits, on
+	// the one flush barrier after the loop. barrier covers every record
+	// this frame appended and, when it saw a duplicate, every record
+	// appended so far: the duplicate's original was admitted by another
+	// frame under this same guard lock, possibly not yet flushed.
+	var barrier tsdb.LSN
+	for si, group := range groups {
+		if len(group) == 0 {
 			continue
 		}
 		gs := s.guards[si]
@@ -219,18 +233,18 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 		// Sealed-region check under the guard lock, same barrier
 		// discipline as Ingest: FoldRollups publishes the watermark and
 		// then takes every guard lock once, so a frame that saw the old
-		// watermark has committed before the fold drains.
+		// watermark has appended before the fold drains.
 		if r := s.rollups.Load(); r != nil {
 			if wm := r.FoldedBefore(); at < wm {
 				gs.mu.Unlock()
-				k := len(sc.group)
+				k := len(group)
 				s.stats.stale.Add(uint64(k))
 				res.Stale += k
 				continue
 			}
 		}
 		sc.fresh = sc.fresh[:0]
-		for _, p := range sc.group {
+		for _, p := range group {
 			k := devSeq{p.Device.Uint64(), p.Seq}
 			if _, dup := sc.seen[k]; dup {
 				s.stats.duplicates.Add(1)
@@ -240,25 +254,17 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 			if err := gs.guard.Fresh(p); err != nil {
 				s.stats.duplicates.Add(1)
 				res.Duplicates++
+				barrier = s.db.LogEnd()
 				continue
 			}
 			sc.seen[k] = struct{}{}
 			sc.fresh = append(sc.fresh, pointOf(at, p))
 		}
-		if len(sc.fresh) == 0 {
-			gs.mu.Unlock()
-			continue
-		}
-		if err := s.db.AppendBatch(sc.fresh); err != nil { //lint:lockedio WAL-before-ack, group form: the group's single fsync must complete under the per-device guard shard before any Admit, or a crash acks packets the log never held; the lock is sharded per device, never global
-			gs.mu.Unlock()
-			s.stats.persistFailures.Add(uint64(len(sc.fresh)))
-			if firstPersist == nil {
-				firstPersist = fmt.Errorf("%w: %v", ErrPersist, err)
+		if len(sc.fresh) > 0 {
+			barrier = s.db.AppendDeferred(sc.fresh)
+			for _, pt := range sc.fresh {
+				_ = gs.guard.Admit(packetOf(pt)) // cannot fail: Fresh held under the same lock
 			}
-			continue
-		}
-		for _, pt := range sc.fresh {
-			_ = gs.guard.Admit(packetOf(pt)) // cannot fail: Fresh held under the same lock
 		}
 		gs.mu.Unlock()
 		res.Accepted += len(sc.fresh)
@@ -271,7 +277,17 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 		s.weeks[int64(at/sim.Week)] = true
 		s.mu.Unlock()
 	}
-	return res, firstPersist
+	if err := s.db.Flush(barrier); err != nil {
+		return res, s.persistFailed(res.Accepted, err)
+	}
+	return res, nil
+}
+
+// persistFailed counts n packets refused acknowledgement by a failed
+// flush and wraps the cause as ErrPersist.
+func (s *Store) persistFailed(n int, err error) error {
+	s.stats.persistFailures.Add(uint64(n))
+	return fmt.Errorf("%w: %v", ErrPersist, err)
 }
 
 // BatchFrames reports how many well-formed frames IngestBatch has

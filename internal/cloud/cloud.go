@@ -64,7 +64,7 @@ type IngestStats struct {
 	UnknownDev      uint64
 	LeaseLapsed     uint64 // arrived while the public endpoint was dark
 	Quarantined     uint64 // from devices whose trust has been revoked
-	PersistFailures uint64 // WAL append failed; packet refused, not acked
+	PersistFailures uint64 // WAL flush failed; packet not acked (it is admitted, and its retry is a duplicate)
 	Repaired        uint64 // readings merged from a replica by read-repair
 	Stale           uint64 // arrival below the rollup fold watermark (sealed region)
 }
@@ -115,9 +115,13 @@ func (c *ingestCounters) restore(st IngestStats) {
 	c.stale.Store(st.Stale)
 }
 
-// ErrPersist wraps a storage-engine append failure: the reading was NOT
-// stored and must not be acknowledged. The HTTP layer maps it to
-// 503 + Retry-After so resilient gateways buffer and retry.
+// ErrPersist wraps a failed log flush: the reading must not be
+// acknowledged. Unless it was refused ahead of Admit (the log was already
+// failed), it is admitted and readable — in the memtable and the log
+// buffer, durable at the next flush that succeeds — so the sender's retry
+// comes back as a duplicate, itself acknowledged only once a flush covers
+// the original. The HTTP layer maps it to 503 + Retry-After so resilient
+// gateways buffer and retry.
 var ErrPersist = errors.New("cloud: persist failed")
 
 // guardShard is one partition of replay protection. It is sharded with
@@ -269,6 +273,7 @@ var (
 // Ingest verifies and stores one raw packet arriving at time at. On
 // success the reading is as durable as the storage engine's fsync policy
 // guarantees before Ingest returns — the acknowledgement contract.
+//
 //lint:hotpath budget=1 per-packet disposition path; the one static always-site is ReplayGuard's lazy per-device seen-map init, amortized to zero once a device is known
 func (s *Store) Ingest(at time.Duration, wire []byte) error {
 	o := s.obs.Load()
@@ -313,10 +318,17 @@ func (s *Store) ingest(at time.Duration, wire []byte) error {
 	}
 	s.mu.Unlock()
 
-	// Freshness check and storage append commit together under the
-	// device's guard-shard lock: Fresh first (no mutation), then the
-	// fallible WAL append, then Admit — so a failed append leaves the
-	// guard clean and the packet retryable.
+	// While the log is failed, retry its flush before admitting anything
+	// more (see ingestBatch).
+	if err := s.db.Flush(0); err != nil {
+		return s.persistFailed(1, err)
+	}
+
+	// Freshness check, storage append and Admit commit together under
+	// the device's guard-shard lock, so guard, memtable and log agree on
+	// what has been seen. Only the acknowledgement depends on the flush:
+	// a packet whose flush failed is admitted but answered ErrPersist,
+	// and its retry is a duplicate.
 	gs := s.guardFor(p.Device)
 	gs.mu.Lock()
 	// Sealed-region check under the guard lock: FoldRollups publishes
@@ -330,17 +342,21 @@ func (s *Store) ingest(at time.Duration, wire []byte) error {
 			return fmt.Errorf("%w: arrival %v precedes fold watermark %v", ErrSealed, at, wm)
 		}
 	}
-	if err := gs.guard.Fresh(p); err != nil {
+	if dup := gs.guard.Fresh(p); dup != nil {
+		// The gateway takes "duplicate" as its job done, so the answer is
+		// an acknowledgement too: it waits until the original — admitted
+		// under this lock, possibly by a frame still at its barrier — is
+		// flushed.
+		original := s.db.LogEnd()
 		gs.mu.Unlock()
 		s.stats.duplicates.Add(1)
-		return err
+		if err := s.db.Flush(original); err != nil {
+			return s.persistFailed(1, err)
+		}
+		return dup
 	}
-	if err := s.db.Append(pointOf(at, p)); err != nil { //lint:lockedio Fresh/Append/Admit must commit atomically under the per-device guard shard, or a crash between them acks an unpersisted packet; the lock is sharded per device, never global
-		gs.mu.Unlock()
-		s.stats.persistFailures.Add(1)
-		return fmt.Errorf("%w: %v", ErrPersist, err)
-	}
-	_ = gs.guard.Admit(p) // cannot fail: Fresh held under the same lock
+	err = s.db.Append(pointOf(at, p)) //lint:lockedio Fresh/Append/Admit must commit atomically under the per-device guard shard, and this route still flushes inside the section, as it always has (a frame flushes after it); the lock is sharded per device, never global
+	_ = gs.guard.Admit(p)             // cannot fail: Fresh held under the same lock
 	gs.mu.Unlock()
 
 	s.stats.accepted.Add(1)
@@ -348,6 +364,9 @@ func (s *Store) ingest(at time.Duration, wire []byte) error {
 	s.mu.Lock()
 	s.weeks[int64(at/sim.Week)] = true
 	s.mu.Unlock()
+	if err != nil {
+		return s.persistFailed(1, err)
+	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package cloud
 import (
 	"crypto/subtle"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -171,7 +170,9 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 //
 // Returns how many records were newly stored. On a persist failure the
 // merge stops and the error reports ErrPersist; records already merged
-// stay merged (the operation is idempotent, so the caller just retries).
+// stay merged (the operation is idempotent, so the caller just retries),
+// and a nil return means every record it merged or already held is
+// flushed.
 func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -201,11 +202,9 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 		if _, dup := have[r.Packet.Seq]; dup {
 			continue
 		}
-		if err := s.db.Append(pointOf(r.At, r.Packet)); err != nil { //lint:lockedio dedup-check and append must commit atomically under the per-device guard shard, mirroring Ingest, or a racing ingest of the same seq double-stores; the lock is sharded per device, never global
-			s.stats.persistFailures.Add(1)
-			firstErr = fmt.Errorf("%w: %v", ErrPersist, err)
-			break
-		}
+		err := s.db.Append(pointOf(r.At, r.Packet)) //lint:lockedio dedup-check and append must commit atomically under the per-device guard shard, mirroring Ingest, or a racing ingest of the same seq double-stores; the lock is sharded per device, never global
+		// The record is in the memtable whether or not its flush
+		// succeeded, so it counts as merged either way.
 		have[r.Packet.Seq] = struct{}{}
 		// Advance the replay window over repaired sequence numbers so a
 		// late duplicate of a repaired packet is still rejected; records
@@ -214,8 +213,20 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 		added++
 		s.observeArrival(r.At)
 		weeks = append(weeks, int64(r.At/sim.Week))
+		if err != nil {
+			firstErr = s.persistFailed(1, err)
+			break
+		}
 	}
+	held := s.db.LogEnd()
 	gs.mu.Unlock()
+	if firstErr == nil {
+		// Records skipped as already held may be the unflushed leftovers
+		// of a merge that failed: answer only once they are on disk.
+		if err := s.db.Flush(held); err != nil {
+			firstErr = s.persistFailed(0, err)
+		}
+	}
 
 	if added > 0 {
 		s.stats.repaired.Add(uint64(added))

@@ -89,15 +89,15 @@ func TestServerShedsOverload(t *testing.T) {
 	// Hold the single ingest slot open with a request whose body stalls
 	// until we release it.
 	release := make(chan struct{})
-	holding := make(chan struct{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	wire := sealedPacket(t, master, 2, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		pr := &stallingReader{data: sealedPacket(t, master, 2, 1), holding: holding, release: release}
+		pr := &stallingReader{data: wire, release: release}
 		req, _ := http.NewRequest("POST", ts.URL+"/ingest", pr)
 		req.ContentLength = int64(len(pr.data))
 		resp, err := http.DefaultClient.Do(req)
@@ -105,7 +105,16 @@ func TestServerShedsOverload(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	<-holding
+	// Wait for the server's own account of the slot, not the client's:
+	// that the transport has read the body's first byte says nothing
+	// about whether the handler has run yet, and on a loaded host the
+	// second request could otherwise win the slot.
+	for deadline := time.Now().Add(10 * time.Second); srv.inFlight.Load() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled request never took the ingest slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// The slot is taken: a second ingest is shed with 503 + Retry-After.
 	resp, err := http.Post(ts.URL+"/ingest", "application/octet-stream",
@@ -138,13 +147,11 @@ func TestServerShedsOverload(t *testing.T) {
 	}
 }
 
-// stallingReader serves its first byte, signals, then blocks the rest of
-// the body until released — pinning the server's ingest slot.
+// stallingReader serves its first byte, then blocks the rest of the body
+// until released — pinning the server's ingest slot.
 type stallingReader struct {
 	data    []byte
 	pos     int
-	signal  sync.Once
-	holding chan struct{}
 	release chan struct{}
 }
 
@@ -154,7 +161,6 @@ func (r *stallingReader) Read(p []byte) (int, error) {
 		r.pos = 1
 		return 1, nil
 	}
-	r.signal.Do(func() { close(r.holding) })
 	<-r.release
 	if r.pos >= len(r.data) {
 		return 0, io.EOF

@@ -4,9 +4,13 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"centuryscale/internal/batch"
 	"centuryscale/internal/cloud"
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/resilience"
@@ -170,6 +174,149 @@ func TestKillRecoverBatchedZeroAcknowledgedLoss(t *testing.T) {
 	for s := uint32(1); s <= packets; s++ {
 		if seen[s] != 1 {
 			t.Fatalf("seq %d stored %d times after recovery", s, seen[s])
+		}
+	}
+}
+
+// TestKillBetweenAppendAndFlush lands the kill where the shared log made
+// a new place to die: after a frame's records are in the log buffer and
+// the memtable, before the flush that makes them durable. Senders offer
+// frames without pause, so at any instant some frame is in exactly that
+// state; the test takes crash images of the data directory mid-traffic —
+// what a SIGKILL at that instant leaves behind, the page cache being the
+// kernel's and not the process's — and boots an endpoint from each.
+// Senders come in pairs offering the same frames (two gateways hearing
+// one device), so half the acknowledgements are for frames made of
+// duplicates whose originals another frame appended moments before.
+//
+// The contract: a packet acknowledged before the image was taken is in
+// it — acknowledged as accepted or as a duplicate, under either fsync
+// policy (under interval an acknowledgement means written, which is what
+// survives a kill); an unacknowledged packet may or may not be; no
+// packet comes back twice.
+func TestKillBetweenAppendAndFlush(t *testing.T) {
+	for _, policy := range []tsdb.SyncPolicy{tsdb.SyncAlways, tsdb.SyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			const senders, devicesEach, frames, images = 4, 8, 60, 5
+			dir := t.TempDir()
+			db, err := tsdb.Open(tsdb.Options{Dir: dir, Shards: 4, Sync: policy, SegmentBytes: 4096, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := cloud.NewStoreWithDB(cloud.StaticKeys(master), db)
+			defer store.Close()
+
+			// Every frame is sealed up front; senders 2k and 2k+1 share
+			// devices k*devicesEach+1..., and frame f carries seq f+1 of each.
+			type packet struct {
+				dev lpwan.EUI64
+				seq uint32
+			}
+			sealedFrames := make([][][]byte, senders)
+			for g := range sealedFrames {
+				sealedFrames[g] = make([][]byte, frames)
+				for f := range sealedFrames[g] {
+					wires := make([][]byte, devicesEach)
+					for d := range wires {
+						dev := lpwan.EUIFromUint64(uint64(g/2*devicesEach + d + 1))
+						wires[d], err = telemetry.Packet{Device: dev, Seq: uint32(f + 1), Sensor: telemetry.SensorStrain, Value: float32(f)}.
+							Seal(telemetry.DeriveKey(master, dev))
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					if sealedFrames[g][f], err = batch.AppendFrame(nil, wires...); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			var mu sync.Mutex
+			var acked []packet
+			var wg sync.WaitGroup
+			for g := 0; g < senders; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for f, frame := range sealedFrames[g] {
+						res, err := store.IngestBatch(time.Duration(f+1)*time.Second, frame)
+						if err != nil || res.Accepted+res.Duplicates != devicesEach {
+							t.Errorf("sender %d frame %d: %+v, %v", g, f, res, err)
+							return
+						}
+						mu.Lock()
+						for d := 0; d < devicesEach; d++ {
+							acked = append(acked, packet{lpwan.EUIFromUint64(uint64(g/2*devicesEach + d + 1)), uint32(f + 1)})
+						}
+						mu.Unlock()
+					}
+				}(g)
+			}
+
+			type image struct {
+				dir   string
+				acked []packet // acknowledged before the copy began
+			}
+			var taken []image
+			for i := 0; i < images; i++ {
+				mu.Lock()
+				before := append([]packet(nil), acked...)
+				mu.Unlock()
+				img := filepath.Join(t.TempDir(), "wal")
+				copyDir(t, filepath.Join(dir, "wal"), img)
+				taken = append(taken, image{filepath.Dir(img), before})
+				time.Sleep(time.Millisecond) // spread the images over the run; nothing waits on this
+			}
+			wg.Wait()
+
+			for i, img := range taken {
+				re, err := tsdb.Open(tsdb.Options{Dir: img.dir, Shards: 4, Sync: policy, Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				booted := cloud.NewStoreWithDB(cloud.StaticKeys(master), re)
+				if _, err := booted.ReplayWAL(); err != nil {
+					t.Fatal(err)
+				}
+				held := make(map[packet]int)
+				for _, dev := range booted.Devices() {
+					for _, r := range booted.History(dev) {
+						held[packet{dev, r.Packet.Seq}]++
+					}
+				}
+				for _, p := range img.acked {
+					if held[p] != 1 {
+						t.Errorf("image %d: acknowledged %v seq %d came back %d times", i, p.dev, p.seq, held[p])
+					}
+				}
+				for p, n := range held {
+					if n != 1 {
+						t.Errorf("image %d: %v seq %d came back %d times", i, p.dev, p.seq, n)
+					}
+				}
+				booted.Close()
+			}
+		})
+	}
+}
+
+// copyDir copies src's regular files into dst as they read right now.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

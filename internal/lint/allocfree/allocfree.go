@@ -3,8 +3,9 @@
 // that: the obs metric primitives (Counter.Inc/Add, Gauge.Set/Add,
 // Histogram.Observe/ObserveSince/Now — BENCH_obs.json pins them at 0
 // allocs/op) and the tsdb append path (DB.Append → shard.append →
-// wal.append, whose 1 alloc/op in BENCH_tsdb.json is pure amortized
-// growth). These are the primitives every packet crosses; one
+// wal.append into the log buffer, then wal.flush, whose 1 alloc/op in
+// BENCH_tsdb.json is pure amortized growth). These are the primitives
+// every packet — or, for the flush, every frame — crosses; one
 // fmt.Sprintf added to any of them multiplies into the ingest rate.
 //
 // The contract is always==0 and not unbounded, over the static measure
@@ -56,6 +57,7 @@ var contracts = []struct {
 	{"internal/tsdb", "DB", "Append", "BENCH_tsdb.json: amortized growth only"},
 	{"internal/tsdb", "shard", "append", "BENCH_tsdb.json: amortized growth only"},
 	{"internal/tsdb", "wal", "append", "BENCH_tsdb.json: amortized growth only"},
+	{"internal/tsdb", "wal", "flush", "BENCH_tsdb.json: amortized growth only"},
 }
 
 func run(pass *analysis.Pass) error {

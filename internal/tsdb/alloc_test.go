@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"centuryscale/internal/lpwan"
+	"centuryscale/internal/obs"
 )
 
 // TestAppendAllocBudget pins the write path's allocation budget: one
@@ -20,6 +21,7 @@ func TestAppendAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	db.RegisterMetrics(obs.NewRegistry()) // the flush histogram must not cost the path an allocation
 	dev := lpwan.EUIFromUint64(1)
 	var i int
 	got := testing.AllocsPerRun(5000, func() {

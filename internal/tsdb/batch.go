@@ -1,134 +1,81 @@
 package tsdb
 
-import (
-	"fmt"
-	"sync"
-)
+// Group commit: an acknowledgement is two steps. AppendDeferred puts
+// records into the log buffer and the memtable and returns an LSN; Flush
+// blocks until the log's flush has passed that LSN. A frame of N packets
+// spread over every shard is N cheap deferred appends and one Flush —
+// one write(2) and, under SyncAlways, one fsync — and concurrent frames
+// share flushes (DESIGN.md S40). The WAL-before-ack contract is the
+// caller's to keep: nothing AppendDeferred returned an LSN for may be
+// acknowledged before Flush of that LSN has returned nil.
 
-// Group commit: the WAL-side half of the batched ingest path. A frame of
-// N packets arriving on POST /ingest/batch becomes one appendBatch per
-// shard — every point framed into one scratch buffer, one Write, one
-// fsync — so SyncAlways durability costs one disk flush per frame
-// instead of one per point. The WAL-before-ack contract is unchanged:
-// the caller holds its acknowledgement until AppendBatch returns, and
-// AppendBatch does not return success for a shard until that shard's
-// covering fsync has.
-
-// appendBatch frames every point into the active segment with a single
-// Write and (under SyncAlways) a single fsync covering them all. Error
-// semantics match append: on failure the torn tail is dropped and NONE
-// of the batch is considered stored — all-or-nothing per shard, so the
-// caller never has to guess which prefix survived.
-func (w *wal) appendBatch(ps []Point) error {
-	if len(ps) == 0 {
-		return nil
-	}
-	w.scratch = w.scratch[:0]
-	for _, p := range ps {
-		w.scratch = appendPointFrame(w.scratch, p)
-	}
-	good := w.size
-	n, err := w.f.Write(w.scratch)
-	w.size += int64(n)
-	if err != nil {
-		w.dropTorn(good)
-		return fmt.Errorf("tsdb: wal append batch: %w", err)
-	}
-	switch w.policy {
-	case SyncAlways:
-		if err := w.fsync(); err != nil {
-			return err
+// AppendDeferred logs and stores pts without waiting for the disk, one
+// shard critical section per run of points hashing to the same shard
+// (callers that have bucketed a frame by ShardIndex pay one per bucket).
+// The points are readable at once; they are acknowledgeable after
+// Flush(lsn). A memory-only engine returns 0.
+func (db *DB) AppendDeferred(pts []Point) (lsn LSN) {
+	n := len(db.shards)
+	for rest := pts; len(rest) > 0; {
+		si := ShardIndex(rest[0].Device, n)
+		run := 1
+		for run < len(rest) && ShardIndex(rest[run].Device, n) == si {
+			run++
 		}
-	case SyncInterval:
-		w.dirty = true
+		lsn = db.shards[si].append(rest[:run])
+		rest = rest[run:]
 	}
-	if w.size >= w.segmentBytes {
-		return w.rotate()
-	}
-	return nil
+	db.appended.Add(uint64(len(pts)))
+	return lsn
 }
 
-// appendBatch stores the group under one lock acquisition: WAL first
-// (one fsync for the whole group), then every memtable insert. On WAL
-// failure nothing is inserted — the group is all-or-nothing, matching
-// wal.appendBatch's dropTorn repair — so the memtable never holds a
-// point the log does not.
-func (sh *shard) appendBatch(ps []Point, durable bool) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if durable && sh.wal != nil {
-		//lint:lockedio WAL-before-ack contract, group form: the single fsync covering the whole group must complete inside the critical section, before any insert and before the caller can acknowledge any packet of the frame
-		if err := sh.wal.appendBatch(ps); err != nil {
-			return err
-		}
-	}
-	for _, p := range ps {
-		sh.points[p.Device] = append(sh.points[p.Device], p)
-	}
-	return nil
-}
-
-// batchBuckets recycles the per-shard grouping used by AppendBatch.
-// Entries are *[][]Point with one inner slice per shard; inner slices
-// keep their grown capacity across uses. Shard counts are small and
-// fixed per process in practice, so a pooled entry sized for a different
-// DB is simply resliced.
-var batchBuckets = sync.Pool{
-	New: func() any {
-		b := make([][]Point, 0, DefaultShards)
-		return &b
-	},
-}
-
-// AppendBatch durably stores a group of points with one fsync per
-// touched shard (not one per point): the group-commit entry point for
-// the batched ingest path. Points are bucketed by ShardIndex and each
-// shard's bucket commits atomically — WAL write + fsync + memtable
-// insert under that shard's lock. A shard's failure voids only that
-// shard's bucket; other shards' buckets still commit, and the first
-// error is returned so the caller refuses acknowledgement for the whole
-// frame (the sender's retry re-offers every packet, and the replay
-// guards deduplicate the ones that did land).
+// Flush blocks until every record at or below lsn is on disk as the
+// policy defines it: written under SyncInterval and SyncNever, written
+// and fsynced under SyncAlways. Callers already covered return without
+// I/O, and concurrent callers share one flush.
 //
-//lint:hotpath budget=2 per-frame, not per-packet: one pooled bucket array plus amortized bucket growth; each packet moves through exactly one append into a reused bucket
-func (db *DB) AppendBatch(pts []Point) error {
-	if len(pts) == 0 {
+// An error means nothing at or below lsn may be acknowledged. Nothing is
+// lost: the records stay in memory and in the log buffer and the next
+// flush retries them, so a sender's re-offer finds them as duplicates —
+// whose acknowledgement must wait on Flush(LogEnd()) in turn. While the
+// log is in this failed state every Flush, whatever its lsn, retries
+// first and fails if the retry does.
+func (db *DB) Flush(lsn LSN) error {
+	if db.wal == nil {
 		return nil
 	}
-	nshards := len(db.shards)
-	bp := batchBuckets.Get().(*[][]Point)
-	buckets := *bp
-	if cap(buckets) < nshards {
-		buckets = make([][]Point, nshards)
-	}
-	buckets = buckets[:nshards]
-	for _, p := range pts {
-		i := ShardIndex(p.Device, nshards)
-		buckets[i] = append(buckets[i], p)
-	}
-	var firstErr error
-	for i := range buckets {
-		group := buckets[i]
-		if len(group) == 0 {
-			continue
-		}
-		if err := db.shards[i].appendBatch(group, true); err != nil {
-			db.appendErrors.Add(uint64(len(group)))
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			db.appended.Add(uint64(len(group)))
-		}
-		buckets[i] = group[:0]
-	}
-	db.groupCommits.Add(1)
-	*bp = buckets
-	batchBuckets.Put(bp)
-	return firstErr
+	return db.wal.flush(lsn)
 }
 
-// GroupCommits reports how many AppendBatch group commits have run —
+// LogEnd returns the LSN of the last record appended so far: the flush
+// barrier for a caller that must not acknowledge before records others
+// appended — the originals of the duplicates it saw — are on disk.
+func (db *DB) LogEnd() LSN {
+	if db.wal == nil {
+		return 0
+	}
+	return LSN(db.wal.appended.Load())
+}
+
+// AppendBatch durably stores a group of points: a deferred append and
+// one flush, however many shards the group touches. An error means the
+// group must not be acknowledged (see Flush for what became of it).
+//
+//lint:hotpath budget=0 per-frame: records are encoded into each shard's reused scratch and copied into the log's double buffer; memtable growth is amortized
+func (db *DB) AppendBatch(pts []Point) error {
+	if err := db.Flush(db.AppendDeferred(pts)); err != nil {
+		db.appendErrors.Add(uint64(len(pts)))
+		return err
+	}
+	return nil
+}
+
+// GroupCommits reports how many log flushes wrote at least one record —
 // the denominator an operator divides appended by to see the realized
 // batching factor.
-func (db *DB) GroupCommits() uint64 { return db.groupCommits.Load() }
+func (db *DB) GroupCommits() uint64 {
+	if db.wal == nil {
+		return 0
+	}
+	return db.wal.flushes.Load()
+}

@@ -37,8 +37,9 @@ func FuzzWALDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		buf := make([]byte, frameHeader+MaxFrame)
 		for {
-			payload, err := readFrame(r)
+			payload, err := readFrame(r, buf)
 			if errors.Is(err, io.EOF) {
 				return
 			}

@@ -127,10 +127,12 @@ func leadByte(b []byte) byte {
 // readFrame reads one frame from r. It returns io.EOF only on a clean
 // record boundary; a partial header or short payload is ErrTornFrame,
 // so replay can distinguish "end of log" from "crashed mid-append".
-// The payload buffer is allocated only after the length passes the
-// MaxFrame bound.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeader]byte
+// Header and payload are read into buf, which must hold
+// frameHeader+MaxFrame bytes: a replay loop passes the same buffer for
+// every record and allocates nothing per record, and the returned
+// payload is valid until the next call.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	hdr := buf[:frameHeader]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
@@ -144,7 +146,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d", ErrFrameSize, n)
 	}
-	payload := make([]byte, n)
+	payload := buf[frameHeader : frameHeader+int(n)]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTornFrame, err)
 	}

@@ -5,14 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"centuryscale/internal/lpwan"
 )
 
-// writeWAL populates a single-shard WAL with n records and closes it,
-// returning the path of the one segment file holding them.
+// writeWAL populates a WAL with n records and closes it, returning the
+// path of the one segment file holding them.
 func writeWAL(t *testing.T, dir string, n uint32) string {
 	t.Helper()
 	db, err := Open(Options{Dir: dir, Shards: 1, Sync: SyncNever})
@@ -27,14 +28,14 @@ func writeWAL(t *testing.T, dir string, n uint32) string {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	shardDir := filepath.Join(dir, "shard-000")
-	segs, err := listSegments(shardDir)
+	logDir := filepath.Join(dir, walDir)
+	segs, err := listSegments(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var paths []string
 	for _, idx := range segs {
-		p := filepath.Join(shardDir, segName(idx))
+		p := filepath.Join(logDir, segName(idx))
 		if info, err := os.Stat(p); err == nil && info.Size() > 0 {
 			paths = append(paths, p)
 		}
@@ -175,10 +176,12 @@ func TestRecoveryGarbageLengthPrefix(t *testing.T) {
 	}
 }
 
-// TestTornWriteTruncatedOnAppendError: a failed append leaves a torn
+// TestTornWriteTruncatedOnAppendError: a failed write leaves a torn
 // frame mid-segment; the repair must truncate it away so every record
 // acknowledged AFTER the transient error still replays (replay stops a
-// segment at its first corrupt frame).
+// segment at its first corrupt frame). The failed append's own record is
+// not lost either: it stays in the log buffer and the next flush writes
+// it, ahead of everything appended since.
 func TestTornWriteTruncatedOnAppendError(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpen(t, Options{Dir: dir, Shards: 1, Sync: SyncNever})
@@ -187,17 +190,12 @@ func TestTornWriteTruncatedOnAppendError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate the partial frame a failed write leaves behind, then run
-	// the repair the append error path invokes.
-	w := db.shards[0].wal
-	good := w.size
-	n, err := w.f.Write([]byte{0x01, 0x02, 0x03})
-	if err != nil {
-		t.Fatal(err)
+	// Three bytes of the next frame reach the file, then the write fails.
+	injectFaults(db).fail("write", syscall.EIO, 1, 3)
+	if err := db.Append(pt(1, 6, 6*time.Minute)); err == nil {
+		t.Fatal("append over a failing write must not be acknowledged")
 	}
-	w.size += int64(n)
-	w.dropTorn(good)
-	for seq := uint32(6); seq <= 10; seq++ {
+	for seq := uint32(7); seq <= 10; seq++ {
 		if err := db.Append(pt(1, seq, time.Duration(seq)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
@@ -209,15 +207,17 @@ func TestTornWriteTruncatedOnAppendError(t *testing.T) {
 		t.Fatalf("replay stats = %+v, want 10 records, 0 corruptions", st)
 	}
 	hist := re.History(lpwan.EUIFromUint64(1))
-	if len(hist) != 10 || hist[9].Seq != 10 {
-		t.Fatalf("post-error appends lost: %d records", len(hist))
+	for i, p := range hist {
+		if p.Seq != uint32(i+1) {
+			t.Fatalf("replayed order broken at %d: %+v", i, hist)
+		}
 	}
 }
 
 // TestTornWriteSealedWhenTruncateFails: when even the repairing truncate
-// fails (dead file handle), the damaged segment must be sealed and a
-// fresh one started, so the tear costs only the unacknowledged frame —
-// acknowledged records on both sides of it replay.
+// fails, the damaged segment must be abandoned and a fresh one started,
+// so the tear costs nothing — records on both sides of it replay, the
+// failed append's among them.
 func TestTornWriteSealedWhenTruncateFails(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpen(t, Options{Dir: dir, Shards: 1, Sync: SyncNever})
@@ -226,19 +226,14 @@ func TestTornWriteSealedWhenTruncateFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A torn frame on disk, then a dead handle: the next append's write
-	// fails, and so does the truncate repair, forcing seal-and-rotate.
-	w := db.shards[0].wal
-	if _, err := w.f.Write([]byte{0xde, 0xad}); err != nil {
-		t.Fatal(err)
-	}
-	w.size += 2
-	w.f.Close()
+	fs := injectFaults(db)
+	fs.fail("write", syscall.EIO, 1, 2)
+	fs.fail("truncate", syscall.EIO, 1, 0)
 	if err := db.Append(pt(1, 6, 6*time.Minute)); err == nil {
-		t.Fatal("append on a dead WAL handle must fail")
+		t.Fatal("append over a failing write must not be acknowledged")
 	}
-	// Recovery rotated to a fresh segment: appends are accepted again
-	// and land past the sealed tear.
+	// Recovery moved to a fresh segment: appends are accepted again and
+	// land past the abandoned tear.
 	for seq := uint32(7); seq <= 9; seq++ {
 		if err := db.Append(pt(1, seq, time.Duration(seq)*time.Minute)); err != nil {
 			t.Fatal(err)
@@ -247,12 +242,20 @@ func TestTornWriteSealedWhenTruncateFails(t *testing.T) {
 	db.Close()
 
 	st, re := replayCount(t, dir)
-	if st.Records != 8 || st.Corruptions != 1 {
-		t.Fatalf("replay stats = %+v, want 8 records, 1 corruption", st)
+	if st.Records != 9 || st.Corruptions != 1 {
+		t.Fatalf("replay stats = %+v, want 9 records, 1 corruption", st)
 	}
 	hist := re.History(lpwan.EUIFromUint64(1))
-	if len(hist) != 8 || hist[4].Seq != 5 || hist[5].Seq != 7 {
-		t.Fatalf("unexpected survivors: %+v", hist)
+	for i, p := range hist {
+		if p.Seq != uint32(i+1) {
+			t.Fatalf("replayed order broken at %d: %+v", i, hist)
+		}
+	}
+	// The abandoned segment sits mid-list, not last: replay trimmed it all
+	// the same, so the tear is counted once, not at every boot.
+	re.Close()
+	if st2, _ := replayCount(t, dir); st2.Records != 9 || st2.Corruptions != 0 {
+		t.Fatalf("second boot stats = %+v, want 9 records, 0 corruptions", st2)
 	}
 }
 
@@ -273,8 +276,8 @@ func TestRecoveryCorruptionInEarlierSegment(t *testing.T) {
 	}
 	db.Close()
 
-	shardDir := filepath.Join(dir, "shard-000")
-	segs, err := listSegments(shardDir)
+	logDir := filepath.Join(dir, walDir)
+	segs, err := listSegments(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +285,7 @@ func TestRecoveryCorruptionInEarlierSegment(t *testing.T) {
 		t.Fatalf("want >= 3 segments, got %d", len(segs))
 	}
 	// Corrupt the SECOND record of the first non-empty segment.
-	first := filepath.Join(shardDir, segName(segs[0]))
+	first := filepath.Join(logDir, segName(segs[0]))
 	data, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)

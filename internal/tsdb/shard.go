@@ -7,34 +7,40 @@ import (
 	"centuryscale/internal/lpwan"
 )
 
-// shard is one partition: an in-memory per-device series map plus (when
-// durable) its own WAL. Each shard has its own mutex, so ingest for
-// devices hashing to different shards never contends.
+// shard is one partition: an in-memory per-device series map. Each shard
+// has its own mutex, so ingest for devices hashing to different shards
+// contends only for the memcpy into the shared log buffer.
 type shard struct {
-	mu     sync.Mutex
-	points map[lpwan.EUI64][]Point
-	wal    *wal // nil in memory-only mode
+	mu      sync.Mutex
+	points  map[lpwan.EUI64][]Point
+	wal     *wal   // the DB's one log; nil in memory-only mode
+	scratch []byte // record frames being encoded, reused under mu
 }
 
 func newShard(w *wal) *shard {
 	return &shard{points: make(map[lpwan.EUI64][]Point), wal: w}
 }
 
-// append stores p, writing it to the WAL first when durable is true.
-// The WAL write happening before the in-memory insert (and before any
-// acknowledgement the caller sends) is the crash-safety contract: a
-// reading is never acknowledged until it would survive a restart.
-func (sh *shard) append(p Point, durable bool) error {
+// append logs and stores ps and returns the LSN a flush must pass before
+// any of them is acknowledged. Log-buffer append and memtable insert
+// share the critical section, so log order and memtable order agree per
+// device: what /history serves live is what replay rebuilds. The records
+// are encoded before the log's own mutex is taken, which is then held
+// for one memcpy.
+func (sh *shard) append(ps []Point) (lsn LSN) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if durable && sh.wal != nil {
-		//lint:lockedio WAL-before-ack contract: log order and memtable order must agree, and the fsync must complete before the caller can acknowledge — this I/O is the critical section
-		if err := sh.wal.append(p); err != nil {
-			return err
+	if sh.wal != nil {
+		sh.scratch = sh.scratch[:0]
+		for _, p := range ps {
+			sh.scratch = appendPointFrame(sh.scratch, p)
 		}
+		lsn = sh.wal.append(sh.scratch)
 	}
-	sh.points[p.Device] = append(sh.points[p.Device], p)
-	return nil
+	for _, p := range ps {
+		sh.points[p.Device] = append(sh.points[p.Device], p)
+	}
+	sh.mu.Unlock()
+	return lsn
 }
 
 // load inserts without touching the WAL: snapshot restore and WAL

@@ -21,15 +21,16 @@ const (
 
 // Options configures a DB.
 type Options struct {
-	// Dir is the storage directory; each shard keeps its WAL under
-	// Dir/shard-NNN. Empty means memory-only: the same sharded engine
+	// Dir is the storage directory; the one log all shards share lives
+	// under Dir/wal. Empty means memory-only: the same sharded engine
 	// with no durability, for simulations and tests.
 	Dir string
 	// Shards is the partition count (default DefaultShards). More
-	// shards means more ingest concurrency and more (smaller) WAL
-	// segment files. Changing the count on an existing Dir is safe:
-	// sharding is an in-memory routing decision, and boot replays
-	// whatever shard directories exist on disk.
+	// shards means more ingest concurrency in memory; it does not
+	// multiply files or fsyncs, since every shard appends to the same
+	// log. Changing the count on an existing Dir is safe: sharding is an
+	// in-memory routing decision, and replay routes each record through
+	// the current shard map.
 	Shards int
 	// Sync is the WAL fsync policy (default SyncAlways).
 	Sync SyncPolicy
@@ -72,15 +73,15 @@ type ReplayStats struct {
 type DB struct {
 	opts   Options
 	shards []*shard
+	wal    *wal // the one log under every shard; nil in memory-only mode
 
-	// orphanDirs are on-disk shard directories with index >= Shards,
-	// left behind by a shard-count decrease. Their segments are replayed
-	// (records re-route to the new shard map in memory) and the
-	// directories are retired at the next checkpoint.
-	orphanDirs []string
+	// legacyDirs are Dir/shard-NNN directories from the per-shard WAL
+	// layout this engine used to write. Their segments are replayed
+	// (records route through the current shard map) and the directories
+	// are retired at the next checkpoint.
+	legacyDirs []string
 
 	appended          atomic.Uint64
-	groupCommits      atomic.Uint64
 	replayed          atomic.Uint64
 	corruptions       atomic.Uint64
 	appendErrors      atomic.Uint64
@@ -94,9 +95,9 @@ type DB struct {
 	closeErr  error
 }
 
-// Open creates the engine. With a Dir it opens (creating as needed) one
-// WAL per shard; boot-time state reconstruction is a separate, explicit
-// Replay call so the caller can layer it over a loaded checkpoint.
+// Open creates the engine. With a Dir it opens (creating as needed) the
+// log; boot-time state reconstruction is a separate, explicit Replay call
+// so the caller can layer it over a loaded checkpoint.
 func Open(opts Options) (*DB, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
@@ -108,37 +109,38 @@ func Open(opts Options) (*DB, error) {
 		opts.SyncEvery = DefaultSyncEvery
 	}
 	db := &DB{opts: opts, shards: make([]*shard, opts.Shards)}
-	for i := range db.shards {
-		var w *wal
-		if opts.Dir != "" {
-			var err error
-			w, err = openWAL(filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", i)), opts.SegmentBytes, opts.Sync)
-			if err != nil {
-				return nil, err
-			}
-		}
-		db.shards[i] = newShard(w)
-	}
 	if opts.Dir != "" {
+		w, err := openWAL(filepath.Join(opts.Dir, walDir), opts.SegmentBytes, opts.Sync)
+		if err != nil {
+			return nil, err
+		}
+		db.wal = w
 		entries, err := os.ReadDir(opts.Dir)
 		if err != nil {
+			_ = w.close() // nothing was appended; the ReadDir error is the one to report
 			return nil, fmt.Errorf("tsdb: dir: %w", err)
 		}
 		for _, e := range entries {
 			var n int
-			if _, err := fmt.Sscanf(e.Name(), "shard-%03d", &n); err == nil && n >= opts.Shards {
-				db.orphanDirs = append(db.orphanDirs, filepath.Join(opts.Dir, e.Name()))
+			if _, err := fmt.Sscanf(e.Name(), "shard-%03d", &n); err == nil && e.IsDir() && e.Name() == fmt.Sprintf("shard-%03d", n) {
+				db.legacyDirs = append(db.legacyDirs, filepath.Join(opts.Dir, e.Name()))
 			}
 		}
-		sort.Strings(db.orphanDirs)
+		sort.Strings(db.legacyDirs)
 	}
-	if opts.Dir != "" && opts.Sync == SyncInterval {
+	for i := range db.shards {
+		db.shards[i] = newShard(db.wal)
+	}
+	if db.wal != nil && opts.Sync == SyncInterval {
 		db.stopSync = make(chan struct{})
 		db.syncDone = make(chan struct{})
 		go db.syncLoop()
 	}
 	return db, nil
 }
+
+// walDir is the log's directory under Options.Dir.
+const walDir = "wal"
 
 func (db *DB) syncLoop() {
 	defer close(db.syncDone)
@@ -149,15 +151,8 @@ func (db *DB) syncLoop() {
 		case <-db.stopSync:
 			return
 		case <-tick.C:
-			for _, sh := range db.shards {
-				sh.mu.Lock()
-				if sh.wal != nil {
-					//lint:lockedio the interval fsync must serialize with appends (dirty flag + active handle); one shard pauses, the others keep ingesting
-					if err := sh.wal.sync(); err != nil && db.opts.Logf != nil {
-						db.opts.Logf("tsdb: interval fsync: %v", err)
-					}
-				}
-				sh.mu.Unlock()
+			if err := db.wal.sync(); err != nil && db.opts.Logf != nil {
+				db.opts.Logf("tsdb: interval fsync: %v", err)
 			}
 		}
 	}
@@ -195,17 +190,13 @@ func (db *DB) shardFor(dev lpwan.EUI64) *shard {
 	return db.shards[ShardIndex(dev, len(db.shards))]
 }
 
-// Append durably stores one point: WAL (fsynced per policy) first, then
-// the in-memory series. An error means the point is NOT stored and the
-// caller must not acknowledge it.
+// Append durably stores one point: AppendBatch of one. An error means
+// the point must not be acknowledged (see Flush for what became of it).
+//
 //lint:hotpath budget=0 acknowledgement path: WAL encode and series insert reuse scratch buffers, growth is amortized (BENCH_tsdb.json pins AppendSerial at 1 amortized alloc/op)
 func (db *DB) Append(p Point) error {
-	if err := db.shardFor(p.Device).append(p, true); err != nil {
-		db.appendErrors.Add(1)
-		return err
-	}
-	db.appended.Add(1)
-	return nil
+	pts := [1]Point{p}
+	return db.AppendBatch(pts[:])
 }
 
 // Load inserts a point without writing the WAL: for restoring state that
@@ -221,131 +212,119 @@ func (db *DB) Reset() {
 	}
 }
 
-// Replay streams every WAL record (in per-shard append order) through
-// keep; admitted points are inserted into the in-memory series. The
-// filter is where the caller deduplicates records that overlap the
-// checkpoint it already loaded — a crash between checkpoint write and
-// segment truncation leaves such an overlap by design. Corrupt frames
-// end the damaged segment's replay at the last intact record, counted
-// and (via Options.Logf) logged, never fatal.
+// Replay streams every WAL record through keep; admitted points are
+// inserted into the in-memory series. The filter is where the caller
+// deduplicates records that overlap the checkpoint it already loaded — a
+// crash between checkpoint write and segment truncation leaves such an
+// overlap by design. Corrupt frames end the damaged segment's replay at
+// the last intact record, counted and (via Options.Logf) logged, never
+// fatal.
+//
+// Records are read in log order and handed on in bounded batches, each
+// bucketed by shard: a device's records reach keep in the order they
+// were logged, boot memory does not grow with the log (it used to hold a
+// whole directory's records before filtering the first), and keep and
+// the memtable work through one shard's devices at a time — the locality
+// the per-shard logs gave replay for free, worth a third of its time.
+// Replay reads only pre-open segments, which are immutable, so decoding
+// holds no lock and keep (which takes the caller's own locks) never runs
+// under one of the engine's. Each admitted point is routed through the
+// CURRENT shard map, whatever layout or shard count wrote it.
 func (db *DB) Replay(keep func(Point) bool) (ReplayStats, error) {
 	var st ReplayStats
-	for _, sh := range db.shards {
-		if sh.wal == nil {
-			continue
-		}
-		// Replay reads only pre-open segments, which are immutable, so
-		// decoding needs no lock; only the memtable inserts do. Collect
-		// first, then filter, so keep (which takes the caller's own
-		// locks) never runs under a shard lock. Each admitted point is
-		// routed through the CURRENT shard map, not the directory it was
-		// read from: after a shard-count change the on-disk layout is
-		// stale, and History/Range look the device up via ShardIndex.
-		var pts []Point
-		records, corruptions, err := sh.wal.replay(db.opts.Logf, func(p Point) { pts = append(pts, p) })
-		st.Records += records
-		st.Corruptions += corruptions
-		if err != nil {
-			return st, err
-		}
-		for _, p := range pts {
-			if keep == nil || keep(p) {
-				db.shardFor(p.Device).load(p)
-				st.Kept++
+	if db.wal == nil {
+		return st, nil
+	}
+	buckets := make([][]Point, len(db.shards))
+	pending := 0
+	drain := func() {
+		for i, bucket := range buckets {
+			for _, p := range bucket {
+				if keep == nil || keep(p) {
+					db.shards[i].load(p)
+					st.Kept++
+				}
 			}
+			buckets[i] = bucket[:0]
+		}
+		pending = 0
+	}
+	emit := func(p Point) {
+		i := ShardIndex(p.Device, len(buckets))
+		buckets[i] = append(buckets[i], p)
+		if pending++; pending == replayBatch {
+			drain()
 		}
 	}
-	// Orphaned shard directories (shard count decreased since the WAL
-	// was written): replay their records too, routing each point to its
-	// new home shard.
-	for _, dir := range db.orphanDirs {
+	replay := func(dir string, segs []uint64) error {
+		records, corruptions, err := replaySegments(dir, segs, db.opts.Logf, emit)
+		drain()
+		st.Records += records
+		st.Corruptions += corruptions
+		return err
+	}
+	// Legacy per-shard directories first: whatever they hold predates
+	// everything in the shared log.
+	for _, dir := range db.legacyDirs {
 		segs, err := listSegments(dir)
+		if err == nil {
+			err = replay(dir, segs)
+		}
 		if err != nil {
 			return st, err
-		}
-		var pts []Point
-		records, corruptions, err := replaySegments(dir, segs, false, db.opts.Logf, func(p Point) { pts = append(pts, p) })
-		st.Records += records
-		st.Corruptions += corruptions
-		if err != nil {
-			return st, err
-		}
-		for _, p := range pts {
-			if keep == nil || keep(p) {
-				db.shardFor(p.Device).load(p)
-				st.Kept++
-			}
 		}
 	}
+	err := replay(db.wal.dir, db.wal.existing)
 	db.replayed.Add(st.Records)
 	db.corruptions.Add(st.Corruptions)
-	return st, nil
+	return st, err
 }
 
+// replayBatch is how many records Replay holds at a time (2.5 MiB of
+// Points): enough that each shard's share of a batch revisits its
+// devices many times over, small beside the memtable being rebuilt.
+const replayBatch = 1 << 16
+
 // Checkpoint makes save's output the new recovery baseline and truncates
-// the WAL behind it. Sequence per shard: rotate to a fresh segment (so
-// every record before this moment is in a sealed segment), then run
-// save — which must persist at least the engine's current state — and
-// only after save succeeds, delete the sealed segments. Records appended
-// while save runs land in the new segments and stay replayable; records
-// appended between rotation and the state copy appear in both snapshot
-// and WAL, which the caller's Replay filter deduplicates after a crash
-// in that window.
+// the WAL behind it. Sequence: rotate to a fresh segment (so every record
+// before this moment is in a sealed segment), then run save — which must
+// persist at least the engine's current state — and only after save
+// succeeds, delete the sealed segments. Records appended while save runs
+// land in the new segments and stay replayable; records appended between
+// rotation and the state copy appear in both snapshot and WAL, which the
+// caller's Replay filter deduplicates after a crash in that window.
 func (db *DB) Checkpoint(save func() error) error {
 	if !db.Durable() {
 		return save()
 	}
-	marks := make([]uint64, len(db.shards))
-	for i, sh := range db.shards {
-		sh.mu.Lock()
-		//lint:lockedio rotation must be atomic with the append stream: every record before the watermark must land in a sealed segment
-		err := sh.wal.rotate()
-		marks[i] = sh.wal.idx
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	mark, err := db.wal.rotate()
+	if err != nil {
+		return err
 	}
 	if err := save(); err != nil {
 		return err
 	}
-	// Segment deletion runs outside the shard locks (a centurylint
-	// lockedio finding): removeBelow only touches sealed, immutable
-	// segment files — concurrent appends go to the newer active segment —
-	// so holding the lock across the unlink syscalls would stall ingest
-	// for no consistency gain.
-	for i, sh := range db.shards {
-		if err := sh.wal.removeBelow(marks[i]); err != nil {
-			return err
-		}
+	// removeBelow only touches sealed, immutable segment files, and the
+	// legacy directories are fully covered by the snapshot now.
+	if err := db.wal.removeBelow(mark); err != nil {
+		return err
 	}
-	// Orphan directories are fully covered by the snapshot now.
-	for _, dir := range db.orphanDirs {
+	for _, dir := range db.legacyDirs {
 		if err := os.RemoveAll(dir); err != nil {
 			return err
 		}
 	}
-	db.orphanDirs = nil
+	db.legacyDirs = nil
 	return nil
 }
 
 // Sync forces WAL appends to stable storage regardless of policy — the
 // explicit flush for shutdown paths and tests.
 func (db *DB) Sync() error {
-	for _, sh := range db.shards {
-		sh.mu.Lock()
-		var err error
-		if sh.wal != nil {
-			sh.wal.dirty = true
-			//lint:lockedio explicit flush for shutdown paths: must serialize with appends so nothing acknowledged stays page-cache-only
-			err = sh.wal.sync()
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	if db.wal == nil {
+		return nil
 	}
-	return nil
+	return db.wal.sync()
 }
 
 // Devices returns every device with stored points, sorted by address.
@@ -464,28 +443,22 @@ func (db *DB) Stats() Stats {
 		}
 		sh.mu.Unlock()
 	}
-	if db.opts.Dir != "" {
-		for i := range db.shards {
-			dir := filepath.Join(db.opts.Dir, fmt.Sprintf("shard-%03d", i))
-			entries, err := os.ReadDir(dir)
-			if err != nil {
+	if db.wal != nil {
+		entries, _ := os.ReadDir(db.wal.dir) // an unreadable directory reports an empty log
+		for _, e := range entries {
+			if _, ok := parseSegName(e.Name()); !ok {
 				continue
 			}
-			for _, e := range entries {
-				if _, ok := parseSegName(e.Name()); !ok {
-					continue
-				}
-				st.WALSegments++
-				if info, err := e.Info(); err == nil {
-					st.WALBytes += info.Size()
-				}
+			st.WALSegments++
+			if info, err := e.Info(); err == nil {
+				st.WALBytes += info.Size()
 			}
 		}
 	}
 	return st
 }
 
-// Close stops background work and seals the WALs. The DB must not be
+// Close stops background work and seals the WAL. The DB must not be
 // used afterwards.
 func (db *DB) Close() error {
 	db.closeOnce.Do(func() {
@@ -493,15 +466,8 @@ func (db *DB) Close() error {
 			close(db.stopSync)
 			<-db.syncDone
 		}
-		for _, sh := range db.shards {
-			sh.mu.Lock()
-			if sh.wal != nil {
-				//lint:lockedio shutdown seal: the final fsync+close must exclude late appends; contention is over by now
-				if err := sh.wal.close(); err != nil && db.closeErr == nil {
-					db.closeErr = err
-				}
-			}
-			sh.mu.Unlock()
+		if db.wal != nil {
+			db.closeErr = db.wal.close()
 		}
 	})
 	return db.closeErr

@@ -231,9 +231,9 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	if after >= before {
 		t.Fatalf("checkpoint did not truncate: %d -> %d segments", before, after)
 	}
-	// Per shard only the fresh active segment remains.
-	if after != db.Shards() {
-		t.Fatalf("want %d active segments, got %d", db.Shards(), after)
+	// Only the fresh active segment remains, whatever the shard count.
+	if after != 1 {
+		t.Fatalf("want 1 active segment, got %d", after)
 	}
 
 	// Records appended after the checkpoint replay; records before it
@@ -390,8 +390,7 @@ func TestSyncIntervalFlushes(t *testing.T) {
 	}
 	time.Sleep(30 * time.Millisecond) // let the ticker fsync
 	// The bytes are visible on disk even before Close.
-	seg := filepath.Join(dir, "shard-000")
-	entries, err := os.ReadDir(seg)
+	entries, err := os.ReadDir(filepath.Join(dir, walDir))
 	if err != nil {
 		t.Fatal(err)
 	}

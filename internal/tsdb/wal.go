@@ -10,17 +10,23 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"centuryscale/internal/obs"
 )
 
 // SyncPolicy controls when WAL appends are fsynced.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: an acknowledged reading is
-	// on stable storage before the acknowledgement. The durable default.
+	// SyncAlways fsyncs before every acknowledgement: an acknowledged
+	// reading is on stable storage. The durable default.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval leaves fsync to a background ticker (Options.SyncEvery):
-	// a crash can lose at most one interval of acknowledged appends.
+	// an acknowledged reading has reached the kernel (it survives the
+	// process), and a host crash can lose at most one interval of them.
 	SyncInterval
 	// SyncNever issues no fsyncs at all; durability is whatever the OS
 	// page cache provides. For benchmarks and throwaway simulations.
@@ -67,34 +73,78 @@ func parseSegName(name string) (uint64, bool) {
 	return idx, err == nil
 }
 
-// wal is one shard's append-only log: numbered segment files, appends go
-// to the highest-numbered (active) segment, rotation starts a new one.
-// All methods are called under the owning shard's mutex.
+// LSN is a position in the log: the count of record bytes appended up to
+// and including a record. A record is acknowledgeable once the log's
+// flush has passed its LSN (DB.Flush).
+type LSN uint64
+
+// logFile is what the log needs of a segment file. Production uses
+// *os.File; only tests substitute a fault injector.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+func openSegment(path string) (logFile, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// wal is the one log under every shard, in two parts (DESIGN.md S40).
+//
+// The log buffer: appenders on any shard copy encoded records into buf
+// under mu and get back an LSN. mu covers memory only and is never held
+// across a syscall — it is the one lock all shards share on the ingest
+// path.
+//
+// The flusher role: held by one goroutine at a time (flushing, handed
+// over on cond). The holder swaps the buffer out, writes it with one
+// write(2), fsyncs per policy, rotates, and publishes the flushed LSN.
+// The fields under "flusher-role state" belong to the holder and need
+// no other lock.
 type wal struct {
 	dir          string
 	segmentBytes int64
 	policy       SyncPolicy
+	openFile     func(path string) (logFile, error) // tests inject faults here
+	clock        obs.Clock                          // flush-time histogram clock; nil is wall time, tests inject theirs
 
-	f       *os.File
-	idx     uint64 // active segment index
-	size    int64
-	dirty   bool // unsynced bytes outstanding (SyncInterval)
-	scratch []byte
+	mu       sync.Mutex
+	cond     *sync.Cond // on mu: the flusher role changed hands
+	buf      []byte     // records appended and not yet drained by a flusher
+	spare    []byte     // the drained buffer of the last flush, for reuse
+	flushing bool       // the flusher role is taken
+	closed   bool
 
-	// fsyncs/fsyncErrs count Sync syscalls issued and failed — plain
-	// uint64s, mutated and read only under the owning shard's mutex.
-	// Fsync cadence is the observable difference between the three
-	// durability policies, so it is the first thing an operator checks
-	// when acknowledged-write latency drifts.
-	fsyncs    uint64
-	fsyncErrs uint64
+	// appended and flushed are the published LSNs: bytes handed to
+	// append, and bytes a successful flush covered — written and, under
+	// SyncAlways, fsynced (every flush fsyncs under that policy). failed
+	// is the failed state: the last flush's error, nil when healthy. All
+	// three are stored under mu and read lock-free by the fast path of
+	// flush, the gauges and Health.
+	appended atomic.Uint64
+	flushed  atomic.Uint64
+	failed   atomic.Pointer[error]
+
+	// flusher-role state
+	f      logFile // active segment; nil after a segment was abandoned
+	idx    uint64  // active segment index
+	size   int64   // bytes written to the active segment
+	synced int64   // bytes of the active segment a successful fsync covered
+
+	flushes    atomic.Uint64 // successful flushes that wrote at least one record
+	flushFails atomic.Uint64 // stored under mu; a waiter that sees it move fails too
+	fsyncs     atomic.Uint64
+	fsyncErrs  atomic.Uint64
+	seconds    atomic.Pointer[obs.Histogram] // installed by RegisterMetrics
 
 	// existing lists the segment indices found at open time, i.e. the
 	// replay set. The active segment is always newer than all of them.
 	existing []uint64
 }
 
-// openWAL opens (creating if needed) a shard WAL directory and starts a
+// openWAL opens (creating if needed) the log directory and starts a
 // fresh active segment above every existing one. Appends never reuse an
 // old segment, so replay and recovery never race a writer.
 func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, error) {
@@ -105,8 +155,8 @@ func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	w := &wal{dir: dir, segmentBytes: segmentBytes, policy: policy, existing: existing}
+	w := &wal{dir: dir, segmentBytes: segmentBytes, policy: policy, openFile: openSegment, existing: existing}
+	w.cond = sync.NewCond(&w.mu)
 	w.idx = 1
 	if n := len(existing); n > 0 {
 		w.idx = existing[n-1] + 1
@@ -118,97 +168,243 @@ func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, error) {
 }
 
 func (w *wal) openActive() error {
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.idx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := w.openFile(filepath.Join(w.dir, segName(w.idx)))
 	if err != nil {
 		return fmt.Errorf("tsdb: wal segment: %w", err)
 	}
-	w.f = f
-	w.size = 0
+	w.f, w.size, w.synced = f, 0, 0
 	return nil
 }
 
-// append frames p into the active segment, fsyncing per policy and
-// rotating when the segment is full.
-func (w *wal) append(p Point) error {
-	w.scratch = appendPointFrame(w.scratch[:0], p)
-	good := w.size
-	n, err := w.f.Write(w.scratch)
-	w.size += int64(n)
-	if err != nil {
-		w.dropTorn(good)
-		return fmt.Errorf("tsdb: wal append: %w", err)
+// append copies already-framed records into the log buffer and returns
+// the LSN that covers them. It cannot fail and does no I/O: the records
+// may be acknowledged once a flush has passed the LSN.
+func (w *wal) append(frames []byte) LSN {
+	w.mu.Lock()
+	w.buf = append(w.buf, frames...)
+	lsn := w.appended.Add(uint64(len(frames)))
+	w.mu.Unlock()
+	return LSN(lsn)
+}
+
+var errClosed = errors.New("tsdb: wal closed")
+
+// flush returns nil once every record at or below lsn is written and,
+// under SyncAlways, fsynced. A caller already covered returns without
+// I/O; one that finds a flush running waits for it; otherwise the caller
+// takes the flusher role and flushes everything appended so far.
+//
+// A failed flush loses nothing and acknowledges nothing: its bytes go
+// back to the head of the buffer, the flushed LSN stays put, and every
+// goroutine waiting on it gets the error. While the log is failed, every
+// flush — whatever its lsn — retries first, so nothing is acknowledged
+// until a retry has succeeded.
+func (w *wal) flush(lsn LSN) error {
+	if w.failed.Load() == nil && lsn <= LSN(w.flushed.Load()) {
+		return nil
 	}
-	switch w.policy {
-	case SyncAlways:
+	_, err := w.lead(lsn, w.policy == SyncAlways, thenKeep)
+	return err
+}
+
+// sync flushes everything appended so far and fsyncs it regardless of
+// policy: the interval ticker's and DB.Sync's entry point.
+func (w *wal) sync() error {
+	_, err := w.lead(ownFlush, true, thenKeep)
+	return err
+}
+
+// rotate flushes everything appended so far, seals the active segment
+// and starts the next one, whose index it returns: every record appended
+// before the call lies in a segment below it.
+func (w *wal) rotate() (uint64, error) {
+	return w.lead(ownFlush, w.policy != SyncNever, thenSeal)
+}
+
+// close flushes what is buffered, fsyncs unless the policy is never, and
+// closes the active segment. Later flushes fail.
+func (w *wal) close() error {
+	_, err := w.lead(ownFlush, w.policy != SyncNever, thenShut)
+	if w.f != nil {
+		// The final flush failed short of closing. Nobody can take the
+		// role any more, so the descriptor is ours to release.
+		_ = w.f.Close() // the flush's own error is the one to report
+		w.f = nil
+	}
+	return err
+}
+
+// ownFlush is the lsn of a caller that no flush but its own satisfies:
+// it is after the flusher role itself, to fsync, rotate or shut down.
+const ownFlush = ^LSN(0)
+
+// after says what the flusher does with the active segment once the
+// buffer is written.
+type after int
+
+const (
+	thenKeep after = iota // keep appending to it unless it is full
+	thenSeal              // seal it and start the next one
+	thenShut              // close it: the log is shutting down
+)
+
+// lead is the flush protocol: wait out the flush in progress, return if
+// it covered lsn (or failed trying), else take the flusher role, drain
+// the buffer, do the I/O with no lock held, and publish the outcome. It
+// returns the index of the active segment as its flush left it.
+func (w *wal) lead(lsn LSN, fsync bool, then after) (uint64, error) {
+	w.mu.Lock()
+	seen := w.flushFails.Load()
+	for w.flushing {
+		w.cond.Wait()
+		failed := w.failed.Load()
+		switch {
+		case lsn == ownFlush:
+			// after the role itself: nobody else's flush will do
+		case failed != nil && w.flushFails.Load() != seen:
+			w.mu.Unlock()
+			return 0, *failed
+		case failed == nil && lsn <= LSN(w.flushed.Load()):
+			w.mu.Unlock()
+			return 0, nil
+		}
+	}
+	if w.closed {
+		w.mu.Unlock()
+		return 0, errClosed
+	}
+	w.closed = then == thenShut
+	w.flushing = true
+	chunk := w.buf
+	w.buf, w.spare = w.spare[:0], nil
+	end := w.appended.Load()
+	w.mu.Unlock()
+
+	h := w.seconds.Load()
+	var start time.Duration
+	if h != nil {
+		start = h.Now()
+	}
+	err := w.writeOut(chunk, fsync, then)
+	idx := w.idx
+	if h != nil {
+		h.ObserveSince(start)
+	}
+
+	w.mu.Lock()
+	if err != nil {
+		// Back to the head of the buffer, ahead of whatever was appended
+		// while the flush ran: the retry re-writes these bytes in order.
+		w.buf = append(chunk, w.buf...)
+		w.flushFails.Add(1)
+		failed := err // a copy, so that err escapes on this branch only
+		w.failed.Store(&failed)
+	} else {
+		w.spare = chunk[:0]
+		w.flushed.Store(end)
+		if len(chunk) > 0 {
+			w.flushes.Add(1)
+		}
+		w.failed.Store(nil)
+	}
+	w.flushing = false
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	return idx, err
+}
+
+// writeOut is the flusher's I/O, run with no lock held: one write, an
+// fsync if asked, and a rotation when the segment is full or then says
+// so. On any error the whole flush has failed and the segment is left
+// in a state the retry can write to: a failed write truncates the tear
+// away; a failed fsync or seal abandons the segment, so the retry
+// re-writes the bytes into a fresh one and the suspect descriptor is
+// never fsynced again (an fsync that fails may have dropped the dirty
+// pages; a second one on the same descriptor can "succeed" over them).
+// Bytes an abandoned segment did keep show up twice in replay, which the
+// caller's replay filter deduplicates like any checkpoint overlap.
+func (w *wal) writeOut(chunk []byte, fsync bool, then after) error {
+	if w.f == nil {
+		// The last flush abandoned its segment: start the next one first.
+		if err := w.openActive(); err != nil {
+			return err
+		}
+		return w.writeOut(chunk, fsync, then)
+	}
+	if len(chunk) > 0 {
+		good := w.size
+		n, err := w.f.Write(chunk)
+		w.size += int64(n)
+		if err != nil {
+			w.dropTorn(good)
+			return fmt.Errorf("tsdb: wal write: %w", err)
+		}
+	}
+	if fsync && w.synced < w.size {
 		if err := w.fsync(); err != nil {
 			return err
 		}
-	case SyncInterval:
-		w.dirty = true
 	}
-	if w.size >= w.segmentBytes {
-		return w.rotate()
+	if then != thenKeep || w.size >= w.segmentBytes {
+		return w.seal(then != thenShut)
 	}
 	return nil
 }
 
-// dropTorn repairs the active segment after a failed append. The torn
-// frame must not stay mid-segment in front of later acknowledged
-// records: replay stops a segment at its first corrupt frame, so
-// leaving the tear would silently drop everything appended after one
-// transient write error. Preferred repair is truncating back to the
-// last good offset; if even that fails the damaged segment is sealed
-// and a fresh one started, so the tear only ends a sealed segment's
-// replay — which loses nothing acknowledged, since the failed frame
-// itself was never acknowledged.
+// dropTorn repairs the active segment after a failed write. The torn
+// bytes must not stay mid-segment in front of later records: replay
+// stops a segment at its first corrupt frame, so leaving the tear would
+// silently drop everything written after one transient error. Preferred
+// repair is truncating back to the last good offset; if even that fails
+// the segment is abandoned, so the tear only ends a sealed segment's
+// replay — which loses nothing acknowledged, since the failed bytes
+// never were.
 func (w *wal) dropTorn(good int64) {
 	if err := w.f.Truncate(good); err == nil {
 		w.size = good
 		return
 	}
-	_ = w.f.Close() // best effort: the handle is already suspect
-	w.dirty = false
-	w.idx++
-	// If openActive fails, w.f keeps the closed handle: the next append
-	// fails cleanly and retries this recovery path.
-	_ = w.openActive()
+	w.abandon()
 }
 
-// fsync wraps f.Sync with the counters.
+// abandon gives up on the active segment's descriptor; the next flush
+// opens the next segment.
+func (w *wal) abandon() {
+	_ = w.f.Close() // best effort: the handle is already suspect
+	w.f = nil
+	w.idx++
+}
+
+// fsync wraps Sync with the counters; a failure abandons the segment.
 func (w *wal) fsync() error {
-	w.fsyncs++
+	w.fsyncs.Add(1)
 	if err := w.f.Sync(); err != nil {
-		w.fsyncErrs++
+		w.fsyncErrs.Add(1)
+		w.abandon()
 		return fmt.Errorf("tsdb: wal fsync: %w", err)
 	}
+	w.synced = w.size
 	return nil
 }
 
-// sync flushes outstanding appends (the SyncInterval ticker's target).
-func (w *wal) sync() error {
-	if !w.dirty {
-		return nil
-	}
-	if err := w.fsync(); err != nil {
-		return err
-	}
-	w.dirty = false
-	return nil
-}
-
-// rotate seals the active segment and starts the next one, returning
-// nothing; callers needing a checkpoint watermark read w.idx after.
-func (w *wal) rotate() error {
-	if w.policy != SyncNever {
+// seal closes the active segment — fsyncing first whatever an interval
+// policy left unsynced — and, unless the log is shutting down, starts the
+// next one.
+func (w *wal) seal(reopen bool) error {
+	if w.policy != SyncNever && w.synced < w.size {
 		if err := w.fsync(); err != nil {
 			return err
 		}
 	}
-	if err := w.f.Close(); err != nil {
+	err := w.f.Close()
+	w.f = nil
+	w.idx++
+	if err != nil {
 		return fmt.Errorf("tsdb: wal close: %w", err)
 	}
-	w.dirty = false
-	w.idx++
+	if !reopen {
+		return nil
+	}
 	return w.openActive()
 }
 
@@ -230,31 +426,19 @@ func (w *wal) removeBelow(idx uint64) error {
 	return firstErr
 }
 
-func (w *wal) close() error {
-	if w.policy != SyncNever {
-		if err := w.fsync(); err != nil {
-			return err
-		}
-	}
-	return w.f.Close()
-}
-
-// replay streams every point recorded in the pre-open segments, in
+// replaySegments streams every point recorded in dir's segments segs, in
 // append order. Corruption — a torn final record from a crash, a flipped
 // bit failing CRC, an insane length prefix — ends that segment's replay
 // at the last intact record and is counted, never fatal: a 50-year
 // endpoint treats a damaged log as partial data, not as a reason to
-// refuse to boot. A damaged final segment is additionally truncated back
-// to its last intact record so the damage is not re-counted forever.
-func (w *wal) replay(logf func(string, ...any), emit func(Point)) (records, corruptions uint64, err error) {
-	return replaySegments(w.dir, w.existing, true, logf, emit)
-}
-
-// replaySegments is the shared replay loop: it also serves orphaned
-// shard directories (left behind by a shard-count decrease), which have
-// no live wal to hang it off.
-func replaySegments(dir string, segs []uint64, truncateTail bool, logf func(string, ...any), emit func(Point)) (records, corruptions uint64, err error) {
-	for i, idx := range segs {
+// refuse to boot. A damaged segment is additionally truncated back to its
+// last intact record — which drops nothing replay would have read — so
+// the damage is not re-counted at every boot until the next checkpoint.
+// The crash-time segment's torn tail is the usual case; a failed flush
+// that could not repair its segment (dropTorn, abandon) leaves one
+// mid-list. Replayed segments all predate the open and have no writer.
+func replaySegments(dir string, segs []uint64, logf func(string, ...any), emit func(Point)) (records, corruptions uint64, err error) {
+	for _, idx := range segs {
 		path := filepath.Join(dir, segName(idx))
 		segRecords, good, corrupt, err := replaySegment(path, emit)
 		records += segRecords
@@ -266,12 +450,9 @@ func replaySegments(dir string, segs []uint64, truncateTail bool, logf func(stri
 			if logf != nil {
 				logf("tsdb: %s: %v after %d records (%d bytes intact); recovering", path, corrupt, segRecords, good)
 			}
-			if truncateTail && i == len(segs)-1 {
-				// Torn tail of the crash-time segment: trim it so the
-				// next boot replays clean. Best-effort.
-				if terr := os.Truncate(path, good); terr != nil && logf != nil {
-					logf("tsdb: %s: truncate: %v", path, terr)
-				}
+			// Best-effort: a segment that cannot be trimmed is counted again.
+			if terr := os.Truncate(path, good); terr != nil && logf != nil {
+				logf("tsdb: %s: truncate: %v", path, terr)
 			}
 		}
 	}
@@ -305,8 +486,9 @@ func replaySegment(path string, emit func(Point)) (records uint64, goodBytes int
 	//lint:syncerr read-only replay handle; a close error cannot un-write the records just decoded
 	defer f.Close()
 	r := bufio.NewReader(f)
+	buf := make([]byte, frameHeader+MaxFrame)
 	for {
-		payload, err := readFrame(r)
+		payload, err := readFrame(r, buf)
 		if errors.Is(err, io.EOF) {
 			return records, goodBytes, nil, nil
 		}
