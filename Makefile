@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-pkg lint-gate lint-baseline race check bench bench-tsdb bench-obs bench-ingest bench-query bench-e2e bench-e2e-test smoke-obs smoke-cluster smoke-query
+.PHONY: build test vet lint lint-pkg lint-gate lint-baseline race check fuzz bench bench-tsdb bench-obs bench-ingest bench-query bench-e2e bench-e2e-test smoke-obs smoke-cluster smoke-query
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,14 @@ check:
 	@$(MAKE) --no-print-directory lint-gate || { echo "check: FAILED at centurylint gate — fix the finding, add a reasoned //lint: waiver, or refresh via 'make lint-baseline' (reviewed)"; exit 1; }
 	@$(MAKE) --no-print-directory race || { echo "check: FAILED in race-enabled tests"; exit 1; }
 	@echo "check: OK (vet, lint-gate, race)"
+
+# fuzz gives every fuzzer in the tree a short run (FUZZTIME each,
+# default 30s): the WAL, batch-frame, packet and LPWAN decoders and the
+# three readers of persisted checkpoint bytes (sealed segments, the
+# manifest, the v1/v2 JSON snapshot). CI runs one of them per push, in
+# rotation: scripts/fuzz_short.sh <run number>.
+fuzz:
+	GO=$(GO) ./scripts/fuzz_short.sh
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -7,20 +7,33 @@
 //	          -data-dir /var/lib/century/tsdb -shards 16 -wal-fsync always \
 //	          -snapshot /var/lib/century/store.json -save-every 10m
 //
+//	endpointd -snapshot /var/lib/century/store.json -retain-raw 720h \
+//	          -export-json /tmp/century-export.json
+//
 // Device keys are derived from the fleet master secret and each device's
 // EUI-64, so the endpoint needs no per-device database.
 //
 // Storage plays two complementary roles. With -data-dir set, every
 // accepted reading is appended to the write-ahead log all shards share
 // and flushed before it is acknowledged (fsync per -wal-fsync), so a
-// crash or kill loses zero acknowledged readings. With -snapshot set, the versioned-JSON snapshot
-// remains the portable checkpoint — the artifact a 2060 operator can
-// read with whatever tools exist then — written atomically every
-// -save-every and on clean shutdown; each successful snapshot truncates
-// the WAL segments it covers. Boot restores the snapshot, then replays
-// the WAL over it. Run with both for a bounded WAL and a readable
-// archive; -data-dir alone is fully durable but replays the whole WAL at
-// boot; -snapshot alone restores the old snapshot-interval loss window.
+// crash or kill loses zero acknowledged readings. With -snapshot set, a
+// checkpoint is taken every -save-every and on clean shutdown: a small
+// JSON manifest at that path and binary segments in <path>.d/ beside it
+// (sealed rollup buckets, appended once and never rewritten, and the raw
+// window), committed by the manifest's rename; each committed checkpoint
+// truncates the WAL segments it covers, and costs what changed since the
+// last, not the age of the archive. Boot loads the manifest and the
+// files it names — or a JSON snapshot an older build left at the path,
+// which the next checkpoint replaces — then replays the WAL over it.
+// Run with both for a bounded WAL; -data-dir alone is fully durable but
+// replays the whole WAL at boot; -snapshot alone restores the old
+// checkpoint-interval loss window.
+//
+// The portable artifact — versioned JSON a 2060 operator can read with
+// whatever tools exist then — is an export, made on demand: -export-json
+// F loads whatever -snapshot (and -data-dir) hold, writes the JSON
+// snapshot to F and exits without listening. Pass the same -retain-raw
+// and -rollup-* flags the archive was written under.
 //
 // With -retain-raw set, storage becomes tiered: at every checkpoint,
 // points older than the retention window are folded into hourly/daily
@@ -49,6 +62,7 @@ import (
 	"flag"
 	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"sync"
 	"syscall"
@@ -62,22 +76,25 @@ import (
 	"centuryscale/internal/tsdb"
 )
 
-// checkpoint saves the snapshot and truncates the WAL behind it, folding
-// the raw tail into rollup tiers first when tiered retention is on. The
-// data clock (HighWater) drives the fold cutoff, so virtual-time
-// workloads fold correctly too.
-func checkpoint(store *cloud.Store, path string) error {
-	if store.Rollups() != nil {
-		return store.CheckpointAt(path, store.HighWater())
+// exportJSON writes the store's portable JSON snapshot to path, durably.
+func exportJSON(store *cloud.Store, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return store.Checkpoint(path)
+	err = store.WriteSnapshot(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	return errors.Join(err, f.Close())
 }
 
 func main() {
 	var (
 		listen     = flag.String("listen", ":8080", "HTTP listen address")
 		master     = flag.String("master", "", "fleet master secret (required)")
-		snapshot   = flag.String("snapshot", "", "snapshot file: portable JSON checkpoint (optional)")
+		snapshot   = flag.String("snapshot", "", "checkpoint manifest path; its segment files live in <path>.d/ (optional; a JSON snapshot found there is loaded and replaced)")
+		exportTo   = flag.String("export-json", "", "load -snapshot (and -data-dir), write the portable JSON snapshot to this file, and exit without listening")
 		saveEvery  = flag.Duration("save-every", 10*time.Minute, "checkpoint interval when -snapshot is set")
 		dataDir    = flag.String("data-dir", "", "storage directory for the sharded WAL (optional; enables crash-safe ingest)")
 		shards     = flag.Int("shards", 16, "in-memory storage shard count (ingest concurrency; all shards share one WAL)")
@@ -96,7 +113,7 @@ func main() {
 	cf := daemon.RegisterChaosFlags()
 	of := daemon.RegisterObsFlags()
 	flag.Parse()
-	if *master == "" {
+	if *master == "" && *exportTo == "" {
 		log.Fatal("endpointd: -master is required")
 	}
 
@@ -122,9 +139,9 @@ func main() {
 		store = cloud.NewStore(keys)
 	}
 
-	// Rollups must be enabled before the snapshot loads: the loader
-	// restores bucket state into the engine (and refuses a snapshot whose
-	// tier geometry differs — summarized buckets cannot be re-cut).
+	// Rollups must be enabled before the checkpoint loads: the loader
+	// restores bucket state into the engine (and refuses one whose tier
+	// geometry differs — summarized buckets cannot be re-cut).
 	if *retainRaw > 0 {
 		cfg := rollup.Config{Hourly: *rollupHr, Daily: *rollupDay}
 		if err := store.EnableRollups(cfg, *retainRaw); err != nil {
@@ -133,13 +150,16 @@ func main() {
 		log.Printf("endpointd: tiered rollups on (hourly %v, daily %v, raw retention %v)", *rollupHr, *rollupDay, *retainRaw)
 	}
 
-	// Boot: snapshot first (the checkpoint), then the WAL on top (the
-	// readings accepted since that checkpoint).
+	// Boot: the checkpoint first, then the WAL on top (the readings
+	// accepted since that checkpoint).
 	if *snapshot != "" {
 		if err := store.LoadFile(*snapshot); err != nil {
 			log.Fatalf("endpointd: restoring %s: %v", *snapshot, err)
 		}
-		log.Printf("endpointd: restored %d readings from %s", store.Count(), *snapshot)
+		li := store.LastLoad()
+		log.Printf("endpointd: restored %d readings from %s: format version %d, %d sealed segments holding %d buckets in %v, %d tail points read in %v and loaded in %v",
+			store.Count(), *snapshot, li.Version, li.Segments, li.Buckets, li.SealedTime.Round(time.Microsecond),
+			li.TailPoints, li.TailTime.Round(time.Microsecond), li.InstallTime.Round(time.Microsecond))
 	}
 	if *dataDir != "" {
 		begin := time.Now()
@@ -149,6 +169,17 @@ func main() {
 		}
 		log.Printf("endpointd: WAL replay: %d records, %d applied, %d corrupt frames tolerated in %v (shards %d, fsync %s)",
 			rs.Records, rs.Kept, rs.Corruptions, time.Since(begin).Round(time.Millisecond), *shards, *walFsync)
+	}
+
+	if *exportTo != "" {
+		if err := exportJSON(store, *exportTo); err != nil {
+			log.Fatalf("endpointd: exporting to %s: %v", *exportTo, err)
+		}
+		log.Printf("endpointd: exported %d readings to %s", store.Count(), *exportTo)
+		if err := store.Close(); err != nil {
+			log.Printf("endpointd: storage close: %v", err)
+		}
+		return
 	}
 
 	server := cloud.NewServer(store, time.Now())
@@ -205,17 +236,16 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					// Checkpoint = snapshot + WAL truncation behind it;
-					// with rollups on it also folds everything older than
-					// the raw retention window into the tiers first.
-					if err := checkpoint(store, *snapshot); err != nil {
-						// Can't persist what we accept: shed until the
-						// disk recovers so gateways buffer instead.
+					// Checkpoint = fold what left the raw window, write
+					// the delta, truncate the WAL behind the commit. A
+					// failure degrades the server: it can't persist what
+					// it accepts, so it sheds until the disk recovers and
+					// gateways buffer instead.
+					was := server.Degraded()
+					if err := server.Checkpoint(*snapshot); err != nil {
 						log.Printf("endpointd: checkpoint: %v (degrading ingest)", err)
-						server.SetDegraded(true)
-					} else if server.Degraded() {
+					} else if was {
 						log.Printf("endpointd: checkpoint recovered; accepting ingest again")
-						server.SetDegraded(false)
 					}
 				}
 			}
@@ -272,7 +302,7 @@ func main() {
 	stop()
 	daemons.Wait()
 	if *snapshot != "" {
-		if err := checkpoint(store, *snapshot); err != nil {
+		if err := server.Checkpoint(*snapshot); err != nil {
 			log.Fatalf("endpointd: final checkpoint: %v", err)
 		}
 		log.Printf("endpointd: saved %d readings to %s", store.Count(), *snapshot)

@@ -265,6 +265,7 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 			for _, pt := range sc.fresh {
 				_ = gs.guard.Admit(packetOf(pt)) // cannot fail: Fresh held under the same lock
 			}
+			gs.accepted += uint64(len(sc.fresh))
 		}
 		gs.mu.Unlock()
 		res.Accepted += len(sc.fresh)

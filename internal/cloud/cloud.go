@@ -15,7 +15,8 @@
 // with an optional write-ahead log, so ingest scales with cores and an
 // acknowledged reading survives a crash. This package keeps the policy —
 // authentication, replay rejection, quarantine, lapse windows, the
-// weekly-uptime ledger — and the versioned-JSON snapshot that stays the
+// weekly-uptime ledger — the checkpoint (persist.go: a manifest beside
+// binary segments), and the versioned-JSON snapshot that stays the
 // portable, readable-in-2060 export format.
 package cloud
 
@@ -131,6 +132,10 @@ var ErrPersist = errors.New("cloud: persist failed")
 type guardShard struct {
 	mu    sync.Mutex
 	guard *telemetry.ReplayGuard
+	// accepted counts admissions under mu, which also covers their
+	// memtable insert, so Store.cut reads a shard's series and its share of
+	// Stats.Accepted together. Shard 0 starts from a restore's total.
+	accepted uint64
 }
 
 // Store is the endpoint state: authenticated time-series per device plus
@@ -159,7 +164,20 @@ type Store struct {
 	// see rollups.go for the fold protocol.
 	rollups   atomic.Pointer[rollup.Engine]
 	retainRaw time.Duration // raw tail width; set once by EnableRollups
-	foldMu    sync.Mutex    // serializes FoldRollups against itself
+	foldMu    sync.Mutex    // serializes FoldRollups against itself and against a checkpoint's cut
+
+	// Checkpoint state (persist.go), owned by whoever holds saving: the
+	// archive the last load or save left, the disk seam only tests
+	// replace, the sealed-segment rotation size (0: the default), and what
+	// the cloud_checkpoint_* metrics read.
+	saving                               atomic.Bool
+	arch                                 archive
+	fs                                   ckptFS
+	segmentBytes                         int64
+	lastLoad                             LoadInfo
+	ckptBytes, ckptBuckets, ckptFailures atomic.Uint64
+	ckptSegments                         atomic.Int64
+	ckptObs                              atomic.Pointer[checkpointObs]
 
 	// highWater is the maximum arrival time ever accepted (nanoseconds):
 	// the data clock fold cutoffs are derived from, so retention depends
@@ -216,6 +234,7 @@ func NewStoreWithDB(keys KeyResolver, db *tsdb.DB) *Store {
 		keys:  keys,
 		db:    db,
 		weeks: make(map[int64]bool),
+		fs:    osFS{},
 	}
 	s.guards = freshGuards(db.Shards())
 	return s
@@ -357,6 +376,7 @@ func (s *Store) ingest(at time.Duration, wire []byte) error {
 	}
 	err = s.db.Append(pointOf(at, p)) //lint:lockedio Fresh/Append/Admit must commit atomically under the per-device guard shard, and this route still flushes inside the section, as it always has (a frame flushes after it); the lock is sharded per device, never global
 	_ = gs.guard.Admit(p)             // cannot fail: Fresh held under the same lock
+	gs.accepted++
 	gs.mu.Unlock()
 
 	s.stats.accepted.Add(1)
@@ -371,11 +391,11 @@ func (s *Store) ingest(at time.Duration, wire []byte) error {
 }
 
 // ReplayWAL rolls the storage engine's write-ahead log forward over
-// whatever state is already loaded (usually the last snapshot). Records
+// whatever state is already loaded (usually the last checkpoint). Records
 // the replay guard has already seen — the overlap a crash between
 // checkpoint write and WAL truncation leaves behind — are skipped, so
 // replay is idempotent. Records below the restored fold watermark are
-// likewise skipped: they are already summarized in the snapshot's
+// likewise skipped: they are already summarized in the checkpoint's
 // rollup buckets (a crash between the checkpoint's rename and its WAL
 // truncation leaves them behind), and loading them raw would count them
 // twice. The guard still learns their sequence numbers first. Returns
@@ -390,12 +410,14 @@ func (s *Store) ReplayWAL() (tsdb.ReplayStats, error) {
 		p := packetOf(pt)
 		gs := s.guardFor(p.Device)
 		gs.mu.Lock()
-		err := gs.guard.Admit(p)
-		gs.mu.Unlock()
-		if pt.At < folded {
-			return false // summarized in the snapshot's buckets; stats already counted there
+		// Below the watermark: summarized in the checkpoint's buckets and
+		// counted there. Refused by the guard: held already.
+		keep := gs.guard.Admit(p) == nil && pt.At >= folded
+		if keep {
+			gs.accepted++
 		}
-		if err != nil {
+		gs.mu.Unlock()
+		if !keep {
 			return false
 		}
 		s.stats.accepted.Add(1)

@@ -101,6 +101,15 @@ func (s *Server) SetRetryAfter(d time.Duration) {
 // data to a store that cannot durably keep it.
 func (s *Server) SetDegraded(v bool) { s.degraded.Store(v) }
 
+// Checkpoint checkpoints the store to path and keeps the degraded state
+// in step with the outcome: a failed checkpoint means the endpoint cannot
+// persist what it accepts, so ingest sheds until one succeeds again.
+func (s *Server) Checkpoint(path string) error {
+	err := s.store.Checkpoint(path)
+	s.SetDegraded(err != nil)
+	return err
+}
+
 // Degraded reports whether the server is shedding due to persist failure.
 func (s *Server) Degraded() bool { return s.degraded.Load() }
 

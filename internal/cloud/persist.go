@@ -1,15 +1,19 @@
 package cloud
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
 	"centuryscale/internal/lpwan"
+	"centuryscale/internal/obs"
 	"centuryscale/internal/rollup"
 	"centuryscale/internal/tsdb"
 )
@@ -22,17 +26,21 @@ import (
 // deliberately boring, so that whoever inherits the experiment in 2060
 // can read it with whatever tools exist then.
 //
-// The snapshot and the storage engine's WAL split the durability work:
-// the snapshot is the portable checkpoint (and the only artifact a
-// future operator needs), the WAL is the crash-safety path covering the
-// readings accepted since the last checkpoint. Checkpoint writes the
-// snapshot and then truncates the WAL segments it covers.
+// The snapshot is the export (WriteSnapshot) and the reader of what older
+// builds left at the -snapshot path; it is not the checkpoint. SaveFile
+// writes a delta (DESIGN.md S41): a small JSON manifest at the path and,
+// in <path>.d/, binary segments (segment.go) — sealed rollup buckets
+// appended once, and the raw window. The WAL is the crash-safety path
+// covering the readings accepted since the last checkpoint; Checkpoint
+// commits a manifest and then truncates the WAL segments it covers.
 
-// snapshotVersion identifies the on-disk format. Version 2 added the
+// snapshotVersion identifies the JSON format. Version 2 added the
 // optional rollups section; version-1 files (no rollups) still load.
+// manifestVersion marks the file at the same path as a manifest instead.
 const (
 	snapshotVersion    = 2
 	minSnapshotVersion = 1
+	manifestVersion    = 3
 )
 
 type snapshotReading struct {
@@ -82,13 +90,23 @@ type snapshotFile struct {
 	Rollups  *snapshotRollups             `json:"rollups,omitempty"`
 }
 
-// WriteSnapshot serialises the store's full state. Ingest is never
-// blocked for the duration: the small policy state is copied under the
-// aux lock, each storage shard is copied under its own lock one at a
-// time, and the (dominant) JSON encoding runs with no lock held at all.
-// The output is byte-deterministic for a given state: map keys are
-// sorted by the encoder, and the week ledger is sorted here.
-func (s *Store) WriteSnapshot(w io.Writer) error {
+// devSeries is one device's raw points in arrival order.
+type devSeries struct {
+	dev lpwan.EUI64
+	pts []tsdb.Point
+}
+
+// cut copies the store's state for persisting: the snapshot's header, the
+// raw series shard by shard, and the rollup buckets at or above the given
+// watermarks (zero for all; nil with rollups off). Stats.Accepted is exact
+// for the series beside it even with ingest running — a shard's series and
+// admission count are read under its guard lock, which admission and
+// memtable insert share — so a reboot that loads them and replays the WAL
+// counts every acknowledged packet once. foldMu keeps a fold from moving
+// points between the copies; nothing here does I/O.
+func (s *Store) cut(hourlyFrom, dailyFrom time.Duration) (snapshotFile, []map[lpwan.EUI64][]tsdb.Point, *rollup.EngineState) {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
 	s.mu.Lock()
 	snap := snapshotFile{
 		Version: snapshotVersion,
@@ -104,9 +122,31 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.Unlock()
 	sort.Slice(snap.Weeks, func(i, j int) bool { return snap.Weeks[i] < snap.Weeks[j] })
 
+	snap.Stats.Accepted = 0
+	shards := make([]map[lpwan.EUI64][]tsdb.Point, len(s.guards))
+	for i, gs := range s.guards {
+		gs.mu.Lock()
+		shards[i] = s.db.SnapshotShard(i)
+		snap.Stats.Accepted += gs.accepted
+		gs.mu.Unlock()
+	}
+	if r := s.rollups.Load(); r != nil {
+		tiers := r.ExportSince(hourlyFrom, dailyFrom)
+		return snap, shards, &tiers
+	}
+	return snap, shards, nil
+}
+
+// WriteSnapshot serialises the store's full state as the portable JSON
+// export. Ingest is never blocked for the duration: the state is copied
+// in short sections (cut) and the (dominant) JSON encoding runs with no
+// lock held at all. The output is byte-deterministic for a given state:
+// map keys are sorted by the encoder, and the week ledger by cut.
+func (s *Store) WriteSnapshot(w io.Writer) error {
+	snap, shards, tiers := s.cut(0, 0)
 	snap.Readings = make(map[string][]snapshotReading)
-	for i := 0; i < s.db.Shards(); i++ {
-		for dev, pts := range s.db.SnapshotShard(i) {
+	for _, shard := range shards {
+		for dev, pts := range shard {
 			out := make([]snapshotReading, len(pts))
 			for j, pt := range pts {
 				out[j] = snapshotReading{
@@ -127,8 +167,8 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 		}
 	}
 
-	if r := s.rollups.Load(); r != nil {
-		snap.Rollups = rollupsToSnapshot(r.Snapshot())
+	if tiers != nil {
+		snap.Rollups = rollupsToSnapshot(*tiers)
 	}
 
 	enc := json.NewEncoder(w)
@@ -195,8 +235,8 @@ func rollupsToSnapshot(st rollup.EngineState) *snapshotRollups {
 	return out
 }
 
-func rollupsFromSnapshot(sr *snapshotRollups, cfg rollup.Config) (*rollup.Engine, error) {
-	st := rollup.EngineState{
+func rollupsFromSnapshot(sr *snapshotRollups) (*rollup.EngineState, error) {
+	st := &rollup.EngineState{
 		Config:            rollup.Config{Hourly: time.Duration(sr.HourlyNanos), Daily: time.Duration(sr.DailyNanos)},
 		FoldedBefore:      time.Duration(sr.FoldedNanos),
 		DailyFoldedBefore: time.Duration(sr.DailyFoldedNanos),
@@ -224,12 +264,31 @@ func rollupsFromSnapshot(sr *snapshotRollups, cfg rollup.Config) (*rollup.Engine
 			Daily:  bucketsFromSnapshot(sr.Daily[k]),
 		})
 	}
-	return rollup.Restore(cfg, st)
+	return st, nil
 }
 
-// ReadSnapshot replaces the store's state with a snapshot's. The replay
-// guard is rebuilt from the restored readings so sequence protection
-// survives the restart.
+// restoreEngine builds the rollup engine a load installs, before anything
+// is swapped: persisted tiers loaded into a store that has rollups
+// disabled would silently drop summarized history, and at another
+// geometry be mis-bucketed.
+func (s *Store) restoreEngine(tiers *rollup.EngineState) (*rollup.Engine, error) {
+	cur := s.rollups.Load()
+	switch {
+	case tiers != nil && cur == nil:
+		return nil, fmt.Errorf("cloud: snapshot carries rollup buckets but rollups are disabled on this store (enable with the same tier geometry, or the sealed history is lost)")
+	case tiers != nil:
+		return rollup.Restore(cur.Config(), *tiers)
+	case cur != nil:
+		// Pre-rollup state into a rollup-enabled store: start the tiers
+		// empty at the configured geometry.
+		return rollup.New(cur.Config())
+	}
+	return nil, nil
+}
+
+// ReadSnapshot replaces the store's state with a JSON snapshot's. The
+// replay guard is rebuilt from the restored readings so sequence
+// protection survives the restart.
 func (s *Store) ReadSnapshot(r io.Reader) error {
 	var snap snapshotFile
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -238,34 +297,16 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	if snap.Version < minSnapshotVersion || snap.Version > snapshotVersion {
 		return fmt.Errorf("cloud: snapshot version %d, this build reads %d-%d", snap.Version, minSnapshotVersion, snapshotVersion)
 	}
-
-	// Rollup state must restore into a matching engine before anything
-	// is swapped: a snapshot with buckets loaded into a store that has
-	// rollups disabled would silently drop summarized history.
-	var restoredRollups *rollup.Engine
+	var tiers *rollup.EngineState
 	if snap.Rollups != nil {
-		cur := s.rollups.Load()
-		if cur == nil {
-			return fmt.Errorf("cloud: snapshot carries rollup buckets but rollups are disabled on this store (enable with the same tier geometry, or the sealed history is lost)")
-		}
 		var err error
-		restoredRollups, err = rollupsFromSnapshot(snap.Rollups, cur.Config())
-		if err != nil {
+		if tiers, err = rollupsFromSnapshot(snap.Rollups); err != nil {
 			return err
 		}
-	} else if cur := s.rollups.Load(); cur != nil {
-		// Pre-rollup snapshot into a rollup-enabled store: start the
-		// tiers empty at the configured geometry.
-		fresh, err := rollup.New(cur.Config())
-		if err != nil {
-			return err
-		}
-		restoredRollups = fresh
 	}
-
-	type devSeries struct {
-		dev lpwan.EUI64
-		pts []tsdb.Point
+	restoredRollups, err := s.restoreEngine(tiers)
+	if err != nil {
+		return err
 	}
 	series := make([]devSeries, 0, len(snap.Readings))
 	for devStr, rs := range snap.Readings {
@@ -286,7 +327,14 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		}
 		series = append(series, devSeries{dev, pts})
 	}
+	s.install(snap, series, restoredRollups)
+	return nil
+}
 
+// install swaps loaded state in; nothing before it may have touched the
+// store, so a load that fails leaves it as it was. snap carries the
+// stats, weeks and lapses (a manifest's, or a JSON snapshot's own).
+func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *rollup.Engine) {
 	weeks := make(map[int64]bool, len(snap.Weeks))
 	for _, w := range snap.Weeks {
 		weeks[w] = true
@@ -301,6 +349,7 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	// ingest), fresh engine memtables loaded without WAL writes — the
 	// snapshot itself is the durable copy of these readings.
 	guards := freshGuards(s.db.Shards())
+	guards[0].accepted = snap.Stats.Accepted
 	s.db.Reset()
 	for _, ds := range series {
 		g := guards[tsdb.ShardIndex(ds.dev, len(guards))]
@@ -333,66 +382,275 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	s.mu.Unlock()
 	for i, g := range guards {
 		s.guards[i].mu.Lock()
-		s.guards[i].guard = g.guard
+		s.guards[i].guard, s.guards[i].accepted = g.guard, g.accepted
 		s.guards[i].mu.Unlock()
 	}
-	return nil
 }
 
-// SaveFile writes a snapshot atomically: to a temp file in the same
-// directory, then rename. A crash mid-save leaves the previous snapshot
-// intact.
+// manifest is the checkpoint's commit record, the JSON file at the
+// -snapshot path: the snapshot's header fields under version 3, the tier
+// geometry and fold watermarks (absent with rollups off), and the data
+// files under <path>.d/, each valid to a recorded length and CRC-32C.
+// Bytes past a length and files it does not name do not exist.
+type manifest struct {
+	Version int          `json:"version"`
+	Stats   IngestStats  `json:"stats"`
+	Weeks   []int64      `json:"weeks"`
+	Lapses  [][2]int64   `json:"lapses"`
+	Rollups *rollupMarks `json:"rollups,omitempty"`
+	Sealed  []dataFile   `json:"sealed"`
+	Tail    dataFile     `json:"tail"`
+}
+
+type rollupMarks struct {
+	HourlyNanos      int64 `json:"hourly"`
+	DailyNanos       int64 `json:"daily"`
+	FoldedNanos      int64 `json:"folded_before"`
+	DailyFoldedNanos int64 `json:"daily_folded_before"`
+}
+
+type dataFile struct {
+	Name  string `json:"name"`
+	Bytes int64  `json:"bytes"`
+	CRC   uint32 `json:"crc32c"`
+}
+
+// archive is what the store knows to be at a path because it loaded or
+// committed it there: the manifest's files, and the watermarks below
+// which every bucket is already in a sealed segment. The zero value — no
+// path — makes the next SaveFile a full base. next numbers new data files
+// above everything found in the directory when the path was adopted; a
+// failed save leaves it alone, so the retry reuses (and first truncates)
+// the same names and failures do not pile files up.
+type archive struct {
+	path          string
+	sealed        []dataFile
+	tail          dataFile
+	hourly, daily time.Duration
+	next          uint64
+}
+
+// LoadInfo describes the last LoadFile for the boot log: the version
+// found (0 nothing, 1-2 a JSON snapshot, 3 a manifest) and, for a
+// manifest, what was read and how long checking the sealed segments,
+// reading the tail, and loading it into memtables and guards each took.
+type LoadInfo struct {
+	Version, Segments, Buckets, TailPoints int
+	SealedTime, TailTime, InstallTime      time.Duration
+}
+
+// LastLoad reports what the last LoadFile found.
+func (s *Store) LastLoad() LoadInfo { return s.lastLoad }
+
+// tempPath is where SaveFile stages the manifest: beside it, so the
+// rename never crosses a filesystem, and under a fixed name, so a crashed
+// save leaves one stale file, not a trail.
+func tempPath(path string) string {
+	return filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp")
+}
+
+// SaveFile makes the store's state durable at path as a delta checkpoint
+// (DESIGN.md S41, K1-K3): sealed buckets not yet in a segment are appended
+// to <path>.d/sealed-*.seg, the raw window goes to a new tail file, and
+// the manifest naming both replaces the old one by rename — the one
+// commit point; until it, the previous manifest and every byte it names
+// are intact. To a path this store neither loaded nor last saved it
+// writes a full base.
 func (s *Store) SaveFile(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".snapshot-*")
-	if err != nil {
-		return fmt.Errorf("cloud: snapshot temp: %w", err)
+	if !s.saving.CompareAndSwap(false, true) {
+		return errors.New("cloud: a checkpoint is already being written")
 	}
-	defer os.Remove(tmp.Name())
-	if err := s.WriteSnapshot(tmp); err != nil {
-		_ = tmp.Close() // cleanup on an already-failed save; the temp file is discarded
+	defer s.saving.Store(false)
+	dir := path + ".d"
+	if s.arch.path != path {
+		s.arch = archive{path: path, next: maxDataFile(dir) + 1}
+	}
+	err := s.save(path, dir, s.ckptObs.Load())
+	if err == nil {
+		s.sweep(dir)
+	}
+	return err
+}
+
+func (s *Store) save(path, dir string, o *checkpointObs) error {
+	a := s.arch
+	lap := o.now()
+	head, shards, tiers := s.cut(a.hourly, a.daily)
+	m := manifest{Version: manifestVersion, Stats: head.Stats, Weeks: head.Weeks, Lapses: head.Lapses}
+	if err := s.fs.Mkdir(dir); err != nil {
+		return fmt.Errorf("cloud: checkpoint dir: %w", err)
+	}
+	if tiers != nil {
+		if err := s.appendSealed(dir, &a, tiers); err != nil {
+			return err
+		}
+		a.hourly, a.daily = tiers.FoldedBefore, tiers.DailyFoldedBefore
+		m.Rollups = &rollupMarks{int64(tiers.Config.Hourly), int64(tiers.Config.Daily), int64(a.hourly), int64(a.daily)}
+	}
+	lap = o.lap(phaseSealed, lap)
+
+	a.tail = dataFile{Name: dataName(tailPrefix, a.next)}
+	a.next++
+	var series []devSeries // sorted by device: the tail's bytes are a function of the state
+	points := 0
+	for _, shard := range shards {
+		for dev, pts := range shard {
+			series = append(series, devSeries{dev, pts})
+			points += len(pts)
+		}
+	}
+	sort.Slice(series, func(i, j int) bool { return series[i].dev.Uint64() < series[j].dev.Uint64() })
+	records := make([]byte, 0, points*tsdb.RecordSize)
+	for _, ds := range series {
+		for _, pt := range ds.pts {
+			records = tsdb.AppendRecord(records, pt)
+		}
+	}
+	if err := s.appendFile(dir, &a.tail, records); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close() // cleanup on an already-failed save; the temp file is discarded
-		return fmt.Errorf("cloud: snapshot sync: %w", err)
+	if err := s.fs.SyncDir(dir); err != nil {
+		return fmt.Errorf("cloud: checkpoint dir sync: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cloud: snapshot close: %w", err)
+	lap = o.lap(phaseTail, lap)
+
+	m.Sealed, m.Tail = a.sealed, a.tail
+	body, err := json.Marshal(m)
+	if err != nil {
+		return fmt.Errorf("cloud: manifest encode: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("cloud: snapshot rename: %w", err)
+	tmp := tempPath(path)
+	if err := s.appendFile(filepath.Dir(tmp), &dataFile{Name: filepath.Base(tmp)}, append(body, '\n')); err != nil {
+		return err
 	}
+	if err := s.fs.Rename(tmp, path); err != nil {
+		return fmt.Errorf("cloud: manifest rename: %w", err)
+	}
+	// Committed as far as any reader of the directory can tell: from here
+	// the new manifest's files are the ones that must stay untouched,
+	// whether or not the fsync below reports the rename durable.
+	s.arch = a
+	s.ckptSegments.Store(int64(len(a.sealed)))
+	if err := s.fs.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("cloud: manifest dir sync: %w", err)
+	}
+	o.lap(phaseCommit, lap)
 	return nil
 }
 
-// Checkpoint writes the snapshot and truncates the WAL behind it: the
-// snapshot becomes the new recovery baseline, and only the segments
-// sealed before it began are deleted. With a memory-only engine this is
-// exactly SaveFile.
+// Checkpoint is CheckpointAt on the store's own data clock.
 func (s *Store) Checkpoint(path string) error {
-	return s.db.Checkpoint(func() error { return s.SaveFile(path) })
+	return s.CheckpointAt(path, s.HighWater())
 }
 
-// LoadFile restores the store from a snapshot file. A missing file is
-// not an error: the endpoint simply starts fresh (first boot).
+// LoadFile restores the store from what is at path: a manifest and the
+// files it names, or a JSON snapshot of any version (which the next
+// checkpoint replaces with a manifest). A missing file is not an error:
+// the endpoint simply starts fresh (first boot). A named file that is
+// short or fails a CRC refuses the load: once the WAL behind a
+// checkpoint is truncated, that history has no other copy.
 func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
+	// What a crashed save staged; older builds left .snapshot-<random>.
+	stale, _ := filepath.Glob(filepath.Join(filepath.Dir(path), ".snapshot-*")) // the pattern is well-formed
+	for _, f := range append(stale, tempPath(path)) {
+		if f != path {
+			_ = os.Remove(f) // best effort: a leftover is only clutter
+		}
+	}
+	s.arch, s.lastLoad = archive{}, LoadInfo{}
+	clock := obs.ProcessClock()
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("cloud: snapshot open: %w", err)
 	}
-	//lint:syncerr read-only snapshot handle; the decode already succeeded or failed on its own
-	defer f.Close()
-	return s.ReadSnapshot(f)
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return fmt.Errorf("cloud: snapshot decode: %w", err)
+	}
+	if m.Version > manifestVersion {
+		return fmt.Errorf("cloud: %s is format version %d, this build reads %d-%d", path, m.Version, minSnapshotVersion, manifestVersion)
+	}
+	if m.Version != manifestVersion {
+		err := s.ReadSnapshot(bytes.NewReader(data))
+		s.lastLoad = LoadInfo{Version: m.Version, InstallTime: clock()}
+		return err
+	}
+	return s.loadArchive(path, m, clock)
 }
 
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
+// loadArchive restores from a manifest and the files it names.
+func (s *Store) loadArchive(path string, m manifest, clock obs.Clock) error {
+	dir := path + ".d"
+	a := archive{path: path, sealed: m.Sealed, tail: m.Tail}
+	info := LoadInfo{Version: m.Version, Segments: len(m.Sealed)}
+	var tiers *rollup.EngineState
+	if m.Rollups != nil {
+		a.hourly, a.daily = time.Duration(m.Rollups.FoldedNanos), time.Duration(m.Rollups.DailyFoldedNanos)
+		tiers = &rollup.EngineState{
+			Config:       rollup.Config{Hourly: time.Duration(m.Rollups.HourlyNanos), Daily: time.Duration(m.Rollups.DailyNanos)},
+			FoldedBefore: a.hourly, DailyFoldedBefore: a.daily,
 		}
+		byDev := make(map[lpwan.EUI64]*rollup.DeviceState)
+		for _, f := range m.Sealed {
+			err := readDataFile(dir, f, sealedPrefix, func(r io.Reader) error {
+				return decodeSealed(r, func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket) {
+					ds := byDev[dev]
+					if ds == nil {
+						ds = &rollup.DeviceState{Device: dev}
+						byDev[dev] = ds
+					}
+					if tier == tierHourly {
+						ds.Hourly = append(ds.Hourly, bs...)
+					} else {
+						ds.Daily = append(ds.Daily, bs...)
+					}
+					info.Buckets += len(bs)
+				})
+			})
+			if err != nil {
+				return err
+			}
+		}
+		for _, ds := range byDev {
+			tiers.Devices = append(tiers.Devices, *ds)
+		}
+	} else if len(m.Sealed) > 0 {
+		return fmt.Errorf("cloud: manifest names %d sealed segments but no rollup geometry", len(m.Sealed))
 	}
-	return "."
+	restoredRollups, err := s.restoreEngine(tiers)
+	if err != nil {
+		return err
+	}
+	info.SealedTime = clock()
+
+	var series []devSeries
+	err = readDataFile(dir, m.Tail, tailPrefix, func(r io.Reader) error {
+		_, good, err := tsdb.DecodeRecords(r, func(pt tsdb.Point) {
+			if n := len(series); n == 0 || series[n-1].dev != pt.Device {
+				series = append(series, devSeries{dev: pt.Device})
+			}
+			ds := &series[len(series)-1]
+			ds.pts = append(ds.pts, pt)
+			info.TailPoints++
+		})
+		if err != nil {
+			return fmt.Errorf("offset %d: %w", good, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	info.TailTime = clock() - info.SealedTime
+
+	s.install(snapshotFile{Stats: m.Stats, Weeks: m.Weeks, Lapses: m.Lapses}, series, restoredRollups)
+	a.next = maxDataFile(dir) + 1
+	s.arch = a
+	s.ckptSegments.Store(int64(len(a.sealed)))
+	info.InstallTime = clock() - info.TailTime - info.SealedTime
+	s.lastLoad = info
+	return nil
 }

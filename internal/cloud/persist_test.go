@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -129,6 +130,19 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
+// A -snapshot path whose directory does not exist fails the save and
+// creates nothing: a mistyped path must degrade the endpoint, not grow a
+// directory tree (the verify skill's degraded-endpoint probe).
+func TestSaveIntoMissingDirectoryFails(t *testing.T) {
+	dir := t.TempDir()
+	if err := populatedStore(t).SaveFile(filepath.Join(dir, "nope", "store.json")); err == nil {
+		t.Fatal("save into a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "nope")); err == nil {
+		t.Fatal("a failed save created the missing directory")
+	}
+}
+
 func TestLoadMissingFileIsFreshStart(t *testing.T) {
 	s := NewStore(StaticKeys(master))
 	if err := s.LoadFile(filepath.Join(t.TempDir(), "nope.json")); err != nil {
@@ -139,12 +153,23 @@ func TestLoadMissingFileIsFreshStart(t *testing.T) {
 	}
 }
 
+// TestDirOf pins where SaveFile stages the manifest: always beside it, so
+// the rename cannot cross a filesystem. The hand-rolled dirOf this
+// replaced answered "" for a file in the root directory, and
+// os.CreateTemp("") falls back to $TMPDIR.
 func TestDirOf(t *testing.T) {
-	if dirOf("/a/b/c.json") != "/a/b" {
-		t.Fatalf("dirOf = %q", dirOf("/a/b/c.json"))
-	}
-	if dirOf("c.json") != "." {
-		t.Fatalf("dirOf bare = %q", dirOf("c.json"))
+	for path, want := range map[string]string{
+		"/a/b/c.json":    "/a/b/.c.json.tmp",
+		"c.json":         ".c.json.tmp",
+		"/snapshot.json": "/.snapshot.json.tmp",
+		"./d/c.json":     "d/.c.json.tmp",
+	} {
+		if got := tempPath(path); got != want {
+			t.Errorf("tempPath(%q) = %q, want %q", path, got, want)
+		}
+		if filepath.Dir(tempPath(path)) != filepath.Dir(path) {
+			t.Errorf("tempPath(%q) left the snapshot's directory", path)
+		}
 	}
 }
 

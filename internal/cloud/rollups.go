@@ -26,7 +26,7 @@ import (
 //     buckets, after a barrier over the guard-shard locks guarantees no
 //     in-flight ingest that read the old watermark is still mid-append.
 //  3. ReplayWAL skips records below the restored watermark — they are
-//     already inside the snapshot's buckets.
+//     already inside the checkpoint's buckets.
 
 // ErrSealed rejects a packet whose arrival time falls below the rollup
 // fold watermark. The sealed region's buckets are immutable (queries
@@ -37,9 +37,8 @@ var ErrSealed = errors.New("cloud: arrival time below rollup fold watermark (reg
 // EnableRollups switches the store to tiered retention: points older
 // than retainRaw (relative to the data high-water mark) are folded into
 // hourly/daily aggregate buckets at every checkpoint and their raw
-// copies dropped. Must be called at boot, before LoadFile — the
-// snapshot loader needs the engine (and its tier geometry) to restore
-// bucket state into.
+// copies dropped. Must be called at boot, before LoadFile — the loader
+// needs the engine (and its tier geometry) to restore bucket state into.
 func (s *Store) EnableRollups(cfg rollup.Config, retainRaw time.Duration) error {
 	if retainRaw <= 0 {
 		return fmt.Errorf("cloud: rollup raw retention must be positive, got %v", retainRaw)
@@ -107,23 +106,38 @@ func (s *Store) FoldRollups(now time.Duration) int {
 }
 
 // CheckpointAt is Checkpoint with tiered retention: between the WAL
-// rotation and the snapshot save it folds everything older than the raw
-// retention window into the rollup tiers, so the snapshot captures the
+// rotation and the save it folds everything older than the raw
+// retention window into the rollup tiers, so the save captures the
 // new buckets and the truncation reclaims the folded records' WAL
 // segments in the same pass. now is the caller's data clock — normally
-// Store.HighWater().
+// Store.HighWater(). With a memory-only engine this is fold + SaveFile.
 //
-// Crash windows (verified by TestRollupCrashSafety): before the
-// snapshot rename, the old snapshot's watermark stands, the full WAL
+// Crash windows (verified by TestRollupCrashSafety and, operation by
+// operation, TestCheckpointCrashPoints): before the manifest rename, the
+// old manifest's watermark stands, the full WAL
 // replays the drained points back raw, and the next fold re-summarizes
 // them byte-identically (the fold's total order makes re-folding
 // deterministic). After the rename but before truncation, ReplayWAL
 // skips the folded records via the restored watermark.
 func (s *Store) CheckpointAt(path string, now time.Duration) error {
-	return s.db.Checkpoint(func() error {
+	o := s.ckptObs.Load()
+	begin := o.now()
+	var saved time.Duration
+	err := s.db.Checkpoint(func() error {
+		rotated := o.now()
 		s.FoldRollups(now)
-		return s.SaveFile(path)
+		o.lap(phaseFold, rotated)
+		err := s.SaveFile(path)
+		saved = o.now()
+		return err
 	})
+	if err != nil {
+		s.ckptFailures.Add(1)
+		return err
+	}
+	o.lap(phaseTruncate, saved)
+	o.lap(phaseTotal, begin)
+	return nil
 }
 
 // storeSource adapts the store to the query engine's Source, reading

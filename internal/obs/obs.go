@@ -167,34 +167,66 @@ func (g *Gauge) sample(name string, b *strings.Builder) {
 	b.WriteByte('\n')
 }
 
-func (h *Histogram) metricType() string { return "histogram" }
-func (h *Histogram) sample(name string, b *strings.Builder) {
+func (h *Histogram) metricType() string                     { return "histogram" }
+func (h *Histogram) sample(name string, b *strings.Builder) { h.sampleLabelled(name, "", b) }
+
+// sampleLabelled writes the histogram's series, each carrying label (a
+// rendered `key="value"` pair, or empty) ahead of its own le label.
+func (h *Histogram) sampleLabelled(name, label string, b *strings.Builder) {
 	// Cumulative bucket counts, per the exposition format. Reading the
 	// buckets while observations race is allowed to tear between buckets
 	// (each bucket is individually atomic); a deterministic workload
 	// scraped at quiescence is exactly reproducible.
+	sep, braced := "", ""
+	if label != "" {
+		sep, braced = label+",", "{"+label+"}"
+	}
 	var cum uint64
 	for i, u := range h.uppers {
 		cum += h.counts[i].Load()
 		b.WriteString(name)
-		b.WriteString(`_bucket{le="`)
+		b.WriteString(`_bucket{`)
+		b.WriteString(sep)
+		b.WriteString(`le="`)
 		b.WriteString(formatFloat(u))
 		b.WriteString(`"} `)
 		b.WriteString(strconv.FormatUint(cum, 10))
 		b.WriteByte('\n')
 	}
 	b.WriteString(name)
-	b.WriteString(`_bucket{le="+Inf"} `)
+	b.WriteString(`_bucket{`)
+	b.WriteString(sep)
+	b.WriteString(`le="+Inf"} `)
 	b.WriteString(strconv.FormatUint(h.Count(), 10))
 	b.WriteByte('\n')
 	b.WriteString(name)
-	b.WriteString("_sum ")
+	b.WriteString("_sum")
+	b.WriteString(braced)
+	b.WriteByte(' ')
 	b.WriteString(formatFloat(h.Sum()))
 	b.WriteByte('\n')
 	b.WriteString(name)
-	b.WriteString("_count ")
+	b.WriteString("_count")
+	b.WriteString(braced)
+	b.WriteByte(' ')
 	b.WriteString(strconv.FormatUint(h.Count(), 10))
 	b.WriteByte('\n')
+}
+
+// histogramVec is a family of histograms under one name, told apart by
+// one label whose values are fixed at registration: no lookup, no map and
+// no allocation stand between an observation and its histogram.
+type histogramVec struct {
+	label  string
+	values []string
+	hists  []*Histogram
+}
+
+func (v *histogramVec) metricType() string { return "histogram" }
+func (v *histogramVec) sample(name string, b *strings.Builder) {
+	for i, h := range v.hists {
+		h.sampleLabelled(name, v.label+`="`+v.values[i]+`"`, b)
+	}
 }
 
 // counterFunc exposes an externally owned monotone counter (an atomic a
@@ -294,6 +326,24 @@ func (r *Registry) Histogram(name, help string, buckets []float64, clock Clock) 
 	h := newHistogram(buckets, clock)
 	r.register(name, help, h)
 	return h
+}
+
+// HistogramVec registers one histogram per value of a single label (a
+// stage, a phase) under one metric name, and returns them in the order of
+// values. The label name and values must be valid metric-name tokens;
+// like a duplicate name, anything else is a programming error.
+func (r *Registry) HistogramVec(name, help, label string, values []string, buckets []float64, clock Clock) []*Histogram {
+	v := &histogramVec{label: label, values: append([]string(nil), values...)}
+	for _, val := range append([]string{label}, values...) {
+		if !validName(val) {
+			panic(fmt.Sprintf("obs: invalid label token %q on %s", val, name))
+		}
+	}
+	for range values {
+		v.hists = append(v.hists, newHistogram(buckets, clock))
+	}
+	r.register(name, help, v)
+	return v.hists
 }
 
 // Exposition renders every registered metric in the Prometheus text

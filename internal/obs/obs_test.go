@@ -193,3 +193,51 @@ func TestHistogramDefaultsAndDupBuckets(t *testing.T) {
 		r.Histogram("e_seconds", "e", []float64{1, 1}, nil)
 	})
 }
+
+// TestHistogramVec: one family, one HELP/TYPE header, a labelled series
+// per value in registration order, each value's histogram independent —
+// and an unlabelled histogram's exposition is byte-for-byte what it was.
+func TestHistogramVec(t *testing.T) {
+	var now time.Duration
+	clock := func() time.Duration { return now }
+	r := NewRegistry()
+	hs := r.HistogramVec("stage_seconds", "time per stage", "stage", []string{"fold", "commit"}, []float64{0.5, 2}, clock)
+	if len(hs) != 2 {
+		t.Fatalf("%d histograms for 2 values", len(hs))
+	}
+	start := hs[1].Now()
+	now = 1500 * time.Millisecond
+	hs[1].ObserveSince(start)
+	hs[0].Observe(0.25)
+	plain := r.Histogram("plain_seconds", "no label", []float64{1}, clock)
+	plain.Observe(3)
+
+	want := `# HELP plain_seconds no label
+# TYPE plain_seconds histogram
+plain_seconds_bucket{le="1"} 0
+plain_seconds_bucket{le="+Inf"} 1
+plain_seconds_sum 3
+plain_seconds_count 1
+# HELP stage_seconds time per stage
+# TYPE stage_seconds histogram
+stage_seconds_bucket{stage="fold",le="0.5"} 1
+stage_seconds_bucket{stage="fold",le="2"} 1
+stage_seconds_bucket{stage="fold",le="+Inf"} 1
+stage_seconds_sum{stage="fold"} 0.25
+stage_seconds_count{stage="fold"} 1
+stage_seconds_bucket{stage="commit",le="0.5"} 0
+stage_seconds_bucket{stage="commit",le="2"} 1
+stage_seconds_bucket{stage="commit",le="+Inf"} 1
+stage_seconds_sum{stage="commit"} 1.5
+stage_seconds_count{stage="commit"} 1
+`
+	if got := string(r.Exposition()); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	if got := testing.AllocsPerRun(1000, func() { hs[0].ObserveSince(hs[0].Now()) }); got != 0 {
+		t.Errorf("observing a family member allocates %.1f times per call, want 0", got)
+	}
+	mustPanic(t, "bad label", func() { r.HistogramVec("a_seconds", "", "bad-label", []string{"x"}, nil, nil) })
+	mustPanic(t, "bad value", func() { r.HistogramVec("b_seconds", "", "stage", []string{`x"y`}, nil, nil) })
+	mustPanic(t, "duplicate name", func() { r.HistogramVec("stage_seconds", "", "stage", []string{"x"}, nil, nil) })
+}

@@ -91,7 +91,16 @@ func TestSameSeedSameStreamAcrossProcesses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("child process: %v\n%s", err, out)
 		}
-		return string(out)
+		// Only what the child printed: the runner's own "--- PASS (0.01s)"
+		// line carries a wall-clock time, and comparing it made this test
+		// fail whenever the two children straddled a 10 ms boundary.
+		for _, line := range strings.SplitAfter(string(out), "\n") {
+			if strings.HasPrefix(line, "digest=") {
+				return line
+			}
+		}
+		t.Fatalf("child printed no digest:\n%s", out)
+		return ""
 	}
 
 	first, second := run(), run()

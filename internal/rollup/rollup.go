@@ -412,7 +412,14 @@ type EngineState struct {
 }
 
 // Snapshot deep-copies the engine state in deterministic order.
-func (e *Engine) Snapshot() EngineState {
+func (e *Engine) Snapshot() EngineState { return e.ExportSince(0, 0) }
+
+// ExportSince is Snapshot restricted to what a delta checkpoint still has
+// to write: hourly buckets starting at or above hourlyFrom, daily ones at
+// or above dailyFrom (the watermarks of the last durable export; zero for
+// everything), devices with neither omitted. Watermarks and buckets are
+// read under one lock, and every stored bucket lies below its watermark.
+func (e *Engine) ExportSince(hourlyFrom, dailyFrom time.Duration) EngineState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := EngineState{
@@ -422,16 +429,26 @@ func (e *Engine) Snapshot() EngineState {
 		Devices:           make([]DeviceState, 0, len(e.dev)),
 	}
 	for d, ds := range e.dev {
+		h := ds.hourly[firstFrom(ds.hourly, hourlyFrom):]
+		dd := ds.daily[firstFrom(ds.daily, dailyFrom):]
+		if len(h)+len(dd) == 0 {
+			continue
+		}
 		st.Devices = append(st.Devices, DeviceState{
 			Device: d,
-			Hourly: append([]Bucket(nil), ds.hourly...),
-			Daily:  append([]Bucket(nil), ds.daily...),
+			Hourly: append([]Bucket(nil), h...),
+			Daily:  append([]Bucket(nil), dd...),
 		})
 	}
 	sort.Slice(st.Devices, func(i, j int) bool {
 		return st.Devices[i].Device.Uint64() < st.Devices[j].Device.Uint64()
 	})
 	return st
+}
+
+// firstFrom is the index of the first bucket starting at or above from.
+func firstFrom(bs []Bucket, from time.Duration) int {
+	return sort.Search(len(bs), func(i int) bool { return bs[i].Start >= from })
 }
 
 // Restore builds an engine from exported state. The configured geometry
@@ -448,12 +465,31 @@ func Restore(cfg Config, st EngineState) (*Engine, error) {
 	e.folded.Store(int64(st.FoldedBefore))
 	e.dailyFolded = st.DailyFoldedBefore
 	for _, ds := range st.Devices {
+		if err := checkTier(ds.Hourly, e.cfg.Hourly, st.FoldedBefore); err != nil {
+			return nil, fmt.Errorf("rollup: device %v hourly tier: %w", ds.Device, err)
+		}
+		if err := checkTier(ds.Daily, e.cfg.Daily, st.DailyFoldedBefore); err != nil {
+			return nil, fmt.Errorf("rollup: device %v daily tier: %w", ds.Device, err)
+		}
 		e.dev[ds.Device] = &devState{
 			hourly: append([]Bucket(nil), ds.Hourly...),
 			daily:  append([]Bucket(nil), ds.Daily...),
 		}
 	}
 	return e, nil
+}
+
+// checkTier refuses buckets the engine could not have produced; queries
+// binary-search the tiers and would answer wrongly instead of failing.
+func checkTier(bs []Bucket, width, sealedBelow time.Duration) error {
+	prev := time.Duration(-1)
+	for _, b := range bs {
+		if b.Count == 0 || b.Start < 0 || b.Start%width != 0 || b.Start <= prev || b.Start >= sealedBelow {
+			return fmt.Errorf("bucket at %v (count %d) is empty, off the %v grid, out of order or not below the watermark %v", b.Start, b.Count, width, sealedBelow)
+		}
+		prev = b.Start
+	}
+	return nil
 }
 
 // MaxSeq returns the highest sequence number folded for dev (0 if none):

@@ -289,3 +289,104 @@ func TestCenturyAlignment(t *testing.T) {
 		t.Fatalf("Buckets() = %d, %d", hb, db)
 	}
 }
+
+// TestExportSinceIsTheDelta: folding in two steps and exporting from the
+// first step's watermarks yields exactly the buckets the second step
+// added — nothing the earlier export already carried, nothing missing —
+// and the two exports appended device by device are the full Snapshot.
+func TestExportSinceIsTheDelta(t *testing.T) {
+	e := mustNew(t, Config{})
+	d1, d2 := dev(1), dev(2)
+	feed := func(from, to time.Duration) {
+		e.Advance(to)
+		var a, b []tsdb.Point
+		for at := from; at < to; at += 40 * time.Minute {
+			a = append(a, pt(d1, at, uint32(at/time.Minute)+1, 1))
+			if at >= 50*time.Hour { // d2 joins late: absent from the first export
+				b = append(b, pt(d2, at+time.Minute, uint32(at/time.Minute)+1, 2))
+			}
+		}
+		e.Fold([]tsdb.DrainedSeries{{Device: d1, Points: a}, {Device: d2, Points: b}})
+	}
+	feed(0, 30*time.Hour)
+	first := e.Snapshot()
+	feed(30*time.Hour, 80*time.Hour)
+	delta := e.ExportSince(first.FoldedBefore, first.DailyFoldedBefore)
+	full := e.Snapshot()
+
+	if delta.FoldedBefore != full.FoldedBefore || delta.DailyFoldedBefore != full.DailyFoldedBefore || delta.Config != full.Config {
+		t.Fatalf("delta carries watermarks %v/%v, the engine is at %v/%v", delta.FoldedBefore, delta.DailyFoldedBefore, full.FoldedBefore, full.DailyFoldedBefore)
+	}
+	joined := map[lpwan.EUI64]*DeviceState{}
+	for _, st := range []EngineState{first, delta} {
+		for _, ds := range st.Devices {
+			j := joined[ds.Device]
+			if j == nil {
+				j = &DeviceState{Device: ds.Device}
+				joined[ds.Device] = j
+			}
+			j.Hourly = append(j.Hourly, ds.Hourly...)
+			j.Daily = append(j.Daily, ds.Daily...)
+		}
+	}
+	if len(joined) != len(full.Devices) {
+		t.Fatalf("first+delta cover %d devices, the engine holds %d", len(joined), len(full.Devices))
+	}
+	for _, want := range full.Devices {
+		if got := joined[want.Device]; !reflect.DeepEqual(*got, want) {
+			t.Fatalf("device %v: first export + delta differs from the snapshot", want.Device)
+		}
+	}
+	for _, ds := range delta.Devices {
+		for _, b := range ds.Hourly {
+			if b.Start < first.FoldedBefore {
+				t.Fatalf("delta repeats hourly bucket at %v, below the first export's watermark %v", b.Start, first.FoldedBefore)
+			}
+		}
+		for _, b := range ds.Daily {
+			if b.Start < first.DailyFoldedBefore {
+				t.Fatalf("delta repeats daily bucket at %v", b.Start)
+			}
+		}
+	}
+	// Nothing new since: an empty delta, not a list of empty devices.
+	if again := e.ExportSince(full.FoldedBefore, full.DailyFoldedBefore); len(again.Devices) != 0 {
+		t.Fatalf("export from the current watermarks names %d devices", len(again.Devices))
+	}
+}
+
+// TestRestoreRefusesImpossibleTiers: exported state the engine could not
+// have produced — a bucket off the grid, out of order, empty, or at or
+// above its tier's watermark — is refused, because the read path
+// binary-searches the tiers and would answer wrongly instead of failing.
+func TestRestoreRefusesImpossibleTiers(t *testing.T) {
+	e := mustNew(t, Config{})
+	d := dev(1)
+	e.Advance(60 * time.Hour)
+	var ps []tsdb.Point
+	for at := time.Duration(0); at < 60*time.Hour; at += time.Hour {
+		ps = append(ps, pt(d, at, uint32(at/time.Hour)+1, 1))
+	}
+	e.Fold([]tsdb.DrainedSeries{{Device: d, Points: ps}})
+	good := e.Snapshot()
+	if _, err := Restore(e.Config(), good); err != nil {
+		t.Fatalf("the engine's own export refused: %v", err)
+	}
+	for name, damage := range map[string]func(st *EngineState){
+		"hourly off the grid":          func(st *EngineState) { st.Devices[0].Hourly[3].Start += time.Minute },
+		"hourly out of order":          func(st *EngineState) { h := st.Devices[0].Hourly; h[3], h[4] = h[4], h[3] },
+		"hourly repeated":              func(st *EngineState) { h := st.Devices[0].Hourly; h[4] = h[3] },
+		"hourly empty":                 func(st *EngineState) { st.Devices[0].Hourly[0].Count = 0 },
+		"hourly negative start":        func(st *EngineState) { st.Devices[0].Hourly[0].Start = -time.Hour },
+		"hourly at the watermark":      func(st *EngineState) { st.FoldedBefore = st.Devices[0].Hourly[59].Start },
+		"daily above its watermark":    func(st *EngineState) { st.DailyFoldedBefore = 0 },
+		"daily off the grid":           func(st *EngineState) { st.Devices[0].Daily[0].Start = time.Hour },
+		"watermark below every bucket": func(st *EngineState) { st.FoldedBefore, st.DailyFoldedBefore = 0, 0 },
+	} {
+		st := e.Snapshot()
+		damage(&st)
+		if _, err := Restore(e.Config(), st); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+	}
+}

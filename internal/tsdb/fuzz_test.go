@@ -17,7 +17,7 @@ import (
 // canonical). Mirrors internal/telemetry's FuzzVerify discipline.
 func FuzzWALDecode(f *testing.F) {
 	// Seed with valid frames so the fuzzer starts from the real format.
-	valid := appendPointFrame(nil, Point{
+	valid := AppendRecord(nil, Point{
 		Device: lpwan.EUIFromUint64(0xCAFE),
 		At:     42 * time.Hour,
 		Seq:    7,
@@ -25,7 +25,7 @@ func FuzzWALDecode(f *testing.F) {
 		Value:  2.5,
 		Uptime: 99,
 	})
-	two := appendPointFrame(append([]byte(nil), valid...), Point{Device: lpwan.EUIFromUint64(1), Seq: 1})
+	two := AppendRecord(append([]byte(nil), valid...), Point{Device: lpwan.EUIFromUint64(1), Seq: 1})
 	f.Add(valid)
 	f.Add(two)
 	f.Add(valid[:len(valid)-5])           // torn tail
@@ -62,7 +62,7 @@ func FuzzWALDecode(f *testing.F) {
 				return
 			}
 			// Canonical: a decoded point re-frames to identical bytes.
-			reframed := appendPointFrame(nil, p)
+			reframed := AppendRecord(nil, p)
 			if !bytes.Equal(reframed[frameHeader:], payload) {
 				t.Fatalf("round trip not canonical:\n in: %x\nout: %x", payload, reframed[frameHeader:])
 			}

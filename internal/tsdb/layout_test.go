@@ -21,7 +21,7 @@ func writeLegacyShard(t *testing.T, dir string, shard int, pts []Point) string {
 	}
 	var frames []byte
 	for _, p := range pts {
-		frames = appendPointFrame(frames, p)
+		frames = AppendRecord(frames, p)
 	}
 	path := filepath.Join(shardDir, segName(1))
 	if err := os.WriteFile(path, frames, 0o644); err != nil {

@@ -13,10 +13,11 @@
 // crash that necessitated the replay.
 //
 // The engine stores points; policy (authentication, replay rejection,
-// quarantine, the weekly-uptime ledger) stays in internal/cloud. The
-// versioned-JSON snapshot remains the portable "readable in 2060"
-// artifact; the WAL is deliberately not archival — it is the
-// crash-safety path between checkpoints, truncated at each one.
+// quarantine, the weekly-uptime ledger) stays in internal/cloud, and so
+// does the checkpoint (a manifest beside binary segments, DESIGN.md S41),
+// whose raw-tail file reuses this package's record framing. The WAL is
+// deliberately not archival — it is the crash-safety path between
+// checkpoints, truncated at each one.
 package tsdb
 
 import (
@@ -71,6 +72,9 @@ const (
 
 	recordPoint  = 0x01
 	pointPayload = 30
+
+	// RecordSize is the size of one framed point record.
+	RecordSize = frameHeader + pointPayload
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -84,8 +88,9 @@ var (
 	ErrBadRecord = errors.New("tsdb: undecodable record payload")
 )
 
-// appendPointFrame appends a complete frame for p to dst.
-func appendPointFrame(dst []byte, p Point) []byte {
+// AppendRecord appends a complete frame for p to dst: the WAL's record,
+// and the record of a checkpoint's raw-tail file.
+func AppendRecord(dst []byte, p Point) []byte {
 	var payload [pointPayload]byte
 	payload[0] = recordPoint
 	copy(payload[1:9], p.Device[:])
@@ -115,6 +120,31 @@ func decodePoint(payload []byte) (Point, error) {
 	p.Value = math.Float32frombits(binary.BigEndian.Uint32(payload[22:26]))
 	p.Uptime = binary.BigEndian.Uint32(payload[26:30])
 	return p, nil
+}
+
+// DecodeRecords reads framed point records from r up to a clean end,
+// handing each to emit, and reports how many records and bytes were
+// intact. A torn, oversized, corrupt or undecodable frame ends the read
+// and is returned as err; what to make of it is the caller's call (WAL
+// replay recovers, a checkpoint's tail refuses the boot).
+func DecodeRecords(r io.Reader, emit func(Point)) (records uint64, good int64, err error) {
+	buf := make([]byte, frameHeader+MaxFrame)
+	for {
+		payload, err := readFrame(r, buf)
+		if errors.Is(err, io.EOF) {
+			return records, good, nil
+		}
+		if err != nil {
+			return records, good, err
+		}
+		p, err := decodePoint(payload)
+		if err != nil {
+			return records, good, err
+		}
+		emit(p)
+		records++
+		good += frameHeader + int64(len(payload))
+	}
 }
 
 func leadByte(b []byte) byte {

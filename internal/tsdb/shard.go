@@ -32,7 +32,7 @@ func (sh *shard) append(ps []Point) (lsn LSN) {
 	if sh.wal != nil {
 		sh.scratch = sh.scratch[:0]
 		for _, p := range ps {
-			sh.scratch = appendPointFrame(sh.scratch, p)
+			sh.scratch = AppendRecord(sh.scratch, p)
 		}
 		lsn = sh.wal.append(sh.scratch)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -485,22 +484,6 @@ func replaySegment(path string, emit func(Point)) (records uint64, goodBytes int
 	}
 	//lint:syncerr read-only replay handle; a close error cannot un-write the records just decoded
 	defer f.Close()
-	r := bufio.NewReader(f)
-	buf := make([]byte, frameHeader+MaxFrame)
-	for {
-		payload, err := readFrame(r, buf)
-		if errors.Is(err, io.EOF) {
-			return records, goodBytes, nil, nil
-		}
-		if err != nil {
-			return records, goodBytes, err, nil
-		}
-		p, err := decodePoint(payload)
-		if err != nil {
-			return records, goodBytes, err, nil
-		}
-		emit(p)
-		records++
-		goodBytes += frameHeader + int64(len(payload))
-	}
+	records, goodBytes, corrupt = DecodeRecords(bufio.NewReader(f), emit)
+	return records, goodBytes, corrupt, nil
 }

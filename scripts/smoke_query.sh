@@ -6,9 +6,12 @@
 # checkpoint to fold the old raw tail into hourly/daily buckets, and
 # verify /query from outside: full coverage, daily tier engaged, under
 # the latency budget. Then SIGKILL the daemon — no shutdown path — boot
-# a fresh process from the snapshot + WAL, and require the byte-exact
-# same answer: the rollup state survived the crash with no double-count
-# and no loss. Finally scrape /metrics for the query_* instruments.
+# a fresh process from the checkpoint (manifest + segments) + WAL, and
+# require the byte-exact same answer: the rollup state survived the crash
+# with no double-count and no loss. Scrape /metrics for the query_* and
+# cloud_checkpoint_* instruments, then stop the daemon and take the way
+# out an operator holding only files has: -export-json must turn them
+# into the portable JSON snapshot without listening.
 #
 # Ports are fixed but obscure; pass SMOKE_QUERY_PORT/SMOKE_QUERY_DEBUG_PORT
 # to override on a busy host.
@@ -29,8 +32,8 @@ go build -o "$TMP/endpointd" ./cmd/endpointd
 go build -o "$TMP/queryload" ./cmd/queryload
 
 # boot — start the endpoint with tiered retention: hourly/daily rollup
-# buckets, raw kept for 30 virtual days, checkpoint (= fold + snapshot +
-# WAL truncation) every second. The same data dir and snapshot survive
+# buckets, raw kept for 30 virtual days, checkpoint (= fold + delta save
+# + WAL truncation) every second. The same data dir and checkpoint survive
 # kills, so a restart replays to the identical state.
 boot() {
     "$TMP/endpointd" -listen "127.0.0.1:$PORT" -master "$MASTER" \
@@ -62,13 +65,14 @@ await_ready
     -devices 2 -points 730 -answer "$TMP/answer.json" -max-millis 10 ||
     smoke_fail "pre-kill verify failed — endpointd log follows" "$TMP/endpointd.log"
 
-# The crash: SIGKILL, no shutdown path — the snapshot (folded buckets +
-# watermark) and the WAL (raw tail) are the only survivors.
+# The crash: SIGKILL, no shutdown path — the checkpoint (sealed buckets,
+# watermarks, raw window) and the WAL (what came after) are the only
+# survivors.
 echo "smoke-query: SIGKILL endpointd (pid $PID)"
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
-echo "smoke-query: rebooting from snapshot + WAL"
+echo "smoke-query: rebooting from checkpoint + WAL"
 boot
 await_ready
 
@@ -82,9 +86,23 @@ await_ready
 METRICS="$TMP/metrics.txt"
 STATUS="$(curl -s -o "$METRICS" -w '%{http_code}' "http://127.0.0.1:$DEBUG_PORT/metrics")"
 [ "$STATUS" = "200" ] || smoke_fail "GET /metrics returned $STATUS"
-for want in query_requests_total query_tier_daily_buckets_total query_seconds; do
-    grep -q "^$want" "$METRICS" || smoke_fail "exposition is missing $want"
+for want in query_requests_total query_tier_daily_buckets_total query_seconds \
+    cloud_checkpoint_seconds_count 'cloud_checkpoint_phase_seconds_count{phase="sealed"}' \
+    cloud_checkpoint_bytes_written_total cloud_checkpoint_segments; do
+    grep -qF "$want" "$METRICS" || smoke_fail "exposition is missing $want"
 done
 REQS="$(grep '^query_requests_total ' "$METRICS" | awk '{print $2}')"
+grep -q 'format version 3' "$TMP/endpointd.log" ||
+    smoke_fail "the reboot did not load a version-3 manifest — endpointd log follows" "$TMP/endpointd.log"
 
-echo "smoke-query: OK (daily tier engaged, crash-equivalent answers, $REQS query requests instrumented)"
+# The way out: stop the daemon (its final checkpoint included), then ask
+# the binary for the portable export of what the files hold.
+kill "$PID"
+wait "$PID" 2>/dev/null || true
+"$TMP/endpointd" -data-dir "$TMP/tsdb" -snapshot "$TMP/store.json" -retain-raw 720h \
+    -export-json "$TMP/export.json" >>"$TMP/endpointd.log" 2>&1 ||
+    smoke_fail "-export-json failed — endpointd log follows" "$TMP/endpointd.log"
+grep -q '^{"version":2,' "$TMP/export.json" || smoke_fail "-export-json did not write a version-2 JSON snapshot"
+grep -q '"hourly_buckets":{"' "$TMP/export.json" || smoke_fail "the export carries no rollup buckets"
+
+echo "smoke-query: OK (daily tier engaged, crash-equivalent answers, $REQS query requests instrumented, JSON export of $(wc -c <"$TMP/export.json") bytes)"
