@@ -57,14 +57,17 @@ race:
 
 # check is the pre-merge gate, run strictly in order so the first
 # failure names itself: static analysis (vet, then the invariant suite
-# against the baseline) before the race-enabled test suite. A lint
-# failure stops everything — fix the finding, waive it with a reasoned
-# //lint: directive, or (with review) refresh the baseline.
+# against the baseline) before the race-enabled test suite (which, not
+# being -short, includes the golden tables' ablations), then the nested
+# bench/ module that root ./... does not reach. A lint failure stops
+# everything — fix the finding, waive it with a reasoned //lint:
+# directive, or (with review) refresh the baseline.
 check:
 	@$(MAKE) --no-print-directory vet || { echo "check: FAILED at go vet (fix before running tests)"; exit 1; }
 	@$(MAKE) --no-print-directory lint-gate || { echo "check: FAILED at centurylint gate — fix the finding, add a reasoned //lint: waiver, or refresh via 'make lint-baseline' (reviewed)"; exit 1; }
 	@$(MAKE) --no-print-directory race || { echo "check: FAILED in race-enabled tests"; exit 1; }
-	@echo "check: OK (vet, lint-gate, race)"
+	@$(MAKE) --no-print-directory bench-e2e-test || { echo "check: FAILED in bench/ (an API the benchmark compiles against changed shape)"; exit 1; }
+	@echo "check: OK (vet, lint-gate, race, bench-e2e-test)"
 
 # fuzz gives every fuzzer in the tree a short run (FUZZTIME each,
 # default 30s): the WAL, batch-frame, packet and LPWAN decoders and the

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("experiment", "all", "experiment ID (E1..E12, A1..A8), 'all', 'ablations', or 'everything'")
+		exp    = flag.String("experiment", "all", "experiment ID (E1..E12, A1..A14), 'all', 'ablations', or 'everything'")
 		seed   = flag.Uint64("seed", 1, "simulation seed; equal seeds reproduce results exactly")
 		format = flag.String("format", "text", "output format: text, csv, json")
 		list   = flag.Bool("list", false, "list experiment IDs and titles")

@@ -100,9 +100,6 @@ func main() {
 		shards     = flag.Int("shards", 16, "in-memory storage shard count (ingest concurrency; all shards share one WAL)")
 		walFsync   = flag.String("wal-fsync", "always", "WAL fsync policy: always | interval | never")
 		walSyncEv  = flag.Duration("wal-sync-every", time.Second, "fsync cadence under -wal-fsync interval")
-		compactEv  = flag.Duration("compact-every", 0, "background retention compaction interval (0 = off)")
-		retainFull = flag.Duration("retain-full", cloud.DefaultRetention().FullResolutionWindow, "retention: full-resolution window")
-		retainPer  = flag.Duration("retain-bucket", cloud.DefaultRetention().KeepOnePer, "retention: one reading kept per bucket beyond the window")
 		rollupHr   = flag.Duration("rollup-hourly", time.Hour, "rollup fine-tier bucket width")
 		rollupDay  = flag.Duration("rollup-daily", 24*time.Hour, "rollup coarse-tier bucket width (multiple of -rollup-hourly)")
 		retainRaw  = flag.Duration("retain-raw", 0, "tiered retention: fold points older than this into rollup buckets at each checkpoint and drop the raw copies (0 = rollups off)")
@@ -115,6 +112,9 @@ func main() {
 	flag.Parse()
 	if *master == "" && *exportTo == "" {
 		log.Fatal("endpointd: -master is required")
+	}
+	if *retainRaw > 0 && *snapshot == "" {
+		log.Fatal("endpointd: -retain-raw needs -snapshot (the fold runs at each checkpoint)")
 	}
 
 	keys := cloud.StaticKeys([]byte(*master))
@@ -246,37 +246,6 @@ func main() {
 						log.Printf("endpointd: checkpoint: %v (degrading ingest)", err)
 					} else if was {
 						log.Printf("endpointd: checkpoint recovered; accepting ingest again")
-					}
-				}
-			}
-		}()
-	}
-
-	if *compactEv > 0 {
-		start := time.Now()
-		daemons.Add(1)
-		go func() {
-			defer daemons.Done()
-			tick := time.NewTicker(*compactEv)
-			defer tick.Stop()
-			policy := cloud.RetentionPolicy{FullResolutionWindow: *retainFull, KeepOnePer: *retainPer}
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if store.Rollups() != nil {
-						// Tiered retention supersedes the lossy KeepOnePer
-						// thinning: folding summarizes exactly instead of
-						// sampling, so the old compactor must not thin the
-						// raw tail the next fold will consume.
-						if folded := store.FoldRollups(store.HighWater()); folded > 0 {
-							log.Printf("endpointd: rollup fold summarized %d readings (watermark %v)", folded, store.Rollups().FoldedBefore())
-						}
-						continue
-					}
-					if dropped := store.Compact(time.Since(start), policy); dropped > 0 {
-						log.Printf("endpointd: retention compaction dropped %d readings", dropped)
 					}
 				}
 			}

@@ -1,8 +1,8 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"centuryscale/internal/batch"
@@ -12,13 +12,13 @@ import (
 	"centuryscale/internal/tsdb"
 )
 
-// Batched ingest: the endpoint half of the gateway→endpoint frame path.
-// One POST /ingest/batch frame of N packets becomes one pass of
-// per-packet verification, one short critical section per touched shard
-// (no I/O inside), and one WAL flush barrier for the whole frame —
-// however many shards it touched. The durability contract is the
-// single-packet one: no packet in the frame is acknowledged until the
-// flush covering it has returned.
+// Admission: the one path by which a reading enters the store (DESIGN.md
+// S42). A packet is a frame of one. POST /ingest/batch carries N packets
+// and POST /ingest carries one; both become one pass of per-packet
+// verification, one short critical section per touched guard shard (no
+// I/O inside), and one WAL flush barrier however many shards were
+// touched. No packet is acknowledged until the flush covering it has
+// returned.
 
 // BatchResult summarizes one frame's disposition, echoed as the 202
 // response body so the gateway can reconcile its counters.
@@ -37,6 +37,13 @@ type BatchResult struct {
 	Stale int `json:"stale"`
 }
 
+// Errors from Ingest, beside ErrPersist, ErrSealed, ErrQuarantined and
+// the telemetry package's ErrReplay, ErrBadTag and ErrBadSize.
+var (
+	ErrUnknownDevice = errors.New("cloud: unknown device")
+	ErrLeaseLapsed   = errors.New("cloud: endpoint unreachable (lease lapsed)")
+)
+
 // devSeq keys the intra-frame dedup map: two packets with the same
 // device and sequence number inside one frame would both pass the
 // replay guard's non-mutating Fresh check, so the frame loop must
@@ -46,20 +53,21 @@ type devSeq struct {
 	seq uint32
 }
 
-// batchScratch is the pooled per-frame working set: candidate packets,
-// their one bucketing by shard, the points handed to the log, and the
-// intra-frame dedup map. Pooling these is what holds the batched path at
+// admitScratch is the pooled working set of one admission: candidate
+// packets, their one bucketing by shard, the points handed to the log,
+// and the intra-frame dedup map. Pooling these is what holds admission at
 // ≤2 allocs/packet — steady state reuses every buffer.
-type batchScratch struct {
+type admitScratch struct {
 	cands  []telemetry.Packet
-	wires  [][]byte             // wire bytes of cands, parallel; views into the frame
+	wires  [][]byte             // wire bytes of cands, parallel; views into the payload
 	groups [][]telemetry.Packet // admissible packets, one bucket per guard shard
 	fresh  []tsdb.Point
 	seen   map[devSeq]struct{}
 	// verifiers caches one keyed HMAC state per device across the
 	// scratch's lifetime — keys never rotate (burned in at manufacture),
-	// so the cache is only ever warm, never wrong. It survives release()
-	// because rebuilding it is the expensive part.
+	// so the cache is only ever warm, never wrong, for the one store whose
+	// KeyResolver filled it: the pool belongs to the Store (F8). It
+	// survives release() because rebuilding it is the expensive part.
 	verifiers map[lpwan.EUI64]*telemetry.Verifier
 }
 
@@ -67,16 +75,14 @@ type batchScratch struct {
 // cache resets rather than tracking an unbounded fleet per scratch.
 const maxCachedVerifiers = 4096
 
-var batchScratchPool = sync.Pool{
-	New: func() any {
-		return &batchScratch{
-			seen:      make(map[devSeq]struct{}, 64),
-			verifiers: make(map[lpwan.EUI64]*telemetry.Verifier, 64),
-		}
-	},
+func newAdmitScratch() any {
+	return &admitScratch{
+		seen:      make(map[devSeq]struct{}, 64),
+		verifiers: make(map[lpwan.EUI64]*telemetry.Verifier, 64),
+	}
 }
 
-func (sc *batchScratch) release() {
+func (s *Store) release(sc *admitScratch) {
 	sc.cands = sc.cands[:0]
 	sc.wires = sc.wires[:0]
 	for i := range sc.groups {
@@ -87,7 +93,33 @@ func (sc *batchScratch) release() {
 	if len(sc.verifiers) > maxCachedVerifiers {
 		clear(sc.verifiers)
 	}
-	batchScratchPool.Put(sc)
+	s.scratch.Put(sc)
+}
+
+// Ingest verifies and stores one raw packet arriving at time at: a frame
+// of one, with the packet's refusal, if any, as the error (ErrReplay,
+// ErrSealed, ErrQuarantined, ErrUnknownDevice, ErrBadTag, ErrBadSize,
+// ErrLeaseLapsed, ErrPersist). On success the reading is as durable as
+// the storage engine's fsync policy guarantees before Ingest returns —
+// the acknowledgement contract.
+//
+//lint:hotpath budget=3 a frame of one: the static sites are admit's (scratch buckets on first use, a verifier per device-cache miss), all amortized; the runtime contract — at most 1 alloc per packet in steady state, measured 0 — is TestAdmitAllocBudgets
+func (s *Store) Ingest(at time.Duration, wire []byte) error {
+	o := s.obs.Load()
+	var start time.Duration
+	if o != nil {
+		// Measured without defer: a closure capture here would put an
+		// allocation on every packet.
+		start = o.latency.Now()
+	}
+	_, refusal, err := s.admit(at, wire, 1)
+	if o != nil {
+		o.latency.ObserveSince(start)
+	}
+	if err != nil {
+		return err
+	}
+	return refusal
 }
 
 // IngestBatch verifies and stores a frame of packets arriving together
@@ -106,47 +138,68 @@ func (sc *batchScratch) release() {
 // counted in the result.
 func (s *Store) IngestBatch(at time.Duration, frame []byte) (BatchResult, error) {
 	o := s.obs.Load()
-	if o == nil || o.batchLatency == nil {
-		return s.ingestBatch(at, frame)
+	timed := o != nil && o.batchLatency != nil
+	var start time.Duration
+	if timed {
+		start = o.batchLatency.Now()
 	}
-	start := o.batchLatency.Now()
-	res, err := s.ingestBatch(at, frame)
-	o.batchLatency.ObserveSince(start)
-	return res, err
-}
-
-//lint:hotpath budget=3 per-frame admission: pooled scratch, its per-shard buckets and the dedup map amortize to zero, plus one verifier build per device-cache miss — misses are bounded by fleet size, not traffic. Per packet the loops parse, verify, and append into reused buffers, and the frame's one flush reuses the log's double buffer; the runtime contract (≤2 allocs/packet, measured ~1) is pinned by BenchmarkIngestBatched
-func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error) {
 	var res BatchResult
 	payload, n, err := batch.Split(frame, 0)
 	if err != nil {
 		s.batchFrameErrors.Add(1)
-		return res, err
+	} else {
+		s.batchFrames.Add(1)
+		res, _, err = s.admit(at, payload, n)
 	}
-	s.batchFrames.Add(1)
-	res.Total = n
+	if timed {
+		o.batchLatency.ObserveSince(start)
+	}
+	return res, err
+}
 
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer sc.release()
+// admit is the admission contract, stated once: payload holds n packets
+// that arrived together at time at (a lone packet is its own payload,
+// whatever its length; a frame's payload is what batch.Split returned).
+//
+//	parse → verify → lapse/quarantine policy → refuse while the log is
+//	failed → per guard shard {sealed check, intra-frame dedup, Fresh,
+//	AppendDeferred, Admit, accepted++} → weeks ledger → one flush barrier
+//
+// err is the outcome of the whole payload — ErrLeaseLapsed, or ErrPersist
+// when the flush that would acknowledge it failed — and means nothing in
+// it is acknowledged. A packet's own refusal is counted in res and in the
+// store's counters; when n == 1 it is also returned as refusal, the error
+// Ingest reports, and is built only then so frames allocate nothing for
+// it.
+//
+//lint:hotpath budget=3 per-payload admission: pooled scratch, its per-shard buckets and the dedup map amortize to zero, plus one verifier build per device-cache miss — misses are bounded by fleet size, not traffic. Per packet the loops parse, verify, and append into reused buffers, and the one flush reuses the log's double buffer; the runtime contract (≤2 allocs/packet in a frame, ≤1 for a lone packet) is measured by TestAdmitAllocBudgets
+func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult, refusal, err error) {
+	res.Total = n
+	sc := s.scratch.Get().(*admitScratch)
+	defer s.release(sc)
 
 	// Pass 1: structural parse, per packet. Parse reads a subslice of
-	// the frame and copies out a fixed-size Packet value — no
-	// allocation, nothing retains the frame's bytes past this function.
+	// the payload and copies out a fixed-size Packet value — no
+	// allocation, nothing retains the payload's bytes past this function.
 	for i := 0; i < n; i++ {
-		wire := batch.Packet(payload, i)
+		wire := payload
+		if n > 1 {
+			wire = batch.Packet(payload, i)
+		}
 		p, err := telemetry.Parse(wire)
 		if err != nil {
 			s.stats.malformed.Add(1)
 			res.Rejected++
+			refusal = err
 			continue
 		}
 		sc.cands = append(sc.cands, p)
 		sc.wires = append(sc.wires, wire)
 	}
 
-	// Pass 1b: signature verification over the candidate batch, through
-	// the per-device verifier cache — a cache miss builds one reusable
-	// keyed HMAC state, a hit verifies with zero allocation.
+	// Pass 1b: signature verification over the candidates, through the
+	// per-device verifier cache — a cache miss builds one reusable keyed
+	// HMAC state, a hit verifies with zero allocation.
 	verified := sc.cands[:0]
 	for ci, p := range sc.cands {
 		ver := sc.verifiers[p.Device]
@@ -155,12 +208,16 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 			if !ok {
 				s.stats.unknownDev.Add(1)
 				res.Rejected++
+				if n == 1 {
+					refusal = fmt.Errorf("%w: %v", ErrUnknownDevice, p.Device)
+				}
 				continue
 			}
 			v, err := telemetry.NewVerifier(key)
 			if err != nil {
 				s.stats.badSignature.Add(1)
 				res.Rejected++
+				refusal = err
 				continue
 			}
 			ver = v
@@ -169,6 +226,7 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 		if _, err := ver.Verify(sc.wires[ci]); err != nil {
 			s.stats.badSignature.Add(1)
 			res.Rejected++
+			refusal = err
 			continue
 		}
 		verified = append(verified, p)
@@ -176,7 +234,7 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 	sc.cands = verified
 
 	// Pass 2: arrival-time policy under one aux-lock acquisition for the
-	// whole frame. A lapse rejects everything (nobody was listening at
+	// whole payload. A lapse rejects everything (nobody was listening at
 	// the published name); quarantine is per device. Survivors are
 	// bucketed by shard here, once: guard shards and storage shards use
 	// the same hash and count (freshGuards(db.Shards())), so a bucket is
@@ -192,13 +250,16 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 		k := len(sc.cands)
 		s.stats.leaseLapsed.Add(uint64(k))
 		res.Rejected += k
-		return res, ErrLeaseLapsed
+		return res, nil, ErrLeaseLapsed
 	}
 	admissible := 0
 	for _, p := range sc.cands {
 		if s.quarantinedLocked(p.Device, at) {
 			s.stats.quarantined.Add(1)
 			res.Rejected++
+			if n == 1 {
+				refusal = fmt.Errorf("%w: %v", ErrQuarantined, p.Device)
+			}
 			continue
 		}
 		si := tsdb.ShardIndex(p.Device, nsh)
@@ -208,10 +269,10 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 	s.mu.Unlock()
 
 	// While the log is failed, retry its flush before admitting anything
-	// more: a frame that cannot be made durable is refused here, ahead of
+	// more: a payload that cannot be made durable is refused here, ahead of
 	// Admit, so memory never runs ahead of the disk without bound.
 	if err := s.db.Flush(0); err != nil {
-		return res, s.persistFailed(admissible, err)
+		return res, nil, s.persistFailed(admissible, err)
 	}
 
 	// Pass 3: per guard shard — freshness, deferred append, admission,
@@ -219,10 +280,13 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 	// append and the memtable insert share the storage shard's critical
 	// section, and Admit follows under the same guard lock, so guard,
 	// memtable and log move together; only the acknowledgement waits, on
-	// the one flush barrier after the loop. barrier covers every record
-	// this frame appended and, when it saw a duplicate, every record
-	// appended so far: the duplicate's original was admitted by another
-	// frame under this same guard lock, possibly not yet flushed.
+	// the one flush barrier after the loop: a packet whose flush failed is
+	// admitted but answered ErrPersist, and its retry is a duplicate.
+	// barrier covers every record this payload appended and, when it saw
+	// a duplicate, every record appended so far: the duplicate's original
+	// was admitted under this same guard lock, possibly by a frame still
+	// at its barrier, and the gateway takes "duplicate" as its job done,
+	// so that answer is an acknowledgement too.
 	var barrier tsdb.LSN
 	for si, group := range groups {
 		if len(group) == 0 {
@@ -230,16 +294,20 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 		}
 		gs := s.guards[si]
 		gs.mu.Lock()
-		// Sealed-region check under the guard lock, same barrier
-		// discipline as Ingest: FoldRollups publishes the watermark and
-		// then takes every guard lock once, so a frame that saw the old
-		// watermark has appended before the fold drains.
+		// Sealed-region check under the guard lock: FoldRollups publishes
+		// the watermark and then takes every guard lock once (the
+		// barrier), so any append that saw the old watermark has committed
+		// before the drain runs — no packet can slip between "summarized"
+		// and "raw".
 		if r := s.rollups.Load(); r != nil {
 			if wm := r.FoldedBefore(); at < wm {
 				gs.mu.Unlock()
 				k := len(group)
 				s.stats.stale.Add(uint64(k))
 				res.Stale += k
+				if n == 1 {
+					refusal = fmt.Errorf("%w: arrival %v precedes fold watermark %v", ErrSealed, at, wm)
+				}
 				continue
 			}
 		}
@@ -254,6 +322,7 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 			if err := gs.guard.Fresh(p); err != nil {
 				s.stats.duplicates.Add(1)
 				res.Duplicates++
+				refusal = err
 				barrier = s.db.LogEnd()
 				continue
 			}
@@ -279,9 +348,11 @@ func (s *Store) ingestBatch(at time.Duration, frame []byte) (BatchResult, error)
 		s.mu.Unlock()
 	}
 	if err := s.db.Flush(barrier); err != nil {
-		return res, s.persistFailed(res.Accepted, err)
+		// Refused acknowledgement: what was admitted, and the duplicates
+		// whose originals the flush would have covered.
+		return res, nil, s.persistFailed(res.Accepted+res.Duplicates, err)
 	}
-	return res, nil
+	return res, refusal, nil
 }
 
 // persistFailed counts n packets refused acknowledgement by a failed

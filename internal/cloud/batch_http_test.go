@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"centuryscale/internal/batch"
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/sim"
 )
@@ -83,7 +84,7 @@ func TestHTTPIngestBodyTooLarge(t *testing.T) {
 		route string
 		size  int
 	}{
-		{"/ingest", maxPacketBody + 1},
+		{"/ingest", httpapi.MaxPacketBody + 1},
 		{"/ingest/batch", batch.MaxFrameBytes + 1},
 	}
 	for _, tc := range cases {
@@ -127,7 +128,7 @@ func TestClampedSecondsBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := clampedSeconds(tc.in, "from")
+			got, err := httpapi.ClampedSeconds("cloud", tc.in, "from")
 			if tc.isErr {
 				if err == nil {
 					t.Fatalf("clampedSeconds(%q) = %v, want error", tc.in, got)
@@ -161,7 +162,7 @@ func TestClampedSecondsBoundaries(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clamped history status = %d", resp.StatusCode)
 	}
-	var out []readingPayload
+	var out []httpapi.ReadingPayload
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ package cloud
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,6 +147,9 @@ type Store struct {
 	keys   KeyResolver
 	db     *tsdb.DB
 	guards []*guardShard
+	// scratch pools admission's working sets (admit.go). Per store, not
+	// per process: a scratch caches verifiers built from this store's keys.
+	scratch sync.Pool
 
 	stats ingestCounters // lock-free; see IngestStats for the export form
 
@@ -231,10 +233,11 @@ func NewStoreWithDB(keys KeyResolver, db *tsdb.DB) *Store {
 		panic("cloud: nil tsdb")
 	}
 	s := &Store{
-		keys:  keys,
-		db:    db,
-		weeks: make(map[int64]bool),
-		fs:    osFS{},
+		keys:    keys,
+		db:      db,
+		scratch: sync.Pool{New: newAdmitScratch},
+		weeks:   make(map[int64]bool),
+		fs:      osFS{},
 	}
 	s.guards = freshGuards(db.Shards())
 	return s
@@ -281,113 +284,6 @@ func (s *Store) inLapseLocked(t time.Duration) bool {
 		}
 	}
 	return false
-}
-
-// Errors from Ingest.
-var (
-	ErrUnknownDevice = errors.New("cloud: unknown device")
-	ErrLeaseLapsed   = errors.New("cloud: endpoint unreachable (lease lapsed)")
-)
-
-// Ingest verifies and stores one raw packet arriving at time at. On
-// success the reading is as durable as the storage engine's fsync policy
-// guarantees before Ingest returns — the acknowledgement contract.
-//
-//lint:hotpath budget=1 per-packet disposition path; the one static always-site is ReplayGuard's lazy per-device seen-map init, amortized to zero once a device is known
-func (s *Store) Ingest(at time.Duration, wire []byte) error {
-	o := s.obs.Load()
-	if o == nil {
-		return s.ingest(at, wire)
-	}
-	// Measured without defer: a closure capture here would put an
-	// allocation on every packet.
-	start := o.latency.Now()
-	err := s.ingest(at, wire)
-	o.latency.ObserveSince(start)
-	return err
-}
-
-//lint:hotpath budget=1 same bound as Ingest: parse, verify, and append reuse their inputs; only the replay guard's first-contact map init allocates
-func (s *Store) ingest(at time.Duration, wire []byte) error {
-	p, err := telemetry.Parse(wire)
-	if err != nil {
-		s.stats.malformed.Add(1)
-		return err
-	}
-	key, ok := s.keys(p.Device)
-	if !ok {
-		s.stats.unknownDev.Add(1)
-		return fmt.Errorf("%w: %v", ErrUnknownDevice, p.Device)
-	}
-	if _, err := telemetry.Verify(wire, key); err != nil {
-		s.stats.badSignature.Add(1)
-		return err
-	}
-
-	s.mu.Lock()
-	if s.inLapseLocked(at) {
-		s.mu.Unlock()
-		s.stats.leaseLapsed.Add(1)
-		return ErrLeaseLapsed
-	}
-	if s.quarantinedLocked(p.Device, at) {
-		s.mu.Unlock()
-		s.stats.quarantined.Add(1)
-		return fmt.Errorf("%w: %v", ErrQuarantined, p.Device)
-	}
-	s.mu.Unlock()
-
-	// While the log is failed, retry its flush before admitting anything
-	// more (see ingestBatch).
-	if err := s.db.Flush(0); err != nil {
-		return s.persistFailed(1, err)
-	}
-
-	// Freshness check, storage append and Admit commit together under
-	// the device's guard-shard lock, so guard, memtable and log agree on
-	// what has been seen. Only the acknowledgement depends on the flush:
-	// a packet whose flush failed is admitted but answered ErrPersist,
-	// and its retry is a duplicate.
-	gs := s.guardFor(p.Device)
-	gs.mu.Lock()
-	// Sealed-region check under the guard lock: FoldRollups publishes
-	// the watermark and then takes every guard lock once (the barrier),
-	// so any append that saw the old watermark has committed before the
-	// drain runs — no packet can slip between "summarized" and "raw".
-	if r := s.rollups.Load(); r != nil {
-		if wm := r.FoldedBefore(); at < wm {
-			gs.mu.Unlock()
-			s.stats.stale.Add(1)
-			return fmt.Errorf("%w: arrival %v precedes fold watermark %v", ErrSealed, at, wm)
-		}
-	}
-	if dup := gs.guard.Fresh(p); dup != nil {
-		// The gateway takes "duplicate" as its job done, so the answer is
-		// an acknowledgement too: it waits until the original — admitted
-		// under this lock, possibly by a frame still at its barrier — is
-		// flushed.
-		original := s.db.LogEnd()
-		gs.mu.Unlock()
-		s.stats.duplicates.Add(1)
-		if err := s.db.Flush(original); err != nil {
-			return s.persistFailed(1, err)
-		}
-		return dup
-	}
-	err = s.db.Append(pointOf(at, p)) //lint:lockedio Fresh/Append/Admit must commit atomically under the per-device guard shard, and this route still flushes inside the section, as it always has (a frame flushes after it); the lock is sharded per device, never global
-	_ = gs.guard.Admit(p)             // cannot fail: Fresh held under the same lock
-	gs.accepted++
-	gs.mu.Unlock()
-
-	s.stats.accepted.Add(1)
-	s.observeArrival(at)
-	s.mu.Lock()
-	s.weeks[int64(at/sim.Week)] = true
-	s.mu.Unlock()
-	if err != nil {
-		return s.persistFailed(1, err)
-	}
-	return nil
 }
 
 // ReplayWAL rolls the storage engine's write-ahead log forward over

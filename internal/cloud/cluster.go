@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"time"
 
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/sim"
 	"centuryscale/internal/telemetry"
+	"centuryscale/internal/tsdb"
 )
 
 // Cluster-internal surface: the trusted, secret-gated routes replica
@@ -118,7 +120,7 @@ func (s *Server) handleClusterHistory(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCluster(w, r) {
 		return
 	}
-	dev, err := parseDevice(r.URL.Query().Get("device"))
+	dev, err := httpapi.ParseDevice("cloud", r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -128,7 +130,7 @@ func (s *Server) handleClusterHistory(w http.ResponseWriter, r *http.Request) {
 	for i, rd := range rs {
 		out[i] = RecordOf(rd)
 	}
-	writeJSON(w, out)
+	httpapi.WriteJSON(w, out)
 }
 
 func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) {
@@ -154,7 +156,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 		s.shedLoad(w, "repair persist failing; retry")
 		return
 	}
-	writeJSON(w, map[string]int{"added": added})
+	httpapi.WriteJSON(w, map[string]int{"added": added})
 }
 
 // Repair merges records fetched from a replica into this store: the
@@ -168,11 +170,12 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 // past), and no lapse/quarantine policy (they were applied at first
 // accept).
 //
-// Returns how many records were newly stored. On a persist failure the
-// merge stops and the error reports ErrPersist; records already merged
-// stay merged (the operation is idempotent, so the caller just retries),
-// and a nil return means every record it merged or already held is
-// flushed.
+// Returns how many records were newly stored. Like admission, the merge
+// appends under the device's guard-shard lock and flushes after it. On a
+// persist failure the error reports ErrPersist; the records stay merged
+// (the operation is idempotent, so the caller just retries and is told
+// added == 0), and a nil return means every record it merged or already
+// held is flushed.
 func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -182,7 +185,7 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 	// Records below the rollup fold watermark are already summarized in
 	// sealed buckets (their raw copies — and with them the seq-dedup
 	// evidence — may be gone), so merging them raw would double-count.
-	// Same rule and same barrier discipline as Ingest's sealed check.
+	// Same rule and same barrier discipline as admission's sealed check.
 	var sealedBelow time.Duration
 	if r := s.rollups.Load(); r != nil {
 		sealedBelow = r.FoldedBefore()
@@ -191,9 +194,7 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 	for _, pt := range s.db.History(dev) {
 		have[pt.Seq] = struct{}{}
 	}
-	added := 0
-	var weeks []int64
-	var firstErr error
+	var missing []tsdb.Point
 	for _, r := range recs {
 		if r.At < sealedBelow {
 			s.stats.stale.Add(1)
@@ -202,39 +203,34 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 		if _, dup := have[r.Packet.Seq]; dup {
 			continue
 		}
-		err := s.db.Append(pointOf(r.At, r.Packet)) //lint:lockedio dedup-check and append must commit atomically under the per-device guard shard, mirroring Ingest, or a racing ingest of the same seq double-stores; the lock is sharded per device, never global
-		// The record is in the memtable whether or not its flush
-		// succeeded, so it counts as merged either way.
 		have[r.Packet.Seq] = struct{}{}
+		missing = append(missing, pointOf(r.At, r.Packet))
 		// Advance the replay window over repaired sequence numbers so a
 		// late duplicate of a repaired packet is still rejected; records
 		// older than the window simply leave it unchanged.
 		_ = gs.guard.Admit(r.Packet)
-		added++
 		s.observeArrival(r.At)
-		weeks = append(weeks, int64(r.At/sim.Week))
-		if err != nil {
-			firstErr = s.persistFailed(1, err)
-			break
-		}
 	}
+	// Dedup-check and append commit together under the guard lock, or a
+	// racing ingest of the same seq double-stores. held also covers
+	// records skipped as already held, which may be the unflushed
+	// leftovers of a merge that failed: answer only once they are on disk.
 	held := s.db.LogEnd()
-	gs.mu.Unlock()
-	if firstErr == nil {
-		// Records skipped as already held may be the unflushed leftovers
-		// of a merge that failed: answer only once they are on disk.
-		if err := s.db.Flush(held); err != nil {
-			firstErr = s.persistFailed(0, err)
-		}
+	if len(missing) > 0 {
+		held = s.db.AppendDeferred(missing)
 	}
+	gs.mu.Unlock()
 
-	if added > 0 {
-		s.stats.repaired.Add(uint64(added))
+	if len(missing) > 0 {
+		s.stats.repaired.Add(uint64(len(missing)))
 		s.mu.Lock()
-		for _, wk := range weeks {
-			s.weeks[wk] = true
+		for _, pt := range missing {
+			s.weeks[int64(pt.At/sim.Week)] = true
 		}
 		s.mu.Unlock()
 	}
-	return added, firstErr
+	if err := s.db.Flush(held); err != nil {
+		return len(missing), s.persistFailed(len(missing), err)
+	}
+	return len(missing), nil
 }

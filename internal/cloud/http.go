@@ -5,24 +5,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"centuryscale/internal/batch"
-	"centuryscale/internal/lpwan"
-	"centuryscale/internal/sim"
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/tsdb"
 )
 
 // Server exposes a Store over HTTP: the real, publicly-reachable face of
 // the experiment. Routes:
 //
-//	POST /ingest   raw 24-byte telemetry packet in the body
+//	POST /ingest        raw 24-byte telemetry packet in the body
+//	POST /ingest/batch  batch frame of N packets (the same handler)
 //	GET  /status   JSON summary (stats, uptime, device count)
 //	GET  /devices  JSON list of device addresses
 //	GET  /history?device=aa:bb:...  JSON readings for one device
@@ -62,8 +59,8 @@ type Server struct {
 // NewServer wraps a store; the weekly-uptime clock starts now.
 func NewServer(store *Store, now time.Time) *Server {
 	s := &Server{store: store, start: now, mux: http.NewServeMux(), retryAfterSec: 1}
-	s.mux.HandleFunc("POST /ingest", s.handleIngest)
-	s.mux.HandleFunc("POST /ingest/batch", s.handleIngestBatch)
+	s.mux.HandleFunc("POST /ingest", s.handleIngest(httpapi.MaxPacketBody, "cloud: request body exceeds limit", false))
+	s.mux.HandleFunc("POST /ingest/batch", s.handleIngest(batch.MaxFrameBytes, "cloud: frame exceeds cap", true))
 	s.mux.HandleFunc("GET /status", s.handleStatus)
 	s.mux.HandleFunc("GET /devices", s.handleDevices)
 	s.mux.HandleFunc("GET /history", s.handleHistory)
@@ -130,51 +127,6 @@ func (s *Server) shedLoad(w http.ResponseWriter, reason string) {
 	http.Error(w, "cloud: "+reason, http.StatusServiceUnavailable)
 }
 
-// maxPacketBody bounds POST /ingest bodies. A telemetry packet is 24
-// bytes; 1024 leaves generous headroom while keeping the pooled read
-// buffers small.
-const maxPacketBody = 1024
-
-// errBodyTooLarge maps to 413: the body exceeded the route's cap. This
-// replaces the old silent io.LimitReader truncation, which turned an
-// oversized body into a misleading "malformed packet" count.
-var errBodyTooLarge = errors.New("cloud: request body exceeds limit")
-
-// bodyPool recycles request-body read buffers across ingest requests.
-// Entries are *[]byte (pointer to avoid an allocation per Put); each is
-// grown once to the largest limit it has served.
-var bodyPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, maxPacketBody+1)
-		return &b
-	},
-}
-
-// readBody reads the whole body into a pooled buffer, rejecting bodies
-// over limit with errBodyTooLarge (it reads limit+1 bytes to tell "at
-// the limit" from "over it"). release returns the buffer to the pool;
-// the body must not be used after calling it.
-func readBody(r io.Reader, limit int) (body []byte, release func(), err error) {
-	bp := bodyPool.Get().(*[]byte)
-	if cap(*bp) < limit+1 {
-		*bp = make([]byte, 0, limit+1)
-	}
-	buf := (*bp)[:limit+1]
-	release = func() { bodyPool.Put(bp) }
-	n, err := io.ReadFull(r, buf)
-	switch {
-	case err == nil:
-		// limit+1 bytes arrived without EOF: over the cap.
-		release()
-		return nil, nil, errBodyTooLarge
-	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
-		return buf[:n], release, nil
-	default:
-		release()
-		return nil, nil, err
-	}
-}
-
 // arrival resolves the request's arrival stamp: the server clock, unless
 // a cluster-authenticated peer asserts the coordinator's. Replicated
 // ingest carries that stamp so every replica stores the same time; only
@@ -218,85 +170,63 @@ func (s *Server) admitIngest(w http.ResponseWriter) (done func(), ok bool) {
 	return func() {}, true
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admitIngest(w)
-	if !ok {
-		return
-	}
-	defer done()
-	body, release, err := readBody(r.Body, maxPacketBody)
-	if err != nil {
-		if errors.Is(err, errBodyTooLarge) {
-			http.Error(w, errBodyTooLarge.Error(), http.StatusRequestEntityTooLarge)
+// handleIngest is the one ingest handler behind both routes: front door,
+// bounded body read, arrival stamp, admission, and the outcome's status.
+// A route is its body cap, its 413 text, and whether the body is a batch
+// frame — answered with the frame's BatchResult — or one bare packet.
+// The response is written only after the store returns, and the store
+// does not return success before the WAL flush covering the body, so a
+// 202 means every accepted packet is on stable storage.
+func (s *Server) handleIngest(limit int, tooLarge string, frame bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		done, ok := s.admitIngest(w)
+		if !ok {
 			return
 		}
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer release()
-	at, ok := s.arrival(w, r)
-	if !ok {
-		return
-	}
-	if err := s.store.Ingest(at, body); err != nil {
-		// A WAL append failure means the reading is not durable: shed
-		// 503 so the gateway buffers and retries, exactly like a
-		// snapshot-disk failure.
-		if errors.Is(err, ErrPersist) {
+		defer done()
+		body, release, err := httpapi.ReadBody(r.Body, limit)
+		if err != nil {
+			if errors.Is(err, httpapi.ErrBodyTooLarge) {
+				http.Error(w, tooLarge, http.StatusRequestEntityTooLarge)
+				return
+			}
+			http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		defer release()
+		at, ok := s.arrival(w, r)
+		if !ok {
+			return
+		}
+		var res BatchResult
+		if frame {
+			res, err = s.store.IngestBatch(at, body)
+		} else {
+			err = s.store.Ingest(at, body)
+		}
+		switch {
+		case err == nil && frame:
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			if err := json.NewEncoder(w).Encode(res); err != nil {
+				return // headers already sent
+			}
+		case err == nil:
+			w.WriteHeader(http.StatusAccepted)
+		case errors.Is(err, ErrPersist):
+			// The flush failed, so nothing here is durable: refuse the
+			// whole body with 503 so the gateway buffers and retries,
+			// exactly like a snapshot-disk failure; the replay guards
+			// deduplicate whatever was admitted.
 			s.shedLoad(w, "endpoint storage failing; buffer and retry")
-			return
+		case errors.Is(err, batch.ErrTornFrame), errors.Is(err, batch.ErrFrameSize),
+			errors.Is(err, batch.ErrFrameCRC), errors.Is(err, batch.ErrBadCount):
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		default:
+			// The endpoint saw it and refused it. Duplicates are normal
+			// (dual-gateway delivery): 422 tells gateways not to retry.
+			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		}
-		// Duplicates are normal (dual-gateway delivery); report them
-		// as accepted-but-known so gateways don't retry.
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
-}
-
-// handleIngestBatch accepts one batch frame of N packets. The response
-// is written only after IngestBatch returns — and IngestBatch does not
-// return success for any packet before the WAL group commit covering it
-// has fsynced — so the WAL-before-ack contract holds for the whole
-// frame: a 202 means every accepted packet is on stable storage.
-func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	done, ok := s.admitIngest(w)
-	if !ok {
-		return
-	}
-	defer done()
-	body, release, err := readBody(r.Body, batch.MaxFrameBytes)
-	if err != nil {
-		if errors.Is(err, errBodyTooLarge) {
-			http.Error(w, "cloud: frame exceeds cap", http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer release()
-	at, ok := s.arrival(w, r)
-	if !ok {
-		return
-	}
-	res, err := s.store.IngestBatch(at, body)
-	switch {
-	case err == nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		if err := json.NewEncoder(w).Encode(res); err != nil {
-			return // headers already sent
-		}
-	case errors.Is(err, ErrPersist):
-		// At least one shard's group commit failed: refuse the whole
-		// frame so the gateway buffers and retries; the replay guards
-		// deduplicate whatever did commit.
-		s.shedLoad(w, "endpoint storage failing; buffer and retry")
-	case errors.Is(err, batch.ErrTornFrame), errors.Is(err, batch.ErrFrameSize),
-		errors.Is(err, batch.ErrFrameCRC), errors.Is(err, batch.ErrBadCount):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	default:
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 	}
 }
 
@@ -322,16 +252,8 @@ func (s *Server) status() statusPayload {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers already sent; nothing useful left to do.
-		return
-	}
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.status())
+	httpapi.WriteJSON(w, s.status())
 }
 
 func (s *Server) handleDevices(w http.ResponseWriter, _ *http.Request) {
@@ -340,53 +262,38 @@ func (s *Server) handleDevices(w http.ResponseWriter, _ *http.Request) {
 	for i, d := range devs {
 		out[i] = d.String()
 	}
-	writeJSON(w, out)
-}
-
-type readingPayload struct {
-	AtSeconds float64 `json:"at_seconds"`
-	Seq       uint32  `json:"seq"`
-	Sensor    string  `json:"sensor"`
-	Value     float32 `json:"value"`
-	Uptime    uint32  `json:"device_uptime_seconds"`
+	httpapi.WriteJSON(w, out)
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	devStr := r.URL.Query().Get("device")
-	dev, err := parseDevice(devStr)
+	dev, err := httpapi.ParseDevice("cloud", r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	from, to, err := parseRange(r)
+	from, to, err := httpapi.ParseRange("cloud", r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	rs := s.store.HistoryRange(dev, from, to)
-	out := make([]readingPayload, len(rs))
+	out := make([]httpapi.ReadingPayload, len(rs))
 	for i, rd := range rs {
-		out[i] = readingPayload{
-			AtSeconds: rd.At.Seconds(),
-			Seq:       rd.Packet.Seq,
-			Sensor:    rd.Packet.Sensor.String(),
-			Value:     rd.Packet.Value,
-			Uptime:    rd.Packet.UptimeSeconds,
-		}
+		out[i] = httpapi.ReadingOf(rd.At, rd.Packet)
 	}
-	writeJSON(w, out)
+	httpapi.WriteJSON(w, out)
 }
 
 // handleExport streams one device's full history as CSV — the archival
 // format a 2070s researcher will still be able to read (§4.4's data
 // retention concern).
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	dev, err := parseDevice(r.URL.Query().Get("device"))
+	dev, err := httpapi.ParseDevice("cloud", r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	from, to, err := parseRange(r)
+	from, to, err := httpapi.ParseRange("cloud", r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -419,48 +326,6 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		s.queryStats.exportErrors.Add(1)
 		panic(http.ErrAbortHandler)
 	}
-}
-
-func parseDevice(s string) (lpwan.EUI64, error) {
-	if s == "" {
-		return lpwan.EUI64{}, fmt.Errorf("cloud: missing device parameter")
-	}
-	return lpwan.ParseEUI64(s)
-}
-
-// parseRange reads the optional from/to query parameters (arrival time
-// in seconds, half-open [from, to)) for the history and export routes.
-// Absent parameters mean an unbounded side.
-func parseRange(r *http.Request) (from, to time.Duration, err error) {
-	from, to = math.MinInt64, math.MaxInt64
-	if v := r.URL.Query().Get("from"); v != "" {
-		if from, err = clampedSeconds(v, "from"); err != nil {
-			return 0, 0, err
-		}
-	}
-	if v := r.URL.Query().Get("to"); v != "" {
-		if to, err = clampedSeconds(v, "to"); err != nil {
-			return 0, 0, err
-		}
-	}
-	return from, to, nil
-}
-
-// clampedSeconds converts a query parameter of fractional seconds to a
-// Duration, clamping at ±sim.MaxHorizon (the centurytime ±292-year
-// contract). The raw `time.Duration(secs * float64(time.Second))` it
-// replaces hit Go's implementation-defined out-of-range float→int64
-// conversion on inputs like 1e300. NaN is rejected, not clamped: it
-// names no range boundary at all.
-func clampedSeconds(v, name string) (time.Duration, error) {
-	secs, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("cloud: bad %s parameter: %v", name, err)
-	}
-	if math.IsNaN(secs) {
-		return 0, fmt.Errorf("cloud: bad %s parameter: NaN", name)
-	}
-	return sim.Seconds(secs), nil
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {

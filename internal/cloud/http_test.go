@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"centuryscale/internal/httpapi"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -86,7 +88,7 @@ func TestHTTPDevicesAndHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hist []readingPayload
+	var hist []httpapi.ReadingPayload
 	if err := json.NewDecoder(resp.Body).Decode(&hist); err != nil {
 		t.Fatal(err)
 	}

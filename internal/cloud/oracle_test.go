@@ -14,6 +14,7 @@ import (
 	"centuryscale/internal/batch"
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/obs"
+	"centuryscale/internal/telemetry"
 	"centuryscale/internal/tsdb"
 )
 
@@ -311,5 +312,69 @@ func TestFailedFlushRefusesThenRecovers(t *testing.T) {
 		if got := re.History(dev); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("device %v after reboot:\n  %v\nwant:\n  %v", dev, got, want)
 		}
+	}
+}
+
+// TestFailedFlushDuringRepair is the same contract for read-repair, which
+// appends under the device's guard lock and flushes after it like
+// admission does: a merge whose flush fails reports ErrPersist with its
+// records merged — readable, counted, in the log buffer — the retry finds
+// nothing left to add and fails while the log does, and succeeds, still
+// adding nothing, once a flush has covered them.
+func TestFailedFlushDuringRepair(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Store {
+		t.Helper()
+		db, err := tsdb.Open(tsdb.Options{Dir: dir, Shards: 4, Sync: tsdb.SyncAlways, SegmentBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewStoreWithDB(StaticKeys(master), db)
+	}
+	dev := lpwan.EUIFromUint64(7)
+	recs := make([]Reading, 3)
+	for i := range recs {
+		seq := uint32(i + 2)
+		recs[i] = Reading{At: time.Duration(seq) * time.Second, Packet: telemetry.Packet{
+			Device: dev, Seq: seq, Sensor: telemetry.SensorStrain, Value: float32(seq)}}
+	}
+	store := open()
+	if err := store.Ingest(time.Second, sealed(t, 7, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	logDir := filepath.Join(dir, "wal")
+	if err := os.RemoveAll(logDir); err != nil {
+		t.Fatal(err)
+	}
+	if added, err := store.Repair(dev, recs); !errors.Is(err, ErrPersist) || added != len(recs) {
+		t.Fatalf("repair over a failing log: added=%d err=%v, want %d and ErrPersist", added, err, len(recs))
+	}
+	if got := len(store.History(dev)); got != 1+len(recs) {
+		t.Fatalf("device holds %d readings after the failed repair, want %d", got, 1+len(recs))
+	}
+	if added, err := store.Repair(dev, recs); !errors.Is(err, ErrPersist) || added != 0 {
+		t.Fatalf("retry while failed: added=%d err=%v, want 0 and ErrPersist", added, err)
+	}
+
+	if err := os.MkdirAll(logDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if added, err := store.Repair(dev, recs); err != nil || added != 0 {
+		t.Fatalf("retry after recovery: added=%d err=%v, want 0 and nil", added, err)
+	}
+	if st := store.Stats(); st.Repaired != uint64(len(recs)) || st.PersistFailures != uint64(len(recs)) {
+		t.Fatalf("stats = %+v", st)
+	}
+	want := store.History(dev)[1:] // seq 1 lived in the removed directory
+	store.Close()
+
+	re := open()
+	defer re.Close()
+	if _, err := re.ReplayWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if got := re.History(dev); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("after reboot:\n  %v\nwant:\n  %v", got, want)
 	}
 }

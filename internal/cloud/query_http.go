@@ -5,8 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
 
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/obs"
 )
 
@@ -101,17 +101,17 @@ type queryPayload struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.observeQuery(func() bool {
-		dev, err := parseDevice(r.URL.Query().Get("device"))
+		dev, err := httpapi.ParseDevice("cloud", r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return false
 		}
-		step, err := parseSeconds(r, "step")
+		step, err := httpapi.ParseSeconds("cloud", r, "step")
 		if err != nil || step <= 0 {
 			http.Error(w, "cloud: step parameter must be positive seconds", http.StatusBadRequest)
 			return false
 		}
-		from, to, err := parseRange(r)
+		from, to, err := httpapi.ParseRange("cloud", r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return false
@@ -159,7 +159,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.queryStats.daily.Add(uint64(t.Daily))
 		s.queryStats.hourly.Add(uint64(t.Hourly))
 		s.queryStats.raw.Add(uint64(t.Raw))
-		writeJSON(w, out)
+		httpapi.WriteJSON(w, out)
 		return true
 	})
 }
@@ -172,7 +172,7 @@ type uptimePayload struct {
 
 func (s *Server) handleQueryUptime(w http.ResponseWriter, r *http.Request) {
 	s.observeQuery(func() bool {
-		horizon, err := parseSeconds(r, "horizon")
+		horizon, err := httpapi.ParseSeconds("cloud", r, "horizon")
 		if err != nil {
 			http.Error(w, "cloud: bad horizon parameter", http.StatusBadRequest)
 			return false
@@ -181,8 +181,8 @@ func (s *Server) handleQueryUptime(w http.ResponseWriter, r *http.Request) {
 			horizon = s.store.HighWater()
 		}
 		out := uptimePayload{HorizonSeconds: horizon.Seconds()}
-		if devStr := r.URL.Query().Get("device"); devStr != "" {
-			dev, err := parseDevice(devStr)
+		if r.URL.Query().Get("device") != "" {
+			dev, err := httpapi.ParseDevice("cloud", r)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return false
@@ -192,7 +192,7 @@ func (s *Server) handleQueryUptime(w http.ResponseWriter, r *http.Request) {
 		} else {
 			out.WeeklyUptime = s.store.WeeklyUptime(horizon)
 		}
-		writeJSON(w, out)
+		httpapi.WriteJSON(w, out)
 		return true
 	})
 }
@@ -213,7 +213,7 @@ func (s *Server) handleQueryGaps(w http.ResponseWriter, r *http.Request) {
 			}
 			k = n
 		}
-		horizon, err := parseSeconds(r, "horizon")
+		horizon, err := httpapi.ParseSeconds("cloud", r, "horizon")
 		if err != nil {
 			http.Error(w, "cloud: bad horizon parameter", http.StatusBadRequest)
 			return false
@@ -226,17 +226,7 @@ func (s *Server) handleQueryGaps(w http.ResponseWriter, r *http.Request) {
 		for i, g := range gaps {
 			out[i] = gapPayload{Device: g.Device.String(), GapSeconds: g.Gap.Seconds()}
 		}
-		writeJSON(w, out)
+		httpapi.WriteJSON(w, out)
 		return true
 	})
-}
-
-// parseSeconds reads one optional float-seconds query parameter;
-// absent means 0.
-func parseSeconds(r *http.Request, name string) (time.Duration, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return 0, nil
-	}
-	return clampedSeconds(v, name)
 }

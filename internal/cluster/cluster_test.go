@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"centuryscale/internal/cloud"
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/obs"
 	"centuryscale/internal/resilience"
@@ -417,7 +418,7 @@ func TestFrontHandlerEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("history = %d", resp.StatusCode)
 	}
-	var out []readingPayload
+	var out []httpapi.ReadingPayload
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

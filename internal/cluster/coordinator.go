@@ -17,6 +17,7 @@ import (
 
 	"centuryscale/internal/batch"
 	"centuryscale/internal/cloud"
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/obs"
 	"centuryscale/internal/resilience"
@@ -229,26 +230,16 @@ func (s *replicaSender) Send(payload []byte) error {
 	}
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
-	switch {
-	case resp.StatusCode == http.StatusAccepted:
+	switch resp.StatusCode {
+	case http.StatusAccepted:
 		return nil
-	case resp.StatusCode == http.StatusUnprocessableEntity:
+	case http.StatusUnprocessableEntity:
 		// The replica already has it (a retry, or the other replica's
 		// read-repair beat us): durable there, so quorum-countable —
 		// and Permanent, so the uplink stops retrying.
 		return resilience.Permanent(ErrDuplicate)
-	case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests:
-		secs, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-		var after time.Duration
-		if secs > 0 {
-			after = time.Duration(secs) * time.Second
-		}
-		return &resilience.RetryAfterError{After: after, Err: fmt.Errorf("cluster: replica status %d", resp.StatusCode)}
-	case resp.StatusCode >= 500:
-		return fmt.Errorf("cluster: replica status %d", resp.StatusCode)
-	default:
-		return resilience.Permanent(fmt.Errorf("cluster: replica status %d", resp.StatusCode))
 	}
+	return httpapi.ClassifyStatus("cluster: replica", resp)
 }
 
 // quorumSuccess reports whether one replica send counts toward W.
@@ -258,64 +249,15 @@ func quorumSuccess(err error) bool {
 
 // Ingest replicates one raw packet to its partition's owners and
 // acknowledges (returns nil) only after WriteQuorum of them have durably
-// appended it. On a missed quorum it returns a RetryAfterError carrying
-// the largest hint any replica offered — the router's upstream buffers
-// and retries, exactly as it would against a single degraded endpoint.
-// Structurally invalid packets are Permanent: unsendable anywhere.
-//lint:hotpath budget=9 quorum fan-out costs are per-packet and bounded by Replicas (outcome slice, payload framing, one goroutine per owner), never per-point
+// appended it: a frame of one through quorumWrite, except that it stays a
+// bare packet on the wire, so each replica answers with the packet's own
+// disposition (a duplicate is 422 from POST /ingest). On a missed quorum
+// it returns a RetryAfterError carrying the largest hint any replica
+// offered — the router's upstream buffers and retries, exactly as it
+// would against a single degraded endpoint. Structurally invalid packets
+// are Permanent: unsendable anywhere.
 func (c *Coordinator) Ingest(ctx context.Context, wire []byte) error {
-	p, err := telemetry.Parse(wire)
-	if err != nil {
-		c.rejected.Add(1)
-		return resilience.Permanent(err)
-	}
-	arrival := c.clock()
-	owners := c.ring.Owners(p.Device, c.cfg.Replicas)
-	payload := clusterPayload(arrival, wire)
-
-	type outcome struct {
-		node int
-		err  error
-	}
-	results := make([]outcome, len(owners))
-	var wg sync.WaitGroup
-	for i, node := range owners {
-		wg.Add(1)
-		go func(i, node int) {
-			defer wg.Done()
-			err := c.peers[node].uplink.SendSync(ctx, payload)
-			results[i] = outcome{node: node, err: err}
-		}(i, node)
-	}
-	wg.Wait()
-
-	successes := 0
-	var hint time.Duration
-	var lastErr error
-	for _, r := range results {
-		if quorumSuccess(r.err) {
-			successes++
-			c.det.Observe(r.node, true)
-			continue
-		}
-		lastErr = r.err
-		var ra *resilience.RetryAfterError
-		if errors.As(r.err, &ra) && ra.After > hint {
-			hint = ra.After
-		}
-	}
-	if successes >= c.cfg.WriteQuorum {
-		c.acked.Add(1)
-		return nil
-	}
-	c.noQuorum.Add(1)
-	if hint <= 0 {
-		hint = time.Second
-	}
-	return &resilience.RetryAfterError{
-		After: hint,
-		Err:   fmt.Errorf("%w: %d of %d (last: %v)", ErrNoQuorum, successes, c.cfg.WriteQuorum, lastErr),
-	}
+	return c.quorumWrite(ctx, wire, 1, true)
 }
 
 // IngestBatch replicates a frame of packets to the partitions' owners
@@ -337,13 +279,24 @@ func (c *Coordinator) IngestBatch(ctx context.Context, frame []byte) error {
 		c.rejected.Add(1)
 		return resilience.Permanent(err)
 	}
-	arrival := c.clock()
+	return c.quorumWrite(ctx, payload, n, false)
+}
 
-	// Route each packet to its owners, building one sub-frame per node.
-	builders := make([]*batch.Builder, len(c.peers))
-	ownersOf := make([][]int, 0, n)
-	for i := 0; i < n; i++ {
-		wire := batch.Packet(payload, i)
+// quorumWrite is the one replicated write: payload holds n packets (a
+// lone packet is its own payload, whatever its length). It routes each
+// packet to its owners, sends every owner node one payload under one
+// arrival stamp — the lone packet itself when bare, else a sub-frame of
+// the packets that node owns — feeds the outcomes to the failure
+// detector, and asks the durability question packet by packet.
+//
+//lint:hotpath budget=18 quorum fan-out costs are per payload and bounded by the peer count, never per point: the routing table, the outcome slice, one goroutine per owner node, and the per-node payloads of both wire shapes — the static count sums the bare packet's sites (9 at the parent, when Ingest was its own function) and the sub-frames', though a call takes one shape
+func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, bare bool) error {
+	ownersOf := make([][]int, n)
+	for i := range ownersOf {
+		wire := payload
+		if n > 1 {
+			wire = batch.Packet(payload, i)
+		}
 		p, err := telemetry.Parse(wire)
 		if err != nil {
 			// A structurally invalid packet poisons the frame: the
@@ -352,27 +305,34 @@ func (c *Coordinator) IngestBatch(ctx context.Context, frame []byte) error {
 			c.rejected.Add(1)
 			return resilience.Permanent(err)
 		}
-		owners := c.ring.Owners(p.Device, c.cfg.Replicas)
-		for _, node := range owners {
-			if builders[node] == nil {
-				builders[node] = &batch.Builder{}
-			}
-			// Cannot fail: the size matched Split's contract and a
-			// sub-frame can never exceed the source frame's cap.
-			_ = builders[node].Add(wire)
-		}
-		ownersOf = append(ownersOf, owners)
+		ownersOf[i] = c.ring.Owners(p.Device, c.cfg.Replicas)
 	}
 
-	// One concurrent SendSync per owner node, same delivery discipline
-	// as the single-packet path: nil from SendSync means the node
-	// accepted the sub-frame before it returned.
+	arrival := c.clock()
 	payloads := make([][]byte, len(c.peers))
-	for node, b := range builders {
-		if b != nil {
-			payloads[node] = clusterPayload(arrival, b.Take())
+	if bare {
+		lone := clusterPayload(arrival, payload)
+		for _, node := range ownersOf[0] {
+			payloads[node] = lone
+		}
+	} else {
+		sub := make([]batch.Builder, len(c.peers))
+		for i, owners := range ownersOf {
+			for _, node := range owners {
+				// Cannot fail: the size matched Split's contract and a
+				// sub-frame can never exceed the source frame's cap.
+				_ = sub[node].Add(batch.Packet(payload, i))
+			}
+		}
+		for node := range sub {
+			if sub[node].Count() > 0 {
+				payloads[node] = clusterPayload(arrival, sub[node].Take())
+			}
 		}
 	}
+
+	// One concurrent SendSync per owner node: nil from SendSync means the
+	// node accepted its payload before it returned.
 	errs := make([]error, len(c.peers))
 	var wg sync.WaitGroup
 	for node := range payloads {
@@ -405,33 +365,38 @@ func (c *Coordinator) IngestBatch(ctx context.Context, frame []byte) error {
 	}
 
 	// Per-packet quorum: a packet is acknowledged iff enough of ITS
-	// owners succeeded — node outcomes are shared across the frame, but
+	// owners succeeded — node outcomes are shared across the payload, but
 	// the durability question is still asked packet by packet.
-	ackedPkts := 0
+	acked, succ := 0, 0 // succ outlives the loop for the lone packet's error text
 	for _, owners := range ownersOf {
-		succ := 0
+		succ = 0
 		for _, node := range owners {
 			if quorumSuccess(errs[node]) {
 				succ++
 			}
 		}
 		if succ >= c.cfg.WriteQuorum {
-			ackedPkts++
+			acked++
 		}
 	}
-	if ackedPkts == len(ownersOf) {
-		c.acked.Add(uint64(ackedPkts))
+	if acked == n {
+		c.acked.Add(uint64(n))
 		return nil
 	}
-	c.noQuorum.Add(uint64(len(ownersOf) - ackedPkts))
+	// The caller retries the whole payload, so nothing in it counts as
+	// acknowledged yet.
+	c.noQuorum.Add(uint64(n - acked))
 	if hint <= 0 {
 		hint = time.Second
 	}
-	return &resilience.RetryAfterError{
-		After: hint,
-		Err: fmt.Errorf("%w: %d of %d packets short of quorum %d (last: %v)",
-			ErrNoQuorum, len(ownersOf)-ackedPkts, len(ownersOf), c.cfg.WriteQuorum, lastErr),
+	var short error
+	if bare {
+		short = fmt.Errorf("%w: %d of %d (last: %v)", ErrNoQuorum, succ, c.cfg.WriteQuorum, lastErr)
+	} else {
+		short = fmt.Errorf("%w: %d of %d packets short of quorum %d (last: %v)",
+			ErrNoQuorum, n-acked, n, c.cfg.WriteQuorum, lastErr)
 	}
+	return &resilience.RetryAfterError{After: hint, Err: short}
 }
 
 // History returns one device's merged, repaired history across its

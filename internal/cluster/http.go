@@ -1,26 +1,23 @@
 package cluster
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
-	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"centuryscale/internal/batch"
-	"centuryscale/internal/lpwan"
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/obs"
 	"centuryscale/internal/resilience"
-	"centuryscale/internal/sim"
 )
 
 // Handler returns the router tier's public face — shaped like a single
 // endpoint so gateways need no cluster awareness:
 //
 //	POST /ingest        raw packet; 202 only after the write quorum held it
+//	POST /ingest/batch  batch frame; 202 only when every packet reached quorum
 //	GET  /history       merged + read-repaired readings for one device
 //	GET  /status        cluster topology, detector states, counters
 //	GET  /query         windowed aggregates, proxied to the device's owners
@@ -31,48 +28,34 @@ import (
 // RegisterMetrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", c.handleIngest)
-	mux.HandleFunc("POST /ingest/batch", c.handleIngestBatch)
+	mux.HandleFunc("POST /ingest", c.handleIngest(httpapi.MaxPacketBody, c.Ingest))
+	mux.HandleFunc("POST /ingest/batch", c.handleIngest(batch.MaxFrameBytes, c.IngestBatch))
 	mux.HandleFunc("GET /history", c.handleHistory)
 	mux.HandleFunc("GET /status", c.handleStatus)
 	c.queryRoutes(mux)
 	return mux
 }
 
-// readLimited reads the whole body, answering 413 for bodies over limit
-// — not the silent io.LimitReader truncation this replaces, which turned
-// an oversized body into a misleading "malformed packet" rejection.
-// ok=false means the response has been written.
-func readLimited(w http.ResponseWriter, r *http.Request, limit int) (body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, int64(limit)+1))
-	if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return nil, false
+// handleIngest is the one ingest handler behind both routes; a route is
+// its body cap and the coordinator entry point its body goes to. 202
+// means every packet in the body reached its write quorum; anything less
+// sheds the whole body back to the gateway.
+func (c *Coordinator) handleIngest(limit int, ingest func(context.Context, []byte) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, release, err := httpapi.ReadBody(r.Body, limit)
+		if err != nil {
+			if errors.Is(err, httpapi.ErrBodyTooLarge) {
+				http.Error(w, "cluster: request body exceeds limit", http.StatusRequestEntityTooLarge)
+				return
+			}
+			http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		// The coordinator copies what it forwards and waits for every
+		// replica send before it returns, so the buffer is free after it.
+		defer release()
+		c.writeIngestOutcome(w, ingest(r.Context(), body))
 	}
-	if len(body) > limit {
-		http.Error(w, "cluster: request body exceeds limit", http.StatusRequestEntityTooLarge)
-		return nil, false
-	}
-	return body, true
-}
-
-func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, ok := readLimited(w, r, 1024)
-	if !ok {
-		return
-	}
-	c.writeIngestOutcome(w, c.Ingest(r.Context(), body))
-}
-
-// handleIngestBatch is the router's frame front door: one frame in, one
-// quorum answer out. 202 means every packet in the frame reached its
-// write quorum; anything less sheds the whole frame back to the gateway.
-func (c *Coordinator) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := readLimited(w, r, batch.MaxFrameBytes)
-	if !ok {
-		return
-	}
-	c.writeIngestOutcome(w, c.IngestBatch(r.Context(), body))
 }
 
 func (c *Coordinator) writeIngestOutcome(w http.ResponseWriter, err error) {
@@ -94,28 +77,13 @@ func (c *Coordinator) writeIngestOutcome(w http.ResponseWriter, err error) {
 	}
 }
 
-// readingPayload mirrors the single-endpoint /history JSON shape, so a
-// dashboard pointed at a router cannot tell it from one node.
-type readingPayload struct {
-	AtSeconds float64 `json:"at_seconds"`
-	Seq       uint32  `json:"seq"`
-	Sensor    string  `json:"sensor"`
-	Value     float32 `json:"value"`
-	Uptime    uint32  `json:"device_uptime_seconds"`
-}
-
 func (c *Coordinator) handleHistory(w http.ResponseWriter, r *http.Request) {
-	devStr := r.URL.Query().Get("device")
-	if devStr == "" {
-		http.Error(w, "cluster: missing device parameter", http.StatusBadRequest)
-		return
-	}
-	dev, err := lpwan.ParseEUI64(devStr)
+	dev, err := httpapi.ParseDevice("cluster", r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	from, to, err := parseRange(r)
+	from, to, err := httpapi.ParseRange("cluster", r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -126,48 +94,14 @@ func (c *Coordinator) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	out := make([]readingPayload, len(recs))
+	// The single-endpoint /history shape, so a dashboard pointed at a
+	// router cannot tell it from one node.
+	out := make([]httpapi.ReadingPayload, len(recs))
 	for i, rec := range recs {
 		rd := rec.Reading(dev)
-		out[i] = readingPayload{
-			AtSeconds: rd.At.Seconds(),
-			Seq:       rd.Packet.Seq,
-			Sensor:    rd.Packet.Sensor.String(),
-			Value:     rd.Packet.Value,
-			Uptime:    rd.Packet.UptimeSeconds,
-		}
+		out[i] = httpapi.ReadingOf(rd.At, rd.Packet)
 	}
-	writeJSON(w, out)
-}
-
-func parseRange(r *http.Request) (from, to time.Duration, err error) {
-	from, to = math.MinInt64, math.MaxInt64
-	if v := r.URL.Query().Get("from"); v != "" {
-		if from, err = clampedSeconds(v, "from"); err != nil {
-			return 0, 0, err
-		}
-	}
-	if v := r.URL.Query().Get("to"); v != "" {
-		if to, err = clampedSeconds(v, "to"); err != nil {
-			return 0, 0, err
-		}
-	}
-	return from, to, nil
-}
-
-// clampedSeconds converts a float seconds parameter to a Duration,
-// clamping at ±sim.MaxHorizon and rejecting NaN — the router-tier twin
-// of the endpoint's helper, replacing the implementation-defined
-// out-of-range float→int64 conversion on inputs like 1e300.
-func clampedSeconds(v, name string) (time.Duration, error) {
-	secs, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: bad %s parameter: %v", name, err)
-	}
-	if math.IsNaN(secs) {
-		return 0, fmt.Errorf("cluster: bad %s parameter: NaN", name)
-	}
-	return sim.Seconds(secs), nil
+	httpapi.WriteJSON(w, out)
 }
 
 type nodeStatus struct {
@@ -190,18 +124,11 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	for i, p := range c.peers {
 		nodes[i] = nodeStatus{URL: p.url, State: states[i].String()}
 	}
-	writeJSON(w, statusPayload{
+	httpapi.WriteJSON(w, statusPayload{
 		Nodes:       nodes,
 		Replicas:    c.cfg.Replicas,
 		WriteQuorum: c.cfg.WriteQuorum,
 		Health:      obs.Status(c.healthState.Load()).String(),
 		Stats:       c.Stats(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return
-	}
 }

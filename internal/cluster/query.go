@@ -9,7 +9,7 @@ import (
 	"sort"
 	"strconv"
 
-	"centuryscale/internal/lpwan"
+	"centuryscale/internal/httpapi"
 )
 
 // Query proxying: the router serves the same /query* routes as a single
@@ -96,7 +96,7 @@ func scoreUptime(body []byte) (float64, error) {
 // healthy, the request is wrong; only when no owner can answer at all
 // does the router shed 503.
 func (c *Coordinator) proxyDeviceQuery(w http.ResponseWriter, r *http.Request, path string, score func([]byte) (float64, error)) {
-	dev, err := parseQueryDevice(r)
+	dev, err := httpapi.ParseDevice("cluster", r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -137,14 +137,6 @@ func (c *Coordinator) proxyDeviceQuery(w http.ResponseWriter, r *http.Request, p
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, fmt.Sprintf("%v: device %v", ErrUnavailable, dev), http.StatusServiceUnavailable)
 	}
-}
-
-func parseQueryDevice(r *http.Request) (lpwan.EUI64, error) {
-	s := r.URL.Query().Get("device")
-	if s == "" {
-		return lpwan.EUI64{}, fmt.Errorf("cluster: missing device parameter")
-	}
-	return lpwan.ParseEUI64(s)
 }
 
 type gapEntry struct {
@@ -208,5 +200,5 @@ func (c *Coordinator) handleQueryGaps(w http.ResponseWriter, r *http.Request) {
 	if len(out) > k {
 		out = out[:k]
 	}
-	writeJSON(w, out)
+	httpapi.WriteJSON(w, out)
 }

@@ -19,15 +19,14 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"centuryscale/internal/batch"
 	"centuryscale/internal/gateway"
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/lorawan"
 	"centuryscale/internal/lpwan"
-	"centuryscale/internal/resilience"
 	"centuryscale/internal/telemetry"
 )
 
@@ -79,30 +78,7 @@ func (u *HTTPUplink) Send(payload []byte) error {
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusUnprocessableEntity {
 		return nil
 	}
-	return classifyStatus("daemon: uplink", resp)
-}
-
-// classifyStatus turns a non-success HTTP response into a transient or
-// permanent error for the resilience layer.
-func classifyStatus(prefix string, resp *http.Response) error {
-	err := fmt.Errorf("%s status %d", prefix, resp.StatusCode)
-	switch {
-	case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests:
-		return &resilience.RetryAfterError{After: parseRetryAfter(resp), Err: err}
-	case resp.StatusCode >= 500:
-		return err // transient
-	default:
-		return resilience.Permanent(err)
-	}
-}
-
-// parseRetryAfter reads a delay-seconds Retry-After header, or zero.
-func parseRetryAfter(resp *http.Response) time.Duration {
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
+	return httpapi.ClassifyStatus("daemon: uplink", resp)
 }
 
 // ServeUDP reads link-layer frames from the socket and hands them to the

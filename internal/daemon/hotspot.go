@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"centuryscale/internal/helium"
+	"centuryscale/internal/httpapi"
 	"centuryscale/internal/resilience"
 )
 
@@ -93,7 +94,7 @@ func (r *RouterUplink) Send(frame []byte) error {
 	if resp.StatusCode == http.StatusAccepted {
 		return nil
 	}
-	return classifyStatus("daemon: hotspot", resp)
+	return httpapi.ClassifyStatus("daemon: hotspot", resp)
 }
 
 // ServeHotspotUplink forwards raw LoRaWAN frames from a UDP socket into

@@ -11,7 +11,7 @@ func fmtSscan(s string, v *float64) (int, error) {
 }
 
 func TestAllAblationsComplete(t *testing.T) {
-	tabs := AllAblations(1)
+	tabs := seed1Ablations()
 	if len(tabs) != 14 {
 		t.Fatalf("ablations = %d", len(tabs))
 	}

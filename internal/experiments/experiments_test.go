@@ -38,7 +38,7 @@ func parsePct(t *testing.T, s string) float64 {
 }
 
 func TestAllProducesTwelve(t *testing.T) {
-	tabs := All(1)
+	tabs := seed1Tables()
 	if len(tabs) != 12 {
 		t.Fatalf("All produced %d tables", len(tabs))
 	}

@@ -1,14 +1,14 @@
 // Package rollup is the read-side half of the storage engine's century
 // story: tiered downsampling of raw points into hourly and daily
-// aggregate buckets, computed incrementally at compaction/checkpoint
-// time and persisted through the endpoint's snapshot machinery.
+// aggregate buckets, computed incrementally at checkpoint time and
+// persisted through the endpoint's snapshot machinery.
 //
 // The paper's premise is sensor data that outlives its writers, and the
 // long-lived value of such data is aggregate questions — uptime, gaps,
 // trends over decades (the CDBB digital-twin and Signpost city-sensing
 // workloads). Keeping every raw point hot forever makes those questions
-// linear scans over a half-century of appends; dropping old points (the
-// old KeepOnePer retention) makes them wrong. Rollups resolve the
+// linear scans over a half-century of appends; dropping old points makes
+// them wrong. Rollups resolve the
 // tension: every point older than the fold watermark is summarized —
 // exactly once — into an hourly bucket carrying count/sum/min/max plus
 // gap statistics (first/last arrival and the largest in-bucket

@@ -27,7 +27,7 @@ type DrainedSeries struct {
 // replays the drained points and the next fold re-summarizes them —
 // the fold's deterministic ordering makes that re-fold byte-identical.
 //
-// Like Compact, only one shard is paused at a time.
+// Only one shard is paused at a time.
 func (db *DB) DrainBelow(cutoff time.Duration) []DrainedSeries {
 	byDev := make(map[lpwan.EUI64][]Point)
 	for _, sh := range db.shards {

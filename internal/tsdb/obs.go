@@ -47,8 +47,6 @@ func (db *DB) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("tsdb_replayed_total", "WAL records decoded at boot replay", db.replayed.Load)
 	reg.CounterFunc("tsdb_corruptions_total", "torn or corrupt WAL frames tolerated", db.corruptions.Load)
 	reg.CounterFunc("tsdb_append_errors_total", "points of Append/AppendBatch calls whose flush failed: admitted, not acknowledged, their retry is a duplicate", db.appendErrors.Load)
-	reg.CounterFunc("tsdb_compaction_runs_total", "retention compaction passes", db.compactionRuns.Load)
-	reg.CounterFunc("tsdb_compaction_dropped_total", "points dropped by retention compaction", db.compactionDropped.Load)
 	if w := db.wal; w != nil {
 		reg.CounterFunc("tsdb_wal_fsyncs_total", "WAL fsync syscalls issued", w.fsyncs.Load)
 		reg.CounterFunc("tsdb_wal_fsync_errors_total", "WAL fsync syscalls failed", w.fsyncErrs.Load)

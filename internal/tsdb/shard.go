@@ -74,6 +74,7 @@ func (sh *shard) history(dev lpwan.EUI64) []Point {
 // transient garbage per query, ~355 KB/op in BenchmarkTSDBRangeQuery)
 // with a single exact-size allocation — or none, when a pooled buf
 // already has the capacity.
+//
 //lint:hotpath budget=1 one exact-size result buffer, and only when the pooled buf is too small (BENCH_tsdb.json pins Range at 2 allocs/op)
 func (sh *shard) rangeInto(dev lpwan.EUI64, from, to time.Duration, buf []Point) []Point {
 	sh.mu.Lock()
@@ -136,40 +137,4 @@ func (sh *shard) snapshot() map[lpwan.EUI64][]Point {
 		out[d] = append([]Point(nil), ps...)
 	}
 	return out
-}
-
-// compact applies the retention policy to this shard only, so fleet-wide
-// compaction never stalls ingest globally — each shard pauses for its
-// own pass while the other shards keep accepting.
-func (sh *shard) compact(now time.Duration, r Retention) (dropped int) {
-	cutoff := now - r.FullResolutionWindow
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for dev, ps := range sh.points {
-		kept := ps[:0]
-		lastBucket := int64(-1)
-		for _, p := range ps {
-			if p.At >= cutoff {
-				kept = append(kept, p)
-				continue
-			}
-			bucket := int64(p.At / r.KeepOnePer)
-			if bucket != lastBucket {
-				kept = append(kept, p)
-				lastBucket = bucket
-			} else {
-				dropped++
-			}
-		}
-		// Re-slice into a fresh array when a lot dropped, so the old
-		// backing array can be collected on a decades-long run.
-		if len(kept) < len(ps)/2 {
-			fresh := make([]Point, len(kept))
-			copy(fresh, kept)
-			sh.points[dev] = fresh
-		} else {
-			sh.points[dev] = kept
-		}
-	}
-	return dropped
 }

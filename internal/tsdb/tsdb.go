@@ -38,16 +38,9 @@ type Options struct {
 	SyncEvery time.Duration
 	// SegmentBytes rotates WAL segments past this size.
 	SegmentBytes int64
-	// Logf, when set, receives recovery and compaction diagnostics
+	// Logf, when set, receives recovery diagnostics
 	// (corrupt WAL records found, segments truncated).
 	Logf func(string, ...any)
-}
-
-// Retention is the tsdb-level mirror of the endpoint's retention policy:
-// full resolution inside the window, first-reading-per-bucket beyond it.
-type Retention struct {
-	FullResolutionWindow time.Duration
-	KeepOnePer           time.Duration
 }
 
 // Stats describes the engine's current shape.
@@ -81,12 +74,10 @@ type DB struct {
 	// are retired at the next checkpoint.
 	legacyDirs []string
 
-	appended          atomic.Uint64
-	replayed          atomic.Uint64
-	corruptions       atomic.Uint64
-	appendErrors      atomic.Uint64
-	compactionRuns    atomic.Uint64
-	compactionDropped atomic.Uint64
+	appended     atomic.Uint64
+	replayed     atomic.Uint64
+	corruptions  atomic.Uint64
+	appendErrors atomic.Uint64
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -410,21 +401,6 @@ func (db *DB) TimesByDevice() [][]time.Duration {
 // happens lock-free.
 func (db *DB) SnapshotShard(i int) map[lpwan.EUI64][]Point {
 	return db.shards[i].snapshot()
-}
-
-// Compact applies the retention policy shard by shard, returning dropped
-// points. Only one shard is paused at a time: the "background compaction
-// without a global stall" half of the retention contract.
-func (db *DB) Compact(now time.Duration, r Retention) (dropped int) {
-	if r.KeepOnePer <= 0 {
-		panic("tsdb: retention bucket must be positive")
-	}
-	for _, sh := range db.shards {
-		dropped += sh.compact(now, r)
-	}
-	db.compactionRuns.Add(1)
-	db.compactionDropped.Add(uint64(dropped))
-	return dropped
 }
 
 // Stats returns a point-in-time summary, including on-disk WAL footprint.

@@ -276,32 +276,6 @@ func TestCheckpointSaveFailureKeepsSegments(t *testing.T) {
 	}
 }
 
-func TestCompactPerShard(t *testing.T) {
-	db := mustOpen(t, Options{Shards: 4})
-	dev := uint64(9)
-	// 48 hourly points; retention: full resolution for the last 24h,
-	// one per 6h bucket before that.
-	for i := 0; i < 48; i++ {
-		if err := db.Append(pt(dev, uint32(i+1), time.Duration(i)*time.Hour)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now := 48 * time.Hour
-	dropped := db.Compact(now, Retention{FullResolutionWindow: 24 * time.Hour, KeepOnePer: 6 * time.Hour})
-	// Old points: hours 0..23 = 4 buckets of 6 -> keep 4, drop 20.
-	if dropped != 20 {
-		t.Fatalf("dropped = %d", dropped)
-	}
-	hist := db.History(lpwan.EUIFromUint64(dev))
-	if len(hist) != 28 {
-		t.Fatalf("kept %d points", len(hist))
-	}
-	// Survivors are the first of each old bucket, then the full window.
-	if hist[0].At != 0 || hist[1].At != 6*time.Hour || hist[4].At != 24*time.Hour {
-		t.Fatalf("unexpected survivors: %v %v %v", hist[0].At, hist[1].At, hist[4].At)
-	}
-}
-
 func TestResetAndLoadBypassWAL(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpen(t, Options{Dir: dir, Shards: 2, Sync: SyncNever})
