@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-pkg lint-gate lint-baseline race check fuzz bench bench-tsdb bench-obs bench-ingest bench-query bench-e2e bench-e2e-test smoke-obs smoke-cluster smoke-query
+.PHONY: build test vet lint lint-pkg lint-gate lint-baseline race check fuzz bench bench-e2e bench-e2e-test smoke-obs smoke-cluster smoke-query
 
 build:
 	$(GO) build ./...
@@ -17,14 +17,14 @@ vet:
 	$(GO) vet ./...
 
 # lint runs centurylint, the repo's own go/analysis-style suite
-# (internal/lint): simdeterminism, lockedio, syncerr, seedflow, the v2
-# dataflow analyzers centurytime, goroleak, ctxflow, the v3
-# interprocedural concurrency analyzers lockorder, atomicmix,
-# lifecycle, the v4 allocation analyzers allocbudget, allocfree, and
-# waiveraudit — the determinism, durability, horizon,
-# deadlock-freedom, lifetime, and allocation-budget invariants the
-# century-scale argument rests on. See DESIGN.md §32–33 and §37–38
-# for the invariants and the //lint: waivers.
+# (internal/lint), eleven analyzers: simdeterminism, lockedio, syncerr,
+# seedflow, the v2 dataflow analyzers centurytime, goroleak, ctxflow,
+# the v3 interprocedural concurrency analyzers lockorder, atomicmix,
+# lifecycle, and waiveraudit — the determinism, durability, horizon,
+# deadlock-freedom and lifetime invariants the century-scale argument
+# rests on. See DESIGN.md §32–33 and §37 for the invariants and the
+# //lint: waivers. Allocation budgets are not lint's: each hot function
+# names the AllocsPerRun test that measures it (DESIGN.md S43).
 lint:
 	$(GO) run ./cmd/centurylint ./...
 
@@ -70,48 +70,23 @@ check:
 	@echo "check: OK (vet, lint-gate, race, bench-e2e-test)"
 
 # fuzz gives every fuzzer in the tree a short run (FUZZTIME each,
-# default 30s): the WAL, batch-frame, packet and LPWAN decoders and the
+# default 30s): the WAL, batch-frame, packet and LPWAN decoders, the
 # three readers of persisted checkpoint bytes (sealed segments, the
-# manifest, the v1/v2 JSON snapshot). CI runs one of them per push, in
-# rotation: scripts/fuzz_short.sh <run number>.
+# manifest, the v1/v2 JSON snapshot), and the HTTP tier's query
+# parsers (from/to ranges, seconds, device) and peer Retry-After
+# header. CI runs one of them per push, in rotation:
+# scripts/fuzz_short.sh <run number>.
 fuzz:
 	GO=$(GO) ./scripts/fuzz_short.sh
 
+# bench runs every go test -bench function in the root module; narrow
+# it with go test directly, e.g.
+#   go test -run '^$' -bench 'BenchmarkQueryCentury' -benchmem ./internal/query/
+# These numbers are for an edit loop and are not committed: the gated
+# numbers are BENCHMARK.json's (make bench-e2e), and allocation counts
+# are pinned by each package's Alloc tests (go test -run Alloc ./...).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# bench-tsdb runs the storage-engine and uplink benchmarks — the two
-# datapath hot spots. Compare against the committed BENCH_tsdb.json
-# baseline; regenerate that file when accepting a new baseline.
-bench-tsdb:
-	$(GO) test -run '^$$' -bench 'BenchmarkTSDB' -benchmem ./internal/tsdb/
-	$(GO) test -run '^$$' -bench 'BenchmarkUplink' -benchmem ./internal/daemon/
-
-# bench-obs measures the observability layer: metric primitives, the
-# exposition renderer, and — the number the 5% ingest overhead budget is
-# judged against — instrumented vs bare cloud ingest. Compare against
-# the committed BENCH_obs.json baseline.
-bench-obs:
-	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchmem ./internal/obs/
-	$(GO) test -run '^$$' -bench 'BenchmarkIngest' -benchmem ./internal/cloud/
-
-# bench-ingest measures the batched-ingest path at equal durability:
-# bare one-fsync-per-packet ingest vs whole-frame WAL group commit,
-# both with SyncAlways on a real WAL directory. The acceptance ratio is
-# bare ns/packet over batched ns/packet >= 10x, and the batched
-# allocs/op divided by the 256-packet frame must stay <= 2 per packet.
-# Compare against the batching section of BENCH_obs.json.
-bench-ingest:
-	$(GO) test -run '^$$' -bench 'BenchmarkIngestBareSyncAlways|BenchmarkIngestBatched' -benchmem ./internal/cloud/
-
-# bench-query runs the read-path benchmarks: a century of hourly data
-# queried week-by-week from the rollup tiers vs. the same answer
-# computed by scanning every raw point, plus the top-K gap scan.
-# Compare against the committed BENCH_query.json baseline — the tiered
-# path must stay under the 10 ms budget and an order of magnitude ahead
-# of the raw scan.
-bench-query:
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryCentury' -benchmem ./internal/query/
 
 # bench-e2e runs the repository's end-to-end benchmark (bench/, the
 # nested module BENCHMARK.json declares): it builds endpointd and routerd

@@ -10,21 +10,21 @@ import (
 )
 
 // TestListAnalyzers pins the suite size and order-stability of -list:
-// thirteen analyzers, waiveraudit last.
+// eleven analyzers, waiveraudit last.
 func TestListAnalyzers(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errOut.String())
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 13 {
-		t.Fatalf("-list printed %d analyzers, want 13:\n%s", len(lines), out.String())
+	if len(lines) != 11 {
+		t.Fatalf("-list printed %d analyzers, want 11:\n%s", len(lines), out.String())
 	}
 	wantOrder := []string{
 		"simdeterminism", "lockedio", "syncerr", "seedflow",
 		"centurytime", "goroleak", "ctxflow",
 		"lockorder", "atomicmix", "lifecycle",
-		"allocbudget", "allocfree", "waiveraudit",
+		"waiveraudit",
 	}
 	for i, name := range wantOrder {
 		if !strings.HasPrefix(lines[i], name) {
@@ -121,13 +121,13 @@ func TestReportGolden(t *testing.T) {
 // TestPartialRunWaiverNote pins the satellite contract for partial
 // runs: staleness accounting is off under -only, so a run touching a
 // waived file must say so in -json instead of passing for a clean full
-// run. internal/cloud carries committed //lint: waivers.
+// run. internal/daemon carries committed //lint: waivers.
 func TestPartialRunWaiverNote(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go tool")
 	}
 	var out, errOut bytes.Buffer
-	code := run([]string{"-json", "-only", "syncerr", "../../internal/cloud/..."}, &out, &errOut)
+	code := run([]string{"-json", "-only", "syncerr", "../../internal/daemon/..."}, &out, &errOut)
 	if code == 2 {
 		t.Fatalf("driver error: %s", errOut.String())
 	}
@@ -181,8 +181,8 @@ func TestJSONByteStableAcrossRuns(t *testing.T) {
 		t.Errorf("report version = %d, want 1", rep.Version)
 	}
 	// Every analyzer that ran appears, zeroed and therefore name-sorted.
-	if len(rep.Timings) != 13 {
-		t.Fatalf("timings = %+v, want 13 entries", rep.Timings)
+	if len(rep.Timings) != 11 {
+		t.Fatalf("timings = %+v, want 11 entries", rep.Timings)
 	}
 	for i, tm := range rep.Timings {
 		if tm.Micros != 0 {

@@ -126,6 +126,48 @@ func TestSplitRejections(t *testing.T) {
 	}
 }
 
+// TestBatchAllocBudgets pins the frame codec's allocation budgets:
+// Split and Packet cost 0 allocations per valid frame and per packet,
+// and a Builder costs 1 per frame — the buffer whose ownership Take hands
+// to the caller — however many packets the frame holds.
+func TestBatchAllocBudgets(t *testing.T) {
+	for _, n := range []int{16, 256} {
+		packets := make([][]byte, n)
+		for i := range packets {
+			packets[i] = pkt(byte(i))
+		}
+		frame, err := AppendFrame(nil, packets...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			payload, k, err := Split(frame, 0)
+			if err != nil || k != n {
+				t.Fatalf("Split = %d packets, %v", k, err)
+			}
+			for i := 0; i < k; i++ {
+				_ = Packet(payload, i)
+			}
+		}); got != 0 {
+			t.Errorf("Split and %d Packet calls allocate %.0f times per frame, want 0", n, got)
+		}
+
+		b := Builder{MaxPackets: n}
+		if got := testing.AllocsPerRun(100, func() {
+			for _, p := range packets {
+				if err := b.Add(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if b.Take() == nil {
+				t.Fatal("Take returned no frame")
+			}
+		}); got != 1 {
+			t.Errorf("Builder allocates %.0f times per %d-packet frame, want 1", got, n)
+		}
+	}
+}
+
 func TestIsFrameDisjointFromBarePackets(t *testing.T) {
 	if IsFrame(pkt(1)) {
 		t.Fatal("a bare 24-byte packet classified as a frame")

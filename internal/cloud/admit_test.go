@@ -14,6 +14,7 @@ import (
 	"centuryscale/internal/rollup"
 	"centuryscale/internal/sim"
 	"centuryscale/internal/telemetry"
+	"centuryscale/internal/tsdb"
 )
 
 func frameOf(t *testing.T, wires ...[]byte) []byte {
@@ -66,17 +67,18 @@ func TestVerifierCacheIsPerStore(t *testing.T) {
 	}
 }
 
-// TestAdmitAllocBudgets measures what the //lint:hotpath annotations on
-// Ingest and admit state: in steady state — the device's guard entry and
-// verifier exist, the scratch comes back from the pool — a lone packet
-// costs at most 1 allocation and a frame at most 2 per packet. Steady
-// state is the median call: a call that finds the pool empty (first use,
-// after a GC, and one Put in four under -race) rebuilds the scratch and
-// the verifiers it meets, and the memtable and guard maps grow now and
-// then. The lone packets come from one device and every frame holds all
-// eight, so a rebuilt scratch is warm again after one call: under -race a
-// scratch lives four calls on average, fewer than it would take lone
-// packets to meet eight devices again.
+// TestAdmitAllocBudgets measures admission's allocations, on a
+// memory-only store and on a WAL-backed one (the endpoint's own shape): in
+// steady state — the device's guard entry and verifier exist, the scratch
+// comes back from the pool — a lone packet and a whole frame each cost 0.
+// Steady state is the median call: a call that finds the pool empty
+// (first use, after a GC, and one Put in four under -race) rebuilds the
+// scratch and the verifiers it meets, and the memtable and guard maps grow
+// now and then. The lone packets come from one device and every frame
+// holds all eight, so a rebuilt scratch is warm again after one call:
+// under -race a scratch lives four calls on average, fewer than it would
+// take lone packets to meet eight devices again. Before F9 the WAL-backed
+// row cost one allocation per packet.
 func TestAdmitAllocBudgets(t *testing.T) {
 	const (
 		devices  = 8
@@ -92,46 +94,54 @@ func TestAdmitAllocBudgets(t *testing.T) {
 		sort.Float64s(got)
 		return got[calls/2]
 	}
-
-	s := NewStore(StaticKeys(master))
-	seq := uint32(0)
-	singles := make([][]byte, 2*calls)
-	for i := range singles {
-		seq++
-		singles[i] = sealed(t, 1, seq, 1)
+	db, err := tsdb.Open(tsdb.Options{Dir: t.TempDir(), Shards: 4, Sync: tsdb.SyncNever})
+	if err != nil {
+		t.Fatal(err)
 	}
-	i := 0
-	got := median(func() {
-		if err := s.Ingest(time.Duration(i)*time.Second, singles[i]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	t.Logf("Ingest: %.0f allocations per packet", got)
-	if got > 1 {
-		t.Errorf("Ingest allocates %.0f times per packet in steady state, want <= 1", got)
-	}
+	defer db.Close()
 
-	frames := make([][]byte, 2*calls)
-	for i := range frames {
-		wires := make([][]byte, perFrame)
-		for j := range wires {
+	for _, row := range []struct {
+		name string
+		s    *Store
+	}{
+		{"memory-only", NewStore(StaticKeys(master))},
+		{"WAL-backed", NewStoreWithDB(StaticKeys(master), db)},
+	} {
+		s, seq := row.s, uint32(0)
+		singles := make([][]byte, 2*calls)
+		for i := range singles {
 			seq++
-			wires[j] = sealed(t, uint64(seq%devices+1), seq, 1)
+			singles[i] = sealed(t, 1, seq, 1)
 		}
-		frames[i] = frameOf(t, wires...)
-	}
-	i = 0
-	got = median(func() {
-		res, err := s.IngestBatch(time.Hour+time.Duration(i)*time.Second, frames[i])
-		if err != nil || res.Accepted != perFrame {
-			t.Fatalf("frame %d: %+v, %v", i, res, err)
+		i := 0
+		if got := median(func() {
+			if err := s.Ingest(time.Duration(i)*time.Second, singles[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); got != 0 {
+			t.Errorf("%s: Ingest allocates %.0f times per packet in steady state, want 0", row.name, got)
 		}
-		i++
-	})
-	t.Logf("IngestBatch: %.0f allocations per %d-packet frame", got, perFrame)
-	if got > 2*perFrame {
-		t.Errorf("IngestBatch allocates %.0f times per %d-packet frame in steady state, want <= 2 per packet", got, perFrame)
+
+		frames := make([][]byte, 2*calls)
+		for i := range frames {
+			wires := make([][]byte, perFrame)
+			for j := range wires {
+				seq++
+				wires[j] = sealed(t, uint64(seq%devices+1), seq, 1)
+			}
+			frames[i] = frameOf(t, wires...)
+		}
+		i = 0
+		if got := median(func() {
+			res, err := s.IngestBatch(time.Hour+time.Duration(i)*time.Second, frames[i])
+			if err != nil || res.Accepted != perFrame {
+				t.Fatalf("frame %d: %+v, %v", i, res, err)
+			}
+			i++
+		}); got != 0 {
+			t.Errorf("%s: IngestBatch allocates %.0f times per %d-packet frame in steady state, want 0", row.name, got, perFrame)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func BenchmarkIngestBare(b *testing.B) { benchIngest(b, false) }
 // BenchmarkIngestInstrumented is the same path after RegisterMetrics:
 // disposition counters plus the latency histogram's two clock readings.
 // The delta against BenchmarkIngestBare is the number the 5% overhead
-// budget is judged against; compare with BENCH_obs.json.
+// budget is judged against.
 func BenchmarkIngestInstrumented(b *testing.B) { benchIngest(b, true) }
 
 // benchDurableStore opens a store on a real WAL with SyncAlways, the

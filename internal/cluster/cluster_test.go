@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"centuryscale/internal/batch"
 	"centuryscale/internal/cloud"
 	"centuryscale/internal/httpapi"
 	"centuryscale/internal/lpwan"
@@ -437,5 +439,59 @@ func TestFrontHandlerEndToEnd(t *testing.T) {
 	}
 	if len(st.Nodes) != 3 || st.Replicas != 2 || st.WriteQuorum != 2 || st.Stats.Acked != 1 {
 		t.Fatalf("status payload = %+v", st)
+	}
+}
+
+// acceptAll is an in-process replica: every request is answered 202
+// without a socket, so what a write allocates is the coordinator's own.
+type acceptAll struct{}
+
+func (acceptAll) RoundTrip(*http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusAccepted, Body: http.NoBody}, nil
+}
+
+// TestQuorumWriteAllocBudget pins the replicated write's allocations per
+// frame against three in-process replicas at R=2, W=2: what a frame
+// costs is per payload and per owner node — the request to each, its
+// sub-frame, its goroutine — and never per packet, so a 256-packet frame
+// costs what a 16-packet one does. Before F10 each packet's owner list
+// cost two more. The count is the median call's: draining each of the
+// three responses borrows io.Discard's pooled buffer, and a call that
+// finds the pool empty pays 2 to refill it. Under -race, which drops one
+// Put in four, most calls meet an empty pool once, so the median there
+// may read 2 more.
+func TestQuorumWriteAllocBudget(t *testing.T) {
+	const want, calls = 74, 101
+	c, err := New(Config{
+		Peers: []string{"http://a", "http://b", "http://c"}, Replicas: 2, WriteQuorum: 2,
+		Secret: secret, Client: &http.Client{Transport: acceptAll{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(context.Background())
+	ctx := context.Background()
+	for _, n := range []int{16, 256} {
+		wires := make([][]byte, n)
+		for i := range wires {
+			wires[i] = sealed(t, uint64(i+1), 1, 1)
+		}
+		frame, err := batch.AppendFrame(nil, wires...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, calls)
+		for i := range got {
+			// AllocsPerRun(1, …) runs the write twice and counts the second.
+			got[i] = testing.AllocsPerRun(1, func() {
+				if err := c.IngestBatch(ctx, frame); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		sort.Float64s(got)
+		if median := got[calls/2]; median != want && !(raceEnabled && median == want+2) {
+			t.Errorf("a %d-packet frame allocates %.0f times, want %d", n, median, want)
+		}
 	}
 }

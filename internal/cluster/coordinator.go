@@ -22,6 +22,7 @@ import (
 	"centuryscale/internal/obs"
 	"centuryscale/internal/resilience"
 	"centuryscale/internal/telemetry"
+	"centuryscale/internal/tsdb"
 )
 
 // Config tunes a Coordinator. Peers, Replicas, WriteQuorum, and Secret
@@ -289,10 +290,14 @@ func (c *Coordinator) IngestBatch(ctx context.Context, frame []byte) error {
 // the packets that node owns — feeds the outcomes to the failure
 // detector, and asks the durability question packet by packet.
 //
-//lint:hotpath budget=18 quorum fan-out costs are per payload and bounded by the peer count, never per point: the routing table, the outcome slice, one goroutine per owner node, and the per-node payloads of both wire shapes — the static count sums the bare packet's sites (9 at the parent, when Ingest was its own function) and the sub-frames', though a call takes one shape
+// Allocations: per payload and per owner node, never per packet (TestQuorumWriteAllocBudget).
 func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, bare bool) error {
-	ownersOf := make([][]int, n)
-	for i := range ownersOf {
+	// Every packet's preference list, in one slice per payload: New keeps
+	// Replicas within [1, peers], so each list is exactly rep long and
+	// packet i's starts at owners[i*rep].
+	rep := c.cfg.Replicas
+	owners := make([]int, 0, n*rep)
+	for i := 0; i < n; i++ {
 		wire := payload
 		if n > 1 {
 			wire = batch.Packet(payload, i)
@@ -305,24 +310,22 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, ba
 			c.rejected.Add(1)
 			return resilience.Permanent(err)
 		}
-		ownersOf[i] = c.ring.Owners(p.Device, c.cfg.Replicas)
+		owners = c.ring.appendOwners(owners, tsdb.Mix64(p.Device.Uint64()), rep)
 	}
 
 	arrival := c.clock()
 	payloads := make([][]byte, len(c.peers))
 	if bare {
 		lone := clusterPayload(arrival, payload)
-		for _, node := range ownersOf[0] {
+		for _, node := range owners {
 			payloads[node] = lone
 		}
 	} else {
 		sub := make([]batch.Builder, len(c.peers))
-		for i, owners := range ownersOf {
-			for _, node := range owners {
-				// Cannot fail: the size matched Split's contract and a
-				// sub-frame can never exceed the source frame's cap.
-				_ = sub[node].Add(batch.Packet(payload, i))
-			}
+		for j, node := range owners {
+			// Cannot fail: the size matched Split's contract and a
+			// sub-frame can never exceed the source frame's cap.
+			_ = sub[node].Add(batch.Packet(payload, j/rep))
 		}
 		for node := range sub {
 			if sub[node].Count() > 0 {
@@ -368,9 +371,9 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, ba
 	// owners succeeded — node outcomes are shared across the payload, but
 	// the durability question is still asked packet by packet.
 	acked, succ := 0, 0 // succ outlives the loop for the lone packet's error text
-	for _, owners := range ownersOf {
+	for i := 0; i < n; i++ {
 		succ = 0
-		for _, node := range owners {
+		for _, node := range owners[i*rep : (i+1)*rep] {
 			if quorumSuccess(errs[node]) {
 				succ++
 			}

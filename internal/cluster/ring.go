@@ -16,6 +16,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -79,27 +80,23 @@ func (r *Ring) Nodes() int { return r.nodes }
 // entry is the partition's home primary; the rest are its replicas.
 // rep is clamped to the node count.
 func (r *Ring) Owners(dev lpwan.EUI64, rep int) []int {
-	return r.ownersFrom(tsdb.Mix64(dev.Uint64()), rep)
+	return r.appendOwners(nil, tsdb.Mix64(dev.Uint64()), rep)
 }
 
-func (r *Ring) ownersFrom(hash uint64, rep int) []int {
-	if rep > r.nodes {
-		rep = r.nodes
-	}
-	if rep <= 0 {
-		rep = 1
-	}
+// appendOwners appends to dst the preference list starting at hash:
+// exactly rep distinct nodes, rep clamped to [1, node count]. Distinctness
+// is checked against the nodes this call appended, so a caller collecting
+// every packet's list into one slice allocates nothing per packet.
+func (r *Ring) appendOwners(dst []int, hash uint64, rep int) []int {
+	rep = min(max(rep, 1), r.nodes)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= hash })
-	out := make([]int, 0, rep)
-	seen := make([]bool, r.nodes)
-	for i := 0; i < len(r.points) && len(out) < rep; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
+	base := len(dst)
+	for i := 0; i < len(r.points) && len(dst)-base < rep; i++ {
+		if node := r.points[(start+i)%len(r.points)].node; !slices.Contains(dst[base:], node) {
+			dst = append(dst, node)
 		}
 	}
-	return out
+	return dst
 }
 
 // Segments returns every distinct preference list the ring can produce
@@ -110,7 +107,7 @@ func (r *Ring) Segments(rep int) [][]int {
 	seen := make(map[string]bool)
 	var out [][]int
 	for _, p := range r.points {
-		owners := r.ownersFrom(p.hash, rep)
+		owners := r.appendOwners(nil, p.hash, rep)
 		key := ""
 		for _, o := range owners {
 			key += strconv.Itoa(o) + ","

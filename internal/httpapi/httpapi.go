@@ -158,16 +158,19 @@ func ClampedSeconds(tier, v, name string) (time.Duration, error) {
 // a transient or permanent error for the resilience layer: 503 and 429
 // carry the peer's Retry-After hint, other 5xx are transient, anything
 // else was understood and refused, so retrying or buffering cannot help.
+// The hint is the peer's to set, so it is bounded here: one too large for
+// a Duration saturates rather than wrapping to a short or negative delay.
 func ClassifyStatus(prefix string, resp *http.Response) error {
 	err := fmt.Errorf("%s status %d", prefix, resp.StatusCode)
 	switch {
 	case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests:
-		// A delay-seconds Retry-After, or zero.
-		secs, perr := strconv.Atoi(resp.Header.Get("Retry-After"))
-		if perr != nil || secs < 0 {
+		// A delay-seconds Retry-After, or zero. ParseInt's out-of-range
+		// error comes with the saturated value.
+		secs, perr := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64)
+		if (perr != nil && !errors.Is(perr, strconv.ErrRange)) || secs < 0 {
 			secs = 0
 		}
-		return &resilience.RetryAfterError{After: time.Duration(secs) * time.Second, Err: err}
+		return &resilience.RetryAfterError{After: sim.Mul(secs, time.Second), Err: err}
 	case resp.StatusCode >= 500:
 		return err // transient
 	default:

@@ -152,16 +152,6 @@ type FuncSummary struct {
 	ClosesChans   []string
 	SendsChans    []string
 	ReceivesChans []string
-
-	// Allocs lists the syntactically-decidable heap-allocation sites of
-	// the synchronous body, in source order (see allocs.go). Sites on
-	// cold (early-terminating) branches are excluded at collection.
-	Allocs []AllocSite
-
-	// AllocCalls lists statically-resolved calls with the loop context
-	// the allocation fixpoint needs. Unlike Calls, multiplicity is
-	// preserved and cold-branch calls are dropped.
-	AllocCalls []AllocCall
 }
 
 // addRoot appends root to *set if non-empty and not already present.
@@ -258,10 +248,6 @@ func summarizeBody(info *types.Info, body *ast.BlockStmt) *FuncSummary {
 	// Pass 3 — lock effects: a held-set walk of the statement tree (see
 	// locks.go).
 	walkLocks(info, s, body)
-
-	// Pass 4 — allocation sites: a loop/cold-context walk of the
-	// statement tree (see allocs.go).
-	walkAllocs(info, s, body)
 	return s
 }
 
@@ -369,9 +355,6 @@ type Index struct {
 	// locks maps function name → transitive set of lock roots it
 	// acquires, built by Resolve.
 	locks map[string]map[string]bool
-	// allocs maps function name → transitive allocation effect, built
-	// by Resolve (see allocs.go).
-	allocs map[string]*AllocEffect
 }
 
 // NewIndex returns an empty summary index.
@@ -448,45 +431,6 @@ func (ix *Index) Resolve() {
 						changed = true
 					}
 				}
-			}
-		}
-	}
-
-	// Transitive allocation effects. Each pass recomputes every
-	// function's effect from scratch (direct sites + current callee
-	// effects) rather than merging in place: the counts are additive,
-	// and incremental merging would double-charge on reiteration. The
-	// recomputation is monotone — callee effects only grow, and
-	// satAdd caps them — so the fixpoint terminates even on recursive
-	// call graphs.
-	ix.allocs = make(map[string]*AllocEffect, len(ix.funcs))
-	for name := range ix.funcs {
-		ix.allocs[name] = &AllocEffect{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for name, s := range ix.funcs {
-			e := directAllocEffect(s)
-			for _, c := range s.AllocCalls {
-				t := ix.allocs[c.Callee]
-				if t == nil {
-					continue
-				}
-				if c.InLoop && (t.Always > 0 || t.Unbounded) {
-					// An always-allocating callee invoked every
-					// iteration of an unbounded loop: no finite
-					// budget covers it.
-					e.Unbounded = true
-				}
-				if !c.InLoop {
-					e.Always = satAdd(e.Always, t.Always)
-				}
-				e.Amortized = satAdd(e.Amortized, t.Amortized)
-				e.Unbounded = e.Unbounded || t.Unbounded
-			}
-			if cur := ix.allocs[name]; *cur != e {
-				*cur = e
-				changed = true
 			}
 		}
 	}

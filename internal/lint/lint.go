@@ -22,11 +22,6 @@
 //     by plain load/store
 //   - lifecycle: every goroutine spawned in daemon packages is tied to
 //     shutdown and has a join path
-//   - allocbudget: //lint:hotpath budget=N annotations bound the
-//     function's transitive always-class allocation count, with
-//     over-budget witness chains
-//   - allocfree: the obs metric primitives and the tsdb append path
-//     reach no always-class allocation, as the BENCH baselines promise
 //   - waiveraudit: every //lint: waiver names a real directive, carries
 //     a reason, and still suppresses a finding
 //
@@ -39,8 +34,6 @@
 package lint
 
 import (
-	"centuryscale/internal/lint/allocbudget"
-	"centuryscale/internal/lint/allocfree"
 	"centuryscale/internal/lint/analysis"
 	"centuryscale/internal/lint/atomicmix"
 	"centuryscale/internal/lint/centurytime"
@@ -68,8 +61,6 @@ func Suite() []*analysis.Analyzer {
 		lockorder.Analyzer,
 		atomicmix.Analyzer,
 		lifecycle.Analyzer,
-		allocbudget.Analyzer,
-		allocfree.Analyzer,
 		waiveraudit.Analyzer,
 	}
 }

@@ -77,16 +77,6 @@ func auditComment(pass *analysis.Pass, c *ast.Comment) {
 			return
 		}
 	}
-	// //lint:hotpath is an annotation, not a waiver: its first argument
-	// is the budget, and the reason is whatever follows. Strip the
-	// budget token so the reason rule applies to the justification
-	// alone; allocbudget reports the malformed-budget case itself.
-	if word == "hotpath" {
-		budget, rest, _ := strings.Cut(reason, " ")
-		if strings.HasPrefix(budget, "budget=") {
-			reason = strings.TrimSpace(rest)
-		}
-	}
 	if reason == "" {
 		pass.Reportf(c.Pos(),
 			"waiver //lint:%s must carry a reason: a standing exception with no justification is unreviewable for the decades it will live",
@@ -96,14 +86,6 @@ func auditComment(pass *analysis.Pass, c *ast.Comment) {
 	if pass.Suppressions != nil {
 		pos := pass.Fset.Position(c.Pos())
 		if !pass.Suppressions.Used(pos.Filename, pos.Line) {
-			if word == "hotpath" {
-				// allocbudget marks every annotation it attaches to a
-				// declaration as used; an unattached one enforces
-				// nothing.
-				pass.Reportf(c.Pos(),
-					"stale annotation: //lint:hotpath is attached to no function declaration, so it enforces no budget; move it onto the declaration or delete it")
-				return
-			}
 			pass.Reportf(c.Pos(),
 				"stale waiver: //lint:%s suppresses no finding on this line; delete it before it silently swallows the next real one",
 				word)

@@ -3,7 +3,6 @@ package waiveraudit_test
 import (
 	"testing"
 
-	"centuryscale/internal/lint/allocbudget"
 	"centuryscale/internal/lint/analysis"
 	"centuryscale/internal/lint/analysistest"
 	"centuryscale/internal/lint/centurytime"
@@ -12,12 +11,10 @@ import (
 
 // waiveraudit is only meaningful inside a suite: it audits directives
 // recognised by the other analyzers and consumes the suppression log
-// they populate. Run it the way lint.Suite does — after real
-// analyzers, sharing one log. allocbudget rides along so the
-// //lint:hotpath annotation cases exercise the budget-token stripping
-// and the attached-annotation staleness rule.
+// they populate. Run it the way lint.Suite does — after a real
+// analyzer, sharing one log.
 func TestWaiveraudit(t *testing.T) {
 	analysistest.RunSuite(t, "testdata",
-		[]*analysis.Analyzer{centurytime.Analyzer, allocbudget.Analyzer, waiveraudit.Analyzer},
+		[]*analysis.Analyzer{centurytime.Analyzer, waiveraudit.Analyzer},
 		"waiveraudit")
 }

@@ -2,12 +2,10 @@ package obs
 
 import "testing"
 
-// TestMetricPrimitivesAllocFree pins the alloc-free contract the
-// allocfree analyzer enforces statically: every metric primitive that
-// may sit on a per-packet path — a counter bump per disposition, a
-// gauge publish, a latency sample — performs zero heap allocations.
-// This is the machine-independent half of BENCH_obs.json's 0 allocs/op
-// baselines; a regression here (a fmt call, a boxed value, a closure)
+// TestMetricPrimitivesAllocFree pins the alloc-free contract of every
+// metric primitive that may sit on a per-packet path — a counter bump
+// per disposition, a gauge publish, a latency sample: zero heap
+// allocations. A regression here (a fmt call, a boxed value, a closure)
 // fails on any host. Run with -count=2+ to shake out warm-up noise.
 func TestMetricPrimitivesAllocFree(t *testing.T) {
 	reg := NewRegistry()

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"centuryscale/internal/batch"
 )
 
 func TestPermanentMarking(t *testing.T) {
@@ -630,5 +632,97 @@ func TestUplinkSendSyncPermanentSurfaces(t *testing.T) {
 	}
 	if st := u.Stats(); st.RejectedPermanent != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestUplinkAllocBudgets pins the gateway datapath's allocation budgets
+// against a peer that accepts everything: an unbatched Send and a
+// SendSync cost 0 allocations per payload, and with batching on a full
+// frame costs 1 — the builder's buffer, handed downstream — whether it
+// holds 16 packets or 256.
+func TestUplinkAllocBudgets(t *testing.T) {
+	accept := SenderFunc(func([]byte) error { return nil })
+	cfg := testConfig()
+	// Keep the drain loop asleep: AllocsPerRun counts every goroutine.
+	cfg.DrainInterval = time.Hour
+	packet := make([]byte, batch.PacketSize)
+
+	u := NewUplink(accept, cfg)
+	defer u.Close(context.Background())
+	if got := testing.AllocsPerRun(1000, func() {
+		if err := u.Send(packet); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Send allocates %.0f times per payload, want 0", got)
+	}
+	ctx := context.Background()
+	if got := testing.AllocsPerRun(1000, func() {
+		if err := u.SendSync(ctx, packet); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("SendSync allocates %.0f times per payload, want 0", got)
+	}
+
+	for _, size := range []int{16, 256} {
+		cfg.BatchSize, cfg.BatchAge = size, time.Hour
+		u := NewUplink(accept, cfg)
+		defer u.Close(context.Background())
+		if got := testing.AllocsPerRun(100, func() {
+			for i := 0; i < size; i++ {
+				if err := u.Send(packet); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); got != 1 {
+			t.Errorf("batched Send allocates %.0f times per %d-packet frame, want 1", got, size)
+		}
+		if st := u.Stats(); st.FramesBuilt != 101 || st.PendingPackets != 0 {
+			t.Errorf("batch size %d: %+v, want 101 whole frames", size, st)
+		}
+	}
+}
+
+// TestDrainCapsPeerRetryAfter: the drain loop waits out a peer's
+// Retry-After hint, but never past BackoffMax. The hint is the peer's to
+// set, and one asking for 95 years — or the most a Duration holds — must
+// not stop a gateway's store-and-forward queue from draining.
+func TestDrainCapsPeerRetryAfter(t *testing.T) {
+	const backoffMax = 30 * time.Second
+	for _, tc := range []struct {
+		hint, want time.Duration
+	}{
+		{time.Second, time.Second},
+		{backoffMax, backoffMax},
+		{95 * 365 * 24 * time.Hour, backoffMax},
+		{math.MaxInt64, backoffMax},
+	} {
+		rec := &recordingSleep{}
+		var calls atomic.Int64
+		// Refused with the hint twice — the synchronous attempt, which
+		// parks the payload, and the drain loop's first — then accepted.
+		inner := SenderFunc(func([]byte) error {
+			if calls.Add(1) <= 2 {
+				return &RetryAfterError{After: tc.hint, Err: errors.New("shedding")}
+			}
+			return nil
+		})
+		cfg := testConfig()
+		cfg.BackoffBase = time.Millisecond
+		cfg.BackoffMax = backoffMax
+		cfg.Sleep = rec.sleep
+		u := NewUplink(inner, cfg)
+		if err := u.Send([]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := u.Close(ctx); err != nil {
+			t.Fatalf("hint %v: %v", tc.hint, err)
+		}
+		cancel()
+		if slept := rec.slept(); len(slept) != 1 || slept[0] != tc.want {
+			t.Errorf("hint %v: the drain loop slept %v, want [%v]", tc.hint, slept, tc.want)
+		}
 	}
 }

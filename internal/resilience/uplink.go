@@ -198,7 +198,8 @@ func (u *Uplink) now() time.Time {
 // BatchAge, whichever first; a peer's permanent refusal of a frame is
 // then counted, not returned (there is no caller left to return it to —
 // the same trade the drain loop has always made for buffered payloads).
-//lint:hotpath budget=0 gateway datapath: the happy path hands payload to the breaker-guarded trySend without copying; batched packets append into the builder's reused buffer; buffering happens only on failure
+//
+// Allocations: 0 per payload, 1 per batch frame, measured by TestUplinkAllocBudgets.
 func (u *Uplink) Send(payload []byte) error {
 	u.sendMu.Lock()
 	if u.pending != nil && len(payload) == batch.PacketSize {
@@ -279,7 +280,8 @@ var ErrPeerDown = errors.New("resilience: peer down (breaker open)")
 // "durably delivered to W peers", and a payload parked in a
 // store-and-forward queue is not that. Retries, jitter, Retry-After
 // hints, and the circuit breaker all apply exactly as in Send.
-//lint:hotpath budget=0 quorum replication primitive: one synchronous delivery attempt chain, no buffering, no copies
+//
+// Allocations: 0 per payload, measured by TestUplinkAllocBudgets.
 func (u *Uplink) SendSync(ctx context.Context, payload []byte) error {
 	u.sendMu.Lock()
 	defer u.sendMu.Unlock()
@@ -316,8 +318,9 @@ func (u *Uplink) buffer(payload []byte) {
 // (a gateway's UDP handler, a router's ingest), and a peer asking for
 // more patience than the backoff schedule budgeted must not stall the
 // caller; the hinted error is returned so Send parks the payload for
-// the drain loop (which waits out the full hint off the hot path) and
-// SendSync surfaces the hint for the caller's own shedding.
+// the drain loop (which waits out the hint off the hot path, up to
+// BackoffMax) and SendSync surfaces the hint for the caller's own
+// shedding.
 func (u *Uplink) trySend(ctx context.Context, payload []byte, attempts int) error {
 	var err error
 	for i := 0; i < attempts; i++ {
@@ -410,11 +413,13 @@ func (u *Uplink) drainOnce(ctx context.Context) {
 		default:
 			u.sendMu.Unlock()
 			// Peer still down: wait out a backoff before the next probe
-			// rather than spinning — or exactly the peer's own hint, when
-			// the failure carried one.
+			// rather than spinning — or the peer's own hint, when the
+			// failure carried one, but never past BackoffMax: the peer
+			// sets the hint, and one asking for years would strand the
+			// queue.
 			d := u.backoff.Delay(0)
 			if hint := retryHint(err); hint > 0 {
-				d = hint
+				d = min(hint, u.backoff.max)
 			}
 			u.cfg.Sleep(ctx, d)
 		}

@@ -79,6 +79,37 @@ func TestFoldBasicAggregates(t *testing.T) {
 	}
 }
 
+// TestFoldAllocBudget pins the fold's allocations per drained batch, in
+// steady state: the device has tiers already and each fold opens one new
+// hourly bucket, whose append growth amortizes away over the run. What
+// is left is sort.Slice's scaffolding (the boxed slice and its swapper),
+// per device and independent of how many points the batch holds — 16 or
+// 256 cost the same.
+func TestFoldAllocBudget(t *testing.T) {
+	const want = 3
+	for _, n := range []int{16, 256} {
+		e := mustNew(t, Config{})
+		d := dev(1)
+		pts := make([]tsdb.Point, n)
+		drained := []tsdb.DrainedSeries{{Device: d, Points: pts}}
+		hour, seq := time.Duration(0), uint32(0)
+		got := testing.AllocsPerRun(1000, func() {
+			for i := range pts {
+				seq++
+				pts[i] = pt(d, hour+time.Duration(i)*time.Hour/time.Duration(n), seq, float32(i))
+			}
+			hour += time.Hour
+			e.Advance(hour)
+			if folded := e.Fold(drained); folded != n {
+				t.Fatalf("folded %d of %d points", folded, n)
+			}
+		})
+		if got != want {
+			t.Errorf("Fold allocates %.0f times per %d-point batch, want %d", got, n, want)
+		}
+	}
+}
+
 func TestAdvanceAlignsAndNeverRegresses(t *testing.T) {
 	e := mustNew(t, Config{})
 	if got := e.Advance(90 * time.Minute); got != time.Hour {

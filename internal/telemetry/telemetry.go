@@ -185,7 +185,7 @@ func NewVerifier(key Key) (*Verifier, error) {
 
 // Verify parses the packet and checks its tag, reusing the keyed state.
 //
-//lint:hotpath budget=0 batched-ingest inner loop: Reset/Write/Sum into the preallocated digest buffer
+// Allocations: 0 per packet, measured by TestVerifierAllocBudget.
 func (v *Verifier) Verify(wire []byte) (Packet, error) {
 	p, err := Parse(wire)
 	if err != nil {

@@ -44,6 +44,35 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifierAllocBudget pins the cached verifier at 0 allocations per
+// packet, accepted or refused: it is what admission runs for every
+// packet of every frame.
+func TestVerifierAllocBudget(t *testing.T) {
+	v, err := NewVerifier(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := Packet{Device: lpwan.EUIFromUint64(1), Seq: 1, Value: 20}.Seal(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), good...)
+	bad[PacketSize-1] ^= 1
+	for _, c := range []struct {
+		name string
+		wire []byte
+		want error
+	}{{"accepted", good, nil}, {"bad tag", bad, ErrBadTag}} {
+		if got := testing.AllocsPerRun(1000, func() {
+			if _, err := v.Verify(c.wire); err != c.want {
+				t.Fatalf("%s: Verify = %v, want %v", c.name, err, c.want)
+			}
+		}); got != 0 {
+			t.Errorf("%s: Verify allocates %.0f times per packet, want 0", c.name, got)
+		}
+	}
+}
+
 func TestVerifyRejectsWrongKey(t *testing.T) {
 	p := Packet{Device: lpwan.EUIFromUint64(1), Seq: 1}
 	wire, _ := p.Seal(testKey)

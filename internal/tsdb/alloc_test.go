@@ -8,30 +8,44 @@ import (
 	"centuryscale/internal/obs"
 )
 
-// TestAppendAllocBudget pins the write path's allocation budget: one
-// durable append costs at most 1 allocation per call on average — the
-// amortized growth of the in-memory series plus WAL framing through
-// reused scratch buffers. This is the machine-independent form of
-// BENCH_tsdb.json's AppendSerial baseline; the static counterpart is
-// the //lint:hotpath budget=0 annotation on (DB).Append (always-class
-// sites only — amortized growth is exempt there and measured here).
+// TestAppendAllocBudget pins the write path's allocation budget on a
+// WAL-backed engine: a durable Append and a durable AppendBatch of a
+// 256-point frame each cost 0 allocations per call. Records are encoded
+// into the shard's reused scratch and copied into the log's double
+// buffer; the memtable's append growth is geometric, so over the run it
+// amortizes below one allocation per call. Before F9 every record cost
+// one heap object, the payload array escaping through crc32.Checksum.
 func TestAppendAllocBudget(t *testing.T) {
-	db, err := Open(Options{Dir: t.TempDir(), Shards: 1, Sync: SyncNever})
+	db, err := Open(Options{Dir: t.TempDir(), Shards: 4, Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	db.RegisterMetrics(obs.NewRegistry()) // the flush histogram must not cost the path an allocation
-	dev := lpwan.EUIFromUint64(1)
-	var i int
-	got := testing.AllocsPerRun(5000, func() {
-		i++
-		if err := db.Append(Point{Device: dev, At: time.Duration(i), Seq: uint32(i), Value: 1}); err != nil {
+	const devices, frame = 8, 256
+	seq := uint32(0)
+	point := func(i int) Point {
+		seq++
+		return Point{Device: lpwan.EUIFromUint64(uint64(i%devices + 1)), At: time.Duration(seq), Seq: seq, Value: 1}
+	}
+	if got := testing.AllocsPerRun(5000, func() {
+		if err := db.Append(point(0)); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if got > 1 {
-		t.Errorf("Append allocates %.2f times per call, want <= 1", got)
+	}); got != 0 {
+		t.Errorf("Append allocates %.0f times per call, want 0", got)
+	}
+
+	pts := make([]Point, frame)
+	if got := testing.AllocsPerRun(1000, func() {
+		for i := range pts {
+			pts[i] = point(i)
+		}
+		if err := db.AppendBatch(pts); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("AppendBatch allocates %.0f times per %d-point frame, want 0", got, frame)
 	}
 }
 
@@ -49,7 +63,8 @@ func TestAppendAllocBudget(t *testing.T) {
 // the pool's per-P arrays) landing in whichever call they interrupt. So:
 // nearly every call must fit the miss budget, and nearly every call — or
 // under -race, where hits cannot be forced, at least half — the hit
-// budget. Matches BENCH_tsdb.json's RangeQuery/RangeSlice baselines.
+// budget. rangeInto itself, with the pool out of the picture, costs 0
+// into a buffer that fits and 1 into one that does not.
 func TestRangeAllocBudget(t *testing.T) {
 	db, err := Open(Options{Shards: 4}) // memory-only: reads never touch the WAL
 	if err != nil {
@@ -63,6 +78,19 @@ func TestRangeAllocBudget(t *testing.T) {
 	}
 	from := time.Duration(points/3) * time.Minute
 	to := time.Duration(2*points/3) * time.Minute
+
+	sh := db.shardFor(dev)
+	for _, c := range []struct {
+		buf  []Point
+		want float64
+	}{
+		{make([]Point, 0, points), 0},
+		{nil, 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { sh.rangeInto(dev, from, to, c.buf) }); got != c.want {
+			t.Errorf("rangeInto into a buffer of capacity %d allocates %.0f times, want %.0f", cap(c.buf), got, c.want)
+		}
+	}
 
 	const (
 		calls      = 200

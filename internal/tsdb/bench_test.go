@@ -46,8 +46,7 @@ func benchAppend(b *testing.B, shards int) {
 // BenchmarkTSDBIngestParallel is the scaling acceptance benchmark: on a
 // multi-core host, 16 shards must sustain at least twice the append
 // throughput of 1 shard (on a single-core container the curve is flat —
-// there is no parallelism for sharding to unlock; see BENCH_tsdb.json
-// for the recorded baseline and its host shape).
+// there is no parallelism for sharding to unlock).
 func BenchmarkTSDBIngestParallel(b *testing.B) {
 	b.Run("shards=1", func(b *testing.B) { benchAppend(b, 1) })
 	b.Run("shards=4", func(b *testing.B) { benchAppend(b, 4) })

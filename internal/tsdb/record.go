@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"centuryscale/internal/lpwan"
@@ -89,9 +90,15 @@ var (
 )
 
 // AppendRecord appends a complete frame for p to dst: the WAL's record,
-// and the record of a checkpoint's raw-tail file.
+// and the record of a checkpoint's raw-tail file. The record is encoded
+// in place and the CRC taken over dst's own bytes: a local payload array
+// would escape to the heap through crc32.Checksum, one allocation per
+// record (F9).
 func AppendRecord(dst []byte, p Point) []byte {
-	var payload [pointPayload]byte
+	n := len(dst)
+	dst = slices.Grow(dst, RecordSize)[:n+RecordSize]
+	rec := dst[n:]
+	payload := rec[frameHeader:]
 	payload[0] = recordPoint
 	copy(payload[1:9], p.Device[:])
 	binary.BigEndian.PutUint64(payload[9:17], uint64(p.At))
@@ -100,11 +107,9 @@ func AppendRecord(dst []byte, p Point) []byte {
 	binary.BigEndian.PutUint32(payload[22:26], math.Float32bits(p.Value))
 	binary.BigEndian.PutUint32(payload[26:30], p.Uptime)
 
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], pointPayload)
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload[:], castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload[:]...)
+	binary.BigEndian.PutUint32(rec[0:4], pointPayload)
+	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // decodePoint decodes a v1 point payload.
