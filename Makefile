@@ -72,9 +72,10 @@ check:
 # fuzz gives every fuzzer in the tree a short run (FUZZTIME each,
 # default 30s): the WAL, batch-frame, packet and LPWAN decoders, the
 # three readers of persisted checkpoint bytes (sealed segments, the
-# manifest, the v1/v2 JSON snapshot), and the HTTP tier's query
-# parsers (from/to ranges, seconds, device) and peer Retry-After
-# header. CI runs one of them per push, in rotation:
+# manifest, the v1/v2 JSON snapshot), the HTTP tier's query parsers
+# (from/to ranges, seconds, device) and peer Retry-After header, and the
+# replay guard's op streams against the map guard it replaced — thirteen
+# in all. CI runs one of them per push, in rotation:
 # scripts/fuzz_short.sh <run number>.
 fuzz:
 	GO=$(GO) ./scripts/fuzz_short.sh

@@ -46,7 +46,7 @@ var (
 
 // devSeq keys the intra-frame dedup map: two packets with the same
 // device and sequence number inside one frame would both pass the
-// replay guard's non-mutating Fresh check, so the frame loop must
+// replay guard's non-mutating Check, so the frame loop must
 // remember what it has already admitted this frame.
 type devSeq struct {
 	dev uint64
@@ -162,8 +162,8 @@ func (s *Store) IngestBatch(at time.Duration, frame []byte) (BatchResult, error)
 // whatever its length; a frame's payload is what batch.Split returned).
 //
 //	parse → verify → lapse/quarantine policy → refuse while the log is
-//	failed → per guard shard {sealed check, intra-frame dedup, Fresh,
-//	AppendDeferred, Admit, accepted++} → weeks ledger → one flush barrier
+//	failed → per guard shard {sealed check, intra-frame dedup, Check,
+//	AppendDeferred, Record, accepted++} → weeks ledger → one flush barrier
 //
 // err is the outcome of the whole payload — ErrLeaseLapsed, or ErrPersist
 // when the flush that would acknowledge it failed — and means nothing in
@@ -270,7 +270,7 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 
 	// While the log is failed, retry its flush before admitting anything
 	// more: a payload that cannot be made durable is refused here, ahead of
-	// Admit, so memory never runs ahead of the disk without bound.
+	// the guard, so memory never runs ahead of the disk without bound.
 	if err := s.db.Flush(0); err != nil {
 		return res, nil, s.persistFailed(admissible, err)
 	}
@@ -278,7 +278,7 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 	// Pass 3: per guard shard — freshness, deferred append, admission,
 	// all under that shard's lock and none of it I/O. The log-buffer
 	// append and the memtable insert share the storage shard's critical
-	// section, and Admit follows under the same guard lock, so guard,
+	// section, and Record follows under the same guard lock, so guard,
 	// memtable and log move together; only the acknowledgement waits, on
 	// the one flush barrier after the loop: a packet whose flush failed is
 	// admitted but answered ErrPersist, and its retry is a duplicate.
@@ -319,10 +319,12 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 				res.Duplicates++
 				continue
 			}
-			if err := gs.guard.Fresh(p); err != nil {
+			if !gs.guard.Check(p) {
 				s.stats.duplicates.Add(1)
 				res.Duplicates++
-				refusal = err
+				if n == 1 {
+					refusal = gs.guard.Fresh(p)
+				}
 				barrier = s.db.LogEnd()
 				continue
 			}
@@ -332,7 +334,12 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 		if len(sc.fresh) > 0 {
 			barrier = s.db.AppendDeferred(sc.fresh)
 			for _, pt := range sc.fresh {
-				_ = gs.guard.Admit(packetOf(pt)) // cannot fail: Fresh held under the same lock
+				// Check judged every packet against the guard as it stood
+				// before the payload (order inside a frame means nothing),
+				// so Record refuses one only when this payload pushed it
+				// below the window: a device's packets reordered by more
+				// than the window. It is stored all the same.
+				gs.guard.Record(packetOf(pt))
 			}
 			gs.accepted += uint64(len(sc.fresh))
 		}

@@ -78,7 +78,8 @@ func TestVerifierCacheIsPerStore(t *testing.T) {
 // holds all eight, so a rebuilt scratch is warm again after one call:
 // under -race a scratch lives four calls on average, fewer than it would
 // take lone packets to meet eight devices again. Before F9 the WAL-backed
-// row cost one allocation per packet.
+// row cost one allocation per packet; before F11 a re-offered frame, all
+// duplicates, cost four per packet.
 func TestAdmitAllocBudgets(t *testing.T) {
 	const (
 		devices  = 8
@@ -142,6 +143,44 @@ func TestAdmitAllocBudgets(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("%s: IngestBatch allocates %.0f times per %d-packet frame in steady state, want 0", row.name, got, perFrame)
 		}
+
+		// The same frames re-offered, as a gateway retries a frame answered
+		// ErrPersist: every packet is a duplicate, and a duplicate in a
+		// frame builds no error (F11).
+		i = 0
+		if got := median(func() {
+			res, err := s.IngestBatch(2*time.Hour+time.Duration(i)*time.Second, frames[i])
+			if err != nil || res.Duplicates != perFrame {
+				t.Fatalf("re-offered frame %d: %+v, %v", i, res, err)
+			}
+			i++
+		}); got != 0 {
+			t.Errorf("%s: a re-offered %d-packet frame allocates %.0f times, want 0", row.name, perFrame, got)
+		}
+	}
+}
+
+// TestFrameOrderMeansNothing pins the frame semantics of S42 that the
+// replay guard's pass in admit must keep: inside one frame every packet is
+// judged against the guard as it stood before the frame, so a frame
+// holding one device's seq 30 and then seq 5 — 25 apart, wider than the
+// window — admits both. Afterwards the guard is the one the frame's
+// highest seq left: a lone seq 5 is a replay, and an unseen seq 20 inside
+// the window lands.
+func TestFrameOrderMeansNothing(t *testing.T) {
+	s := NewStore(StaticKeys(master))
+	res, err := s.IngestBatch(time.Minute, frameOf(t, sealed(t, 1, 30, 1), sealed(t, 1, 5, 2)))
+	if err != nil || res.Accepted != 2 {
+		t.Fatalf("frame [30, 5]: %+v, %v; want both accepted", res, err)
+	}
+	if err := s.Ingest(2*time.Minute, sealed(t, 1, 5, 2)); !errors.Is(err, telemetry.ErrReplay) {
+		t.Errorf("lone seq 5 after the frame: %v, want ErrReplay", err)
+	}
+	if err := s.Ingest(3*time.Minute, sealed(t, 1, 20, 3)); err != nil {
+		t.Errorf("lone unseen seq 20 after the frame: %v, want accepted", err)
+	}
+	if got := len(s.History(lpwan.EUIFromUint64(1))); got != 3 {
+		t.Errorf("history holds %d readings, want 3", got)
 	}
 }
 

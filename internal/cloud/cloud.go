@@ -308,7 +308,7 @@ func (s *Store) ReplayWAL() (tsdb.ReplayStats, error) {
 		gs.mu.Lock()
 		// Below the watermark: summarized in the checkpoint's buckets and
 		// counted there. Refused by the guard: held already.
-		keep := gs.guard.Admit(p) == nil && pt.At >= folded
+		keep := gs.guard.Record(p) && pt.At >= folded
 		if keep {
 			gs.accepted++
 		}

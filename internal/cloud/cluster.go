@@ -208,7 +208,7 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 		// Advance the replay window over repaired sequence numbers so a
 		// late duplicate of a repaired packet is still rejected; records
 		// older than the window simply leave it unchanged.
-		_ = gs.guard.Admit(r.Packet)
+		gs.guard.Record(r.Packet)
 		s.observeArrival(r.At)
 	}
 	// Dedup-check and append commit together under the guard lock, or a

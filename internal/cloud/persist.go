@@ -356,7 +356,7 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 		for _, pt := range ds.pts {
 			s.db.Load(pt)
 			s.observeArrival(pt.At)
-			_ = g.guard.Admit(packetOf(pt))
+			g.guard.Record(packetOf(pt))
 		}
 	}
 	if restoredRollups != nil {

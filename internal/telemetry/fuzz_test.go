@@ -33,3 +33,22 @@ func FuzzVerify(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReplayGuard runs an op stream decoded from the fuzz bytes against
+// the bitmap guard and the map guard it replaced (checkAgainstMapGuard):
+// every verdict and error string must agree, at any window the 64-bit mask
+// can hold.
+func FuzzReplayGuard(f *testing.F) {
+	for _, w := range []uint8{0, 1, 16, 63, 64} {
+		// Seed at 1000, three steps up (one by 100), a replay, a step
+		// below, a seq near MaxUint32.
+		f.Add(w, []byte{
+			0x03, 0, 0, 0x03, 0xe8,
+			0x01, 0, 0, 0, 1, 0x01, 0, 0, 0, 100, 0x02, 0, 0, 0, 3,
+			0x01, 0, 0, 0, 0, 0x11, 0, 0, 0, 5, 0x21, 0, 0, 0, 2,
+		})
+	}
+	f.Fuzz(func(t *testing.T, window uint8, ops []byte) {
+		checkAgainstMapGuard(t, uint32(window)%65, ops)
+	})
+}

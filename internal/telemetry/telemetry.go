@@ -199,27 +199,53 @@ func (v *Verifier) Verify(wire []byte) (Packet, error) {
 	return p, nil
 }
 
-// ReplayGuard tracks the highest sequence number accepted per device and
-// rejects anything at or below it. Transmit-only devices count strictly
-// upward from deployment, so a simple high-water mark suffices; a bounded
-// reordering window admits gateway races.
+// ReplayGuard rejects a sequence number its device has already used.
+// Transmit-only devices count strictly upward from deployment, so a
+// high-water mark per device suffices; a bounded reordering window below
+// it admits gateway races. It is the IPsec/DTLS sliding-window
+// anti-replay: the shift that advances a device's mask is also what
+// forgets sequence numbers that left the window, so nothing is pruned.
 type ReplayGuard struct {
-	// Window allows a packet whose seq is up to Window below an already
-	// accepted successor to still land (out-of-order delivery via two
-	// gateways). 0 means strict monotone.
-	Window uint32
-
-	highWater map[lpwan.EUI64]uint32
-	seen      map[lpwan.EUI64]map[uint32]bool
+	width   uint32 // a seq fewer than width below the high water lands once; 0 is strict monotone
+	devices map[lpwan.EUI64]seqWindow
 }
 
-// NewReplayGuard returns a guard admitting the given reordering window.
+type seqWindow struct {
+	hw   uint32 // highest sequence number admitted
+	mask uint64 // bit d: seq hw−d was admitted
+}
+
+// NewReplayGuard returns a guard admitting the given reordering window,
+// which may not exceed 64, the mask's width.
 func NewReplayGuard(window uint32) *ReplayGuard {
-	return &ReplayGuard{
-		Window:    window,
-		highWater: make(map[lpwan.EUI64]uint32),
-		seen:      make(map[lpwan.EUI64]map[uint32]bool),
+	if window > 64 {
+		panic(fmt.Sprintf("telemetry: replay window %d exceeds the 64-bit mask", window))
 	}
+	return &ReplayGuard{width: window, devices: make(map[lpwan.EUI64]seqWindow)}
+}
+
+// admits reports whether seq is fresh for a known device: above the high
+// water, or fewer than width below it and unseen. hw−seq is only read when
+// seq <= hw, so it cannot wrap, even at MaxUint32.
+func (w seqWindow) admits(seq, width uint32) bool {
+	d := w.hw - seq
+	return seq > w.hw || d < width && w.mask>>d&1 == 0
+}
+
+// advance raises the high water to seq > hw; a jump of 64 or more leaves
+// only seq (an unsigned shift by the width or more is 0). The zero value
+// advances to {seq, 1}, a device's first sight.
+func (w seqWindow) advance(seq uint32) seqWindow {
+	return seqWindow{hw: seq, mask: w.mask<<(seq-w.hw) | 1}
+}
+
+// Check reports whether Admit would accept p, without mutating the guard:
+// Fresh's verdict without its error, for callers that count refusals.
+//
+// Allocations: 0, measured by TestReplayGuardAllocBudget.
+func (g *ReplayGuard) Check(p Packet) bool {
+	w, known := g.devices[p.Device]
+	return !known || w.admits(p.Seq, g.width)
 }
 
 // Fresh reports whether Admit would accept the packet, without mutating
@@ -227,65 +253,43 @@ func NewReplayGuard(window uint32) *ReplayGuard {
 // check and the commitment (e.g. a WAL append) use Fresh first and Admit
 // only once the work succeeded, holding their own lock across both.
 func (g *ReplayGuard) Fresh(p Packet) error {
-	hw, known := g.highWater[p.Device]
-	if !known {
-		return nil
-	}
-	// Window arithmetic is done in uint64: a device that has counted to
-	// the top of the uint32 sequence space (hw near MaxUint32) would
-	// otherwise wrap hw+1 to 0 and admit arbitrarily stale replays as
-	// "within the window".
+	w, known := g.devices[p.Device]
 	switch {
-	case p.Seq > hw:
+	case !known || w.admits(p.Seq, g.width):
 		return nil
-	case uint64(p.Seq)+uint64(g.Window) >= uint64(hw)+1: // within window below high water
-		if g.seen[p.Device][p.Seq] {
-			return fmt.Errorf("%w: seq %d already seen", ErrReplay, p.Seq)
-		}
-		return nil
+	case w.hw-p.Seq < g.width:
+		return fmt.Errorf("%w: seq %d already seen", ErrReplay, p.Seq)
 	default:
-		return fmt.Errorf("%w: seq %d <= high water %d", ErrReplay, p.Seq, hw)
+		return fmt.Errorf("%w: seq %d <= high water %d", ErrReplay, p.Seq, w.hw)
 	}
+}
+
+// Record admits p if its sequence number is fresh and reports whether it
+// did: Admit's verdict without its error.
+//
+// Allocations: 0 once the device is known, measured by
+// TestReplayGuardAllocBudget.
+func (g *ReplayGuard) Record(p Packet) bool {
+	w, known := g.devices[p.Device]
+	switch {
+	case !known || p.Seq > w.hw:
+		w = w.advance(p.Seq)
+	case w.admits(p.Seq, g.width):
+		w.mask |= 1 << (w.hw - p.Seq)
+	default:
+		return false
+	}
+	g.devices[p.Device] = w
+	return true
 }
 
 // Admit records and admits the packet if its sequence number is fresh,
 // returning ErrReplay otherwise.
 func (g *ReplayGuard) Admit(p Packet) error {
-	if err := g.Fresh(p); err != nil {
-		return err
+	if g.Record(p) {
+		return nil
 	}
-	hw, known := g.highWater[p.Device]
-	g.markSeen(p.Device, p.Seq)
-	if !known || p.Seq > hw {
-		g.highWater[p.Device] = p.Seq
-		if known {
-			g.pruneSeen(p.Device, p.Seq)
-		}
-	}
-	return nil
-}
-
-func (g *ReplayGuard) markSeen(dev lpwan.EUI64, seq uint32) {
-	m := g.seen[dev]
-	if m == nil {
-		m = make(map[uint32]bool)
-		g.seen[dev] = m
-	}
-	m[seq] = true
-}
-
-// pruneSeen drops seen entries that fell out of the window to bound
-// memory over a 50-year run. As in Fresh, the comparison is widened to
-// uint64: with hw near MaxUint32 the narrow s+Window would wrap and
-// prune entries still inside the window, forgetting sequence numbers
-// that must stay rejected.
-func (g *ReplayGuard) pruneSeen(dev lpwan.EUI64, hw uint32) {
-	m := g.seen[dev]
-	for s := range m {
-		if uint64(s)+uint64(g.Window) < uint64(hw) {
-			delete(m, s)
-		}
-	}
+	return g.Fresh(p)
 }
 
 // Seed raises a device's sequence high-water mark without replaying the
@@ -295,18 +299,12 @@ func (g *ReplayGuard) pruneSeen(dev lpwan.EUI64, hw uint32) {
 // (so an exact replay of the last folded packet is still rejected);
 // unseen sequence numbers inside the reordering window below it remain
 // admissible, the same bounded tolerance live ingest grants. A seed
-// never lowers an existing mark.
+// never lowers an existing mark, and one at or below it marks nothing.
 func (g *ReplayGuard) Seed(dev lpwan.EUI64, seq uint32) {
-	hw, known := g.highWater[dev]
-	if known && seq <= hw {
-		return
-	}
-	g.highWater[dev] = seq
-	g.markSeen(dev, seq)
-	if known {
-		g.pruneSeen(dev, seq)
+	if w, known := g.devices[dev]; !known || seq > w.hw {
+		g.devices[dev] = w.advance(seq)
 	}
 }
 
 // Devices reports how many distinct devices the guard has seen.
-func (g *ReplayGuard) Devices() int { return len(g.highWater) }
+func (g *ReplayGuard) Devices() int { return len(g.devices) }

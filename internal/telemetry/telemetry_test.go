@@ -2,8 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -262,41 +265,199 @@ func TestReplayGuardWraparound(t *testing.T) {
 }
 
 // TestReplayGuardPruneNearWrap drives the high-water mark to the top of
-// the sequence space and checks pruning keeps exactly the in-window seen
-// set: entries inside the window survive (their replays stay rejected)
-// and the set stays bounded.
+// the sequence space and checks the window there: a seq inside it stays
+// remembered (its replay is "already seen"), one that the last advance
+// pushed out of it is refused by the high water, and an unseen seq inside
+// it still lands.
 func TestReplayGuardPruneNearWrap(t *testing.T) {
+	const max = math.MaxUint32
 	g := NewReplayGuard(8)
-	dev := lpwan.EUIFromUint64(1)
-	for _, s := range []uint32{math.MaxUint32 - 10, math.MaxUint32 - 4, math.MaxUint32} {
+	for _, s := range []uint32{max - 10, max - 4, max} {
 		if err := g.Admit(mkPacket(1, s)); err != nil {
 			t.Fatalf("admit %d: %v", s, err)
 		}
 	}
-	seen := g.seen[dev]
-	// MaxUint32-4 is within window 8 of hw=MaxUint32: it must still be
-	// remembered, so replaying it is rejected.
-	if !seen[math.MaxUint32-4] {
-		t.Fatal("in-window seen entry pruned near the wrap")
-	}
-	if err := g.Admit(mkPacket(1, math.MaxUint32-4)); !errors.Is(err, ErrReplay) {
-		t.Fatal("replay of in-window seq admitted after prune near the wrap")
-	}
-	// MaxUint32-10 fell out of the window and must have been pruned.
-	if seen[math.MaxUint32-10] {
-		t.Fatal("out-of-window seen entry survived pruning")
+	for _, c := range []struct {
+		seq  uint32
+		want string // "" admits
+	}{
+		{max - 4, "already seen"},
+		{max - 10, "high water"},
+		{max - 8, "high water"},
+		{max - 7, ""},
+	} {
+		err := g.Admit(mkPacket(1, c.seq))
+		if c.want == "" && err != nil || c.want != "" && (!errors.Is(err, ErrReplay) || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("Admit(MaxUint32-%d) = %v, want %q", max-c.seq, err, c.want)
+		}
 	}
 }
 
+// TestReplayGuardPrunes: a device that has counted for 50 years keeps the
+// state of one that has just started. After 10,000 admissions, admitting
+// more allocates nothing, every earlier seq is refused, and the window
+// below the high water still holds exactly what was admitted.
 func TestReplayGuardPrunes(t *testing.T) {
 	g := NewReplayGuard(8)
-	for seq := uint32(1); seq <= 10000; seq++ {
+	seq := uint32(0)
+	for seq < 10000 {
+		seq++
 		if err := g.Admit(mkPacket(1, seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(g.seen[lpwan.EUIFromUint64(1)]); n > 16 {
-		t.Fatalf("seen set grew to %d entries; replay guard must stay bounded over 50-year runs", n)
+	if got := testing.AllocsPerRun(1000, func() {
+		seq++
+		if !g.Record(mkPacket(1, seq)) {
+			t.Fatalf("seq %d refused", seq)
+		}
+	}); got != 0 {
+		t.Errorf("admitting the next seq allocates %.0f times; the guard must not grow with a device's age", got)
+	}
+	for s := uint32(1); s <= seq; s++ {
+		if g.Check(mkPacket(1, s)) {
+			t.Fatalf("seq %d of %d admissible again", s, seq)
+		}
+	}
+	if g.Devices() != 1 {
+		t.Fatalf("devices = %d", g.Devices())
+	}
+}
+
+// TestReplayGuardAllocBudget pins the guard's verdicts at 0 allocations
+// for a known device: Check on either answer, and Record advancing,
+// filling the window, and refusing. They are what admission runs for
+// every packet of every frame, a re-offered one included.
+func TestReplayGuardAllocBudget(t *testing.T) {
+	g := NewReplayGuard(16)
+	seq := uint32(100)
+	g.Seed(lpwan.EUIFromUint64(1), seq)
+	for _, c := range []struct {
+		name string
+		op   func() bool
+		want bool
+	}{
+		{"Check fresh", func() bool { return g.Check(mkPacket(1, seq+1)) }, true},
+		{"Check replay", func() bool { return g.Check(mkPacket(1, seq)) }, false},
+		{"Record advance", func() bool { seq += 2; return g.Record(mkPacket(1, seq)) }, true},
+		{"Record in window", func() bool { seq += 2; g.Record(mkPacket(1, seq)); return g.Record(mkPacket(1, seq-1)) }, true},
+		{"Record replay", func() bool { return g.Record(mkPacket(1, seq)) }, false},
+	} {
+		if got := testing.AllocsPerRun(1000, func() {
+			if v := c.op(); v != c.want {
+				t.Fatalf("%s = %v, want %v", c.name, v, c.want)
+			}
+		}); got != 0 {
+			t.Errorf("%s allocates %.0f times per packet, want 0", c.name, got)
+		}
+	}
+}
+
+func TestReplayGuardWindowAboveMaskPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewReplayGuard(65) did not panic")
+		}
+	}()
+	NewReplayGuard(65)
+}
+
+// checkAgainstMapGuard decodes ops into a stream of Fresh, Admit, Record
+// and Seed calls over four devices and runs it against the bitmap guard
+// and the map guard it replaced, failing on the first verdict, error text
+// or device count that differs. Each op is five bytes: the call, the
+// device and how to read the next four bytes as a seq — a step above the
+// device's high water (up to 127, so half are jumps of 64 or more), a
+// step below it, a seq near MaxUint32, or the bytes as they are. At the
+// end every seq within 70 of each high water is probed with Fresh.
+func checkAgainstMapGuard(t *testing.T, window uint32, ops []byte) {
+	t.Helper()
+	g, m := NewReplayGuard(window), newMapGuard(window)
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	for len(ops) >= 5 {
+		b, v := ops[0], binary.BigEndian.Uint32(ops[1:5])
+		ops = ops[5:]
+		p := mkPacket(uint64(b>>2&3), 0)
+		switch hw := m.highWater[p.Device]; b >> 4 & 3 {
+		case 0:
+			p.Seq = hw + v%128
+		case 1:
+			p.Seq = hw - v%128
+		case 2:
+			p.Seq = math.MaxUint32 - v%128
+		default:
+			p.Seq = v
+		}
+		switch b & 3 {
+		case 0:
+			want := m.Fresh(p)
+			if got := g.Fresh(p); errText(got) != errText(want) {
+				t.Fatalf("window %d: Fresh(%v, %d) = %v, map guard %v", window, p.Device, p.Seq, got, want)
+			}
+			if got := g.Check(p); got != (want == nil) {
+				t.Fatalf("window %d: Check(%v, %d) = %v, map guard %v", window, p.Device, p.Seq, got, want)
+			}
+		case 1:
+			if got, want := g.Admit(p), m.Admit(p); errText(got) != errText(want) {
+				t.Fatalf("window %d: Admit(%v, %d) = %v, map guard %v", window, p.Device, p.Seq, got, want)
+			}
+		case 2:
+			if got, want := g.Record(p), m.Admit(p); got != (want == nil) {
+				t.Fatalf("window %d: Record(%v, %d) = %v, map guard %v", window, p.Device, p.Seq, got, want)
+			}
+		default:
+			g.Seed(p.Device, p.Seq)
+			m.Seed(p.Device, p.Seq)
+		}
+		if g.Devices() != m.Devices() {
+			t.Fatalf("window %d: Devices = %d, map guard %d", window, g.Devices(), m.Devices())
+		}
+	}
+	for dev, hw := range m.highWater {
+		for d := uint64(0); d <= 70 && d <= uint64(hw)+1; d++ {
+			p := Packet{Device: dev, Seq: uint32(uint64(hw) + 1 - d)}
+			if got, want := g.Fresh(p), m.Fresh(p); errText(got) != errText(want) {
+				t.Fatalf("window %d: final Fresh(%v, %d) = %v, map guard %v", window, dev, p.Seq, got, want)
+			}
+		}
+	}
+}
+
+// TestReplayGuardMatchesMapGuard is the differential check on the bitmap
+// guard: random mixes of Fresh, Admit, Record and Seed, with steps across
+// and beyond the 64-bit mask and sequences at the top of the uint32 space,
+// must get the map guard's verdicts and error strings at every window
+// width the mask can hold.
+func TestReplayGuardMatchesMapGuard(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]byte, 5*400)
+	for _, w := range []uint32{0, 1, 4, 8, 16, 63, 64} {
+		for run := 0; run < 200; run++ {
+			rng.Read(ops)
+			checkAgainstMapGuard(t, w, ops)
+		}
+	}
+}
+
+// BenchmarkReplayGuard is the guard as admission runs it: Fresh then
+// Admit, packets round-robin over 256 devices each counting upward.
+func BenchmarkReplayGuard(b *testing.B) {
+	const devices = 256
+	g := NewReplayGuard(16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := mkPacket(uint64(i%devices), uint32(i/devices))
+		if err := g.Fresh(p); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.Admit(p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
