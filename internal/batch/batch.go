@@ -171,9 +171,19 @@ func (b *Builder) Take() []byte {
 	}
 	frame := b.buf
 	b.buf = nil
-	binary.BigEndian.PutUint32(frame[0:4], uint32(n*PacketSize))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(frame[HeaderSize:], castagnoli))
+	Seal(frame)
 	return frame
+}
+
+// Seal fills in frame's header — the payload length and its CRC — over
+// everything after it, so frame must be HeaderSize reserved bytes then
+// one or more whole packets. It is the one sealing path: Take,
+// AppendFrame and callers that write packets in place all end here.
+//
+// Allocations: 0, measured by TestBatchAllocBudgets.
+func Seal(frame []byte) {
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-HeaderSize))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(frame[HeaderSize:], castagnoli))
 }
 
 // AppendFrame seals packets into a single frame appended to dst — the
@@ -187,11 +197,9 @@ func AppendFrame(dst []byte, packets ...[]byte) ([]byte, error) {
 		}
 		dst = append(dst, p...)
 	}
-	payload := dst[start+HeaderSize:]
-	if len(payload) == 0 {
+	if len(dst) == start+HeaderSize {
 		return nil, fmt.Errorf("%w: empty frame", ErrFrameSize)
 	}
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(dst[start+4:start+8], crc32.Checksum(payload, castagnoli))
+	Seal(dst[start:])
 	return dst, nil
 }

@@ -128,8 +128,9 @@ func TestSplitRejections(t *testing.T) {
 
 // TestBatchAllocBudgets pins the frame codec's allocation budgets:
 // Split and Packet cost 0 allocations per valid frame and per packet,
-// and a Builder costs 1 per frame — the buffer whose ownership Take hands
-// to the caller — however many packets the frame holds.
+// a Builder costs 1 per frame — the buffer whose ownership Take hands to
+// the caller — however many packets the frame holds, and Seal over
+// packets written in place costs 0 and yields AppendFrame's bytes.
 func TestBatchAllocBudgets(t *testing.T) {
 	for _, n := range []int{16, 256} {
 		packets := make([][]byte, n)
@@ -150,6 +151,17 @@ func TestBatchAllocBudgets(t *testing.T) {
 			}
 		}); got != 0 {
 			t.Errorf("Split and %d Packet calls allocate %.0f times per frame, want 0", n, got)
+		}
+
+		inPlace := make([]byte, HeaderSize+n*PacketSize)
+		for i, p := range packets {
+			copy(inPlace[HeaderSize+i*PacketSize:], p)
+		}
+		if got := testing.AllocsPerRun(100, func() { Seal(inPlace) }); got != 0 {
+			t.Errorf("Seal allocates %.0f times per %d-packet frame, want 0", got, n)
+		}
+		if !bytes.Equal(inPlace, frame) {
+			t.Errorf("Seal over %d packets in place differs from AppendFrame", n)
 		}
 
 		b := Builder{MaxPackets: n}

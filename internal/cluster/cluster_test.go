@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -26,7 +28,7 @@ var master = []byte("fleet-master-secret")
 
 const secret = "test-cluster-secret"
 
-func sealed(t *testing.T, dev uint64, seq uint32, value float32) []byte {
+func sealed(t testing.TB, dev uint64, seq uint32, value float32) []byte {
 	t.Helper()
 	id := lpwan.EUIFromUint64(dev)
 	wire, err := telemetry.Packet{
@@ -453,33 +455,25 @@ func (acceptAll) RoundTrip(*http.Request) (*http.Response, error) {
 // TestQuorumWriteAllocBudget pins the replicated write's allocations per
 // frame against three in-process replicas at R=2, W=2: what a frame
 // costs is per payload and per owner node — the request to each, its
-// sub-frame, its goroutine — and never per packet, so a 256-packet frame
-// costs what a 16-packet one does. Before F10 each packet's owner list
-// cost two more. The count is the median call's: draining each of the
-// three responses borrows io.Discard's pooled buffer, and a call that
-// finds the pool empty pays 2 to refill it. Under -race, which drops one
-// Put in four, most calls meet an empty pool once, so the median there
-// may read 2 more.
+// exactly-sized sub-frame, its goroutine — and never per packet, so a
+// 256-packet frame costs what a 16-packet one does. Before F10 each
+// packet's owner list cost two more, and before S45 three zeroed
+// builders and a second copy of each sub-frame cost three more. The
+// count is the median call's: draining each of the three responses
+// borrows io.Discard's pooled buffer, and a call that finds the pool
+// empty pays 2 to refill it. Under -race, which drops one Put in four,
+// most calls meet an empty pool once, so the median there may read 2
+// more.
+//
+// Bytes are bounded too: a 256-packet frame's sub-frames hold 12 KB of
+// packets, and the write allocated 105 KB per frame before S45.
 func TestQuorumWriteAllocBudget(t *testing.T) {
-	const want, calls = 74, 101
-	c, err := New(Config{
-		Peers: []string{"http://a", "http://b", "http://c"}, Replicas: 2, WriteQuorum: 2,
-		Secret: secret, Client: &http.Client{Transport: acceptAll{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(context.Background())
+	const want, calls = 71, 101
+	const maxBytes = 32 << 10 // per 256-packet frame
+	c := newAcceptAllCoordinator(t)
 	ctx := context.Background()
 	for _, n := range []int{16, 256} {
-		wires := make([][]byte, n)
-		for i := range wires {
-			wires[i] = sealed(t, uint64(i+1), 1, 1)
-		}
-		frame, err := batch.AppendFrame(nil, wires...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := frameOf(t, n)
 		got := make([]float64, calls)
 		for i := range got {
 			// AllocsPerRun(1, …) runs the write twice and counts the second.
@@ -493,5 +487,66 @@ func TestQuorumWriteAllocBudget(t *testing.T) {
 		if median := got[calls/2]; median != want && !(raceEnabled && median == want+2) {
 			t.Errorf("a %d-packet frame allocates %.0f times, want %d", n, median, want)
 		}
+		if n != 256 {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := c.IngestBatch(ctx, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > maxBytes {
+			t.Errorf("a %d-packet frame allocates %d bytes, want at most %d", n, per, maxBytes)
+		}
 	}
+}
+
+// BenchmarkQuorumWrite is routerd's replicated write against three
+// in-process replicas at R=2, W=2 (the budget test's setup), per frame.
+func BenchmarkQuorumWrite(b *testing.B) {
+	c := newAcceptAllCoordinator(b)
+	ctx := context.Background()
+	for _, n := range []int{16, 256} {
+		frame := frameOf(b, n)
+		b.Run(fmt.Sprintf("packets=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.IngestBatch(ctx, frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// newAcceptAllCoordinator is a coordinator over three acceptAll
+// replicas at R=2, W=2.
+func newAcceptAllCoordinator(tb testing.TB) *Coordinator {
+	tb.Helper()
+	c, err := New(Config{
+		Peers: []string{"http://a", "http://b", "http://c"}, Replicas: 2, WriteQuorum: 2,
+		Secret: secret, Client: &http.Client{Transport: acceptAll{}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = c.Close(context.Background()) })
+	return c
+}
+
+// frameOf seals n packets of n distinct devices into one frame.
+func frameOf(tb testing.TB, n int) []byte {
+	tb.Helper()
+	wires := make([][]byte, n)
+	for i := range wires {
+		wires[i] = sealed(tb, uint64(i+1), 1, 1)
+	}
+	frame, err := batch.AppendFrame(nil, wires...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
 }

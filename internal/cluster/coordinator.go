@@ -49,8 +49,10 @@ type Config struct {
 	// 2s / 6s.
 	SuspectAfter time.Duration
 	DownAfter    time.Duration
-	// Client is the HTTP client for heartbeats and read paths. Default:
-	// 5-second timeout.
+	// Client is the HTTP client for replicated writes, heartbeats and
+	// read paths. Default: 5-second timeout, over a transport that keeps
+	// peerIdleConns idle connections per peer and writes each request
+	// whole (peerWriteBuffer).
 	Client *http.Client
 	// Uplink tunes the per-peer resilience.Uplink used for replicated
 	// ingest (retries, breaker, jitter seed).
@@ -69,6 +71,21 @@ var (
 	// device's partition.
 	ErrUnavailable = errors.New("cluster: no live replica for partition")
 )
+
+// peerIdleConns is how many idle connections the default client keeps
+// per peer. Replica sends to one peer overlap (DESIGN.md S45), one per
+// frame in flight, and http.DefaultTransport keeps only 2 idle per host:
+// a third concurrent frame would dial, and then discard, a connection
+// every time. 64 lets that many frames per peer overlap without a dial,
+// and bounds the idle sockets a burst leaves open.
+const peerIdleConns = 64
+
+// peerWriteBuffer sizes the default client's per-connection write
+// buffer to hold a request's headers and the largest payload the
+// coordinator sends, a stamp and a full frame, so each replica request
+// leaves in one write. http.DefaultTransport's 4 KB buffer splits a
+// typical 4 KB sub-frame request in two.
+const peerWriteBuffer = 4<<10 + 8 + batch.MaxFrameBytes
 
 // peer is the coordinator's handle on one endpoint node.
 type peer struct {
@@ -91,6 +108,7 @@ type Coordinator struct {
 	clock  obs.Clock
 
 	acked       atomic.Uint64
+	inflight    atomic.Int64 // replica sends in progress, over all peers
 	noQuorum    atomic.Uint64
 	rejected    atomic.Uint64
 	repaired    atomic.Uint64
@@ -133,7 +151,11 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.DownAfter = 3 * cfg.SuspectAfter
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns = peerIdleConns * len(cfg.Peers)
+		tr.MaxIdleConnsPerHost = peerIdleConns
+		tr.WriteBufferSize = peerWriteBuffer
+		cfg.Client = &http.Client{Timeout: 5 * time.Second, Transport: tr}
 	}
 
 	c := &Coordinator{
@@ -159,7 +181,8 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the per-peer uplinks.
+// Close stops the per-peer uplinks and drops the client's idle
+// connections.
 func (c *Coordinator) Close(ctx context.Context) error {
 	c.closedOnce.Do(func() {
 		for _, p := range c.peers {
@@ -167,6 +190,7 @@ func (c *Coordinator) Close(ctx context.Context) error {
 				c.closeErr = err
 			}
 		}
+		c.client.CloseIdleConnections()
 	})
 	return c.closeErr
 }
@@ -177,7 +201,7 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 // Detector exposes the failure detector (for status pages and tests).
 func (c *Coordinator) Detector() *Detector { return c.det }
 
-// clusterPayload frames a packet for the replica uplink: the
+// clusterPayload frames a lone packet for the replica uplink: the
 // coordinator's arrival stamp (8 bytes, big-endian nanoseconds) followed
 // by the raw wire packet. Framing the stamp INTO the payload — rather
 // than passing it out-of-band — means a payload parked in an uplink's
@@ -188,6 +212,43 @@ func clusterPayload(arrival time.Duration, wire []byte) []byte {
 	binary.BigEndian.PutUint64(buf[:8], uint64(arrival))
 	copy(buf[8:], wire)
 	return buf
+}
+
+// ownerPayloads builds every owner node's cluster payload for a frame:
+// the arrival stamp, then a sealed sub-frame of exactly the packets that
+// node owns, in frame order. owners lists packet j/rep's owners at j, as
+// quorumWrite lays them out; nodes is the peer count, and a node that
+// owns nothing gets nil. Each payload is allocated once at its exact
+// size and written in place.
+//
+// The buffers are not pooled: an http.RoundTripper may still read a
+// request body after RoundTrip returns, so a recycled buffer could be
+// overwritten while a transport is still writing it (DESIGN.md S45).
+func ownerPayloads(arrival time.Duration, payload []byte, owners []int, rep, nodes int) [][]byte {
+	payloads := make([][]byte, nodes)
+	// at counts each node's packets, then serves as its write cursor.
+	at := make([]int, nodes)
+	for _, node := range owners {
+		at[node]++
+	}
+	for node, k := range at {
+		if k == 0 {
+			continue
+		}
+		buf := make([]byte, 8+batch.HeaderSize+k*batch.PacketSize)
+		binary.BigEndian.PutUint64(buf[:8], uint64(arrival))
+		payloads[node] = buf
+		at[node] = 8 + batch.HeaderSize
+	}
+	for j, node := range owners {
+		at[node] += copy(payloads[node][at[node]:], batch.Packet(payload, j/rep))
+	}
+	for _, p := range payloads {
+		if p != nil {
+			batch.Seal(p[8:])
+		}
+	}
+	return payloads
 }
 
 func splitClusterPayload(payload []byte) (time.Duration, []byte, error) {
@@ -290,7 +351,12 @@ func (c *Coordinator) IngestBatch(ctx context.Context, frame []byte) error {
 // the packets that node owns — feeds the outcomes to the failure
 // detector, and asks the durability question packet by packet.
 //
-// Allocations: per payload and per owner node, never per packet (TestQuorumWriteAllocBudget).
+// Each owner's sub-frame is built once, at its exact size, by
+// ownerPayloads, and the sends to different owners — and to one owner
+// from concurrent frames — overlap (DESIGN.md S45).
+//
+// Allocations: per payload and per owner node, never per packet; about
+// 23 KB for a 256-packet frame over three peers (TestQuorumWriteAllocBudget).
 func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, bare bool) error {
 	// Every packet's preference list, in one slice per payload: New keeps
 	// Replicas within [1, peers], so each list is exactly rep long and
@@ -314,39 +380,32 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, ba
 	}
 
 	arrival := c.clock()
-	payloads := make([][]byte, len(c.peers))
+	var payloads [][]byte
 	if bare {
+		payloads = make([][]byte, len(c.peers))
 		lone := clusterPayload(arrival, payload)
 		for _, node := range owners {
 			payloads[node] = lone
 		}
 	} else {
-		sub := make([]batch.Builder, len(c.peers))
-		for j, node := range owners {
-			// Cannot fail: the size matched Split's contract and a
-			// sub-frame can never exceed the source frame's cap.
-			_ = sub[node].Add(batch.Packet(payload, j/rep))
-		}
-		for node := range sub {
-			if sub[node].Count() > 0 {
-				payloads[node] = clusterPayload(arrival, sub[node].Take())
-			}
-		}
+		payloads = ownerPayloads(arrival, payload, owners, rep, len(c.peers))
 	}
 
 	// One concurrent SendSync per owner node: nil from SendSync means the
 	// node accepted its payload before it returned.
 	errs := make([]error, len(c.peers))
 	var wg sync.WaitGroup
-	for node := range payloads {
-		if payloads[node] == nil {
+	for node, p := range payloads {
+		if p == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(node int) {
+		go func(node int, p []byte) {
 			defer wg.Done()
-			errs[node] = c.peers[node].uplink.SendSync(ctx, payloads[node])
-		}(node)
+			c.inflight.Add(1)
+			errs[node] = c.peers[node].uplink.SendSync(ctx, p)
+			c.inflight.Add(-1)
+		}(node, p)
 	}
 	wg.Wait()
 
@@ -632,6 +691,9 @@ func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("cluster_ingest_rejected_total", "structurally invalid packets refused outright", c.rejected.Load)
 	reg.CounterFunc("cluster_read_repair_records_total", "records pushed to lagging replicas by read-repair", c.repaired.Load)
 	reg.CounterFunc("cluster_heartbeat_failures_total", "heartbeat probes that did not come back OK", c.hbFailures.Load)
+	reg.GaugeFunc("cluster_replica_sends_inflight", "replica sends in progress, summed over peers", func() float64 {
+		return float64(c.inflight.Load())
+	})
 	reg.GaugeFunc("cluster_nodes_down", "peers the failure detector currently considers down", func() float64 {
 		n := 0
 		for _, s := range c.det.Snapshot() {

@@ -635,6 +635,146 @@ func TestUplinkSendSyncPermanentSurfaces(t *testing.T) {
 	}
 }
 
+// TestUplinkSendSyncOverlaps pins F12 (DESIGN.md S45): SendSync holds no
+// per-peer lock across the inner send, so a second payload for the same
+// peer is delivered while the first is still out — parked on the
+// network, or asleep in its retry backoff.
+func TestUplinkSendSyncOverlaps(t *testing.T) {
+	ctx := context.Background()
+	// overlap starts SendSync({1}), waits until parked reports it stuck,
+	// and requires SendSync({2}) to return before release lets it go.
+	overlap := func(t *testing.T, u *Uplink, parked <-chan struct{}, release chan struct{}) {
+		t.Helper()
+		defer u.Close(ctx)
+		first := make(chan error, 1)
+		go func() { first <- u.SendSync(ctx, []byte{1}) }()
+		select {
+		case <-parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the first SendSync never reached its parking point")
+		}
+		second := make(chan error, 1)
+		go func() { second <- u.SendSync(ctx, []byte{2}) }()
+		select {
+		case err := <-second:
+			close(release)
+			if err != nil {
+				t.Fatalf("second SendSync: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			close(release)
+			t.Fatal("a second SendSync to the same peer waited for the first")
+		}
+		if err := <-first; err != nil {
+			t.Fatalf("first SendSync: %v", err)
+		}
+	}
+
+	t.Run("in flight", func(t *testing.T) {
+		parked, release := make(chan struct{}), make(chan struct{})
+		inner := SenderFunc(func(p []byte) error {
+			if p[0] == 1 {
+				close(parked)
+				<-release
+			}
+			return nil
+		})
+		overlap(t, NewUplink(inner, testConfig()), parked, release)
+	})
+
+	t.Run("in backoff", func(t *testing.T) {
+		parked, release := make(chan struct{}), make(chan struct{})
+		var failed atomic.Bool
+		// Payload 1's first attempt fails transiently, so it sleeps
+		// before its retry; the sleep blocks until released.
+		inner := SenderFunc(func(p []byte) error {
+			if p[0] == 1 && !failed.Swap(true) {
+				return errors.New("transient")
+			}
+			return nil
+		})
+		cfg := testConfig()
+		cfg.Sleep = func(ctx context.Context, _ time.Duration) {
+			close(parked)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		overlap(t, NewUplink(inner, cfg), parked, release)
+	})
+}
+
+// TestUplinkSendSyncHalfOpenProbes pins the half-open breaker under
+// concurrent SendSync (DESIGN.md S45): every caller that finds it
+// half-open may probe at once, the first failed probe re-trips it for
+// all, and every call is accounted for exactly once — sent, refused
+// permanently, failed, or turned away by the open breaker.
+func TestUplinkSendSyncHalfOpenProbes(t *testing.T) {
+	const callers = 64
+	ctx := context.Background()
+	var now atomic.Int64
+	var calls atomic.Uint64
+	// The first call fails and trips the breaker; after that every fifth
+	// call fails transiently, every seventh is refused, the rest land.
+	inner := SenderFunc(func([]byte) error {
+		switch n := calls.Add(1); {
+		case n == 1 || n%5 == 0:
+			return errors.New("transient")
+		case n%7 == 0:
+			return Permanent(errors.New("refused"))
+		}
+		return nil
+	})
+	cfg := testConfig()
+	cfg.MaxAttempts = 1
+	cfg.BreakerThreshold = 1
+	cfg.BreakerOpenFor = time.Minute
+	cfg.BreakerProbes = callers + 1 // only a failed probe ends the half-open state
+	cfg.Now = func() time.Time { return time.Unix(0, now.Load()) }
+	u := NewUplink(inner, cfg)
+	defer u.Close(ctx)
+	if err := u.SendSync(ctx, []byte{0}); err == nil || u.Stats().State != BreakerOpen {
+		t.Fatalf("the first failure did not trip the breaker: %v, %v", err, u.Stats().State)
+	}
+	now.Store(int64(time.Minute)) // the open window has elapsed: half-open
+
+	var failed, down atomic.Uint64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			switch err := u.SendSync(ctx, []byte{1}); {
+			case err == nil, IsPermanent(err):
+			case errors.Is(err, ErrPeerDown):
+				down.Add(1)
+			default:
+				failed.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	st := u.Stats()
+	if sum := st.Sent + st.RejectedPermanent + failed.Load() + down.Load(); sum != callers {
+		t.Errorf("sent %d + refused %d + failed %d + down %d = %d, want %d calls",
+			st.Sent, st.RejectedPermanent, failed.Load(), down.Load(), sum, callers)
+	}
+	if failed.Load() == 0 {
+		t.Error("no probe failed; the sender fails every fifth call")
+	}
+	if st.Breaker.Trips != 2 || st.State != BreakerOpen {
+		t.Errorf("breaker %v after %d trips, want open after 2: one failed probe re-trips it", st.State, st.Breaker.Trips)
+	}
+	if reached := calls.Load() - 1; reached != callers-down.Load() {
+		t.Errorf("%d probes reached the peer, want %d: a turned-away call must not", reached, callers-down.Load())
+	}
+}
+
 // TestUplinkAllocBudgets pins the gateway datapath's allocation budgets
 // against a peer that accepts everything: an unbatched Send and a
 // SendSync cost 0 allocations per payload, and with batching on a full

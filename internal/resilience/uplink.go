@@ -142,8 +142,11 @@ type Uplink struct {
 	batched atomic.Uint64
 	frames  atomic.Uint64
 
-	// sendMu serialises fast-path sends with the drain loop so buffered
-	// payloads cannot be overtaken by fresh ones.
+	// sendMu orders Send's fast path against the drain loop, so buffered
+	// payloads cannot be overtaken by fresh ones. That is its one job:
+	// SendSync never takes it, since it neither buffers nor queues and
+	// shares only the self-locking breaker and backoff and the atomic
+	// counters with the other two.
 	sendMu sync.Mutex
 
 	// pending is the open batch frame (nil = batching disabled), guarded
@@ -281,10 +284,15 @@ var ErrPeerDown = errors.New("resilience: peer down (breaker open)")
 // store-and-forward queue is not that. Retries, jitter, Retry-After
 // hints, and the circuit breaker all apply exactly as in Send.
 //
+// SendSync holds no lock across the network (DESIGN.md S45, F12): it
+// never queues behind the store-and-forward queue, so concurrent calls
+// overlap on the inner sender, which must be safe for concurrent use,
+// and one call sleeping in its retry backoff delays no other. While the
+// breaker is half-open every concurrent caller may probe; the first
+// probe that fails re-trips it for all.
+//
 // Allocations: 0 per payload, measured by TestUplinkAllocBudgets.
 func (u *Uplink) SendSync(ctx context.Context, payload []byte) error {
-	u.sendMu.Lock()
-	defer u.sendMu.Unlock()
 	if !u.breaker.Allow() {
 		return ErrPeerDown
 	}

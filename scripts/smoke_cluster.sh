@@ -101,4 +101,10 @@ wait "$EXECUTOR_PID" 2>/dev/null || true
 HSTATUS="$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$DEBUG_PORT/healthz")"
 [ "$HSTATUS" = "200" ] || smoke_fail "GET /healthz returned $HSTATUS after recovery"
 
+# Replica sends overlap per peer (DESIGN.md S45); the gauge that shows
+# it must be exported.
+METRICS="$(curl -s "http://127.0.0.1:$DEBUG_PORT/metrics")"
+printf '%s\n' "$METRICS" | grep -q '^cluster_replica_sends_inflight ' ||
+    smoke_fail "/metrics does not export cluster_replica_sends_inflight"
+
 echo "smoke-cluster: OK (zero acknowledged loss, degraded-not-failed outage, 503-free recovery)"
