@@ -125,7 +125,8 @@ smoke-obs:
 # WAL-backed endpointd nodes behind a cluster-mode routerd (R=2, W=2),
 # one SIGKILLed mid-ingest by a seeded chaos schedule and rebooted from
 # its WAL. Fails on any acknowledged packet lost, on health reporting
-# failed (rather than degraded) during the outage, or on a 503 in the
-# post-recovery window.
+# failed (rather than degraded) during the outage, on a 503 in the
+# post-recovery window, or on any node taking a lone packet as a frame
+# rather than bare on /ingest.
 smoke-cluster:
 	./scripts/smoke_cluster.sh

@@ -21,6 +21,7 @@ import (
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/obs"
 	"centuryscale/internal/resilience"
+	"centuryscale/internal/rollup"
 	"centuryscale/internal/telemetry"
 )
 
@@ -444,6 +445,148 @@ func TestFrontHandlerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRouterLonePacketDispositions pins routerd's answers to a lone
+// packet, against three real replicas at R=2, W=2: the status and
+// Retry-After for each disposition a replica can give it, and, through
+// the owners' counters, that the packet reached both owners and was
+// refused there for the stated reason. The router acknowledges whatever
+// a replica durably decided: a duplicate, a bad tag, a quarantined
+// device, a stale arrival and a lapsed lease are all final there, so all
+// are 202. A payload of one packet travels bare, so each owner takes it
+// on /ingest — a frame of one on routerd's /ingest/batch included.
+func TestRouterLonePacketDispositions(t *testing.T) {
+	const foldAt = 10 * 24 * time.Hour // each replica's fold watermark is a day below
+	type replica struct {
+		store        *cloud.Store
+		server       *cloud.Server
+		bare, frames atomic.Int64 // POSTs to /ingest and to /ingest/batch
+	}
+	replicas := make([]*replica, 3)
+	urls := make([]string, len(replicas))
+	for i := range replicas {
+		store := cloud.NewStore(cloud.StaticKeys(master))
+		if err := store.EnableRollups(rollup.Config{}, 24*time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		store.FoldRollups(foldAt)
+		store.AddLapse(3*foldAt, 4*foldAt)
+		server := cloud.NewServer(store, time.Now())
+		server.SetClusterSecret(secret)
+		server.SetRetryAfter(7 * time.Second)
+		r := &replica{store: store, server: server}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			switch req.URL.Path {
+			case "/ingest":
+				r.bare.Add(1)
+			case "/ingest/batch":
+				r.frames.Add(1)
+			}
+			server.ServeHTTP(w, req)
+		}))
+		t.Cleanup(srv.Close)
+		replicas[i], urls[i] = r, srv.URL
+	}
+	clock := &fakeClock{}
+	c, err := New(Config{
+		Peers: urls, Replicas: 2, WriteQuorum: 2, Secret: secret, Clock: clock.Now,
+		Uplink: resilience.Config{
+			MaxAttempts: 2, BreakerThreshold: 1000,
+			Sleep: func(context.Context, time.Duration) {},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close(context.Background()) })
+	front := httptest.NewServer(c.Handler())
+	t.Cleanup(front.Close)
+
+	dev := devOwnedBy(t, c.Ring(), 2, 0, 1)
+	quarantined := devOwnedBy(t, c.Ring(), 2, 1, 2)
+	for _, r := range replicas {
+		r.store.Quarantine(lpwan.EUIFromUint64(quarantined), 0)
+	}
+	fresh := sealed(t, dev, 1, 1)
+	forged := sealed(t, dev, 2, 1)
+	forged[len(forged)-1] ^= 0xff
+	accepted := func(st cloud.IngestStats) uint64 { return st.Accepted }
+	frameOfOne, err := batch.AppendFrame(nil, sealed(t, dev, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name       string
+		at         time.Duration // the coordinator's arrival stamp
+		route      string        // routerd's route, "" for /ingest
+		body       []byte
+		owners     []int
+		counter    func(cloud.IngestStats) uint64 // what each owner must count once
+		shed       int                            // the replica shedding, or -1
+		status     int
+		retryAfter string
+	}{
+		{"fresh", 2 * foldAt, "", fresh, []int{0, 1}, accepted, -1, http.StatusAccepted, ""},
+		{"resent", 2 * foldAt, "", fresh, []int{0, 1},
+			func(st cloud.IngestStats) uint64 { return st.Duplicates }, -1, http.StatusAccepted, ""},
+		{"bad tag", 2 * foldAt, "", forged, []int{0, 1},
+			func(st cloud.IngestStats) uint64 { return st.BadSignature }, -1, http.StatusAccepted, ""},
+		{"quarantined", 2 * foldAt, "", sealed(t, quarantined, 1, 1), []int{1, 2},
+			func(st cloud.IngestStats) uint64 { return st.Quarantined }, -1, http.StatusAccepted, ""},
+		{"below fold watermark", time.Hour, "", sealed(t, dev, 3, 1), []int{0, 1},
+			func(st cloud.IngestStats) uint64 { return st.Stale }, -1, http.StatusAccepted, ""},
+		{"lease lapsed", 3 * foldAt, "", sealed(t, dev, 5, 1), []int{0, 1},
+			func(st cloud.IngestStats) uint64 { return st.LeaseLapsed }, -1, http.StatusAccepted, ""},
+		{"runt", 2 * foldAt, "", []byte("runt"), nil, nil, -1, http.StatusUnprocessableEntity, ""},
+		{"oversized", 2 * foldAt, "", make([]byte, httpapi.MaxPacketBody+1), nil, nil, -1,
+			http.StatusRequestEntityTooLarge, ""},
+		{"owner sheds", 2 * foldAt, "", sealed(t, dev, 4, 1), []int{0, 1}, accepted, 1,
+			http.StatusServiceUnavailable, "7"},
+		{"frame of one", 2 * foldAt, "/batch", frameOfOne, []int{0, 1}, accepted, -1, http.StatusAccepted, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock.nanos.Store(int64(tc.at))
+			if tc.shed >= 0 {
+				replicas[tc.shed].server.SetDegraded(true)
+				defer replicas[tc.shed].server.SetDegraded(false)
+			}
+			before := make([]cloud.IngestStats, len(replicas))
+			bare := make([]int64, len(replicas))
+			for i, r := range replicas {
+				before[i], bare[i] = r.store.Stats(), r.bare.Load()
+			}
+			resp, err := http.Post(front.URL+"/ingest"+tc.route, "application/octet-stream", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.status || resp.Header.Get("Retry-After") != tc.retryAfter {
+				t.Fatalf("POST /ingest = %d, Retry-After %q; want %d, %q",
+					resp.StatusCode, resp.Header.Get("Retry-After"), tc.status, tc.retryAfter)
+			}
+			for _, node := range tc.owners {
+				if node == tc.shed {
+					continue
+				}
+				if got := tc.counter(replicas[node].store.Stats()) - tc.counter(before[node]); got != 1 {
+					t.Errorf("owner %d counted the packet %d times, want once", node, got)
+				}
+				if got := replicas[node].bare.Load() - bare[node]; got != 1 {
+					t.Errorf("owner %d took the packet bare on /ingest %d times, want once", node, got)
+				}
+			}
+		})
+	}
+	if st := c.Stats(); st.Acked != 7 || st.Rejected != 1 || st.NoQuorum != 1 {
+		t.Errorf("router stats = %+v, want 7 acked, 1 rejected, 1 short of quorum", st)
+	}
+	for i, r := range replicas {
+		if n := r.frames.Load(); n != 0 {
+			t.Errorf("replica %d was sent %d frames on /ingest/batch; a lone packet travels bare", i, n)
+		}
+	}
+}
+
 // acceptAll is an in-process replica: every request is answered 202
 // without a socket, so what a write allocates is the coordinator's own.
 type acceptAll struct{}
@@ -453,73 +596,97 @@ func (acceptAll) RoundTrip(*http.Request) (*http.Response, error) {
 }
 
 // TestQuorumWriteAllocBudget pins the replicated write's allocations per
-// frame against three in-process replicas at R=2, W=2: what a frame
-// costs is per payload and per owner node — the request to each, its
+// call against three in-process replicas at R=2, W=2: what a write costs
+// is per payload and per owner node — the request to each, its
 // exactly-sized sub-frame, its goroutine — and never per packet, so a
-// 256-packet frame costs what a 16-packet one does. Before F10 each
-// packet's owner list cost two more, and before S45 three zeroed
-// builders and a second copy of each sub-frame cost three more. The
-// count is the median call's: draining each of the three responses
-// borrows io.Discard's pooled buffer, and a call that finds the pool
-// empty pays 2 to refill it. Under -race, which drops one Put in four,
-// most calls meet an empty pool once, so the median there may read 2
-// more.
+// 256-packet frame costs what a 16-packet one does. A lone packet is one
+// bare payload its two owners share, so it pays for two requests where a
+// frame over three nodes pays for three. Before F10 each packet's owner
+// list cost two more, and before S45 three zeroed builders and a second
+// copy of each sub-frame cost three more. The count is the median call's:
+// draining each response borrows io.Discard's pooled buffer, and a call
+// that finds the pool empty pays 2 to refill it. Under -race, which drops
+// one Put in four, most calls meet an empty pool once, so the median
+// there may read 2 more.
 //
 // Bytes are bounded too: a 256-packet frame's sub-frames hold 12 KB of
 // packets, and the write allocated 105 KB per frame before S45.
 func TestQuorumWriteAllocBudget(t *testing.T) {
-	const want, calls = 71, 101
+	const calls = 101
 	const maxBytes = 32 << 10 // per 256-packet frame
 	c := newAcceptAllCoordinator(t)
 	ctx := context.Background()
-	for _, n := range []int{16, 256} {
-		frame := frameOf(t, n)
+	for _, tc := range quorumWriteCases(t, c) {
 		got := make([]float64, calls)
 		for i := range got {
 			// AllocsPerRun(1, …) runs the write twice and counts the second.
 			got[i] = testing.AllocsPerRun(1, func() {
-				if err := c.IngestBatch(ctx, frame); err != nil {
+				if err := tc.write(ctx); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
 		sort.Float64s(got)
-		if median := got[calls/2]; median != want && !(raceEnabled && median == want+2) {
-			t.Errorf("a %d-packet frame allocates %.0f times, want %d", n, median, want)
+		if median := got[calls/2]; median != tc.allocs && !(raceEnabled && median == tc.allocs+2) {
+			t.Errorf("a %d-packet write allocates %.0f times, want %.0f", tc.packets, median, tc.allocs)
 		}
-		if n != 256 {
+		if tc.packets != 256 {
 			continue
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < calls; i++ {
-			if err := c.IngestBatch(ctx, frame); err != nil {
+			if err := tc.write(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > maxBytes {
-			t.Errorf("a %d-packet frame allocates %d bytes, want at most %d", n, per, maxBytes)
+			t.Errorf("a %d-packet frame allocates %d bytes, want at most %d", tc.packets, per, maxBytes)
 		}
 	}
 }
 
 // BenchmarkQuorumWrite is routerd's replicated write against three
-// in-process replicas at R=2, W=2 (the budget test's setup), per frame.
+// in-process replicas at R=2, W=2 (the budget test's setup), per call: a
+// lone packet through Ingest, and frames through IngestBatch.
 func BenchmarkQuorumWrite(b *testing.B) {
 	c := newAcceptAllCoordinator(b)
 	ctx := context.Background()
-	for _, n := range []int{16, 256} {
-		frame := frameOf(b, n)
-		b.Run(fmt.Sprintf("packets=%d", n), func(b *testing.B) {
+	for _, tc := range quorumWriteCases(b, c) {
+		b.Run(fmt.Sprintf("packets=%d", tc.packets), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := c.IngestBatch(ctx, frame); err != nil {
+				if err := tc.write(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// quorumWriteCase is one row of the budget test and the benchmark: a
+// write of packets packets and its measured allocations per call.
+type quorumWriteCase struct {
+	packets int
+	allocs  float64
+	write   func(context.Context) error
+}
+
+func quorumWriteCases(tb testing.TB, c *Coordinator) []quorumWriteCase {
+	lone := sealed(tb, 1, 1, 1)
+	cases := []quorumWriteCase{{
+		packets: 1, allocs: 47,
+		write: func(ctx context.Context) error { return c.Ingest(ctx, lone) },
+	}}
+	for _, n := range []int{16, 256} {
+		frame := frameOf(tb, n)
+		cases = append(cases, quorumWriteCase{
+			packets: n, allocs: 71,
+			write: func(ctx context.Context) error { return c.IngestBatch(ctx, frame) },
+		})
+	}
+	return cases
 }
 
 // newAcceptAllCoordinator is a coordinator over three acceptAll

@@ -61,9 +61,11 @@ type Config struct {
 
 // Errors from the coordinator.
 var (
-	// ErrDuplicate reports that a replica already held the packet — a
-	// success for quorum purposes (the reading is durable there).
-	ErrDuplicate = errors.New("cluster: replica reports duplicate")
+	// ErrRefused is a replica's 422: it decided the payload for good —
+	// a duplicate, a bad tag, a quarantined device, a sealed or lapsed
+	// arrival — so no retry can change the answer. A success for quorum
+	// purposes: the replica's decision is final there.
+	ErrRefused = errors.New("cluster: replica refused the payload for good")
 	// ErrNoQuorum reports that fewer than W replicas durably appended;
 	// the packet is NOT acknowledged and the caller must retry.
 	ErrNoQuorum = errors.New("cluster: write quorum not reached")
@@ -201,31 +203,35 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 // Detector exposes the failure detector (for status pages and tests).
 func (c *Coordinator) Detector() *Detector { return c.det }
 
-// clusterPayload frames a lone packet for the replica uplink: the
-// coordinator's arrival stamp (8 bytes, big-endian nanoseconds) followed
-// by the raw wire packet. Framing the stamp INTO the payload — rather
-// than passing it out-of-band — means a payload parked in an uplink's
-// store-and-forward queue replays with its original arrival time, not
-// the drain time.
-func clusterPayload(arrival time.Duration, wire []byte) []byte {
-	buf := make([]byte, 8+len(wire))
-	binary.BigEndian.PutUint64(buf[:8], uint64(arrival))
-	copy(buf[8:], wire)
-	return buf
-}
-
-// ownerPayloads builds every owner node's cluster payload for a frame:
-// the arrival stamp, then a sealed sub-frame of exactly the packets that
-// node owns, in frame order. owners lists packet j/rep's owners at j, as
-// quorumWrite lays them out; nodes is the peer count, and a node that
-// owns nothing gets nil. Each payload is allocated once at its exact
-// size and written in place.
+// ownerPayloads builds every owner node's cluster payload: the arrival
+// stamp (8 bytes, big-endian nanoseconds), then what that node owns.
+// owners lists packet j/rep's owners at j, as quorumWrite lays them out;
+// nodes is the peer count, and a node that owns nothing gets nil.
 //
-// The buffers are not pooled: an http.RoundTripper may still read a
-// request body after RoundTrip returns, so a recycled buffer could be
-// overwritten while a transport is still writing it (DESIGN.md S45).
+// The payload's size picks the shape. A lone packet travels bare, in one
+// buffer its owners share: a replica answers it with an empty 202, where
+// a frame of one would cost a JSON BatchResult and 32 more allocations
+// per packet end to end (DESIGN.md S46). More packets give each
+// owner a sealed sub-frame of exactly the packets it owns, in payload
+// order, allocated once at its exact size and written in place.
+//
+// The stamp rides inside the payload, not beside it, so a payload parked
+// in an uplink's store-and-forward queue replays with its original
+// arrival time, not the drain time. The buffers are not pooled: an
+// http.RoundTripper may still read a request body after RoundTrip
+// returns, so a recycled buffer could be overwritten while a transport
+// is still writing it (DESIGN.md S45).
 func ownerPayloads(arrival time.Duration, payload []byte, owners []int, rep, nodes int) [][]byte {
 	payloads := make([][]byte, nodes)
+	if len(owners) == rep {
+		lone := make([]byte, 8+len(payload))
+		binary.BigEndian.PutUint64(lone[:8], uint64(arrival))
+		copy(lone[8:], payload)
+		for _, node := range owners {
+			payloads[node] = lone
+		}
+		return payloads
+	}
 	// at counts each node's packets, then serves as its write cursor.
 	at := make([]int, nodes)
 	for _, node := range owners {
@@ -296,30 +302,30 @@ func (s *replicaSender) Send(payload []byte) error {
 	case http.StatusAccepted:
 		return nil
 	case http.StatusUnprocessableEntity:
-		// The replica already has it (a retry, or the other replica's
-		// read-repair beat us): durable there, so quorum-countable —
-		// and Permanent, so the uplink stops retrying.
-		return resilience.Permanent(ErrDuplicate)
+		// The replica decided the payload for good (a duplicate from a
+		// retry or a read-repair, or any other final refusal): quorum-
+		// countable, and Permanent, so the uplink stops retrying.
+		return resilience.Permanent(ErrRefused)
 	}
 	return httpapi.ClassifyStatus("cluster: replica", resp)
 }
 
 // quorumSuccess reports whether one replica send counts toward W.
 func quorumSuccess(err error) bool {
-	return err == nil || errors.Is(err, ErrDuplicate)
+	return err == nil || errors.Is(err, ErrRefused)
 }
 
 // Ingest replicates one raw packet to its partition's owners and
 // acknowledges (returns nil) only after WriteQuorum of them have durably
-// appended it: a frame of one through quorumWrite, except that it stays a
-// bare packet on the wire, so each replica answers with the packet's own
-// disposition (a duplicate is 422 from POST /ingest). On a missed quorum
-// it returns a RetryAfterError carrying the largest hint any replica
-// offered — the router's upstream buffers and retries, exactly as it
-// would against a single degraded endpoint. Structurally invalid packets
-// are Permanent: unsendable anywhere.
+// appended it: a payload of one through quorumWrite, so it travels bare
+// and each replica answers with the packet's own disposition (a
+// duplicate is 422 from POST /ingest). On a missed quorum it returns a
+// RetryAfterError carrying the largest hint any replica offered — the
+// router's upstream buffers and retries, exactly as it would against a
+// single degraded endpoint. Structurally invalid packets are Permanent:
+// unsendable anywhere.
 func (c *Coordinator) Ingest(ctx context.Context, wire []byte) error {
-	return c.quorumWrite(ctx, wire, 1, true)
+	return c.quorumWrite(ctx, wire, 1)
 }
 
 // IngestBatch replicates a frame of packets to the partitions' owners
@@ -327,7 +333,8 @@ func (c *Coordinator) Ingest(ctx context.Context, wire []byte) error {
 // has reached its write quorum. Each owner node receives one sub-frame
 // holding exactly the packets it owns — stamped with one shared arrival
 // time — so a frame of N packets costs at most R HTTP requests and R
-// group commits cluster-wide instead of N×R of each. A replica's 202
+// group commits cluster-wide instead of N×R of each; a frame of one
+// travels bare, as Ingest's packet does. A replica's 202
 // covers its whole sub-frame (the endpoint does not acknowledge a batch
 // before the group fsync covering it returns), so sub-frame success
 // counts toward every contained packet's quorum.
@@ -341,23 +348,23 @@ func (c *Coordinator) IngestBatch(ctx context.Context, frame []byte) error {
 		c.rejected.Add(1)
 		return resilience.Permanent(err)
 	}
-	return c.quorumWrite(ctx, payload, n, false)
+	return c.quorumWrite(ctx, payload, n)
 }
 
 // quorumWrite is the one replicated write: payload holds n packets (a
 // lone packet is its own payload, whatever its length). It routes each
 // packet to its owners, sends every owner node one payload under one
-// arrival stamp — the lone packet itself when bare, else a sub-frame of
-// the packets that node owns — feeds the outcomes to the failure
-// detector, and asks the durability question packet by packet.
+// arrival stamp — the lone packet itself, or a sub-frame of the packets
+// that node owns — feeds the outcomes to the failure detector, and asks
+// the durability question packet by packet.
 //
-// Each owner's sub-frame is built once, at its exact size, by
+// Each owner's payload is built once, at its exact size, by
 // ownerPayloads, and the sends to different owners — and to one owner
 // from concurrent frames — overlap (DESIGN.md S45).
 //
 // Allocations: per payload and per owner node, never per packet; about
 // 23 KB for a 256-packet frame over three peers (TestQuorumWriteAllocBudget).
-func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, bare bool) error {
+func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int) error {
 	// Every packet's preference list, in one slice per payload: New keeps
 	// Replicas within [1, peers], so each list is exactly rep long and
 	// packet i's starts at owners[i*rep].
@@ -379,17 +386,7 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, ba
 		owners = c.ring.appendOwners(owners, tsdb.Mix64(p.Device.Uint64()), rep)
 	}
 
-	arrival := c.clock()
-	var payloads [][]byte
-	if bare {
-		payloads = make([][]byte, len(c.peers))
-		lone := clusterPayload(arrival, payload)
-		for _, node := range owners {
-			payloads[node] = lone
-		}
-	} else {
-		payloads = ownerPayloads(arrival, payload, owners, rep, len(c.peers))
-	}
+	payloads := ownerPayloads(c.clock(), payload, owners, rep, len(c.peers))
 
 	// One concurrent SendSync per owner node: nil from SendSync means the
 	// node accepted its payload before it returned.
@@ -429,9 +426,9 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, ba
 	// Per-packet quorum: a packet is acknowledged iff enough of ITS
 	// owners succeeded — node outcomes are shared across the payload, but
 	// the durability question is still asked packet by packet.
-	acked, succ := 0, 0 // succ outlives the loop for the lone packet's error text
+	acked := 0
 	for i := 0; i < n; i++ {
-		succ = 0
+		succ := 0
 		for _, node := range owners[i*rep : (i+1)*rep] {
 			if quorumSuccess(errs[node]) {
 				succ++
@@ -451,14 +448,8 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int, ba
 	if hint <= 0 {
 		hint = time.Second
 	}
-	var short error
-	if bare {
-		short = fmt.Errorf("%w: %d of %d (last: %v)", ErrNoQuorum, succ, c.cfg.WriteQuorum, lastErr)
-	} else {
-		short = fmt.Errorf("%w: %d of %d packets short of quorum %d (last: %v)",
-			ErrNoQuorum, n-acked, n, c.cfg.WriteQuorum, lastErr)
-	}
-	return &resilience.RetryAfterError{After: hint, Err: short}
+	return &resilience.RetryAfterError{After: hint, Err: fmt.Errorf("%w: %d of %d packets short of quorum %d (last: %v)",
+		ErrNoQuorum, n-acked, n, c.cfg.WriteQuorum, lastErr)}
 }
 
 // History returns one device's merged, repaired history across its

@@ -185,8 +185,9 @@ func clusterHistory(t *testing.T, base string, id lpwan.EUI64) []byte {
 // from both ends: splitClusterPayload must refuse anything shorter than
 // a stamp and one packet and never panic, and every payload ownerPayloads
 // builds — from fuzz-chosen packets spread over three nodes at R=2 —
-// must split back into the same stamp and a frame that batch.Split
-// accepts, holding exactly that node's packets in frame order.
+// must split back into the same stamp and, for one packet, that packet
+// bare, else a frame that batch.Split accepts, holding exactly that
+// node's packets in frame order.
 func FuzzClusterPayload(f *testing.F) {
 	seed := make([]byte, 3*(1+batch.PacketSize))
 	for i := range seed {
@@ -242,6 +243,12 @@ func FuzzClusterPayload(f *testing.F) {
 			at, frame, err := splitClusterPayload(p)
 			if err != nil || at != arrival {
 				t.Fatalf("node %d: stamp %v, %v; want %v", node, at, err, arrival)
+			}
+			if n == 1 {
+				if !bytes.Equal(frame, want[0]) {
+					t.Fatalf("node %d: the lone packet is not sent bare", node)
+				}
+				continue
 			}
 			body, k, err := batch.Split(frame, 0)
 			if err != nil || k != len(want) {

@@ -41,12 +41,15 @@ go build -o "$TMP/clusterload" ./cmd/clusterload
 
 # boot_node <index> — start one WAL-backed endpoint; its data dir
 # survives kills, so a restart replays everything it ever acknowledged.
+# Its debug listener is node_debug_port <index>.
+node_debug_port() { echo $((BASE + 5 + $1)); }
 boot_node() {
     idx="$1"
     mkdir -p "$TMP/node$idx"
     "$TMP/endpointd" -listen "127.0.0.1:$((BASE + idx))" -master "$MASTER" \
         -data-dir "$TMP/node$idx" -shards 4 -wal-fsync always \
-        -cluster-secret "$SECRET" >"$TMP/node$idx.log" 2>&1 &
+        -cluster-secret "$SECRET" -debug-addr "127.0.0.1:$(node_debug_port "$idx")" \
+        >"$TMP/node$idx.log" 2>&1 &
     echo $!
 }
 
@@ -107,4 +110,19 @@ METRICS="$(curl -s "http://127.0.0.1:$DEBUG_PORT/metrics")"
 printf '%s\n' "$METRICS" | grep -q '^cluster_replica_sends_inflight ' ||
     smoke_fail "/metrics does not export cluster_replica_sends_inflight"
 
-echo "smoke-cluster: OK (zero acknowledged loss, degraded-not-failed outage, 503-free recovery)"
+# The replica hop's shape is chosen by payload size (DESIGN.md S46):
+# clusterload sends only lone packets, so every node — the rebooted
+# victim included — must have taken them bare on /ingest, never as
+# frames on /ingest/batch.
+for idx in 0 1 2; do
+    NODE_METRICS="$(curl -s "http://127.0.0.1:$(node_debug_port "$idx")/metrics")"
+    bare="$(printf '%s\n' "$NODE_METRICS" | awk '$1 == "cloud_ingest_seconds_count" { print $2 }')"
+    frames="$(printf '%s\n' "$NODE_METRICS" | awk '$1 == "cloud_ingest_batch_frames_total" { print $2 }')"
+    [ -n "$bare" ] && [ "$bare" -gt 0 ] ||
+        smoke_fail "node $idx took no bare packet (cloud_ingest_seconds_count '$bare')" "$TMP/node$idx.log"
+    [ "$frames" = "0" ] ||
+        smoke_fail "node $idx took lone packets as frames (cloud_ingest_batch_frames_total '$frames')" "$TMP/node$idx.log"
+    echo "smoke-cluster: node $idx took $bare bare packets and no frame"
+done
+
+echo "smoke-cluster: OK (zero acknowledged loss, degraded-not-failed outage, 503-free recovery, lone packets bare)"
