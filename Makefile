@@ -12,19 +12,22 @@ test:
 # tool convention), so the lint fixture trees under
 # internal/lint/*/testdata — which contain deliberate invariant
 # violations — are excluded from build, vet, test, and lint alike. The
-# lint loader additionally refuses testdata packages defensively.
+# lint loader additionally refuses testdata packages defensively. The
+# gofmt gate, unlike ./..., does read testdata/ and bench/: fixtures and
+# the nested module are kept formatted too.
 vet:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 
 # lint runs centurylint, the repo's own go/analysis-style suite
-# (internal/lint), eleven analyzers: simdeterminism, lockedio, syncerr,
-# seedflow, the v2 dataflow analyzers centurytime, goroleak, ctxflow,
-# the v3 interprocedural concurrency analyzers lockorder, atomicmix,
-# lifecycle, and waiveraudit — the determinism, durability, horizon,
-# deadlock-freedom and lifetime invariants the century-scale argument
-# rests on. See DESIGN.md §32–33 and §37 for the invariants and the
-# //lint: waivers. Allocation budgets are not lint's: each hot function
-# names the AllocsPerRun test that measures it (DESIGN.md S43).
+# (internal/lint), eight analyzers: simdeterminism, lockedio, syncerr,
+# centurytime, lockorder, atomicmix, lifecycle, and waiveraudit — the
+# determinism, durability, horizon, deadlock-freedom and lifetime
+# invariants the century-scale argument rests on. See DESIGN.md §32–33
+# and §37 for the invariants and the //lint: waivers, and S47 for the
+# merges that took the suite from eleven analyzers to eight. Allocation
+# budgets are not lint's: each hot function names the AllocsPerRun test
+# that measures it (DESIGN.md S43).
 lint:
 	$(GO) run ./cmd/centurylint ./...
 

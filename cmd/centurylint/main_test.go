@@ -10,21 +10,19 @@ import (
 )
 
 // TestListAnalyzers pins the suite size and order-stability of -list:
-// eleven analyzers, waiveraudit last.
+// eight analyzers, waiveraudit last.
 func TestListAnalyzers(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errOut.String())
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 11 {
-		t.Fatalf("-list printed %d analyzers, want 11:\n%s", len(lines), out.String())
+	if len(lines) != 8 {
+		t.Fatalf("-list printed %d analyzers, want 8:\n%s", len(lines), out.String())
 	}
 	wantOrder := []string{
-		"simdeterminism", "lockedio", "syncerr", "seedflow",
-		"centurytime", "goroleak", "ctxflow",
-		"lockorder", "atomicmix", "lifecycle",
-		"waiveraudit",
+		"simdeterminism", "lockedio", "syncerr", "centurytime",
+		"lockorder", "atomicmix", "lifecycle", "waiveraudit",
 	}
 	for i, name := range wantOrder {
 		if !strings.HasPrefix(lines[i], name) {
@@ -37,9 +35,9 @@ func TestListAnalyzers(t *testing.T) {
 // findings, two-space indent, version header, [] (not null) when empty.
 func TestReportGolden(t *testing.T) {
 	scrambled := []Finding{
-		{File: "b.go", Line: 9, Col: 2, Analyzer: "goroleak", Message: "m2"},
+		{File: "b.go", Line: 9, Col: 2, Analyzer: "lifecycle", Message: "m2"},
 		{File: "a.go", Line: 20, Col: 1, Analyzer: "lockedio", Message: "m1"},
-		{File: "a.go", Line: 3, Col: 7, Analyzer: "ctxflow", Message: "m0"},
+		{File: "a.go", Line: 3, Col: 7, Analyzer: "lockorder", Message: "m0"},
 		{File: "a.go", Line: 3, Col: 7, Analyzer: "centurytime", Message: "m3"},
 	}
 	sortFindings(scrambled)
@@ -61,7 +59,7 @@ func TestReportGolden(t *testing.T) {
       "file": "a.go",
       "line": 3,
       "col": 7,
-      "analyzer": "ctxflow",
+      "analyzer": "lockorder",
       "message": "m0"
     },
     {
@@ -75,7 +73,7 @@ func TestReportGolden(t *testing.T) {
       "file": "b.go",
       "line": 9,
       "col": 2,
-      "analyzer": "goroleak",
+      "analyzer": "lifecycle",
       "message": "m2"
     }
   ]
@@ -181,8 +179,8 @@ func TestJSONByteStableAcrossRuns(t *testing.T) {
 		t.Errorf("report version = %d, want 1", rep.Version)
 	}
 	// Every analyzer that ran appears, zeroed and therefore name-sorted.
-	if len(rep.Timings) != 11 {
-		t.Fatalf("timings = %+v, want 11 entries", rep.Timings)
+	if len(rep.Timings) != 8 {
+		t.Fatalf("timings = %+v, want 8 entries", rep.Timings)
 	}
 	for i, tm := range rep.Timings {
 		if tm.Micros != 0 {
@@ -217,7 +215,7 @@ func TestBaselineDiff(t *testing.T) {
 		// A third copy exceeds the baseline's multiset budget.
 		{File: "a.go", Line: 90, Col: 1, Analyzer: "lockedio", Message: "m"},
 		// A genuinely new finding.
-		{File: "b.go", Line: 5, Col: 1, Analyzer: "ctxflow", Message: "new"},
+		{File: "b.go", Line: 5, Col: 1, Analyzer: "lifecycle", Message: "new"},
 	}
 	novel, stale, err := diffBaseline(path, current)
 	if err != nil {

@@ -40,12 +40,12 @@ type Server struct {
 	mux   *http.ServeMux
 
 	// maxInFlight caps concurrent ingests; 0 means unlimited.
-	maxInFlight int64
+	maxInFlight atomic.Int64
 	inFlight    atomic.Int64
 	degraded    atomic.Bool
 	shed        atomic.Uint64
 	// retryAfterSec is the hint sent with every 503. Default 1.
-	retryAfterSec int64
+	retryAfterSec atomic.Int64
 
 	// clusterSecret (a string; empty = disarmed) gates the
 	// cluster-internal routes and the arrival override; see cluster.go.
@@ -58,7 +58,8 @@ type Server struct {
 
 // NewServer wraps a store; the weekly-uptime clock starts now.
 func NewServer(store *Store, now time.Time) *Server {
-	s := &Server{store: store, start: now, mux: http.NewServeMux(), retryAfterSec: 1}
+	s := &Server{store: store, start: now, mux: http.NewServeMux()}
+	s.retryAfterSec.Store(1)
 	s.mux.HandleFunc("POST /ingest", s.handleIngest(httpapi.MaxPacketBody, "cloud: request body exceeds limit", false))
 	s.mux.HandleFunc("POST /ingest/batch", s.handleIngest(batch.MaxFrameBytes, "cloud: frame exceeds cap", true))
 	s.mux.HandleFunc("GET /status", s.handleStatus)
@@ -80,7 +81,7 @@ func (s *Server) SetIngestLimit(n int) {
 	if n < 0 {
 		n = 0
 	}
-	atomic.StoreInt64(&s.maxInFlight, int64(n))
+	s.maxInFlight.Store(int64(n))
 }
 
 // SetRetryAfter sets the Retry-After hint (rounded up to whole seconds,
@@ -90,7 +91,7 @@ func (s *Server) SetRetryAfter(d time.Duration) {
 	if secs < 1 {
 		secs = 1
 	}
-	atomic.StoreInt64(&s.retryAfterSec, secs)
+	s.retryAfterSec.Store(secs)
 }
 
 // SetDegraded marks (or clears) persist-failure degradation: while set,
@@ -123,7 +124,7 @@ func (s *Server) now() time.Duration { return time.Since(s.start) }
 // shedLoad answers 503 + Retry-After: the graceful "come back soon".
 func (s *Server) shedLoad(w http.ResponseWriter, reason string) {
 	s.shed.Add(1)
-	w.Header().Set("Retry-After", strconv.FormatInt(atomic.LoadInt64(&s.retryAfterSec), 10))
+	w.Header().Set("Retry-After", strconv.FormatInt(s.retryAfterSec.Load(), 10))
 	http.Error(w, "cloud: "+reason, http.StatusServiceUnavailable)
 }
 
@@ -159,7 +160,7 @@ func (s *Server) admitIngest(w http.ResponseWriter) (done func(), ok bool) {
 		s.shedLoad(w, "endpoint degraded (persist failure); buffer and retry")
 		return nil, false
 	}
-	if limit := atomic.LoadInt64(&s.maxInFlight); limit > 0 {
+	if limit := s.maxInFlight.Load(); limit > 0 {
 		if s.inFlight.Add(1) > limit {
 			s.inFlight.Add(-1)
 			s.shedLoad(w, "endpoint overloaded; buffer and retry")

@@ -41,10 +41,10 @@ func TestServeUDPCountsMalformedDatagrams(t *testing.T) {
 	defer tx.Close()
 
 	garbage := [][]byte{
-		{},                          // empty datagram
-		{0x01},                      // single byte
+		{},                               // empty datagram
+		{0x01},                           // single byte
 		[]byte("definitely not a frame"), // junk text
-		make([]byte, 100),           // zeroed block
+		make([]byte, 100),                // zeroed block
 	}
 	for _, g := range garbage {
 		if _, err := tx.WriteTo(g, conn.LocalAddr()); err != nil {

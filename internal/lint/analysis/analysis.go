@@ -50,11 +50,11 @@ type Pass struct {
 	// Report receives each diagnostic that survives directive suppression.
 	Report func(Diagnostic)
 
-	// Summaries carries the cross-package call summaries the driver
-	// computes in its pre-pass over every loaded package. Analyzers
-	// that follow calls across package boundaries (lockedio, goroleak,
-	// ctxflow) consult it; nil means "no interprocedural context" and
-	// those analyzers fall back to package-local summaries.
+	// Summaries carries the cross-package call summaries computed in a
+	// pre-pass over every loaded package. Analyzers that follow calls
+	// across package boundaries (lockedio, lockorder, lifecycle) consult
+	// it. It is never nil: the centurylint driver and analysistest, the
+	// only code that builds a Pass, both set it.
 	Summaries *dataflow.Index
 
 	// Suppressions, when non-nil, records every //lint: directive line

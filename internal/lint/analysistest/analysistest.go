@@ -100,7 +100,9 @@ type fixtureLoader struct {
 	importer types.Importer
 }
 
-func (l *fixtureLoader) dirOf(path string) string { return filepath.Join(l.src, filepath.FromSlash(path)) }
+func (l *fixtureLoader) dirOf(path string) string {
+	return filepath.Join(l.src, filepath.FromSlash(path))
+}
 
 func (l *fixtureLoader) isLocal(path string) bool {
 	fi, err := os.Stat(l.dirOf(path))

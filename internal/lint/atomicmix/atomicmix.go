@@ -1,35 +1,24 @@
-// Package atomicmix implements the centurylint analyzer that catches
-// struct fields accessed both through sync/atomic and by plain
-// load/store.
+// Package atomicmix implements the centurylint analyzer that bans
+// sync/atomic's function API (atomic.AddUint64, atomic.LoadInt64, ...).
 //
-// This is the exact bug class PR 5 fixed by hand in ingestCounters:
-// half the code path moved to atomic.AddUint64 while a reader kept a
-// plain load, which the race detector only catches when a test happens
-// to hit the interleaving. The mix is worse than either discipline
-// alone — the atomic calls look like the field is safe, the plain
-// accesses make it a data race anyway, and on a node that must run for
-// decades the race eventually loses.
+// A word reached through the function API is an ordinary field: any
+// other line can still read or write it plainly, and that mix is a data
+// race the atomics only make look safe. This is the exact bug class PR 5
+// fixed by hand in ingestCounters: half the code path moved to
+// atomic.AddUint64 while a reader kept a plain load, which the race
+// detector only catches when a test happens to hit the interleaving. On
+// a node that must run for decades the race eventually loses.
 //
-// The analyzer is package-local and object-precise: pass one collects
-// every struct field whose address is taken as the pointer argument of
-// a sync/atomic function anywhere in the package; pass two reports
-//
-//   - every plain selector read or write of such a field (the atomic
-//     call sites themselves are sanctioned), and
-//   - every escape of the field's address to anything that is not a
-//     sync/atomic call — once the pointer leaves the atomic API there
-//     is no discipline left to check.
-//
-// Fields of the modern wrapper types (atomic.Int64, atomic.Pointer...)
-// cannot mix by construction and never trigger the analyzer — they are
-// also the recommended fix. Intentional mixes (e.g. a constructor
-// writing before the struct is published) annotate
-// `//lint:atomicmix <reason>`.
+// The wrapper types (atomic.Int64, atomic.Uint64, atomic.Pointer...)
+// expose no plain load or store, so a field of one cannot mix by
+// construction. The analyzer therefore reports every call of a
+// package-level sync/atomic function and none of the wrappers' methods.
+// A word that cannot be a wrapper (a plain-layout slab shared with
+// another process, say) annotates `//lint:atomicmix <reason>`.
 package atomicmix
 
 import (
 	"go/ast"
-	"go/types"
 
 	"centuryscale/internal/lint/analysis"
 	"centuryscale/internal/lint/typeutil"
@@ -38,117 +27,29 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "atomicmix",
 	Directive: "atomicmix",
-	Doc: "flag struct fields accessed both through sync/atomic and by plain " +
-		"load/store (the ingestCounters bug class): a racy mix that defeats the " +
-		"atomics; migrate the field to atomic.Int64-style wrappers or drop the atomics",
+	Doc: "flag every call of sync/atomic's function API (atomic.AddUint64, " +
+		"atomic.LoadInt64, ...): the word it touches can still be accessed " +
+		"plainly (the ingestCounters race); use the wrapper types " +
+		"(atomic.Int64, atomic.Pointer, ...), which cannot mix",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	// Pass one: fields used atomically, and the sanctioned &field
-	// expressions (the atomic call arguments themselves).
-	atomicFields := make(map[*types.Var]string) // field -> one atomic op name, for the message
-	sanctioned := make(map[*ast.UnaryExpr]bool)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			callee := typeutil.Callee(pass.TypesInfo, call)
-			if callee == nil || typeutil.PkgPath(callee) != "sync/atomic" {
+			fn := typeutil.Callee(pass.TypesInfo, call)
+			if fn == nil || typeutil.PkgPath(fn) != "sync/atomic" || typeutil.ReceiverNamed(fn) != nil {
 				return true
 			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op.String() != "&" {
-					continue
-				}
-				if f := fieldOf(pass.TypesInfo, un.X); f != nil {
-					sanctioned[un] = true
-					if _, seen := atomicFields[f]; !seen {
-						atomicFields[f] = "atomic." + callee.Name()
-					}
-				}
-			}
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
-		return nil
-	}
-
-	// Pass two: plain accesses and address escapes of those fields.
-	for _, file := range pass.Files {
-		var stack []ast.Node
-		ast.Inspect(file, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			f := fieldOf(pass.TypesInfo, sel)
-			if f == nil {
-				return true
-			}
-			op, mixed := atomicFields[f]
-			if !mixed {
-				return true
-			}
-			// Walk one level up: &field inside a sanctioned atomic
-			// argument is the atomic access itself; &field anywhere else
-			// is an escape; a bare selector is a plain access.
-			if len(stack) >= 2 {
-				if un, ok := stack[len(stack)-2].(*ast.UnaryExpr); ok && un.Op.String() == "&" {
-					if sanctioned[un] {
-						return true
-					}
-					pass.Reportf(sel.Pos(),
-						"address of %s.%s escapes outside sync/atomic: the field is accessed with %s elsewhere, and a leaked pointer allows plain loads/stores that race with the atomics; keep the address inside sync/atomic calls or migrate the field to an atomic wrapper type, or annotate //lint:atomicmix <reason>",
-						ownerName(pass.TypesInfo, sel, f), f.Name(), op)
-					return true
-				}
-			}
-			pass.Reportf(sel.Pos(),
-				"plain access of %s.%s, which is accessed with %s elsewhere in this package: mixing atomic and plain load/store is a data race (the ingestCounters bug class PR 5 fixed); use sync/atomic for every access or migrate the field to an atomic wrapper type, or annotate //lint:atomicmix <reason>",
-				ownerName(pass.TypesInfo, sel, f), f.Name(), op)
+			pass.Reportf(call.Pos(),
+				"atomic.%s is sync/atomic's function API: the word it touches can still be read or written plainly, which races with the atomics (the ingestCounters bug class PR 5 fixed); make the field an atomic wrapper type (atomic.Int64, atomic.Uint64, atomic.Pointer, ...) or annotate //lint:atomicmix <reason>",
+				fn.Name())
 			return true
 		})
 	}
 	return nil
-}
-
-// fieldOf resolves a selector expression to the struct field it
-// denotes, or nil.
-func fieldOf(info *types.Info, expr ast.Expr) *types.Var {
-	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	v, ok := info.Uses[sel.Sel].(*types.Var)
-	if !ok || !v.IsField() {
-		return nil
-	}
-	return v
-}
-
-// ownerName renders the owning struct's name for diagnostics from the
-// selector's base type, falling back to the package name — fields carry
-// no back-pointer to their named type.
-func ownerName(info *types.Info, sel *ast.SelectorExpr, f *types.Var) string {
-	t := info.TypeOf(sel.X)
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	if f.Pkg() != nil {
-		return f.Pkg().Name()
-	}
-	return "?"
 }

@@ -1,72 +1,53 @@
-// Fixture for the atomicmix analyzer: a struct field must pick one
-// discipline — sync/atomic everywhere, or plain access everywhere.
+// Fixture for the atomicmix analyzer: every call of sync/atomic's
+// function API is reported; the wrapper types' methods never are.
 package atomicmix
 
 import "sync/atomic"
 
 type counters struct {
-	hits    uint64
-	misses  uint64
-	plainly uint64
+	hits   uint64
+	misses uint64
 }
 
-// bump uses the atomics...
+// bump uses the function API: each call is reported.
 func (c *counters) bump() {
-	atomic.AddUint64(&c.hits, 1)
-	atomic.AddUint64(&c.misses, 1)
+	atomic.AddUint64(&c.hits, 1)   // want `atomic\.AddUint64 is sync/atomic's function API`
+	atomic.AddUint64(&c.misses, 1) // want `atomic\.AddUint64 is sync/atomic's function API`
 }
 
-// snapshot mixes in plain loads — the race the analyzer exists for.
+// snapshot mixes in a plain load — the race the ban exists for. The
+// plain read is legal Go; the atomic calls beside it are what the
+// analyzer reports, because they are what lets the field stay plain.
 func (c *counters) snapshot() (uint64, uint64) {
-	h := c.hits // want `plain access of counters\.hits, which is accessed with atomic\.AddUint64 elsewhere in this package`
-	m := atomic.LoadUint64(&c.misses)
+	h := c.hits
+	m := atomic.LoadUint64(&c.misses) // want `atomic\.LoadUint64 is sync/atomic's function API`
 	return h, m
 }
 
-// reset mixes in a plain store.
 func (c *counters) reset() {
-	c.hits = 0 // want `plain access of counters\.hits`
+	atomic.StoreUint64(&c.hits, 0)                   // want `atomic\.StoreUint64`
+	_ = atomic.CompareAndSwapUint64(&c.misses, 1, 0) // want `atomic\.CompareAndSwapUint64`
 }
 
-// onlyPlain never touches sync/atomic: one consistent discipline, not
-// flagged.
-func (c *counters) onlyPlain() uint64 {
-	c.plainly++
-	return c.plainly
-}
-
-// escape leaks the address of an atomically-accessed field to a helper
-// that is free to dereference it plainly.
-func (c *counters) escape() {
-	scribble(&c.misses) // want `address of counters\.misses escapes outside sync/atomic`
-}
-
-func scribble(p *uint64) { *p = 0 }
-
-// modern uses the wrapper types: no address-taking, no mix possible,
-// never flagged.
+// modern uses the wrapper types: no plain access is possible, and their
+// methods are never flagged.
 type modern struct {
-	hits atomic.Uint64
+	hits  atomic.Uint64
+	limit atomic.Int64
+	cur   atomic.Pointer[counters]
 }
 
 func (m *modern) bump() uint64 {
 	m.hits.Add(1)
+	m.limit.Store(4)
+	m.cur.Store(&counters{})
+	_ = m.limit.CompareAndSwap(4, 5)
 	return m.hits.Load()
 }
 
-// published documents the constructor exemption pattern: the waiver
-// states why the plain write cannot race (the struct is not yet
-// shared).
-type published struct {
-	gen uint64
-}
-
-func newPublished() *published {
-	p := &published{}
-	p.gen = 1 //lint:atomicmix not yet published: no other goroutine can hold p before this returns
-	return p
-}
-
-func (p *published) next() uint64 {
-	return atomic.AddUint64(&p.gen, 1)
+// slab is a page of plain words shared with another process: a wrapper
+// type cannot overlay it, so its one atomic call states why.
+func bumpShared(slab []uint64, i int) uint64 {
+	//lint:atomicmix slab is a memory-mapped page of plain uint64s shared with another process; wrapper types cannot overlay it
+	return atomic.AddUint64(&slab[i], 1)
 }

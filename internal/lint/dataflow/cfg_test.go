@@ -76,8 +76,8 @@ b5: [i++] -> b2
 		},
 		{
 			// The nil-condition loop has no head->after edge: the only
-			// way out is the break. This is the exact fact goroleak's
-			// Blocking bit rests on.
+			// way out is the break. This is the exact fact lifecycle's
+			// forever-loop rule rests on (the Blocking bit).
 			name: "forever-break-continue",
 			src: `func f() {
 	for {

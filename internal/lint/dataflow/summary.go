@@ -122,10 +122,6 @@ type FuncSummary struct {
 	// HasCtxParam reports a context.Context in the signature.
 	HasCtxParam bool
 
-	// CallsBackground reports a direct call to context.Background or
-	// context.TODO in the synchronous body.
-	CallsBackground bool
-
 	// Calls lists qualified names of statically-resolved callees in the
 	// synchronous body, for transitive closure.
 	Calls []string
@@ -188,9 +184,6 @@ func summarizeBody(info *types.Info, body *ast.BlockStmt) *FuncSummary {
 			callee := typeutil.Callee(info, n)
 			if callee == nil {
 				return true
-			}
-			if typeutil.PkgPath(callee) == "context" && (callee.Name() == "Background" || callee.Name() == "TODO") {
-				s.CallsBackground = true
 			}
 			if io := DirectIO(callee); io != "" && s.IO == "" {
 				s.IO = io
@@ -273,9 +266,9 @@ func reachesExit(c *CFG) bool {
 	return false
 }
 
-// SummarizeLit summarizes a function literal at its use site (the
-// goroleak path). The literal's own parameters count toward ctx/stop
-// detection exactly like a declaration's would.
+// SummarizeLit summarizes a function literal at its use site (a `go
+// func() {...}()` spawn). The literal's own parameters count toward
+// ctx/stop detection exactly like a declaration's would.
 func SummarizeLit(info *types.Info, lit *ast.FuncLit) *FuncSummary {
 	s := summarizeBody(info, lit.Body)
 	if tv, ok := info.Types[lit]; ok {
@@ -334,18 +327,29 @@ func isContext(t types.Type) bool {
 	return obj.Name() == "Context" && typeutil.PkgPath(obj) == "context"
 }
 
-// isStopChan reports whether t is a receivable channel of struct{} —
-// the conventional stop/done signal.
+// isStopChan reports whether t is a channel of struct{} — the
+// conventional stop/done signal.
 func isStopChan(t types.Type) bool {
 	if t == nil {
 		return false
 	}
 	ch, ok := t.Underlying().(*types.Chan)
-	if !ok || ch.Dir() == types.SendOnly {
+	if !ok {
 		return false
 	}
 	st, ok := ch.Elem().Underlying().(*types.Struct)
 	return ok && st.NumFields() == 0
+}
+
+// IsStopArg reports whether a call argument of type t hands the callee
+// a way to learn about shutdown even when its body is out of sight: a
+// context.Context, a struct{} channel, or a *sync.WaitGroup.
+func IsStopArg(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		named, ok := ptr.Elem().(*types.Named)
+		return ok && named.Obj().Name() == "WaitGroup" && typeutil.PkgPath(named.Obj()) == "sync"
+	}
+	return isContext(t) || isStopChan(t)
 }
 
 // An Index aggregates function summaries across packages and resolves

@@ -1,5 +1,5 @@
-// Fixture for the ctxflow analyzer: a daemon-shaped package main that
-// must keep the cancellation chain intact into cross-package loops.
+// Fixture for lifecycle's cancellation-chain rules: a daemon-shaped
+// package main must keep the chain intact into cross-package loops.
 package main
 
 import (
@@ -38,7 +38,8 @@ func handle(ctx context.Context) {
 }
 
 // handleLit: literals may start a detached lifecycle; the resurrection
-// check does not descend into them (goroleak audits their lifetime).
+// check does not descend into them (the spawn rules audit their
+// lifetime).
 func handleLit(ctx context.Context) {
 	f := func() context.Context { return context.Background() }
 	_ = f()

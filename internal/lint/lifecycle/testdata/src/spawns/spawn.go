@@ -1,6 +1,6 @@
-// Fixture for the goroleak analyzer: every spawned forever-loop must be
-// able to observe a stop signal.
-package goroleak
+// Fixture for lifecycle's spawn rule outside DaemonPackages: every
+// spawned forever-loop must be able to observe a stop signal.
+package spawns
 
 import (
 	"context"

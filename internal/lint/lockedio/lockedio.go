@@ -21,6 +21,15 @@
 // Function literal bodies, `go` statements, and deferred calls are not
 // scanned: they do not run synchronously under the lock at that point.
 //
+// I/O behind an interface is a blind spot: a call through one resolves
+// to no summary. dataflow's ioMethods special-cases one seam,
+// tsdb.logFile, so the WAL's writes and fsyncs stay visible.
+// resilience.Sender is not special-cased, and lockedio is not taught to
+// resolve its implementations: that is how Uplink.SendSync held its
+// per-peer lock across every replica round trip unseen (DESIGN.md F12).
+// TestUplinkSendSyncOverlaps in internal/resilience holds that contract
+// instead: two SendSync calls to one peer must overlap.
+//
 // Some critical sections hold a lock across I/O on purpose — the WAL
 // append must serialize the write with the memtable insert or the
 // durability ordering contract breaks. Those sites annotate
@@ -49,13 +58,6 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	index := pass.Summaries
-	if index == nil {
-		// No driver pre-pass: fall back to a package-local index, which
-		// reproduces v1's same-package reachability exactly.
-		index = dataflow.NewIndex()
-		index.Add(dataflow.Summarize(pass.TypesInfo, pass.Files))
-		index.Resolve()
-	}
 	for _, file := range pass.Files {
 		// Every function body — declarations and literals, however deeply
 		// nested — is scanned independently; scanBlock itself never

@@ -67,11 +67,6 @@ type edge struct {
 
 func run(pass *analysis.Pass) error {
 	index := pass.Summaries
-	if index == nil {
-		index = dataflow.NewIndex()
-		index.Add(dataflow.Summarize(pass.TypesInfo, pass.Files))
-		index.Resolve()
-	}
 
 	edges := buildGraph(index)
 	adj := make(map[string][]string)

@@ -1,6 +1,6 @@
 // Package simdeterminism implements the centurylint analyzer that keeps
 // wall-clock time and ambient randomness out of the simulator's
-// virtual-time packages.
+// virtual-time packages, and out of every internal/rng seed.
 //
 // The determinism contract (internal/sim package doc; EXPERIMENTS.md) is
 // that a seed identifies a run bit-for-bit. One stray time.Now or global
@@ -10,6 +10,11 @@
 // legitimately lives on the wall clock; inside it, annotate the use with
 // `//lint:wallclock <reason>` (or keep the package out of
 // VirtualTimePackages).
+//
+// The seed rule runs in every package: `rng.New(uint64(time.Now().
+// UnixNano()))` in a daemon logs a "seed" that regenerates nothing.
+// Seeds must flow from configuration: a flag, an experiment table, or
+// a parent Source's Split.
 package simdeterminism
 
 import (
@@ -70,16 +75,40 @@ var randPackages = map[string]bool{
 	"math/rand/v2": true,
 }
 
+// rngPackages matches the deterministic generator, whose New takes the
+// seed.
+var rngPackages = []string{"internal/rng"}
+
+// seedSources maps package path → functions that read nondeterministic
+// state, for the seed rule. A nil set means every function in the
+// package; init adds randPackages that way.
+var seedSources = map[string]map[string]bool{
+	"time": wallClockFuncs,
+	"os": {
+		"Getpid": true, "Getppid": true, "Getuid": true, "Geteuid": true,
+		"Getgid": true, "Getegid": true,
+	},
+	"crypto/rand": nil,
+}
+
+func init() {
+	for path := range randPackages {
+		seedSources[path] = nil
+	}
+}
+
 var Analyzer = &analysis.Analyzer{
 	Name:      "simdeterminism",
 	Directive: "wallclock",
 	Doc: "forbid wall-clock reads (time.Now, time.Since, timers) and math/rand " +
-		"in virtual-time packages; simulated processes must take time from the " +
-		"sim clock and randomness from centuryscale/internal/rng",
+		"in virtual-time packages, and wall-clock, process-state, or ambient-random " +
+		"seeds into centuryscale/internal/rng anywhere; simulated processes must " +
+		"take time from the sim clock and seeds from experiment configuration",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
+	checkSeeds(pass)
 	if !typeutil.HasPathSuffix(pass.Pkg.Path(), VirtualTimePackages) {
 		return nil
 	}
@@ -110,6 +139,50 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// checkSeeds flags rng.New calls whose seed expression calls into
+// seedSources.
+func checkSeeds(pass *analysis.Pass) {
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := typeutil.Callee(pass.TypesInfo, call)
+			if fn == nil || fn.Name() != "New" || !typeutil.HasPathSuffix(typeutil.PkgPath(fn), rngPackages) {
+				return true
+			}
+			for _, arg := range call.Args {
+				if src := seedSource(pass.TypesInfo, arg); src != "" {
+					pass.Reportf(call.Pos(),
+						"rng.New seeded from %s: a nondeterministic seed makes the run unreproducible — derive seeds from experiment configuration (flag, table, or Source.Split)",
+						src)
+					break
+				}
+			}
+			return true
+		})
+	}
+}
+
+// seedSource names the first seedSources function referenced inside
+// expr, or returns "".
+func seedSource(info *types.Info, expr ast.Expr) string {
+	found := ""
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && found == "" {
+			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok {
+				path := typeutil.PkgPath(fn)
+				if names, ok := seedSources[path]; ok && (names == nil || names[fn.Name()]) {
+					found = path + "." + fn.Name()
+				}
+			}
+		}
+		return found == ""
+	})
+	return found
 }
 
 func importPath(spec *ast.ImportSpec) string {

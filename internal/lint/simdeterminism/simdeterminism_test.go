@@ -15,3 +15,9 @@ func TestAnalyzer(t *testing.T) {
 	analysistest.Run(t, "testdata", simdeterminism.Analyzer,
 		"internal/sim", "internal/daemon")
 }
+
+// TestSeeds runs the seeds fixture, which sits outside the virtual-time
+// set: only its rng.New seeds are reported.
+func TestSeeds(t *testing.T) {
+	analysistest.Run(t, "testdata", simdeterminism.Analyzer, "seeds")
+}

@@ -12,11 +12,11 @@ import (
 const tick = 250 * time.Millisecond
 
 func bad() time.Duration {
-	start := time.Now()           // want `time\.Now reads the wall clock inside virtual-time package internal/sim`
-	elapsed := time.Since(start)  // want `time\.Since reads the wall clock`
-	time.Sleep(tick)              // want `time\.Sleep reads the wall clock`
-	<-time.After(tick)            // want `time\.After reads the wall clock`
-	t := time.NewTicker(tick)     // want `time\.NewTicker reads the wall clock`
+	start := time.Now()          // want `time\.Now reads the wall clock inside virtual-time package internal/sim`
+	elapsed := time.Since(start) // want `time\.Since reads the wall clock`
+	time.Sleep(tick)             // want `time\.Sleep reads the wall clock`
+	<-time.After(tick)           // want `time\.After reads the wall clock`
+	t := time.NewTicker(tick)    // want `time\.NewTicker reads the wall clock`
 	t.Stop()
 	_ = rand.Int() // the import diagnostic covers every use
 	return elapsed

@@ -1,6 +1,6 @@
-// Fixture for seedflow: rng sources built from nondeterministic seeds
-// (the classes that break seed-identified replay) versus seeds that flow
-// from configuration.
+// Fixture for simdeterminism's seed rule, which runs in every package:
+// rng sources built from nondeterministic seeds (the classes that break
+// seed-identified replay) versus seeds that flow from configuration.
 package seeds
 
 import (
@@ -25,6 +25,6 @@ func good(seed uint64) {
 }
 
 func waived() {
-	//lint:seedflow throwaway smoke source; never identifies an experiment
+	//lint:wallclock throwaway smoke source; never identifies an experiment
 	_ = rng.New(uint64(time.Now().UnixNano()))
 }

@@ -12,12 +12,13 @@ import (
 	"centuryscale/internal/rng"
 )
 
-// These tests document the contract the seedflow analyzer
-// (internal/lint/seedflow) enforces at construction sites: a seed fully
-// determines the stream — across goroutine interleavings, across
-// processes, across machines. seedflow guards the input side (no
-// wall-clock or ambient-random seeds can reach rng.New); these tests pin
-// the output side (given the seed, nothing else influences the draws).
+// These tests document the contract the simdeterminism analyzer's seed
+// rule (internal/lint/simdeterminism) enforces at construction sites: a
+// seed fully determines the stream — across goroutine interleavings,
+// across processes, across machines. The seed rule guards the input
+// side (no wall-clock or ambient-random seeds can reach rng.New); these
+// tests pin the output side (given the seed, nothing else influences
+// the draws).
 
 // streamDigest runs a representative mix of the generator's methods —
 // raw draws, distributions, and stream splitting — and folds the results
