@@ -77,8 +77,9 @@ check:
 # three readers of persisted checkpoint bytes (sealed segments, the
 # manifest, the v1/v2 JSON snapshot), the HTTP tier's query parsers
 # (from/to ranges, seconds, device) and peer Retry-After header, the
-# replay guard's op streams against the map guard it replaced, and the
-# cluster payload routerd sends its replicas — fourteen in all. CI runs
+# replay guard's op streams against the map guard it replaced, the
+# cluster payload routerd sends its replicas, and the /cluster/replicate
+# body a peer sends — fifteen in all. CI runs
 # one of them per push, in rotation:
 # scripts/fuzz_short.sh <run number>.
 fuzz:

@@ -3,10 +3,10 @@ package cloud
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"centuryscale/internal/batch"
-	"centuryscale/internal/lpwan"
 	"centuryscale/internal/sim"
 	"centuryscale/internal/telemetry"
 	"centuryscale/internal/tsdb"
@@ -15,7 +15,8 @@ import (
 // Admission: the one path by which a reading enters the store (DESIGN.md
 // S42). A packet is a frame of one. POST /ingest/batch carries N packets
 // and POST /ingest carries one; both become one pass of per-packet
-// verification, one short critical section per touched guard shard (no
+// verification with no lock held, two short critical sections per
+// touched guard shard (a lookup before it and the record after it, no
 // I/O inside), and one WAL flush barrier however many shards were
 // touched. No packet is acknowledged until the flush covering it has
 // returned.
@@ -44,55 +45,43 @@ var (
 	ErrLeaseLapsed   = errors.New("cloud: endpoint unreachable (lease lapsed)")
 )
 
-// devSeq keys the intra-frame dedup map: two packets with the same
-// device and sequence number inside one frame would both pass the
-// replay guard's non-mutating Check, so the frame loop must
-// remember what it has already admitted this frame.
-type devSeq struct {
-	dev uint64
-	seq uint32
-}
-
-// admitScratch is the pooled working set of one admission: candidate
-// packets, their one bucketing by shard, the points handed to the log,
-// and the intra-frame dedup map. Pooling these is what holds admission at
-// 0 allocations in steady state — every buffer is reused.
+// admitScratch is the pooled working set of one admission: the candidate
+// packets, their one bucketing by guard shard, the points handed to the
+// log, and the hasher that verifies under any device's pad state. Pooling
+// these is what holds admission at 0 allocations in steady state — every
+// buffer is reused. It holds nothing per device: that lives in the guard
+// shards' records, once per store.
 type admitScratch struct {
-	cands  []telemetry.Packet
-	wires  [][]byte             // wire bytes of cands, parallel; views into the payload
-	groups [][]telemetry.Packet // admissible packets, one bucket per guard shard
+	cands  []candidate
+	groups [][]int32 // indices into cands, one bucket per guard shard, in payload order
+	order  []uint64  // one group as seq<<32 | index into cands, sorted for recording
 	fresh  []tsdb.Point
-	seen   map[devSeq]struct{}
-	// verifiers caches one keyed HMAC state per device across the
-	// scratch's lifetime — keys never rotate (burned in at manufacture),
-	// so the cache is only ever warm, never wrong, for the one store whose
-	// KeyResolver filled it: the pool belongs to the Store (F8). It
-	// survives release() because rebuilding it is the expensive part.
-	verifiers map[lpwan.EUI64]*telemetry.Verifier
+	hasher *telemetry.Hasher
 }
 
-// maxCachedVerifiers bounds one scratch's verifier cache; past it the
-// cache resets rather than tracking an unbounded fleet per scratch.
-const maxCachedVerifiers = 4096
+// candidate is one parsed packet on its way through admission.
+type candidate struct {
+	p    telemetry.Packet
+	wire []byte  // a view into the payload
+	rec  *device // the device's record as the lookup found it; nil if none
+	// keyed says rec carried a pad state at the lookup; when it did not,
+	// auth is the one built from the KeyResolver, which enrols with the
+	// packet if it is admitted.
+	keyed    bool
+	auth     telemetry.Auth
+	admitted bool
+}
 
 func newAdmitScratch() any {
-	return &admitScratch{
-		seen:      make(map[devSeq]struct{}, 64),
-		verifiers: make(map[lpwan.EUI64]*telemetry.Verifier, 64),
-	}
+	return &admitScratch{hasher: telemetry.NewHasher()}
 }
 
 func (s *Store) release(sc *admitScratch) {
 	sc.cands = sc.cands[:0]
-	sc.wires = sc.wires[:0]
 	for i := range sc.groups {
 		sc.groups[i] = sc.groups[i][:0]
 	}
 	sc.fresh = sc.fresh[:0]
-	clear(sc.seen)
-	if len(sc.verifiers) > maxCachedVerifiers {
-		clear(sc.verifiers)
-	}
 	s.scratch.Put(sc)
 }
 
@@ -161,9 +150,11 @@ func (s *Store) IngestBatch(at time.Duration, frame []byte) (BatchResult, error)
 // that arrived together at time at (a lone packet is its own payload,
 // whatever its length; a frame's payload is what batch.Split returned).
 //
-//	parse → verify → lapse/quarantine policy → refuse while the log is
-//	failed → per guard shard {sealed check, intra-frame dedup, Check,
-//	AppendDeferred, Record, accepted++} → weeks ledger → one flush barrier
+//	parse → per guard shard, look up each device's record → verify with
+//	no lock held → lapse/quarantine policy → refuse while the log is
+//	failed → per guard shard {sealed check, enrol, record in seq
+//	order, AppendDeferred, accepted++} → weeks ledger → one flush
+//	barrier
 //
 // err is the outcome of the whole payload — ErrLeaseLapsed, or ErrPersist
 // when the flush that would acknowledge it failed — and means nothing in
@@ -178,9 +169,25 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 	sc := s.scratch.Get().(*admitScratch)
 	defer s.release(sc)
 
-	// Pass 1: structural parse, per packet. Parse reads a subslice of
-	// the payload and copies out a fixed-size Packet value — no
-	// allocation, nothing retains the payload's bytes past this function.
+	// Pass 1: structural parse, per packet, and one bucketing by shard.
+	// Parse reads a subslice of the payload and copies out a fixed-size
+	// Packet value — no allocation, nothing retains the payload's bytes
+	// past this function. Guard shards and storage shards use the same
+	// hash and count (NewStoreWithDB), so a bucket is one guard lock and
+	// one storage-shard critical section.
+	nsh := len(s.guards)
+	if cap(sc.cands) < n {
+		// Sized for the largest payload the scratch has met, so no buffer
+		// grows packet by packet whatever the payload's spread over shards.
+		sc.cands = make([]candidate, 0, n)
+		sc.order = make([]uint64, 0, n)
+		sc.fresh = make([]tsdb.Point, 0, n)
+		sc.groups = make([][]int32, nsh)
+		for i := range sc.groups {
+			sc.groups[i] = make([]int32, 0, n)
+		}
+	}
+	groups := sc.groups
 	for i := 0; i < n; i++ {
 		wire := payload
 		if n > 1 {
@@ -193,78 +200,98 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 			refusal = err
 			continue
 		}
-		sc.cands = append(sc.cands, p)
-		sc.wires = append(sc.wires, wire)
+		si := tsdb.ShardIndex(p.Device, nsh)
+		groups[si] = append(groups[si], int32(len(sc.cands)))
+		sc.cands = append(sc.cands, candidate{p: p, wire: wire})
 	}
 
-	// Pass 1b: signature verification over the candidates, through the
-	// per-device verifier cache — a cache miss builds one reusable keyed
-	// HMAC state, a hit verifies with zero allocation.
-	verified := sc.cands[:0]
-	for ci, p := range sc.cands {
-		ver := sc.verifiers[p.Device]
-		if ver == nil {
-			key, ok := s.keys(p.Device)
-			if !ok {
-				s.stats.unknownDev.Add(1)
-				res.Rejected++
-				if n == 1 {
-					refusal = fmt.Errorf("%w: %v", ErrUnknownDevice, p.Device)
+	// Pass 2: look up every packet's record, one lock per touched shard.
+	for si, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
+		gs := s.guards[si]
+		gs.mu.Lock()
+		for _, ci := range group {
+			c := &sc.cands[ci]
+			c.rec = gs.devices[c.p.Device]
+			c.keyed = c.rec != nil && c.rec.keyed
+		}
+		gs.mu.Unlock()
+	}
+
+	// Pass 3: signature verification with no lock held. A record's pad
+	// state is immutable once keyed is set, and keyed was read under the
+	// shard lock, so reading the pad state here races nothing. A device
+	// without one gets its pad state built from the KeyResolver into the
+	// candidate; it joins the record only if the packet is admitted, so
+	// forged traffic cannot grow memory.
+	for si, group := range groups {
+		kept := group[:0]
+		for _, ci := range group {
+			c := &sc.cands[ci]
+			auth := &c.auth
+			if c.keyed {
+				auth = &c.rec.auth
+			} else {
+				key, ok := s.keys(c.p.Device)
+				if !ok {
+					s.stats.unknownDev.Add(1)
+					res.Rejected++
+					if n == 1 {
+						refusal = fmt.Errorf("%w: %v", ErrUnknownDevice, c.p.Device)
+					}
+					continue
 				}
-				continue
+				if err := sc.hasher.Pad(key, auth); err != nil {
+					s.stats.badSignature.Add(1)
+					res.Rejected++
+					refusal = err
+					continue
+				}
 			}
-			v, err := telemetry.NewVerifier(key)
-			if err != nil {
+			if _, err := sc.hasher.Verify(auth, c.wire); err != nil {
 				s.stats.badSignature.Add(1)
 				res.Rejected++
 				refusal = err
 				continue
 			}
-			ver = v
-			sc.verifiers[p.Device] = ver
+			kept = append(kept, ci)
 		}
-		if _, err := ver.Verify(sc.wires[ci]); err != nil {
-			s.stats.badSignature.Add(1)
-			res.Rejected++
-			refusal = err
-			continue
-		}
-		verified = append(verified, p)
+		groups[si] = kept
 	}
-	sc.cands = verified
 
-	// Pass 2: arrival-time policy under one aux-lock acquisition for the
+	// Pass 4: arrival-time policy under one aux-lock acquisition for the
 	// whole payload. A lapse rejects everything (nobody was listening at
-	// the published name); quarantine is per device. Survivors are
-	// bucketed by shard here, once: guard shards and storage shards use
-	// the same hash and count (freshGuards(db.Shards())), so a bucket is
-	// one guard lock and one storage-shard critical section.
-	nsh := len(s.guards)
-	if cap(sc.groups) < nsh {
-		sc.groups = make([][]telemetry.Packet, nsh)
-	}
-	groups := sc.groups[:nsh]
+	// the published name); quarantine is per device.
 	s.mu.Lock()
 	if s.inLapseLocked(at) {
 		s.mu.Unlock()
-		k := len(sc.cands)
+		k := 0
+		for _, group := range groups {
+			k += len(group)
+		}
 		s.stats.leaseLapsed.Add(uint64(k))
 		res.Rejected += k
 		return res, nil, ErrLeaseLapsed
 	}
 	admissible := 0
-	for _, p := range sc.cands {
-		if s.quarantinedLocked(p.Device, at) {
-			s.stats.quarantined.Add(1)
-			res.Rejected++
-			if n == 1 {
-				refusal = fmt.Errorf("%w: %v", ErrQuarantined, p.Device)
+	for si, group := range groups {
+		kept := group[:0]
+		for _, ci := range group {
+			dev := sc.cands[ci].p.Device
+			if s.quarantinedLocked(dev, at) {
+				s.stats.quarantined.Add(1)
+				res.Rejected++
+				if n == 1 {
+					refusal = fmt.Errorf("%w: %v", ErrQuarantined, dev)
+				}
+				continue
 			}
-			continue
+			kept = append(kept, ci)
 		}
-		si := tsdb.ShardIndex(p.Device, nsh)
-		groups[si] = append(groups[si], p)
-		admissible++
+		groups[si] = kept
+		admissible += len(kept)
 	}
 	s.mu.Unlock()
 
@@ -275,18 +302,19 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 		return res, nil, s.persistFailed(admissible, err)
 	}
 
-	// Pass 3: per guard shard — freshness, deferred append, admission,
+	// Pass 5: per guard shard — freshness, enrolment, deferred append,
 	// all under that shard's lock and none of it I/O. The log-buffer
 	// append and the memtable insert share the storage shard's critical
-	// section, and Record follows under the same guard lock, so guard,
-	// memtable and log move together; only the acknowledgement waits, on
-	// the one flush barrier after the loop: a packet whose flush failed is
-	// admitted but answered ErrPersist, and its retry is a duplicate.
-	// barrier covers every record this payload appended and, when it saw
-	// a duplicate, every record appended so far: the duplicate's original
-	// was admitted under this same guard lock, possibly by a frame still
-	// at its barrier, and the gateway takes "duplicate" as its job done,
-	// so that answer is an acknowledgement too.
+	// section, under the same guard lock as the windows that admitted
+	// them, so guard, memtable and log move together; only the
+	// acknowledgement waits, on the one flush barrier after the loop: a
+	// packet whose flush failed is admitted but answered ErrPersist, and
+	// its retry is a duplicate. barrier covers every record this payload
+	// appended and, when it saw a duplicate, every record appended so far:
+	// the duplicate's original was admitted under this same guard lock,
+	// possibly by a payload still at its barrier, and the gateway takes
+	// "duplicate" as its job done, so that answer is an acknowledgement
+	// too.
 	var barrier tsdb.LSN
 	for si, group := range groups {
 		if len(group) == 0 {
@@ -311,36 +339,47 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 				continue
 			}
 		}
-		sc.fresh = sc.fresh[:0]
-		for _, p := range group {
-			k := devSeq{p.Device.Uint64(), p.Seq}
-			if _, dup := sc.seen[k]; dup {
-				s.stats.duplicates.Add(1)
-				res.Duplicates++
-				continue
+		// Record the packets in ascending seq, payload order breaking
+		// ties. Packets of different devices touch different windows, so
+		// only each device's own order matters: its packets arrive in
+		// ascending seq, and a packet's window holds only the payload's
+		// lower seqs of its device, which cannot push it below the window.
+		// So each packet is judged against the guard as it stood before
+		// the payload plus the payload's own repeats: order inside a frame
+		// means nothing (DESIGN.md S48).
+		sc.order = sc.order[:0]
+		for _, ci := range group {
+			sc.order = append(sc.order, uint64(sc.cands[ci].p.Seq)<<32|uint64(ci))
+		}
+		slices.Sort(sc.order)
+		for _, key := range sc.order {
+			c := &sc.cands[uint32(key)]
+			rec := c.rec
+			if rec == nil {
+				rec = gs.enrol(c.p.Device)
 			}
-			if !gs.guard.Check(p) {
+			if !rec.keyed {
+				rec.auth, rec.keyed = c.auth, true
+			}
+			if !rec.win.Record(c.p.Seq, replayWindow) {
 				s.stats.duplicates.Add(1)
 				res.Duplicates++
 				if n == 1 {
-					refusal = gs.guard.Fresh(p)
+					refusal = rec.win.Fresh(c.p.Seq, replayWindow)
 				}
 				barrier = s.db.LogEnd()
 				continue
 			}
-			sc.seen[k] = struct{}{}
-			sc.fresh = append(sc.fresh, pointOf(at, p))
+			c.admitted = true
+		}
+		sc.fresh = sc.fresh[:0]
+		for _, ci := range group {
+			if c := &sc.cands[ci]; c.admitted {
+				sc.fresh = append(sc.fresh, pointOf(at, c.p))
+			}
 		}
 		if len(sc.fresh) > 0 {
 			barrier = s.db.AppendDeferred(sc.fresh)
-			for _, pt := range sc.fresh {
-				// Check judged every packet against the guard as it stood
-				// before the payload (order inside a frame means nothing),
-				// so Record refuses one only when this payload pushed it
-				// below the window: a device's packets reordered by more
-				// than the window. It is stored all the same.
-				gs.guard.Record(packetOf(pt))
-			}
 			gs.accepted += uint64(len(sc.fresh))
 		}
 		gs.mu.Unlock()

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,11 +28,15 @@ func frameOf(t *testing.T, wires ...[]byte) []byte {
 	return f
 }
 
-// TestVerifierCacheIsPerStore is F8: the per-device verifier cache rides
-// in admission's pooled scratch, so the pool must belong to the store
-// whose KeyResolver filled it. Three stores in one process — the fleet's
-// master, no devices at all, another master — are offered the same
-// frames and packets in turn; only the first may accept anything.
+// TestVerifierCacheIsPerStore is F8: a device's pad state, built from a
+// KeyResolver, must only ever verify for the store whose resolver built
+// it. It once rode in admission's pooled scratch, so the pool had to
+// belong to the store; it now lives in the store's own device records,
+// made only for a packet whose tag verified. Three stores in one process
+// — the fleet's master, no devices at all, another master — are offered
+// the same frames and packets in turn; only the first may accept
+// anything, and the other two must end holding no device record at all:
+// refused traffic enrols nothing.
 func TestVerifierCacheIsPerStore(t *testing.T) {
 	fleet := NewStore(StaticKeys(master))
 	nobody := NewStore(func(lpwan.EUI64) (telemetry.Key, bool) { return nil, false })
@@ -65,21 +71,93 @@ func TestVerifierCacheIsPerStore(t *testing.T) {
 	if st := other.Stats(); st.Accepted != 0 || st.BadSignature != want {
 		t.Errorf("store under another master: %+v, want 0 accepted and %d bad signatures", st, want)
 	}
+	for _, c := range []struct {
+		name string
+		s    *Store
+		want int
+	}{{"the fleet's own store", fleet, perFrame}, {"store that knows no devices", nobody, 0}, {"store under another master", other, 0}} {
+		if got := records(c.s); got != c.want {
+			t.Errorf("%s holds %d device records, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// records counts the device records across a store's guard shards.
+func records(s *Store) int {
+	n := 0
+	for _, gs := range s.guards {
+		gs.mu.Lock()
+		n += len(gs.devices)
+		gs.mu.Unlock()
+	}
+	return n
+}
+
+// cityDevices is the paper's fleet: §1's 210,000 Los Angeles streetlights.
+const cityDevices = 210000
+
+var city struct {
+	once   sync.Once
+	frames [][]byte
+	store  *Store // nil until cityStore builds it, and again once TestDeviceStateBudget takes it
+}
+
+// cityFrames is the city fleet's first report: every device's seq 1,
+// round robin in 256-packet frames, sealed once per test process.
+func cityFrames(t *testing.T) [][]byte {
+	city.once.Do(func() {
+		wires := make([][]byte, 0, 256)
+		for d := uint64(1); d <= cityDevices; d++ {
+			dev := lpwan.EUIFromUint64(d)
+			w, err := telemetry.Packet{Device: dev, Seq: 1, Value: 1}.Seal(telemetry.DeriveKey(master, dev))
+			if err != nil {
+				panic(err)
+			}
+			wires = append(wires, w)
+			if len(wires) == cap(wires) || d == cityDevices {
+				f, err := batch.AppendFrame(nil, wires...)
+				if err != nil {
+					panic(err)
+				}
+				city.frames = append(city.frames, f)
+				wires = wires[:0]
+			}
+		}
+	})
+	return city.frames
+}
+
+// cityStore is a memory-only store that has admitted cityFrames, built
+// once and shared: TestAdmitAllocBudgets only re-offers duplicates to
+// it, and TestDeviceStateBudget, which tears its records down, runs
+// after it in this file and takes the store for itself.
+func cityStore(t *testing.T) *Store {
+	if city.store != nil {
+		return city.store
+	}
+	s := NewStore(StaticKeys(master))
+	for i, f := range cityFrames(t) {
+		if _, err := s.IngestBatch(time.Minute, f); err != nil {
+			t.Fatalf("city frame %d: %v", i, err)
+		}
+	}
+	if st := s.Stats(); st.Accepted != cityDevices {
+		t.Fatalf("city fleet: %+v, want %d accepted", st, cityDevices)
+	}
+	city.store = s
+	return s
 }
 
 // TestAdmitAllocBudgets measures admission's allocations, on a
 // memory-only store and on a WAL-backed one (the endpoint's own shape): in
-// steady state — the device's guard entry and verifier exist, the scratch
-// comes back from the pool — a lone packet and a whole frame each cost 0.
-// Steady state is the median call: a call that finds the pool empty
-// (first use, after a GC, and one Put in four under -race) rebuilds the
-// scratch and the verifiers it meets, and the memtable and guard maps grow
-// now and then. The lone packets come from one device and every frame
-// holds all eight, so a rebuilt scratch is warm again after one call:
-// under -race a scratch lives four calls on average, fewer than it would
-// take lone packets to meet eight devices again. Before F9 the WAL-backed
-// row cost one allocation per packet; before F11 a re-offered frame, all
-// duplicates, cost four per packet.
+// steady state — the device's record exists, the scratch comes back from
+// the pool — a lone packet and a whole frame each cost 0. Steady state is
+// the median call: a call that finds the pool empty (first use, after a
+// GC, and one Put in four under -race) rebuilds the scratch, and the
+// memtable and the shards' record maps grow now and then. Before F9 the
+// WAL-backed row cost one allocation per packet; before F11 a re-offered
+// frame, all duplicates, cost four per packet. The last row is the
+// paper's fleet (S48).
 func TestAdmitAllocBudgets(t *testing.T) {
 	const (
 		devices  = 8
@@ -156,6 +234,139 @@ func TestAdmitAllocBudgets(t *testing.T) {
 			i++
 		}); got != 0 {
 			t.Errorf("%s: a re-offered %d-packet frame allocates %.0f times, want 0", row.name, perFrame, got)
+		}
+	}
+
+	// The paper's fleet: every one of 210,000 devices seen once, then its
+	// frames re-offered, all duplicates, so the memtable does not grow.
+	// Before S48 each scratch cached at most 4,096 verifiers and this row
+	// cost 4,096 allocations per frame.
+	s := cityStore(t)
+	city := cityFrames(t)
+	i := 0
+	if got := median(func() {
+		f := city[i%len(city)]
+		res, err := s.IngestBatch(3*time.Hour, f)
+		if err != nil || res.Accepted != 0 || res.Duplicates != res.Total {
+			t.Fatalf("re-offered city frame %d: %+v, %v", i, res, err)
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("city fleet: a re-offered 256-packet frame allocates %.0f times, want 0", got)
+	}
+}
+
+// TestDeviceStateBudget is ROADMAP 10(c): the heap bytes per device of
+// all per-device admission state — one record per device in its guard
+// shard, the key's 64-byte pad state and the replay window, plus the
+// shard map's share — at the paper's fleet size. Admission's pooled
+// scratch holds nothing per device. The figure is the heap the records
+// free when the shards drop them, over the fleet.
+func TestDeviceStateBudget(t *testing.T) {
+	const budget = 128 // bytes per device; 123.2 with bucket maps, 119 with Swiss tables (DESIGN.md S48)
+	s := cityStore(t)
+	city.store = nil // its records are dropped below
+	if got := records(s); got != cityDevices {
+		t.Fatalf("%d device records, want %d", got, cityDevices)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	with := heap()
+	for _, gs := range s.guards {
+		gs.mu.Lock()
+		gs.devices = nil
+		gs.mu.Unlock()
+	}
+	without := heap()
+	runtime.KeepAlive(s)
+	per := float64(int64(with)-int64(without)) / cityDevices
+	t.Logf("%.1f B of admission state per device, %.1f MB for %d devices", per, per*cityDevices/1e6, cityDevices)
+	if per > budget {
+		t.Errorf("admission state is %.1f B per device, budget %d", per, budget)
+	}
+}
+
+// TestConcurrentEnrolment offers the same frames of never-seen devices
+// from several goroutines at once, each in its own order, so the lookup,
+// the verification with no lock held and the enrolment race for every
+// device: each (device, seq) must be accepted exactly once, every other
+// offer of it counted a duplicate, each device must end with one record,
+// and each History must hold its device's seqs once each. The weekly CI
+// race-stress job repeats it under the race detector.
+func TestConcurrentEnrolment(t *testing.T) {
+	const (
+		devices  = 96
+		seqs     = 6 // inside the replay window, so no order pushes one below it
+		perFrame = 32
+		workers  = 4
+	)
+	s := NewStore(StaticKeys(master))
+	var wires [][]byte
+	for seq := uint32(1); seq <= seqs; seq++ {
+		for d := uint64(1); d <= devices; d++ {
+			wires = append(wires, sealed(t, d, seq, float32(seq)))
+		}
+	}
+	var frames [][]byte
+	for len(wires) > 0 {
+		k := min(perFrame, len(wires))
+		frames = append(frames, frameOf(t, wires[:k]...))
+		wires = wires[k:]
+	}
+
+	results := make([]BatchResult, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range frames {
+				i := (k + w*len(frames)/workers) % len(frames)
+				if w%2 == 1 {
+					i = len(frames) - 1 - i
+				}
+				res, err := s.IngestBatch(time.Minute, frames[i])
+				if err != nil {
+					t.Errorf("worker %d, frame %d: %v", w, i, err)
+					return
+				}
+				results[w].Accepted += res.Accepted
+				results[w].Duplicates += res.Duplicates
+				results[w].Rejected += res.Rejected
+			}
+		}()
+	}
+	wg.Wait()
+
+	var sum BatchResult
+	for _, r := range results {
+		sum.Accepted += r.Accepted
+		sum.Duplicates += r.Duplicates
+		sum.Rejected += r.Rejected
+	}
+	offered := devices * seqs
+	if sum.Accepted != offered || sum.Duplicates != (workers-1)*offered || sum.Rejected != 0 {
+		t.Errorf("dispositions %+v, want %d accepted and %d duplicates", sum, offered, (workers-1)*offered)
+	}
+	if got := records(s); got != devices {
+		t.Errorf("%d device records, want %d", got, devices)
+	}
+	want := make([]int, seqs)
+	for i := range want {
+		want[i] = i + 1
+	}
+	for d := uint64(1); d <= devices; d++ {
+		var got []int
+		for _, r := range s.History(lpwan.EUIFromUint64(d)) {
+			got = append(got, int(r.Packet.Seq))
+		}
+		sort.Ints(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("device %d holds seqs %v, want %v", d, got, want)
 		}
 	}
 }

@@ -124,17 +124,43 @@ func (c *ingestCounters) restore(st IngestStats) {
 // gateways buffer and retry.
 var ErrPersist = errors.New("cloud: persist failed")
 
-// guardShard is one partition of replay protection. It is sharded with
-// the same hash as the storage engine so two packets from the same
-// device always serialize on the same lock, and packets from different
-// devices almost never do.
+// guardShard is one partition of per-device admission state. It is
+// sharded with the same hash as the storage engine so two packets from
+// the same device always serialize on the same lock, and packets from
+// different devices almost never do.
 type guardShard struct {
-	mu    sync.Mutex
-	guard *telemetry.ReplayGuard
+	mu sync.Mutex
+	// devices holds one record per device this shard has admitted or
+	// restored. Records are never removed and never replaced, so a
+	// pointer found under mu stays the device's live record.
+	devices map[lpwan.EUI64]*device
 	// accepted counts admissions under mu, which also covers their
 	// memtable insert, so Store.cut reads a shard's series and its share of
 	// Stats.Accepted together. Shard 0 starts from a restore's total.
 	accepted uint64
+}
+
+// device is one device's admission record: its key's pad state and its
+// replay window. win is read and written under the shard's mu. auth is
+// written once, under mu, with keyed; after that it is immutable and
+// verification reads it with no lock held. A record restored from the
+// log, a checkpoint or a peer has a window but no pad state until the
+// device's first admitted packet brings one.
+type device struct {
+	auth  telemetry.Auth
+	win   telemetry.Window
+	keyed bool
+}
+
+// enrol returns dev's record, making an unkeyed one if the shard has
+// none. The caller holds gs.mu.
+func (gs *guardShard) enrol(dev lpwan.EUI64) *device {
+	rec := gs.devices[dev]
+	if rec == nil {
+		rec = new(device)
+		gs.devices[dev] = rec
+	}
+	return rec
 }
 
 // Store is the endpoint state: authenticated time-series per device plus
@@ -147,8 +173,7 @@ type Store struct {
 	keys   KeyResolver
 	db     *tsdb.DB
 	guards []*guardShard
-	// scratch pools admission's working sets (admit.go). Per store, not
-	// per process: a scratch caches verifiers built from this store's keys.
+	// scratch pools admission's working sets (admit.go).
 	scratch sync.Pool
 
 	stats ingestCounters // lock-free; see IngestStats for the export form
@@ -239,16 +264,11 @@ func NewStoreWithDB(keys KeyResolver, db *tsdb.DB) *Store {
 		weeks:   make(map[int64]bool),
 		fs:      osFS{},
 	}
-	s.guards = freshGuards(db.Shards())
-	return s
-}
-
-func freshGuards(n int) []*guardShard {
-	gs := make([]*guardShard, n)
-	for i := range gs {
-		gs[i] = &guardShard{guard: telemetry.NewReplayGuard(replayWindow)}
+	s.guards = make([]*guardShard, db.Shards())
+	for i := range s.guards {
+		s.guards[i] = &guardShard{devices: make(map[lpwan.EUI64]*device)}
 	}
-	return gs
+	return s
 }
 
 func (s *Store) guardFor(dev lpwan.EUI64) *guardShard {
@@ -308,7 +328,7 @@ func (s *Store) ReplayWAL() (tsdb.ReplayStats, error) {
 		gs.mu.Lock()
 		// Below the watermark: summarized in the checkpoint's buckets and
 		// counted there. Refused by the guard: held already.
-		keep := gs.guard.Record(p) && pt.At >= folded
+		keep := gs.enrol(p.Device).win.Record(p.Seq, replayWindow) && pt.At >= folded
 		if keep {
 			gs.accepted++
 		}

@@ -195,6 +195,7 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 		have[pt.Seq] = struct{}{}
 	}
 	var missing []tsdb.Point
+	var rec *device
 	for _, r := range recs {
 		if r.At < sealedBelow {
 			s.stats.stale.Add(1)
@@ -208,7 +209,10 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 		// Advance the replay window over repaired sequence numbers so a
 		// late duplicate of a repaired packet is still rejected; records
 		// older than the window simply leave it unchanged.
-		gs.guard.Record(r.Packet)
+		if rec == nil {
+			rec = gs.enrol(dev)
+		}
+		rec.win.Record(r.Packet.Seq, replayWindow)
 		s.observeArrival(r.At)
 	}
 	// Dedup-check and append commit together under the guard lock, or a

@@ -2,14 +2,19 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/rollup"
+	"centuryscale/internal/telemetry"
 )
 
 // The three parsers that read persisted bytes at boot — the sealed-segment
@@ -205,6 +210,76 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		if !bytes.Equal(exportOf(t, again), after) {
 			t.Fatal("export of a read snapshot is not a fixed point")
+		}
+	})
+}
+
+// FuzzClusterReplicate drives POST /cluster/replicate, the one parser of
+// bytes a peer sends that writes device records (Store.Repair), with
+// arbitrary bodies against a store holding two readings. It must never
+// panic. An answer other than 2xx leaves Stats and every device's
+// History as they were. After a 2xx, every stored (device, seq) is a
+// replay to admission: the repair advanced the windows it wrote.
+func FuzzClusterReplicate(f *testing.F) {
+	dev := lpwan.EUIFromUint64(11)
+	valid, err := json.Marshal(ReplicatePayload{Device: dev.String(), Records: []ClusterRecord{
+		{AtNanos: int64(time.Minute), Seq: 1, ValueBits: 0x3f800000},
+		{AtNanos: int64(3 * time.Minute), Seq: 3, Sensor: 2, ValueBits: 0x40400000, Uptime: 9},
+		{AtNanos: int64(time.Hour), Seq: 90},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"device":"` + lpwan.EUIFromUint64(12).String() + `","records":[{"at_nanos":-1,"seq":4294967295},{"seq":0}]}`))
+	f.Add([]byte(`{"device":"not-a-device","records":[]}`))
+	f.Add([]byte(`{"device":"` + dev.String() + `","records":[{"seq":"x"}]}`))
+	f.Add([]byte(`{"device":`))
+	f.Add([]byte(`[]`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		store := NewStore(StaticKeys(master))
+		for seq := uint32(1); seq <= 2; seq++ {
+			if err := store.Ingest(time.Duration(seq)*time.Minute, sealed(t, 11, seq, float32(seq))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		histories := func() map[lpwan.EUI64][]Reading {
+			h := make(map[lpwan.EUI64][]Reading)
+			for _, d := range store.Devices() {
+				h[d] = store.History(d)
+			}
+			return h
+		}
+		stats, hist := store.Stats(), histories()
+
+		server := NewServer(store, time.Unix(0, 0))
+		server.SetClusterSecret("s3cret")
+		req := httptest.NewRequest("POST", "/cluster/replicate", bytes.NewReader(body))
+		req.Header.Set(ClusterSecretHeader, "s3cret")
+		rec := httptest.NewRecorder()
+		server.ServeHTTP(rec, req)
+
+		if rec.Code/100 != 2 {
+			if got := store.Stats(); got != stats {
+				t.Fatalf("answer %d changed Stats:\n before %+v\n after  %+v", rec.Code, stats, got)
+			}
+			if got := histories(); !reflect.DeepEqual(got, hist) {
+				t.Fatalf("answer %d changed a History", rec.Code)
+			}
+			return
+		}
+		for d, rs := range histories() {
+			key := telemetry.DeriveKey(master, d)
+			for _, r := range rs {
+				wire, err := telemetry.Packet{Device: d, Seq: r.Packet.Seq}.Seal(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.Ingest(time.Hour, wire); !errors.Is(err, telemetry.ErrReplay) {
+					t.Fatalf("stored seq %d of %v offered again after a repair: %v, want ErrReplay", r.Packet.Seq, d, err)
+				}
+			}
 		}
 	})
 }

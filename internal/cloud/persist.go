@@ -15,6 +15,7 @@ import (
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/obs"
 	"centuryscale/internal/rollup"
+	"centuryscale/internal/telemetry"
 	"centuryscale/internal/tsdb"
 )
 
@@ -344,20 +345,37 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 		lapses = append(lapses, window{from: time.Duration(l[0]), to: time.Duration(l[1])})
 	}
 
-	// Swap everything in: fresh guards rebuilt from the restored
-	// readings (duplicates within the snapshot were already filtered at
-	// ingest), fresh engine memtables loaded without WAL writes — the
-	// snapshot itself is the durable copy of these readings.
-	guards := freshGuards(s.db.Shards())
-	guards[0].accepted = snap.Stats.Accepted
+	// Swap everything in: engine memtables loaded without WAL writes —
+	// the snapshot itself is the durable copy of these readings — and
+	// every device record's window rebuilt from the restored readings
+	// (duplicates within the snapshot were already filtered at ingest).
+	// Windows are reset in place, not replaced with their records, so a
+	// record an admission looked up before the restore stays the live one;
+	// pad states survive, since keys never change.
 	s.db.Reset()
+	for i, gs := range s.guards {
+		gs.mu.Lock()
+		for _, rec := range gs.devices {
+			rec.win = telemetry.Window{}
+		}
+		gs.accepted = 0
+		if i == 0 {
+			gs.accepted = snap.Stats.Accepted
+		}
+		gs.mu.Unlock()
+	}
 	for _, ds := range series {
-		g := guards[tsdb.ShardIndex(ds.dev, len(guards))]
 		for _, pt := range ds.pts {
 			s.db.Load(pt)
 			s.observeArrival(pt.At)
-			g.guard.Record(packetOf(pt))
 		}
+		gs := s.guardFor(ds.dev)
+		gs.mu.Lock()
+		rec := gs.enrol(ds.dev)
+		for _, pt := range ds.pts {
+			rec.win.Record(pt.Seq, replayWindow)
+		}
+		gs.mu.Unlock()
 	}
 	if restoredRollups != nil {
 		// The watermark is a lower bound on the data clock that produced
@@ -369,7 +387,10 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 		// and without it a replayed pre-fold packet would re-enter.
 		for _, dev := range restoredRollups.Devices() {
 			if seq := restoredRollups.MaxSeq(dev); seq > 0 {
-				guards[tsdb.ShardIndex(dev, len(guards))].guard.Seed(dev, seq)
+				gs := s.guardFor(dev)
+				gs.mu.Lock()
+				gs.enrol(dev).win.Seed(seq)
+				gs.mu.Unlock()
 			}
 		}
 		s.rollups.Store(restoredRollups)
@@ -380,11 +401,6 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 	s.weeks = weeks
 	s.lapses = lapses
 	s.mu.Unlock()
-	for i, g := range guards {
-		s.guards[i].mu.Lock()
-		s.guards[i].guard, s.guards[i].accepted = g.guard, g.accepted
-		s.guards[i].mu.Unlock()
-	}
 }
 
 // manifest is the checkpoint's commit record, the JSON file at the

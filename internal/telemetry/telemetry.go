@@ -17,6 +17,7 @@ package telemetry
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -158,61 +159,216 @@ func Verify(wire []byte, key Key) (Packet, error) {
 	return p, nil
 }
 
-// Verifier authenticates packets under one device key without per-call
-// allocation: the keyed HMAC state and the digest buffer are built once
-// and reused via Reset. Device keys are burned in at manufacture and
-// never rotate (the devices are transmit-only), so a cached Verifier
-// stays valid for the device's whole life. Not safe for concurrent use;
-// callers verifying from multiple goroutines hold one Verifier each.
-type Verifier struct {
-	mac hash.Hash
-	sum [sha256.Size]byte
+// Auth is one device key's HMAC-SHA256 pad state: the SHA-256 chaining
+// values after the key's ipad block and after its opad block, 64 bytes,
+// which is all of the key that verification needs (FIPS 198-1 §6 permits
+// precomputing them). Device keys are burned in at manufacture and never
+// rotate (the devices are transmit-only), so an Auth built once is valid
+// for the device's whole life, and it is immutable: any number of
+// goroutines may verify under one Auth, each with its own Hasher.
+type Auth struct {
+	inner, outer [sha256.Size]byte // chaining values, big-endian, as sha256 marshals them
 }
 
-// NewVerifier builds a reusable verifier for one device key.
-func NewVerifier(key Key) (*Verifier, error) {
+// sha256State is what sha256.New returns: a hash.Hash whose state
+// marshals (allocating) and restores (without allocating).
+type sha256State interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// Hasher is the reusable working state that verifies packets under any
+// Auth: one SHA-256 digest and the marshaled state it is restored from.
+// That state is sha256's own format — magic, chaining value, a block
+// buffer and the byte count — and after exactly one 64-byte block the
+// buffer is empty and the count is 64, so only the chaining value ever
+// changes; FuzzVerify pins the format against crypto/hmac. Not safe for
+// concurrent use: each verifying goroutine holds its own.
+type Hasher struct {
+	sha   sha256State
+	state []byte // a marshaled digest after one block; bytes 4:36 are its chaining value
+	sum   [sha256.Size]byte
+	block [sha256.BlockSize]byte // a key's pad block; on the heap, where the digest may see it
+}
+
+// NewHasher returns working state for Verify and Pad.
+func NewHasher() *Hasher {
+	h := &Hasher{sha: sha256.New().(sha256State)}
+	h.sha.Write(h.block[:])
+	h.state, _ = h.sha.MarshalBinary() // sha256's MarshalBinary returns no error
+	return h
+}
+
+// chainOf is the chaining value inside a marshaled sha256 state.
+func chainOf(state []byte) []byte { return state[4 : 4+sha256.Size] }
+
+// Pad builds key's pad state into a, hashing a key longer than the
+// block first, as HMAC does. Admission calls it only for a device whose
+// record holds no pad state yet, so its two marshaled states, one
+// allocation each, are paid once per device per store.
+func (h *Hasher) Pad(key Key, a *Auth) error {
 	if len(key) < 16 {
-		return nil, ErrShortKey
+		return ErrShortKey
 	}
-	v := &Verifier{mac: hmac.New(sha256.New, key)}
-	// Run one throwaway Sum/Reset cycle: crypto/hmac snapshots its keyed
-	// pad states lazily on the first Reset after a Sum, so priming here
-	// makes every real Verify allocation-free.
-	_ = v.mac.Sum(v.sum[:0])
-	v.mac.Reset()
-	return v, nil
+	h.block = [sha256.BlockSize]byte{}
+	if len(key) > len(h.block) {
+		h.sha.Reset()
+		h.sha.Write(key)
+		h.sha.Sum(h.block[:0])
+	} else {
+		copy(h.block[:], key)
+	}
+	h.chainAfter(0x36, &a.inner)
+	h.chainAfter(0x36^0x5c, &a.outer) // undoes ipad's 0x36 as it applies opad's 0x5c
+	return nil
 }
 
-// Verify parses the packet and checks its tag, reusing the keyed state.
+// chainAfter XORs every byte of h.block with pad and stores the chaining
+// value after compressing it into cv.
+func (h *Hasher) chainAfter(pad byte, cv *[sha256.Size]byte) {
+	for i := range h.block {
+		h.block[i] ^= pad
+	}
+	h.sha.Reset()
+	h.sha.Write(h.block[:])
+	st, _ := h.sha.MarshalBinary() // no error, as in NewHasher
+	copy(cv[:], chainOf(st))
+}
+
+// restore sets the digest to the state after one block whose chaining
+// value is cv.
+func (h *Hasher) restore(cv *[sha256.Size]byte) {
+	copy(chainOf(h.state), cv[:])
+	if err := h.sha.UnmarshalBinary(h.state); err != nil {
+		panic("telemetry: sha256 refused its own marshaled state: " + err.Error())
+	}
+}
+
+// Verify parses the packet and checks its tag under a: HMAC-SHA256 with
+// the pad blocks' compressions already done, so two compressions per
+// packet.
 //
 // Allocations: 0 per packet, measured by TestVerifierAllocBudget.
-func (v *Verifier) Verify(wire []byte) (Packet, error) {
+func (h *Hasher) Verify(a *Auth, wire []byte) (Packet, error) {
 	p, err := Parse(wire)
 	if err != nil {
 		return p, err
 	}
-	v.mac.Reset()
-	v.mac.Write(wire[:21])
-	if !hmac.Equal(wire[21:24], v.mac.Sum(v.sum[:0])[:tagBytes]) {
+	h.restore(&a.inner)
+	h.sha.Write(wire[:21])
+	inner := h.sha.Sum(h.sum[:0])
+	h.restore(&a.outer)
+	h.sha.Write(inner)
+	if !hmac.Equal(wire[21:24], h.sha.Sum(h.sum[:0])[:tagBytes]) {
 		return p, ErrBadTag
 	}
 	return p, nil
 }
 
-// ReplayGuard rejects a sequence number its device has already used.
-// Transmit-only devices count strictly upward from deployment, so a
-// high-water mark per device suffices; a bounded reordering window below
-// it admits gateway races. It is the IPsec/DTLS sliding-window
-// anti-replay: the shift that advances a device's mask is also what
-// forgets sequence numbers that left the window, so nothing is pruned.
-type ReplayGuard struct {
-	width   uint32 // a seq fewer than width below the high water lands once; 0 is strict monotone
-	devices map[lpwan.EUI64]seqWindow
+// Verifier authenticates packets under one device key without per-call
+// allocation: its Auth and its Hasher together. Not safe for concurrent
+// use; callers verifying from multiple goroutines hold one Verifier each.
+type Verifier struct {
+	auth Auth
+	h    *Hasher
 }
 
-type seqWindow struct {
+// NewVerifier builds a reusable verifier for one device key.
+func NewVerifier(key Key) (*Verifier, error) {
+	v := &Verifier{h: NewHasher()}
+	if err := v.h.Pad(key, &v.auth); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// Verify parses the packet and checks its tag.
+//
+// Allocations: 0 per packet, measured by TestVerifierAllocBudget.
+func (v *Verifier) Verify(wire []byte) (Packet, error) {
+	return v.h.Verify(&v.auth, wire)
+}
+
+// Window is one device's sliding replay window, the IPsec/DTLS
+// anti-replay bitmap: the highest sequence number admitted and a mask of
+// those admitted below it. The shift that advances the high water is
+// also what forgets sequence numbers that left the window, so nothing is
+// pruned. The zero Window is a device never seen: every admitted
+// sequence number sets a bit, so a seen device's mask is never 0. width
+// is the reordering tolerance: a seq fewer than width below the high
+// water lands once; 0 is strict monotone; at most 64, the mask's width.
+type Window struct {
 	hw   uint32 // highest sequence number admitted
 	mask uint64 // bit d: seq hw−d was admitted
+}
+
+// Admits reports whether seq is fresh: the device is unseen, or seq is
+// above the high water, or fewer than width below it and unseen. hw−seq
+// is only read when seq <= hw, so it cannot wrap, even at MaxUint32.
+//
+// Allocations: 0, measured by TestReplayGuardAllocBudget.
+func (w Window) Admits(seq, width uint32) bool {
+	d := w.hw - seq
+	return w.mask == 0 || seq > w.hw || d < width && w.mask>>d&1 == 0
+}
+
+// Fresh is Admits' verdict as an error: nil, or ErrReplay saying why.
+func (w Window) Fresh(seq, width uint32) error {
+	switch {
+	case w.Admits(seq, width):
+		return nil
+	case w.hw-seq < width:
+		return fmt.Errorf("%w: seq %d already seen", ErrReplay, seq)
+	default:
+		return fmt.Errorf("%w: seq %d <= high water %d", ErrReplay, seq, w.hw)
+	}
+}
+
+// Record admits seq if it is fresh and reports whether it did. A jump of
+// 64 or more above the high water leaves only seq (an unsigned shift by
+// the width or more is 0).
+//
+// Allocations: 0, measured by TestReplayGuardAllocBudget.
+func (w *Window) Record(seq, width uint32) bool {
+	switch {
+	case w.mask == 0 || seq > w.hw:
+		w.advance(seq)
+	case w.Admits(seq, width):
+		w.mask |= 1 << (w.hw - seq)
+	default:
+		return false
+	}
+	return true
+}
+
+// advance raises the high water to seq, which is above it or the first
+// the window sees.
+func (w *Window) advance(seq uint32) {
+	*w = Window{hw: seq, mask: w.mask<<(seq-w.hw) | 1}
+}
+
+// Seed raises the high water to seq without replaying the individual
+// packets below it — rebuilding replay protection for readings whose raw
+// copies were folded into rollup buckets, where only the maximum
+// sequence number survives. The seeded sequence itself is marked seen
+// (so an exact replay of the last folded packet is still rejected);
+// unseen sequence numbers inside the reordering window below it remain
+// admissible, the same bounded tolerance live ingest grants. A seed
+// never lowers an existing mark, and one at or below it marks nothing.
+func (w *Window) Seed(seq uint32) {
+	if w.mask == 0 || seq > w.hw {
+		w.advance(seq)
+	}
+}
+
+// ReplayGuard rejects a sequence number its device has already used: one
+// Window per device, in a map. Transmit-only devices count strictly
+// upward from deployment, so a high-water mark per device suffices; a
+// bounded reordering window below it admits gateway races.
+type ReplayGuard struct {
+	width   uint32
+	devices map[lpwan.EUI64]Window
 }
 
 // NewReplayGuard returns a guard admitting the given reordering window,
@@ -221,22 +377,7 @@ func NewReplayGuard(window uint32) *ReplayGuard {
 	if window > 64 {
 		panic(fmt.Sprintf("telemetry: replay window %d exceeds the 64-bit mask", window))
 	}
-	return &ReplayGuard{width: window, devices: make(map[lpwan.EUI64]seqWindow)}
-}
-
-// admits reports whether seq is fresh for a known device: above the high
-// water, or fewer than width below it and unseen. hw−seq is only read when
-// seq <= hw, so it cannot wrap, even at MaxUint32.
-func (w seqWindow) admits(seq, width uint32) bool {
-	d := w.hw - seq
-	return seq > w.hw || d < width && w.mask>>d&1 == 0
-}
-
-// advance raises the high water to seq > hw; a jump of 64 or more leaves
-// only seq (an unsigned shift by the width or more is 0). The zero value
-// advances to {seq, 1}, a device's first sight.
-func (w seqWindow) advance(seq uint32) seqWindow {
-	return seqWindow{hw: seq, mask: w.mask<<(seq-w.hw) | 1}
+	return &ReplayGuard{width: window, devices: make(map[lpwan.EUI64]Window)}
 }
 
 // Check reports whether Admit would accept p, without mutating the guard:
@@ -244,8 +385,7 @@ func (w seqWindow) advance(seq uint32) seqWindow {
 //
 // Allocations: 0, measured by TestReplayGuardAllocBudget.
 func (g *ReplayGuard) Check(p Packet) bool {
-	w, known := g.devices[p.Device]
-	return !known || w.admits(p.Seq, g.width)
+	return g.devices[p.Device].Admits(p.Seq, g.width)
 }
 
 // Fresh reports whether Admit would accept the packet, without mutating
@@ -253,15 +393,7 @@ func (g *ReplayGuard) Check(p Packet) bool {
 // check and the commitment (e.g. a WAL append) use Fresh first and Admit
 // only once the work succeeded, holding their own lock across both.
 func (g *ReplayGuard) Fresh(p Packet) error {
-	w, known := g.devices[p.Device]
-	switch {
-	case !known || w.admits(p.Seq, g.width):
-		return nil
-	case w.hw-p.Seq < g.width:
-		return fmt.Errorf("%w: seq %d already seen", ErrReplay, p.Seq)
-	default:
-		return fmt.Errorf("%w: seq %d <= high water %d", ErrReplay, p.Seq, w.hw)
-	}
+	return g.devices[p.Device].Fresh(p.Seq, g.width)
 }
 
 // Record admits p if its sequence number is fresh and reports whether it
@@ -270,13 +402,8 @@ func (g *ReplayGuard) Fresh(p Packet) error {
 // Allocations: 0 once the device is known, measured by
 // TestReplayGuardAllocBudget.
 func (g *ReplayGuard) Record(p Packet) bool {
-	w, known := g.devices[p.Device]
-	switch {
-	case !known || p.Seq > w.hw:
-		w = w.advance(p.Seq)
-	case w.admits(p.Seq, g.width):
-		w.mask |= 1 << (w.hw - p.Seq)
-	default:
+	w := g.devices[p.Device]
+	if !w.Record(p.Seq, g.width) {
 		return false
 	}
 	g.devices[p.Device] = w
@@ -292,18 +419,11 @@ func (g *ReplayGuard) Admit(p Packet) error {
 	return g.Fresh(p)
 }
 
-// Seed raises a device's sequence high-water mark without replaying the
-// individual packets — rebuilding replay protection for readings whose
-// raw copies were folded into rollup buckets, where only the maximum
-// sequence number survives. The seeded sequence itself is marked seen
-// (so an exact replay of the last folded packet is still rejected);
-// unseen sequence numbers inside the reordering window below it remain
-// admissible, the same bounded tolerance live ingest grants. A seed
-// never lowers an existing mark, and one at or below it marks nothing.
+// Seed is Window.Seed for one device.
 func (g *ReplayGuard) Seed(dev lpwan.EUI64, seq uint32) {
-	if w, known := g.devices[dev]; !known || seq > w.hw {
-		g.devices[dev] = w.advance(seq)
-	}
+	w := g.devices[dev]
+	w.Seed(seq)
+	g.devices[dev] = w
 }
 
 // Devices reports how many distinct devices the guard has seen.

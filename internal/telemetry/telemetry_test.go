@@ -47,9 +47,9 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVerifierAllocBudget pins the cached verifier at 0 allocations per
-// packet, accepted or refused: it is what admission runs for every
-// packet of every frame.
+// TestVerifierAllocBudget pins verification at 0 allocations per packet,
+// accepted or refused: it is what admission runs for every packet of
+// every frame.
 func TestVerifierAllocBudget(t *testing.T) {
 	v, err := NewVerifier(testKey)
 	if err != nil {
