@@ -241,15 +241,16 @@ func sealedOnce(t *testing.T, snap string) int {
 	m := readManifest(t, snap)
 	type key struct {
 		dev   lpwan.EUI64
-		tier  byte
+		daily bool
 		start time.Duration
 	}
 	seen := map[key]bool{}
+	geometry := rollup.Config{Hourly: time.Duration(m.Rollups.HourlyNanos), Daily: time.Duration(m.Rollups.DailyNanos)}
 	for _, f := range m.Sealed {
 		err := readDataFile(snap+".d", f, sealedPrefix, func(r io.Reader) error {
-			return decodeSealed(r, func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket) {
+			return decodeSealed(r, geometry, func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket) {
 				for _, b := range bs {
-					k := key{dev, tier, b.Start}
+					k := key{dev, dailyTier(tier), b.Start}
 					if seen[k] {
 						t.Errorf("%s: bucket %v tier %d start %v written twice", f.Name, dev, tier, b.Start)
 					}
@@ -485,6 +486,7 @@ func TestSealedBucketsWrittenOnce(t *testing.T) {
 	defer s.Close()
 	s.segmentBytes = 4096 // a few dozen buckets a file
 	var lastBuckets, lastBytes uint64
+	var lastSealed int64
 	for day := 0; day < 10; day += 2 {
 		feedDays(t, s, day, day+2)
 		if err := s.Checkpoint(r.snap); err != nil {
@@ -497,13 +499,20 @@ func TestSealedBucketsWrittenOnce(t *testing.T) {
 		if got := s.ckptBuckets.Load(); got != uint64(hourly+daily) {
 			t.Fatalf("day %d: %d buckets written in all, the engine holds %d: something was written twice or not at all", day, got, hourly+daily)
 		}
+		var sealedBytes int64
+		for _, f := range readManifest(t, r.snap).Sealed {
+			sealedBytes += f.Bytes
+		}
 		if day >= 4 {
-			// Steady state: two days of new buckets, one raw window.
-			if db, dby := s.ckptBuckets.Load()-lastBuckets, s.ckptBytes.Load()-lastBytes; db > 200 || dby > 200*bucketSize+4*72*3*tsdb.RecordSize {
-				t.Fatalf("day %d: checkpoint wrote %d buckets, %d bytes: not a delta", day, db, dby)
+			// Steady state: two days of new buckets, in compact frames —
+			// 39 bytes a bucket of this traffic, where a fixed frame's
+			// are 60 — and one raw window.
+			db, dby, dsealed := s.ckptBuckets.Load()-lastBuckets, s.ckptBytes.Load()-lastBytes, sealedBytes-lastSealed
+			if db > 200 || dsealed > 200*40 || dby > 200*40+4*72*3*tsdb.RecordSize {
+				t.Fatalf("day %d: checkpoint wrote %d buckets, %d bytes, %d of them sealed: not a delta of compact frames", day, db, dby, dsealed)
 			}
 		}
-		lastBuckets, lastBytes = s.ckptBuckets.Load(), s.ckptBytes.Load()
+		lastBuckets, lastBytes, lastSealed = s.ckptBuckets.Load(), s.ckptBytes.Load(), sealedBytes
 		onlyNamedFiles(t, r.snap)
 	}
 	if n := s.ckptSegments.Load(); n < 3 {
@@ -695,8 +704,8 @@ func TestDamagedSegmentRefusesBoot(t *testing.T) {
 		}, []string{tailPath, "CRC-32C"}},
 		{"manifest: torn", func() { os.WriteFile(r.snap, pristine[r.snap][:len(pristine[r.snap])/2], 0o644) }, []string{"decode"}},
 		{"manifest: from a later build", func() {
-			os.WriteFile(r.snap, bytes.Replace(pristine[r.snap], []byte(`{"version":3,`), []byte(`{"version":4,`), 1), 0o644)
-		}, []string{"format version 4", "reads 1-3"}},
+			os.WriteFile(r.snap, bytes.Replace(pristine[r.snap], []byte(fmt.Sprintf(`{"version":%d,`, manifestVersion)), []byte(fmt.Sprintf(`{"version":%d,`, manifestVersion+1)), 1), 0o644)
+		}, []string{fmt.Sprintf("format version %d", manifestVersion+1), fmt.Sprintf("reads 1-%d", manifestVersion)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -931,9 +940,12 @@ func TestLoadRemovesStaleTemps(t *testing.T) {
 // path, export byte-for-byte what it was, be replaced by a manifest at
 // the next checkpoint, and boot from that to the same export and the
 // same answers. The refusals that guarded the JSON loader guard the
-// manifest loader too.
+// manifest loader too. testdata/archive-v3 is a version-3 archive as the
+// last build before compact frames wrote it, with the export that build
+// made of it; see testArchiveV3.
 func TestOldSnapshotsLoadForever(t *testing.T) {
 	const fixtureRetain = 36 * time.Hour
+	t.Run("archive-v3", func(t *testing.T) { testArchiveV3(t, fixtureRetain) })
 	for _, fx := range []struct {
 		file    string
 		rollups bool
@@ -1083,5 +1095,164 @@ func TestCheckpointMetrics(t *testing.T) {
 	var unregistered *checkpointObs
 	if got := testing.AllocsPerRun(100, func() { unregistered.lap(phaseTail, unregistered.now()) }); got != 0 {
 		t.Errorf("timing on an unregistered store allocates %.1f times, want 0", got)
+	}
+}
+
+// testArchiveV3: the version-3 archive (three devices, fifteen days: one
+// reporting on the hour, one every 20 minutes, one every 3 hours with a
+// three-day silence; checkpointed every fifth day, rollups at the default
+// geometry) loads and exports byte for byte what the build that wrote it
+// exported. Its next checkpoint appends compact frames to the same
+// segment, after the fixed frames it leaves untouched, under a version-4
+// manifest; a reboot from that mixed segment gives the same export and
+// the same answers as the store that wrote it.
+func testArchiveV3(t *testing.T, retain time.Duration) {
+	src := filepath.Join("testdata", "archive-v3")
+	want, err := os.ReadFile(filepath.Join(src, "export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "snapshot.json")
+	files, err := filepath.Glob(filepath.Join(src, "snapshot.json*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(snap+".d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var oldSegment []byte
+	for _, f := range append(files, filepath.Join(src, "snapshot.json")) {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(src, f) // f lies under src
+		if err := os.WriteFile(filepath.Join(filepath.Dir(snap), rel), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(filepath.Base(f), sealedPrefix) {
+			oldSegment = b
+		}
+	}
+	open := func() *Store {
+		s := NewStore(StaticKeys(master))
+		if err := s.EnableRollups(rollup.Config{}, retain); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	live := open()
+	if err := live.LoadFile(snap); err != nil {
+		t.Fatalf("loading the fixture: %v", err)
+	}
+	if li := live.LastLoad(); li.Version != 3 || li.Segments != 1 || li.Buckets == 0 {
+		t.Fatalf("LastLoad = %+v, want one version-3 segment", li)
+	}
+	if got := exportOf(t, live); !bytes.Equal(got, want) {
+		t.Fatal("export after loading the version-3 archive differs from the export its build made")
+	}
+
+	// Three more days from the same devices, so the next checkpoint seals.
+	from := live.HighWater()
+	for h := 1; h <= 72; h++ {
+		for i, dev := range []uint64{0xA1, 0xA2, 0xA3} {
+			at := from + time.Duration(h)*time.Hour + time.Duration(i*7)*time.Minute
+			if err := live.Ingest(at, sealed(t, dev, uint32(100000+h), float32(h%9)-2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := live.Checkpoint(snap); err != nil {
+		t.Fatal(err)
+	}
+	m := readManifest(t, snap)
+	if m.Version != manifestVersion || len(m.Sealed) != 1 || m.Sealed[0].Bytes <= int64(len(oldSegment)) {
+		t.Fatalf("after a checkpoint: version %d, sealed %+v; want version %d, the one segment grown past %d bytes", m.Version, m.Sealed, manifestVersion, len(oldSegment))
+	}
+	seg, err := os.ReadFile(filepath.Join(snap+".d", m.Sealed[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(seg, oldSegment) {
+		t.Fatal("the checkpoint rewrote the version-3 segment's frames instead of appending after them")
+	}
+	sealedOnce(t, snap)
+	var tiers []byte
+	if err := decodeSealed(bytes.NewReader(seg), fuzzGeometry, func(_ lpwan.EUI64, tier byte, _ []rollup.Bucket) { tiers = append(tiers, tier) }); err != nil {
+		t.Fatal(err)
+	}
+	if fixed := bytes.IndexAny(tiers, "\x03\x04"); fixed <= 0 || bytes.ContainsAny(tiers[fixed:], "\x01\x02") {
+		t.Fatalf("frame tiers in file order %v: want fixed frames, then compact ones", tiers)
+	}
+	onlyNamedFiles(t, snap)
+
+	reborn := open()
+	if err := reborn.LoadFile(snap); err != nil {
+		t.Fatalf("loading the mixed segment: %v", err)
+	}
+	if li := reborn.LastLoad(); li.Version != manifestVersion {
+		t.Fatalf("LastLoad = %+v", li)
+	}
+	if got := exportOf(t, reborn); !bytes.Equal(got, exportOf(t, live)) {
+		t.Fatal("export after a reboot from the mixed segment differs from the live store's")
+	}
+	sameAnswers(t, reborn, live)
+}
+
+// TestArchiveGauges: cloud_archive_bytes and cloud_archive_buckets read
+// the manifest in force — what it names, to its recorded lengths, and
+// every bucket in those segments — after each checkpoint, after a failed
+// one (which changes nothing), and after a reboot, which has no
+// checkpoint of its own to count from.
+func TestArchiveGauges(t *testing.T) {
+	r := newRig(t)
+	scrape := func(s *Store) string {
+		reg := obs.NewRegistry()
+		s.RegisterMetrics(reg, nil)
+		var lines []string
+		for _, line := range strings.Split(string(reg.Exposition()), "\n") {
+			if strings.HasPrefix(line, "cloud_archive_") {
+				lines = append(lines, line)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	fromManifest := func(s *Store) string {
+		m := readManifest(t, r.snap)
+		var sealed int64
+		for _, f := range m.Sealed {
+			sealed += f.Bytes
+		}
+		hourly, daily := s.Rollups().Buckets()
+		return fmt.Sprintf("cloud_archive_buckets %d\ncloud_archive_bytes{kind=\"sealed\"} %d\ncloud_archive_bytes{kind=\"tail\"} %d", hourly+daily, sealed, m.Tail.Bytes)
+	}
+	s := r.boot()
+	defer s.Close()
+	if got, want := scrape(s), "cloud_archive_buckets 0\ncloud_archive_bytes{kind=\"sealed\"} 0\ncloud_archive_bytes{kind=\"tail\"} 0"; got != want {
+		t.Fatalf("before any checkpoint:\n%s\nwant\n%s", got, want)
+	}
+	for day := 0; day < 6; day += 3 {
+		feedDays(t, s, day, day+3)
+		if err := s.Checkpoint(r.snap); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := scrape(s), fromManifest(s); got != want {
+			t.Fatalf("day %d:\n%s\nwant\n%s", day, got, want)
+		}
+	}
+	want := scrape(s)
+	feedDays(t, s, 6, 7)
+	s.fs = &faultFS{failAt: 1}
+	if err := s.Checkpoint(r.snap); err == nil {
+		t.Fatal("injected fault did not fail the checkpoint")
+	}
+	if got := scrape(s); got != want {
+		t.Fatalf("a failed checkpoint moved the gauges:\n%s\nwant\n%s", got, want)
+	}
+	b := r.boot()
+	defer b.Close()
+	if got := scrape(b); got != want {
+		t.Fatalf("after a reboot:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -204,6 +204,8 @@ type Store struct {
 	lastLoad                             LoadInfo
 	ckptBytes, ckptBuckets, ckptFailures atomic.Uint64
 	ckptSegments                         atomic.Int64
+	archSealedBytes, archTailBytes       atomic.Int64 // the manifest in force: its files' bytes
+	archBuckets                          atomic.Int64 // and the buckets its sealed segments hold
 	ckptObs                              atomic.Pointer[checkpointObs]
 
 	// highWater is the maximum arrival time ever accepted (nanoseconds):

@@ -42,23 +42,44 @@ func fuzzBuckets(n int) []rollup.Bucket {
 	return bs
 }
 
-// FuzzSegmentDecode: whatever decodeSealed accepts re-encodes to exactly
-// the bytes it came from (the framing is canonical), every frame it hands
-// on is within bounds, and decoding allocates one frame's worth of
-// scratch (under 256 KiB) whatever the length fields say.
+// FuzzSegmentDecode: whatever decodeSealed accepts, in either encoding,
+// re-encodes to exactly the bytes it came from (both encodings are
+// canonical; fixed frames are re-encoded by appendFixedFrame, the
+// test-local copy of the encoder builds before manifest version 4 used),
+// every frame it hands on is within bounds, and decoding allocates one
+// frame's worth of scratch (under 256 KiB) whatever the length fields
+// say.
 func FuzzSegmentDecode(f *testing.F) {
-	one := appendBucketFrame(nil, lpwan.EUIFromUint64(0xCAFE), tierHourly, fuzzBuckets(3))
-	two := appendBucketFrame(append([]byte(nil), one...), lpwan.EUIFromUint64(0xCAFE), tierDaily, fuzzBuckets(1))
-	f.Add(one)
-	f.Add(two)
-	f.Add(appendBucketFrame(nil, lpwan.EUIFromUint64(1), tierHourly, fuzzBuckets(maxFrameBuckets)))
-	f.Add(two[:len(two)-9])               // torn last frame
+	dev := lpwan.EUIFromUint64(0xCAFE)
+	ones := make([]rollup.Bucket, 4) // one reading each: the single form
+	for i := range ones {
+		start, v := time.Duration(i)*time.Hour, float32(i)/3
+		at := start + time.Duration(i)*time.Second
+		ones[i] = rollup.Bucket{Start: start, Count: 1, Sum: float64(v), Min: v, Max: v, First: at, Last: at, MaxSeq: uint32(i + 1)}
+	}
+	single := mustCompact(f, nil, dev, tierHourly, ones)
+	full := mustCompact(f, nil, dev, tierHourly, fuzzBuckets(3))
+	fixed := appendFixedFrame(nil, dev, tierDailyFixed, fuzzBuckets(1))
+	f.Add(single)
+	f.Add(full)
+	f.Add(fixed)
+	days := fuzzBuckets(2)
+	for i := range days {
+		days[i].Start *= 24
+		days[i].First, days[i].Last = days[i].Start+time.Hour, days[i].Start+20*time.Hour
+	}
+	f.Add(mustCompact(f, append([]byte(nil), fixed...), dev, tierDaily, days))
+	f.Add(mustCompact(f, nil, lpwan.EUIFromUint64(1), tierHourly, fuzzBuckets(maxFrameBuckets)))
+	for _, tc := range compactRefusals {
+		f.Add(reframe(dev, tierHourly, tc.count, tc.body))
+	}
+	f.Add(full[:len(full)-9])             // torn last frame
 	f.Add(bytes.Repeat([]byte{0xFF}, 64)) // length and count far out of bounds
 	f.Add(bytes.Repeat([]byte{0x00}, 64)) // zero count
-	flipped := append([]byte(nil), one...)
+	flipped := append([]byte(nil), full...)
 	flipped[segFrameHeader+17] ^= 0x20
 	f.Add(flipped)
-	badTier := append([]byte(nil), one...)
+	badTier := append([]byte(nil), full...)
 	badTier[16] = 9
 	f.Add(badTier)
 
@@ -66,16 +87,23 @@ func FuzzSegmentDecode(f *testing.F) {
 		var re []byte
 		var err error
 		spent := allocated(func() {
-			err = decodeSealed(bytes.NewReader(data), func(lpwan.EUI64, byte, []rollup.Bucket) {})
+			err = decodeSealed(bytes.NewReader(data), fuzzGeometry, func(lpwan.EUI64, byte, []rollup.Bucket) {})
 		})
 		if spent > 256<<10 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), spent)
 		}
-		err2 := decodeSealed(bytes.NewReader(data), func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket) {
-			if len(bs) == 0 || len(bs) > maxFrameBuckets || (tier != tierHourly && tier != tierDaily) {
+		err2 := decodeSealed(bytes.NewReader(data), fuzzGeometry, func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket) {
+			if len(bs) == 0 || len(bs) > maxFrameBuckets {
 				t.Fatalf("frame out of bounds: tier %d, %d buckets", tier, len(bs))
 			}
-			re = appendBucketFrame(re, dev, tier, bs)
+			switch tier {
+			case tierHourlyFixed, tierDailyFixed:
+				re = appendFixedFrame(re, dev, tier, bs)
+			case tierHourly, tierDaily:
+				re = mustCompact(t, re, dev, tier, bs)
+			default:
+				t.Fatalf("frame of unknown tier %d", tier)
+			}
 		})
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("two decodes of the same bytes disagree: %v vs %v", err, err2)

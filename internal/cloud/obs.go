@@ -73,6 +73,11 @@ func (s *Store) RegisterMetrics(reg *obs.Registry, clock obs.Clock) {
 	reg.CounterFunc("cloud_checkpoint_sealed_buckets_total", "rollup buckets checkpoints appended to sealed segments", s.ckptBuckets.Load)
 	reg.CounterFunc("cloud_checkpoint_failures_total", "checkpoints that failed (nothing they wrote is named by a manifest, and the WAL behind them was kept)", s.ckptFailures.Load)
 	reg.GaugeFunc("cloud_checkpoint_segments", "sealed segment files the manifest in force names", func() float64 { return float64(s.ckptSegments.Load()) })
+	reg.GaugeFuncVec("cloud_archive_bytes", "bytes of the data files the manifest in force names, by kind: sealed segments (rollup buckets) and the tail (the raw window)",
+		"kind", []string{"sealed", "tail"},
+		func() float64 { return float64(s.archSealedBytes.Load()) },
+		func() float64 { return float64(s.archTailBytes.Load()) })
+	reg.GaugeFunc("cloud_archive_buckets", "rollup buckets the sealed segments named by the manifest in force hold", func() float64 { return float64(s.archBuckets.Load()) })
 	ck := &checkpointObs{}
 	copy(ck.phase[:], reg.HistogramVec("cloud_checkpoint_phase_seconds", "wall time per checkpoint phase: fold (drain and summarize), sealed (append new buckets), tail (write the raw window), commit (manifest rename and directory fsync), truncate (drop covered WAL segments)",
 		"phase", []string{"fold", "sealed", "tail", "commit", "truncate"}, nil, clock))

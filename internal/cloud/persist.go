@@ -37,11 +37,14 @@ import (
 
 // snapshotVersion identifies the JSON format. Version 2 added the
 // optional rollups section; version-1 files (no rollups) still load.
-// manifestVersion marks the file at the same path as a manifest instead.
+// Versions 3 and up mark the file at the same path as a manifest instead:
+// 4 lets its sealed segments hold compact frames, which a build that
+// reads only 3 would refuse deep inside a frame rather than here.
 const (
 	snapshotVersion    = 2
 	minSnapshotVersion = 1
-	manifestVersion    = 3
+	minManifestVersion = 3
+	manifestVersion    = 4
 )
 
 type snapshotReading struct {
@@ -404,7 +407,7 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 }
 
 // manifest is the checkpoint's commit record, the JSON file at the
-// -snapshot path: the snapshot's header fields under version 3, the tier
+// -snapshot path: the snapshot's header fields under version 4, the tier
 // geometry and fold watermarks (absent with rollups off), and the data
 // files under <path>.d/, each valid to a recorded length and CRC-32C.
 // Bytes past a length and files it does not name do not exist.
@@ -432,22 +435,38 @@ type dataFile struct {
 }
 
 // archive is what the store knows to be at a path because it loaded or
-// committed it there: the manifest's files, and the watermarks below
-// which every bucket is already in a sealed segment. The zero value — no
-// path — makes the next SaveFile a full base. next numbers new data files
-// above everything found in the directory when the path was adopted; a
-// failed save leaves it alone, so the retry reuses (and first truncates)
-// the same names and failures do not pile files up.
+// committed it there: the manifest's files, the watermarks below which
+// every bucket is already in a sealed segment, and how many buckets those
+// segments hold. The zero value — no path — makes the next SaveFile a
+// full base. next numbers new data files above everything found in the
+// directory when the path was adopted; a failed save leaves it alone, so
+// the retry reuses (and first truncates) the same names and failures do
+// not pile files up.
 type archive struct {
 	path          string
 	sealed        []dataFile
 	tail          dataFile
 	hourly, daily time.Duration
+	buckets       int64
 	next          uint64
 }
 
+// adopt makes a the archive in force and publishes its size to the
+// cloud_archive_* and cloud_checkpoint_segments gauges.
+func (s *Store) adopt(a archive) {
+	s.arch = a
+	var sealed int64
+	for _, f := range a.sealed {
+		sealed += f.Bytes
+	}
+	s.ckptSegments.Store(int64(len(a.sealed)))
+	s.archSealedBytes.Store(sealed)
+	s.archTailBytes.Store(a.tail.Bytes)
+	s.archBuckets.Store(a.buckets)
+}
+
 // LoadInfo describes the last LoadFile for the boot log: the version
-// found (0 nothing, 1-2 a JSON snapshot, 3 a manifest) and, for a
+// found (0 nothing, 1-2 a JSON snapshot, 3-4 a manifest) and, for a
 // manifest, what was read and how long checking the sealed segments,
 // reading the tail, and loading it into memtables and guards each took.
 type LoadInfo struct {
@@ -545,8 +564,7 @@ func (s *Store) save(path, dir string, o *checkpointObs) error {
 	// Committed as far as any reader of the directory can tell: from here
 	// the new manifest's files are the ones that must stay untouched,
 	// whether or not the fsync below reports the rename durable.
-	s.arch = a
-	s.ckptSegments.Store(int64(len(a.sealed)))
+	s.adopt(a)
 	if err := s.fs.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("cloud: manifest dir sync: %w", err)
 	}
@@ -573,7 +591,8 @@ func (s *Store) LoadFile(path string) error {
 			_ = os.Remove(f) // best effort: a leftover is only clutter
 		}
 	}
-	s.arch, s.lastLoad = archive{}, LoadInfo{}
+	s.adopt(archive{})
+	s.lastLoad = LoadInfo{}
 	clock := obs.ProcessClock()
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -589,7 +608,7 @@ func (s *Store) LoadFile(path string) error {
 	if m.Version > manifestVersion {
 		return fmt.Errorf("cloud: %s is format version %d, this build reads %d-%d", path, m.Version, minSnapshotVersion, manifestVersion)
 	}
-	if m.Version != manifestVersion {
+	if m.Version < minManifestVersion {
 		err := s.ReadSnapshot(bytes.NewReader(data))
 		s.lastLoad = LoadInfo{Version: m.Version, InstallTime: clock()}
 		return err
@@ -612,16 +631,16 @@ func (s *Store) loadArchive(path string, m manifest, clock obs.Clock) error {
 		byDev := make(map[lpwan.EUI64]*rollup.DeviceState)
 		for _, f := range m.Sealed {
 			err := readDataFile(dir, f, sealedPrefix, func(r io.Reader) error {
-				return decodeSealed(r, func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket) {
+				return decodeSealed(r, tiers.Config, func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket) {
 					ds := byDev[dev]
 					if ds == nil {
 						ds = &rollup.DeviceState{Device: dev}
 						byDev[dev] = ds
 					}
-					if tier == tierHourly {
-						ds.Hourly = append(ds.Hourly, bs...)
-					} else {
+					if dailyTier(tier) {
 						ds.Daily = append(ds.Daily, bs...)
+					} else {
+						ds.Hourly = append(ds.Hourly, bs...)
 					}
 					info.Buckets += len(bs)
 				})
@@ -664,8 +683,8 @@ func (s *Store) loadArchive(path string, m manifest, clock obs.Clock) error {
 
 	s.install(snapshotFile{Stats: m.Stats, Weeks: m.Weeks, Lapses: m.Lapses}, series, restoredRollups)
 	a.next = maxDataFile(dir) + 1
-	s.arch = a
-	s.ckptSegments.Store(int64(len(a.sealed)))
+	a.buckets = int64(info.Buckets)
+	s.adopt(a)
 	info.InstallTime = clock() - info.TailTime - info.SealedTime
 	s.lastLoad = info
 	return nil

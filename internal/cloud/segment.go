@@ -18,26 +18,41 @@ import (
 	"centuryscale/internal/rollup"
 )
 
-// The checkpoint's data files; DESIGN.md S41 gives every offset. A sealed
-// segment is a run of frames, integers big-endian:
+// The checkpoint's data files; FORMAT.md gives every offset. A sealed
+// segment is a run of frames, header integers big-endian:
 //
-//	0:4   payload length: 13 + 60×count
+//	0:4   payload length: 13 + the buckets' bytes
 //	4:8   CRC-32C (Castagnoli) of the payload
 //	8:16  device EUI-64           ┐
-//	16    tier: 1 hourly, 2 daily │ payload
+//	16    tier and encoding       │ payload
 //	17:21 bucket count, 1..1024   │
-//	21:   count × 60-byte buckets ┘
+//	21:   the buckets             ┘
 //
 // one frame per run of one device's buckets in one tier, so an offset
-// index can later address a device without a format change. The tail file
-// is a run of the WAL's own 38-byte point records (tsdb.AppendRecord).
+// index can later address a device without a format change. Each frame
+// names its encoding in its tier code: 3 hourly and 4 daily are compact
+// frames (appendCompactFrame), the only ones a checkpoint writes; 1 and 2
+// are the fixed 60-byte buckets of manifest version 3, still read, since
+// a segment written before the upgrade takes compact frames appended to
+// it. The tail file is a run of the WAL's own 38-byte point records
+// (tsdb.AppendRecord).
 const (
 	segFrameHeader  = 21
-	bucketSize      = 60
 	maxFrameBuckets = 1024
 
-	tierHourly byte = 1
-	tierDaily  byte = 2
+	tierHourlyFixed byte = 1
+	tierDailyFixed  byte = 2
+	tierHourly      byte = 3
+	tierDaily       byte = 4
+
+	fixedBucketSize = 60
+	// maxCompactBucket bounds a compact bucket the decoder accepts: the
+	// form byte, at most six varints of at most ten bytes, and the sum,
+	// minimum and maximum.
+	maxCompactBucket = 1 + 6*binary.MaxVarintLen64 + 16
+
+	formFull   byte = 0
+	formSingle byte = 1
 
 	sealedPrefix = "sealed"
 	tailPrefix   = "tail"
@@ -49,36 +64,85 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendBucketFrame appends one frame holding bs (at most maxFrameBuckets).
-func appendBucketFrame(dst []byte, dev lpwan.EUI64, tier byte, bs []rollup.Bucket) []byte {
+// dailyTier reports whether a frame's tier code is the daily tier, in
+// either encoding.
+func dailyTier(tier byte) bool { return tier == tierDaily || tier == tierDailyFixed }
+
+// singleForm reports whether b takes the compact single form: one reading,
+// so its sum, minimum and maximum are one float32 value and its first and
+// last arrival one instant.
+func singleForm(b rollup.Bucket) bool {
+	return b.Count == 1 && b.Last == b.First && b.MaxGap == 0 &&
+		math.Float32bits(b.Min) == math.Float32bits(b.Max) &&
+		math.Float64bits(b.Sum) == math.Float64bits(float64(b.Min))
+}
+
+// appendCompactFrame appends one compact frame holding bs, at most
+// maxFrameBuckets buckets of the tier whose width is width. A bucket is
+//
+//	form        1 byte: 1 single, 0 full
+//	start       in tier widths: zigzag varint for the frame's first
+//	            bucket, then a uvarint step (≥ 1) from the previous one
+//	first       uvarint of First − Start, ns
+//	max seq     zigzag varint of MaxSeq − the previous bucket's (0 first)
+//	single:     the value, float32 bits (4 bytes)
+//	full:       uvarint Count, Sum float64 bits (8), Min and Max float32
+//	            bits (4 + 4), uvarint Last − First, uvarint MaxGap
+//
+// with fixed-width fields big-endian. It refuses a bucket no fold makes —
+// off the grid, out of order, arrivals before its start or out of order —
+// rather than write what it cannot read back.
+func appendCompactFrame(dst []byte, dev lpwan.EUI64, tier byte, width time.Duration, bs []rollup.Bucket) ([]byte, error) {
 	at := len(dst)
 	dst = binary.BigEndian.AppendUint64(dst, 0) // length and CRC, filled in below
 	dst = append(dst, dev[:]...)
 	dst = append(dst, tier)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(bs)))
-	for _, b := range bs {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Start))
-		dst = binary.BigEndian.AppendUint64(dst, b.Count)
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Sum))
-		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(b.Min))
-		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(b.Max))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(b.First))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Last))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(b.MaxGap))
-		dst = binary.BigEndian.AppendUint32(dst, b.MaxSeq)
+	var idx int64
+	var seq uint32
+	for i, b := range bs {
+		next := int64(b.Start / width)
+		if b.Start%width != 0 || (i > 0 && next <= idx) || b.First < b.Start || b.Last < b.First || b.MaxGap < 0 {
+			return dst[:at], fmt.Errorf("cloud: device %v tier %d: bucket at %v is off the %v grid, out of order, or has arrivals out of order", dev, tier, b.Start, width)
+		}
+		form := formFull
+		if singleForm(b) {
+			form = formSingle
+		}
+		dst = append(dst, form)
+		if i == 0 {
+			dst = binary.AppendVarint(dst, next)
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(next)-uint64(idx))
+		}
+		dst = binary.AppendUvarint(dst, uint64(b.First)-uint64(b.Start))
+		dst = binary.AppendVarint(dst, int64(b.MaxSeq)-int64(seq))
+		if form == formSingle {
+			dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(b.Min))
+		} else {
+			dst = binary.AppendUvarint(dst, b.Count)
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Sum))
+			dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(b.Min))
+			dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(b.Max))
+			dst = binary.AppendUvarint(dst, uint64(b.Last)-uint64(b.First))
+			dst = binary.AppendUvarint(dst, uint64(b.MaxGap))
+		}
+		idx, seq = next, b.MaxSeq
 	}
 	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-8))
 	binary.BigEndian.PutUint32(dst[at+4:], crc32.Checksum(dst[at+8:], castagnoli))
-	return dst
+	return dst, nil
 }
 
 // decodeSealed reads frames from r to its end, handing each frame's
-// buckets to emit (the slice is reused between calls). It allocates one
-// frame of scratch whatever the input claims; the first frame that is
-// torn, mis-sized or fails its CRC ends the read with its offset.
-func decodeSealed(r io.Reader, emit func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket)) error {
+// buckets to emit with the frame's tier code (the slice is reused between
+// calls); geometry gives compact frames their tier widths. It allocates
+// one frame of scratch whatever the input claims; the first frame that is
+// torn, mis-sized, fails its CRC or does not decode ends the read with
+// its offset.
+func decodeSealed(r io.Reader, geometry rollup.Config, emit func(dev lpwan.EUI64, tier byte, bs []rollup.Bucket)) error {
 	var hdr [segFrameHeader]byte
-	body := make([]byte, maxFrameBuckets*bucketSize)
+	body := make([]byte, maxFrameBuckets*maxCompactBucket)
 	bs := make([]rollup.Bucket, 0, maxFrameBuckets)
 	for off := int64(0); ; off += int64(segFrameHeader + len(body)) {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -88,32 +152,185 @@ func decodeSealed(r io.Reader, emit func(dev lpwan.EUI64, tier byte, bs []rollup
 			return fmt.Errorf("offset %d: torn frame header: %w", off, err)
 		}
 		length, tier, count := binary.BigEndian.Uint32(hdr[0:4]), hdr[16], binary.BigEndian.Uint32(hdr[17:21])
-		if count == 0 || count > maxFrameBuckets || length != segFrameHeader-8+count*bucketSize || (tier != tierHourly && tier != tierDaily) {
+		sized := false
+		if count > 0 && count <= maxFrameBuckets {
+			switch tier {
+			case tierHourlyFixed, tierDailyFixed:
+				sized = length == segFrameHeader-8+count*fixedBucketSize
+			case tierHourly, tierDaily:
+				sized = length > segFrameHeader-8 && length <= segFrameHeader-8+count*maxCompactBucket
+			}
+		}
+		if !sized {
 			return fmt.Errorf("offset %d: bad frame header (length %d, tier %d, count %d)", off, length, tier, count)
 		}
-		body = body[:count*bucketSize]
+		body = body[:length-(segFrameHeader-8)]
 		if _, err := io.ReadFull(r, body); err != nil {
 			return fmt.Errorf("offset %d: torn frame: %w", off, err)
 		}
 		if crc32.Update(crc32.Checksum(hdr[8:], castagnoli), castagnoli, body) != binary.BigEndian.Uint32(hdr[4:8]) {
 			return fmt.Errorf("offset %d: frame CRC mismatch", off)
 		}
-		bs = bs[:0]
-		for b := body; len(b) > 0; b = b[bucketSize:] {
-			bs = append(bs, rollup.Bucket{
-				Start:  time.Duration(binary.BigEndian.Uint64(b[0:8])),
-				Count:  binary.BigEndian.Uint64(b[8:16]),
-				Sum:    math.Float64frombits(binary.BigEndian.Uint64(b[16:24])),
-				Min:    math.Float32frombits(binary.BigEndian.Uint32(b[24:28])),
-				Max:    math.Float32frombits(binary.BigEndian.Uint32(b[28:32])),
-				First:  time.Duration(binary.BigEndian.Uint64(b[32:40])),
-				Last:   time.Duration(binary.BigEndian.Uint64(b[40:48])),
-				MaxGap: time.Duration(binary.BigEndian.Uint64(b[48:56])),
-				MaxSeq: binary.BigEndian.Uint32(b[56:60]),
-			})
+		var err error
+		switch tier {
+		case tierHourlyFixed, tierDailyFixed:
+			bs = decodeFixed(body, bs[:0])
+		case tierHourly:
+			bs, err = decodeCompact(body, int(count), geometry.Hourly, bs[:0])
+		case tierDaily:
+			bs, err = decodeCompact(body, int(count), geometry.Daily, bs[:0])
+		}
+		if err != nil {
+			return fmt.Errorf("offset %d: %w", off, err)
 		}
 		emit(lpwan.EUI64(hdr[8:16]), tier, bs)
 	}
+}
+
+// decodeFixed appends the buckets of a fixed frame's body, 60 bytes each
+// (FORMAT.md): read, never written.
+func decodeFixed(body []byte, bs []rollup.Bucket) []rollup.Bucket {
+	for b := body; len(b) > 0; b = b[fixedBucketSize:] {
+		bs = append(bs, rollup.Bucket{
+			Start:  time.Duration(binary.BigEndian.Uint64(b[0:8])),
+			Count:  binary.BigEndian.Uint64(b[8:16]),
+			Sum:    math.Float64frombits(binary.BigEndian.Uint64(b[16:24])),
+			Min:    math.Float32frombits(binary.BigEndian.Uint32(b[24:28])),
+			Max:    math.Float32frombits(binary.BigEndian.Uint32(b[28:32])),
+			First:  time.Duration(binary.BigEndian.Uint64(b[32:40])),
+			Last:   time.Duration(binary.BigEndian.Uint64(b[40:48])),
+			MaxGap: time.Duration(binary.BigEndian.Uint64(b[48:56])),
+			MaxSeq: binary.BigEndian.Uint32(b[56:60]),
+		})
+	}
+	return bs
+}
+
+// decodeCompact appends the count buckets of a compact frame's body. It
+// accepts exactly what appendCompactFrame writes, so the encoding stays
+// canonical: it refuses a varint that is not minimal, a full-form bucket
+// the single form carries, an unknown form, a start that does not ascend,
+// any field that overflows, and bytes short or left over.
+func decodeCompact(body []byte, count int, width time.Duration, bs []rollup.Bucket) ([]rollup.Bucket, error) {
+	if width <= 0 {
+		return bs, errors.New("compact frame, but the manifest gives no width for its tier")
+	}
+	d := compactReader{b: body}
+	var idx int64
+	var seq uint32
+	for i := 0; i < count; i++ {
+		form := d.fixed(1)[0]
+		if i == 0 {
+			idx = d.varint()
+		} else if step := d.uvarint(); step == 0 || step > uint64(math.MaxInt64)-uint64(idx) {
+			d.fail("start does not ascend, or overflows")
+		} else {
+			idx = int64(uint64(idx) + step)
+		}
+		if idx > math.MaxInt64/int64(width) || idx < math.MinInt64/int64(width) {
+			d.fail("start overflows")
+		}
+		b := rollup.Bucket{Start: time.Duration(idx) * width, Count: 1}
+		b.First = d.after(b.Start)
+		if delta := d.varint(); delta < -int64(seq) || delta > math.MaxUint32-int64(seq) {
+			d.fail("max seq out of range")
+		} else {
+			seq = uint32(int64(seq) + delta)
+		}
+		b.MaxSeq, b.Last = seq, b.First
+		switch form {
+		case formSingle:
+			b.Min = math.Float32frombits(binary.BigEndian.Uint32(d.fixed(4)))
+			b.Max, b.Sum = b.Min, float64(b.Min)
+		case formFull:
+			b.Count = d.uvarint()
+			b.Sum = math.Float64frombits(binary.BigEndian.Uint64(d.fixed(8)))
+			b.Min = math.Float32frombits(binary.BigEndian.Uint32(d.fixed(4)))
+			b.Max = math.Float32frombits(binary.BigEndian.Uint32(d.fixed(4)))
+			b.Last = d.after(b.First)
+			b.MaxGap = d.after(0)
+			if singleForm(b) {
+				d.fail("full-form bucket the single form carries")
+			}
+		default:
+			d.fail(fmt.Sprintf("unknown form %d", form))
+		}
+		if d.err != nil {
+			return bs, fmt.Errorf("bucket %d: %w", i, d.err)
+		}
+		bs = append(bs, b)
+	}
+	if len(d.b) > 0 {
+		return bs, fmt.Errorf("%d bytes after the last bucket", len(d.b))
+	}
+	return bs, nil
+}
+
+// compactReader walks a compact frame's body. The first fault sticks:
+// every read after it returns zeros and consumes nothing.
+type compactReader struct {
+	b   []byte
+	err error
+}
+
+var zeros [8]byte
+
+func (d *compactReader) fail(msg string) {
+	if d.err == nil {
+		d.err = errors.New(msg)
+	}
+}
+
+func (d *compactReader) fixed(n int) []byte {
+	if d.err == nil && len(d.b) < n {
+		d.fail("short")
+	}
+	if d.err != nil {
+		return zeros[:n]
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *compactReader) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.b) > 0 && d.b[0] < 0x80 { // one byte: most fields of most buckets
+		v := d.b[0]
+		d.b = d.b[1:]
+		return uint64(v)
+	}
+	v, n := binary.Uvarint(d.b)
+	switch {
+	case n == 0:
+		d.fail("short")
+	case n < 0:
+		d.fail("varint overflows 64 bits")
+	case n > 1 && d.b[n-1] == 0:
+		d.fail("varint not minimal")
+	default:
+		d.b = d.b[n:]
+		return v
+	}
+	return 0
+}
+
+// varint reads a zigzag varint, binary.AppendVarint's encoding.
+func (d *compactReader) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// after reads a uvarint offset from base and returns base plus it.
+func (d *compactReader) after(base time.Duration) time.Duration {
+	v := d.uvarint()
+	if v > uint64(math.MaxInt64)-uint64(base) {
+		d.fail("time overflows")
+		return base
+	}
+	return time.Duration(uint64(base) + v)
 }
 
 // ckptFile and ckptFS are the disk as the checkpoint writer sees it: every
@@ -207,8 +424,8 @@ func (s *Store) appendFile(dir string, f *dataFile, data []byte) error {
 }
 
 // appendSealed frames the exported buckets — per device, hourly then
-// daily, at most maxFrameBuckets a frame — onto a's newest sealed segment,
-// starting a new one whenever the newest is full.
+// daily, at most maxFrameBuckets a compact frame — onto a's newest sealed
+// segment, starting a new one whenever the newest is full.
 func (s *Store) appendSealed(dir string, a *archive, delta *rollup.EngineState) error {
 	a.sealed = slices.Clone(a.sealed) // the archive in force keeps its own list
 	var buf []byte
@@ -222,9 +439,10 @@ func (s *Store) appendSealed(dir string, a *archive, delta *rollup.EngineState) 
 	}
 	for _, ds := range delta.Devices {
 		for _, run := range [...]struct {
-			tier byte
-			bs   []rollup.Bucket
-		}{{tierHourly, ds.Hourly}, {tierDaily, ds.Daily}} {
+			tier  byte
+			width time.Duration
+			bs    []rollup.Bucket
+		}{{tierHourly, delta.Config.Hourly, ds.Hourly}, {tierDaily, delta.Config.Daily, ds.Daily}} {
 			for bs := run.bs; len(bs) > 0; {
 				if n := len(a.sealed); n == 0 || a.sealed[n-1].Bytes+int64(len(buf)) >= cmp.Or(s.segmentBytes, defaultSegmentBytes) {
 					if err := flush(); err != nil {
@@ -234,8 +452,12 @@ func (s *Store) appendSealed(dir string, a *archive, delta *rollup.EngineState) 
 					a.next++
 				}
 				n := min(len(bs), maxFrameBuckets)
-				buf = appendBucketFrame(buf, ds.Device, run.tier, bs[:n])
+				var err error
+				if buf, err = appendCompactFrame(buf, ds.Device, run.tier, run.width, bs[:n]); err != nil {
+					return err
+				}
 				bs = bs[n:]
+				a.buckets += int64(n)
 				s.ckptBuckets.Add(uint64(n))
 			}
 		}

@@ -252,6 +252,24 @@ func (f gaugeFunc) sample(name string, b *strings.Builder) {
 	b.WriteByte('\n')
 }
 
+// gaugeFuncVec is a family of scrape-time gauges under one name, told
+// apart by one label whose values are fixed at registration.
+type gaugeFuncVec struct {
+	label  string
+	values []string
+	fns    []func() float64
+}
+
+func (v *gaugeFuncVec) metricType() string { return "gauge" }
+func (v *gaugeFuncVec) sample(name string, b *strings.Builder) {
+	for i, fn := range v.fns {
+		b.WriteString(name)
+		b.WriteString("{" + v.label + `="` + v.values[i] + `"} `)
+		b.WriteString(formatFloat(fn()))
+		b.WriteByte('\n')
+	}
+}
+
 func formatFloat(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
@@ -316,6 +334,21 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 // GaugeFunc registers a gauge read from fn at exposition time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, gaugeFunc(fn))
+}
+
+// GaugeFuncVec registers one gauge per value of a single label under one
+// metric name, values[i] read from fns[i] at exposition time. Label
+// tokens are checked as HistogramVec's are.
+func (r *Registry) GaugeFuncVec(name, help, label string, values []string, fns ...func() float64) {
+	if len(fns) != len(values) {
+		panic(fmt.Sprintf("obs: %s has %d label values and %d gauges", name, len(values), len(fns)))
+	}
+	for _, val := range append([]string{label}, values...) {
+		if !validName(val) {
+			panic(fmt.Sprintf("obs: invalid label token %q on %s", val, name))
+		}
+	}
+	r.register(name, help, &gaugeFuncVec{label: label, values: append([]string(nil), values...), fns: fns})
 }
 
 // Histogram registers and returns a histogram with the given inclusive

@@ -41,12 +41,17 @@ func TestFuncMetrics(t *testing.T) {
 	n := uint64(7)
 	r.CounterFunc("external_total", "externally owned", func() uint64 { return n })
 	r.GaugeFunc("level", "externally owned", func() float64 { return 1.5 })
+	r.GaugeFuncVec("size_bytes", "externally owned, by kind", "kind", []string{"sealed", "tail"},
+		func() float64 { return 4096 }, func() float64 { return float64(n) })
 	exp := string(r.Exposition())
-	for _, want := range []string{"external_total 7\n", "level 1.5\n"} {
+	for _, want := range []string{"external_total 7\n", "level 1.5\n",
+		"# TYPE size_bytes gauge\nsize_bytes{kind=\"sealed\"} 4096\nsize_bytes{kind=\"tail\"} 7\n"} {
 		if !strings.Contains(exp, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, exp)
 		}
 	}
+	mustPanic(t, "bad label", func() { r.GaugeFuncVec("a_bytes", "", "bad-label", []string{"x"}, func() float64 { return 0 }) })
+	mustPanic(t, "a value without its gauge", func() { r.GaugeFuncVec("b_bytes", "", "kind", []string{"x", "y"}, func() float64 { return 0 }) })
 }
 
 func TestHistogramBucketsAndClock(t *testing.T) {

@@ -88,12 +88,23 @@ STATUS="$(curl -s -o "$METRICS" -w '%{http_code}' "http://127.0.0.1:$DEBUG_PORT/
 [ "$STATUS" = "200" ] || smoke_fail "GET /metrics returned $STATUS"
 for want in query_requests_total query_tier_daily_buckets_total query_seconds \
     cloud_checkpoint_seconds_count 'cloud_checkpoint_phase_seconds_count{phase="sealed"}' \
-    cloud_checkpoint_bytes_written_total cloud_checkpoint_segments; do
+    cloud_checkpoint_bytes_written_total cloud_checkpoint_segments \
+    'cloud_archive_bytes{kind="sealed"}' 'cloud_archive_bytes{kind="tail"}' cloud_archive_buckets; do
     grep -qF "$want" "$METRICS" || smoke_fail "exposition is missing $want"
 done
 REQS="$(grep '^query_requests_total ' "$METRICS" | awk '{print $2}')"
-grep -q 'format version 3' "$TMP/endpointd.log" ||
-    smoke_fail "the reboot did not load a version-3 manifest — endpointd log follows" "$TMP/endpointd.log"
+grep -q 'format version 4' "$TMP/endpointd.log" ||
+    smoke_fail "the reboot did not load a version-4 manifest — endpointd log follows" "$TMP/endpointd.log"
+
+# The archive the reboot loaded is in compact frames: a daily reading is
+# one reading to its hourly and to its daily bucket, each a single-form
+# bucket of at most 16 bytes (8 on the hour; FORMAT.md), where a fixed
+# frame spent 60.
+SEALED="$(grep '^cloud_archive_bytes{kind="sealed"} ' "$METRICS" | awk '{printf "%d", $2}')"
+BUCKETS="$(grep '^cloud_archive_buckets ' "$METRICS" | awk '{printf "%d", $2}')"
+[ "${BUCKETS:-0}" -gt 0 ] || smoke_fail "the rebooted endpoint reports no sealed buckets"
+[ "$SEALED" -le $((16 * BUCKETS)) ] ||
+    smoke_fail "sealed segments hold $SEALED bytes for $BUCKETS buckets: more than 16 a bucket"
 
 # The way out: stop the daemon (its final checkpoint included), then ask
 # the binary for the portable export of what the files hold.
@@ -105,4 +116,4 @@ wait "$PID" 2>/dev/null || true
 grep -q '^{"version":2,' "$TMP/export.json" || smoke_fail "-export-json did not write a version-2 JSON snapshot"
 grep -q '"hourly_buckets":{"' "$TMP/export.json" || smoke_fail "the export carries no rollup buckets"
 
-echo "smoke-query: OK (daily tier engaged, crash-equivalent answers, $REQS query requests instrumented, JSON export of $(wc -c <"$TMP/export.json") bytes)"
+echo "smoke-query: OK (daily tier engaged, crash-equivalent answers, $REQS query requests instrumented, $SEALED sealed bytes for $BUCKETS buckets, JSON export of $(wc -c <"$TMP/export.json") bytes)"
