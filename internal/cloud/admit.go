@@ -31,19 +31,17 @@ type BatchResult struct {
 	Accepted int `json:"accepted"`
 	// Duplicates covers replay-guard rejects and intra-frame repeats.
 	Duplicates int `json:"duplicates"`
-	// Rejected covers malformed, unknown-device, bad-signature, and
-	// quarantined packets — refusals retrying cannot cure.
+	// Rejected covers malformed, unknown-device and bad-signature
+	// packets — refusals retrying cannot cure.
 	Rejected int `json:"rejected"`
 	// Stale packets arrived below the rollup fold watermark.
 	Stale int `json:"stale"`
 }
 
-// Errors from Ingest, beside ErrPersist, ErrSealed, ErrQuarantined and
-// the telemetry package's ErrReplay, ErrBadTag and ErrBadSize.
-var (
-	ErrUnknownDevice = errors.New("cloud: unknown device")
-	ErrLeaseLapsed   = errors.New("cloud: endpoint unreachable (lease lapsed)")
-)
+// ErrUnknownDevice is returned by Ingest for a device the KeyResolver
+// refuses; its other refusals are ErrPersist, ErrSealed and the telemetry
+// package's ErrReplay, ErrBadTag and ErrBadSize.
+var ErrUnknownDevice = errors.New("cloud: unknown device")
 
 // admitScratch is the pooled working set of one admission: the candidate
 // packets, their one bucketing by guard shard, the points handed to the
@@ -87,10 +85,9 @@ func (s *Store) release(sc *admitScratch) {
 
 // Ingest verifies and stores one raw packet arriving at time at: a frame
 // of one, with the packet's refusal, if any, as the error (ErrReplay,
-// ErrSealed, ErrQuarantined, ErrUnknownDevice, ErrBadTag, ErrBadSize,
-// ErrLeaseLapsed, ErrPersist). On success the reading is as durable as
-// the storage engine's fsync policy guarantees before Ingest returns —
-// the acknowledgement contract.
+// ErrSealed, ErrUnknownDevice, ErrBadTag, ErrBadSize, ErrPersist). On
+// success the reading is as durable as the storage engine's fsync policy
+// guarantees before Ingest returns — the acknowledgement contract.
 //
 // Allocations: 0 per packet in steady state, measured by TestAdmitAllocBudgets.
 func (s *Store) Ingest(at time.Duration, wire []byte) error {
@@ -113,8 +110,8 @@ func (s *Store) Ingest(at time.Duration, wire []byte) error {
 
 // IngestBatch verifies and stores a frame of packets arriving together
 // at time at. Every packet is authenticated individually, exactly as
-// Ingest would; what the frame shares is the arrival stamp, the policy
-// checks that depend only on it, and — the point — the WAL fsync.
+// Ingest would; what the frame shares is the arrival stamp, the sealed
+// check that depends only on it, and — the point — the WAL fsync.
 //
 // Error semantics: a non-nil error means the caller must NOT treat the
 // frame as acknowledged. ErrPersist reports that the frame's flush
@@ -151,14 +148,13 @@ func (s *Store) IngestBatch(at time.Duration, frame []byte) (BatchResult, error)
 // whatever its length; a frame's payload is what batch.Split returned).
 //
 //	parse → per guard shard, look up each device's record → verify with
-//	no lock held → lapse/quarantine policy → refuse while the log is
-//	failed → per guard shard {sealed check, enrol, record in seq
-//	order, AppendDeferred, accepted++} → weeks ledger → one flush
-//	barrier
+//	no lock held → refuse while the log is failed → per guard shard
+//	{sealed check, enrol, record in seq order, AppendDeferred,
+//	accepted++, weeks ledger} → one flush barrier
 //
-// err is the outcome of the whole payload — ErrLeaseLapsed, or ErrPersist
-// when the flush that would acknowledge it failed — and means nothing in
-// it is acknowledged. A packet's own refusal is counted in res and in the
+// err is the outcome of the whole payload — ErrPersist when the flush
+// that would acknowledge it failed — and means nothing in it is
+// acknowledged. A packet's own refusal is counted in res and in the
 // store's counters; when n == 1 it is also returned as refusal, the error
 // Ingest reports, and is built only then so frames allocate nothing for
 // it.
@@ -226,6 +222,7 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 	// without one gets its pad state built from the KeyResolver into the
 	// candidate; it joins the record only if the packet is admitted, so
 	// forged traffic cannot grow memory.
+	admissible := 0
 	for si, group := range groups {
 		kept := group[:0]
 		for _, ci := range group {
@@ -259,41 +256,8 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 			kept = append(kept, ci)
 		}
 		groups[si] = kept
-	}
-
-	// Pass 4: arrival-time policy under one aux-lock acquisition for the
-	// whole payload. A lapse rejects everything (nobody was listening at
-	// the published name); quarantine is per device.
-	s.mu.Lock()
-	if s.inLapseLocked(at) {
-		s.mu.Unlock()
-		k := 0
-		for _, group := range groups {
-			k += len(group)
-		}
-		s.stats.leaseLapsed.Add(uint64(k))
-		res.Rejected += k
-		return res, nil, ErrLeaseLapsed
-	}
-	admissible := 0
-	for si, group := range groups {
-		kept := group[:0]
-		for _, ci := range group {
-			dev := sc.cands[ci].p.Device
-			if s.quarantinedLocked(dev, at) {
-				s.stats.quarantined.Add(1)
-				res.Rejected++
-				if n == 1 {
-					refusal = fmt.Errorf("%w: %v", ErrQuarantined, dev)
-				}
-				continue
-			}
-			kept = append(kept, ci)
-		}
-		groups[si] = kept
 		admissible += len(kept)
 	}
-	s.mu.Unlock()
 
 	// While the log is failed, retry its flush before admitting anything
 	// more: a payload that cannot be made durable is refused here, ahead of
@@ -302,20 +266,21 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 		return res, nil, s.persistFailed(admissible, err)
 	}
 
-	// Pass 5: per guard shard — freshness, enrolment, deferred append,
-	// all under that shard's lock and none of it I/O. The log-buffer
-	// append and the memtable insert share the storage shard's critical
-	// section, under the same guard lock as the windows that admitted
-	// them, so guard, memtable and log move together; only the
-	// acknowledgement waits, on the one flush barrier after the loop: a
-	// packet whose flush failed is admitted but answered ErrPersist, and
-	// its retry is a duplicate. barrier covers every record this payload
-	// appended and, when it saw a duplicate, every record appended so far:
-	// the duplicate's original was admitted under this same guard lock,
-	// possibly by a payload still at its barrier, and the gateway takes
-	// "duplicate" as its job done, so that answer is an acknowledgement
-	// too.
+	// Pass 4: per guard shard — freshness, enrolment, deferred append and
+	// the weeks ledger, all under that shard's lock and none of it I/O.
+	// The log-buffer append and the memtable insert share the storage
+	// shard's critical section, under the same guard lock as the windows
+	// that admitted them, so guard, memtable, log and ledger move
+	// together; only the acknowledgement waits, on the one flush barrier
+	// after the loop: a packet whose flush failed is admitted but answered
+	// ErrPersist, and its retry is a duplicate. barrier covers every
+	// record this payload appended and, when it saw a duplicate, every
+	// record appended so far: the duplicate's original was admitted under
+	// this same guard lock, possibly by a payload still at its barrier,
+	// and the gateway takes "duplicate" as its job done, so that answer is
+	// an acknowledgement too.
 	var barrier tsdb.LSN
+	week := int64(at / sim.Week)
 	for si, group := range groups {
 		if len(group) == 0 {
 			continue
@@ -381,6 +346,7 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 		if len(sc.fresh) > 0 {
 			barrier = s.db.AppendDeferred(sc.fresh)
 			gs.accepted += uint64(len(sc.fresh))
+			gs.weeks[week] = struct{}{}
 		}
 		gs.mu.Unlock()
 		res.Accepted += len(sc.fresh)
@@ -389,9 +355,6 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 	if res.Accepted > 0 {
 		s.stats.accepted.Add(uint64(res.Accepted))
 		s.observeArrival(at)
-		s.mu.Lock()
-		s.weeks[int64(at/sim.Week)] = true
-		s.mu.Unlock()
 	}
 	if err := s.db.Flush(barrier); err != nil {
 		// Refused acknowledgement: what was admitted, and the duplicates

@@ -397,11 +397,10 @@ func TestFrameOrderMeansNothing(t *testing.T) {
 
 // TestSinglesAndFramesAgree is the differential check on "a packet is a
 // frame of one": random offers — fresh, duplicate, reordered inside the
-// replay window, below it, sealed by a fold, quarantined, lapsed, from an
-// unknown device, with a bad tag — go to one store packet by packet and
-// to its twin as frames of random sizes, and the two must end in the same
-// state. The singles' errors, by identity, must also add up to the
-// frames' BatchResults.
+// replay window, below it, sealed by a fold, from an unknown device, with
+// a bad tag — go to one store packet by packet and to its twin as frames
+// of random sizes, and the two must end in the same state. The singles'
+// errors, by identity, must also add up to the frames' BatchResults.
 func TestSinglesAndFramesAgree(t *testing.T) {
 	const (
 		known     = 6
@@ -454,8 +453,6 @@ func TestSinglesAndFramesAgree(t *testing.T) {
 				if err := s.EnableRollups(rollup.Config{}, retainRaw); err != nil {
 					t.Fatal(err)
 				}
-				s.AddLapse(25*sim.Day, 27*sim.Day)
-				s.Quarantine(lpwan.EUIFromUint64(3), 40*sim.Day)
 			}
 
 			var bySingles, byFrames BatchResult
@@ -485,15 +482,14 @@ func TestSinglesAndFramesAgree(t *testing.T) {
 						bySingles.Duplicates++
 					case errors.Is(err, ErrSealed):
 						bySingles.Stale++
-					case errors.Is(err, ErrQuarantined), errors.Is(err, ErrUnknownDevice),
-						errors.Is(err, telemetry.ErrBadTag), errors.Is(err, ErrLeaseLapsed):
+					case errors.Is(err, ErrUnknownDevice), errors.Is(err, telemetry.ErrBadTag):
 						bySingles.Rejected++
 					default:
 						t.Fatalf("Ingest(%v): unexpected error %v", at, err)
 					}
 				}
 				res, err := frames.IngestBatch(at, frameOf(t, group...))
-				if err != nil && !errors.Is(err, ErrLeaseLapsed) {
+				if err != nil {
 					t.Fatalf("IngestBatch(%v): %v", at, err)
 				}
 				byFrames.Total += res.Total
@@ -510,7 +506,7 @@ func TestSinglesAndFramesAgree(t *testing.T) {
 			if got := frames.Stats(); got != st {
 				t.Errorf("Stats differ:\n  singles %+v\n  frames  %+v", st, got)
 			}
-			for _, n := range []uint64{st.Accepted, st.Duplicates, st.BadSignature, st.UnknownDev, st.LeaseLapsed, st.Quarantined, st.Stale} {
+			for _, n := range []uint64{st.Accepted, st.Duplicates, st.BadSignature, st.UnknownDev, st.Stale} {
 				if n == 0 {
 					t.Errorf("the mix left a disposition unexercised: %+v", st)
 					break

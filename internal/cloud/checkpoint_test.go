@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -21,6 +22,8 @@ import (
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/obs"
 	"centuryscale/internal/rollup"
+	"centuryscale/internal/sim"
+	"centuryscale/internal/telemetry"
 	"centuryscale/internal/tsdb"
 )
 
@@ -573,7 +576,6 @@ func TestArchiveByteExact(t *testing.T) {
 	build := func() (*archiveRig, *Store) {
 		r := newRig(t)
 		s := r.boot()
-		s.AddLapse(400*time.Hour, 401*time.Hour)
 		feedDays(t, s, 0, 4)
 		if err := s.Checkpoint(r.snap); err != nil {
 			t.Fatal(err)
@@ -846,7 +848,10 @@ func TestAcceptedExactAfterCrash(t *testing.T) {
 	}()
 	var mu sync.Mutex
 	acknowledged := 0
-	for round := 0; round < rounds; round++ {
+	// Rounds go on past the last until a checkpoint has folded: with few
+	// cores free the checkpointer may not have run while the first ones
+	// did.
+	for round := 0; round < rounds || s.Rollups().FoldedBefore() == 0 || s.ckptSegments.Load() == 0; round++ {
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
@@ -901,6 +906,209 @@ func TestAcceptedExactAfterCrash(t *testing.T) {
 	}
 	if held := rawCount(b) + int(bucketCount(b)); held != acknowledged {
 		t.Fatalf("after the crash the store holds %d readings, %d were acknowledged", held, acknowledged)
+	}
+}
+
+// TestWeeksLedgerExact is F5 for the weeks ledger. Single packets,
+// frames and Repair run at once over devices in every guard shard, their
+// arrivals stepping a week every few operations, while checkpoints are
+// cut.
+// Every manifest committed must list the week of every reading and bucket
+// its files hold, and WeeklyUptime must equal the weeks the operations
+// that were acknowledged arrived in — live, and after a reboot from the
+// last manifest and the WAL. A ledger copied apart from the series lets a
+// reading admitted between the two copies into a checkpoint without its
+// week, and the reboot's replay, finding the reading held, never brings
+// the week back.
+func TestWeeksLedgerExact(t *testing.T) {
+	const (
+		perKind     = 16  // devices per kind of operation
+		ops         = 150 // per kind at least, and on until checkpoints have been cut
+		checkpoints = 12
+		perWeek     = 8             // operations, of any kind, that arrive in one week
+		maxWeeks    = 5000          // arrivals stay well inside time.Duration's 292 years
+		retain      = 16 * sim.Week // raw window: stale refusals stay rare
+	)
+	r := newRig(t)
+	boot := func() *Store {
+		db, err := tsdb.Open(tsdb.Options{Dir: filepath.Join(r.dir, "tsdb"), Shards: 4, Sync: tsdb.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewStoreWithDB(StaticKeys(master), db)
+		if err := s.EnableRollups(rollup.Config{}, retain); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LoadFile(r.snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ReplayWAL(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := boot()
+	kinds := []string{"single", "frame", "repair"}
+	devOf := func(kind, i int) uint64 { return uint64(0x1000*(kind+1) + i) }
+	for k, name := range kinds {
+		shards := make(map[int]bool)
+		for i := 0; i < perKind; i++ {
+			shards[tsdb.ShardIndex(lpwan.EUIFromUint64(devOf(k, i)), len(s.guards))] = true
+		}
+		if len(shards) != len(s.guards) {
+			t.Fatalf("%s devices reach %d of %d guard shards", name, len(shards), len(s.guards))
+		}
+	}
+
+	// heldWeeks fails unless the manifest at r.snap lists the week of every
+	// reading and bucket its files hold.
+	heldWeeks := func() {
+		m := readManifest(t, r.snap)
+		listed := make(map[int64]bool, len(m.Weeks))
+		for _, w := range m.Weeks {
+			listed[w] = true
+		}
+		held := NewStore(StaticKeys(master))
+		if err := held.EnableRollups(rollup.Config{}, retain); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := held.LoadFile(r.snap); err != nil {
+			t.Error(err)
+			return
+		}
+		var at []time.Duration
+		for _, dev := range held.Devices() {
+			for _, rd := range held.History(dev) {
+				at = append(at, rd.At)
+			}
+		}
+		for _, ds := range held.Rollups().Snapshot().Devices {
+			for _, tier := range [][]rollup.Bucket{ds.Hourly, ds.Daily} {
+				for _, b := range tier {
+					at = append(at, b.First, b.Last)
+				}
+			}
+		}
+		for _, a := range at {
+			if !listed[int64(a/sim.Week)] {
+				t.Errorf("a manifest holds a reading at %v, in week %d, and does not list that week (it lists %d)", a, a/sim.Week, len(m.Weeks))
+				return
+			}
+		}
+	}
+
+	var next atomic.Int64 // operations started, of every kind
+	var mu sync.Mutex
+	acknowledged := make(map[int64]bool)
+	done := func(week int64, accepted int) {
+		if accepted > 0 {
+			mu.Lock()
+			acknowledged[week] = true
+			mu.Unlock()
+		}
+	}
+	stop := make(chan struct{})
+	var cut atomic.Int32
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Checkpoint(r.snap); err != nil {
+				t.Errorf("checkpoint: %v", err)
+				return
+			}
+			cut.Add(1)
+			heldWeeks()
+		}
+	}()
+	var wg sync.WaitGroup
+	for k := range kinds {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			seq := make([]uint32, perKind)
+			for op := 0; op < ops || cut.Load() < checkpoints && !t.Failed(); op++ {
+				week := (next.Add(1) - 1) / perWeek
+				if week >= maxWeeks {
+					return
+				}
+				at := time.Duration(week)*sim.Week + time.Duration(op%7)*sim.Day
+				switch k {
+				case 0:
+					i := op % perKind
+					seq[i]++
+					err := s.Ingest(at, sealed(t, devOf(k, i), seq[i], 1))
+					if err != nil && !errors.Is(err, ErrSealed) {
+						t.Errorf("packet: %v", err)
+						return
+					}
+					if err == nil {
+						done(week, 1)
+					}
+				case 1:
+					var wires [][]byte
+					for j := 0; j < 4; j++ {
+						i := (op + j) % perKind
+						seq[i]++
+						wires = append(wires, sealed(t, devOf(k, i), seq[i], 2))
+					}
+					frame, err := batch.AppendFrame(nil, wires...)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					res, err := s.IngestBatch(at, frame)
+					if err != nil {
+						t.Errorf("frame: %v", err)
+						return
+					}
+					done(week, res.Accepted)
+				case 2:
+					i := op % perKind
+					dev := lpwan.EUIFromUint64(devOf(k, i))
+					var recs []Reading
+					for j := 0; j < 2; j++ {
+						seq[i]++
+						recs = append(recs, Reading{At: at, Packet: telemetry.Packet{Device: dev, Seq: seq[i], Value: 3}})
+					}
+					added, err := s.Repair(dev, recs)
+					if err != nil {
+						t.Errorf("repair: %v", err)
+						return
+					}
+					done(week, added)
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	if t.Failed() {
+		return
+	}
+	if s.Rollups().FoldedBefore() == 0 {
+		t.Fatal("no checkpoint folded while the writers ran: the race under test never happened")
+	}
+	weeks := min(next.Load()/perWeek+1, maxWeeks)
+	t.Logf("%d checkpoints over %d weeks, %d of them acknowledged", cut.Load(), weeks, len(acknowledged))
+	horizon := time.Duration(weeks) * sim.Week
+	want := float64(len(acknowledged)) / float64(weeks)
+	if got := s.WeeklyUptime(horizon); got != want {
+		t.Fatalf("live WeeklyUptime %v, the acknowledged operations arrived in %d of %d weeks (%v)", got, len(acknowledged), weeks, want)
+	}
+	// s is abandoned here: no Close, no final checkpoint.
+	b := boot()
+	defer b.Close()
+	if got := b.WeeklyUptime(horizon); got != want {
+		t.Fatalf("after the crash WeeklyUptime is %v, the acknowledged operations arrived in %d of %d weeks (%v)", got, len(acknowledged), weeks, want)
 	}
 }
 

@@ -5,17 +5,17 @@
 // The paper's end-to-end uptime metric is deliberately modest: "some data
 // arrives at some interval of time up to once a week that is publicly
 // accessible." The Store tracks exactly that — per-week delivery — along
-// with per-device history. The endpoint also carries the one piece of
-// scheduled institutional maintenance the paper calls out as certain: the
-// DNS domain lease, renewable at most every 10 years, whose lapse takes
-// the public page (and thus the metric) down no matter how healthy the
-// sensors are.
+// with per-device history. Whether the public name was reachable at all
+// (the DNS lease of §4.5, whose lapse darkens the endpoint however
+// healthy the sensors are) is a fact about the world, not something an
+// endpoint can know: the simulator in internal/core models it and drops
+// what arrives while it is dark.
 //
 // Storage is delegated to internal/tsdb: hash-sharded per-device series
 // with an optional write-ahead log, so ingest scales with cores and an
-// acknowledged reading survives a crash. This package keeps the policy —
-// authentication, replay rejection, quarantine, lapse windows, the
-// weekly-uptime ledger — the checkpoint (persist.go: a manifest beside
+// acknowledged reading survives a crash. This package keeps admission —
+// authentication, replay rejection, the weekly-uptime ledger, all of it
+// per guard shard — the checkpoint (persist.go: a manifest beside
 // binary segments), and the versioned-JSON snapshot that stays the
 // portable, readable-in-2060 export format.
 package cloud
@@ -62,8 +62,8 @@ type IngestStats struct {
 	BadSignature    uint64
 	Malformed       uint64
 	UnknownDev      uint64
-	LeaseLapsed     uint64 // arrived while the public endpoint was dark
-	Quarantined     uint64 // from devices whose trust has been revoked
+	LeaseLapsed     uint64 // carried from archives of builds that refused lapsed arrivals; nothing counts it now
+	Quarantined     uint64 // carried likewise from builds that had a quarantine; nothing counts it now
 	PersistFailures uint64 // WAL flush failed; packet not acked (it is admitted, and its retry is a duplicate)
 	Repaired        uint64 // readings merged from a replica by read-repair
 	Stale           uint64 // arrival below the rollup fold watermark (sealed region)
@@ -71,9 +71,8 @@ type IngestStats struct {
 
 // ingestCounters is the live, lock-free backing of IngestStats. Every
 // disposition is one atomic add: a storm of rejects (malformed floods, a
-// replayed batch, a quarantined fleet) must not serialize all cores on
-// the aux mutex just to count itself — that lock is for the small policy
-// state, not the hot path.
+// replayed batch) must not serialize all cores on one lock just to count
+// itself.
 type ingestCounters struct {
 	accepted        atomic.Uint64
 	duplicates      atomic.Uint64
@@ -138,6 +137,11 @@ type guardShard struct {
 	// memtable insert, so Store.cut reads a shard's series and its share of
 	// Stats.Accepted together. Shard 0 starts from a restore's total.
 	accepted uint64
+	// weeks holds the index of every week in which this shard admitted a
+	// reading, under the same mu and for the same reason: a checkpoint
+	// never holds a reading without its week. Shard 0 starts from a
+	// restore's ledger; WeeklyUptime takes the union.
+	weeks map[int64]struct{}
 }
 
 // device is one device's admission record: its key's pad state and its
@@ -166,9 +170,8 @@ func (gs *guardShard) enrol(dev lpwan.EUI64) *device {
 // Store is the endpoint state: authenticated time-series per device plus
 // the weekly-uptime ledger. Safe for concurrent use. The hot ingest path
 // takes only its device's guard-shard lock and the matching storage
-// shard lock; disposition counting is lock-free atomics; the aux mutex
-// guards the small policy state (weeks, lapses, quarantine) for
-// nanoseconds at a time.
+// shard lock, and disposition counting is lock-free atomics: no lock on
+// it is shared by every shard.
 type Store struct {
 	keys   KeyResolver
 	db     *tsdb.DB
@@ -219,19 +222,12 @@ type Store struct {
 	// one predictable nil-check and nothing else.
 	obs atomic.Pointer[ingestObs]
 
-	mu    sync.Mutex     // aux state only; never held across db calls
-	weeks map[int64]bool // week index -> data arrived
-
-	// lapses are [from,to) windows when the endpoint was unreachable
-	// (e.g. a lapsed domain lease).
-	lapses []window
-
-	// quarantined maps devices to the virtual time their trust was
-	// revoked; see quarantine.go.
-	quarantined map[lpwan.EUI64]time.Duration
+	// lapses is the "lapses" list of the archive last loaded, carried to
+	// every later checkpoint and export so they stay byte-identical to
+	// what older builds wrote. It has no effect on admission: lapses are
+	// modelled by the simulator (internal/core), ahead of Ingest.
+	lapses atomic.Pointer[[][2]int64]
 }
-
-type window struct{ from, to time.Duration }
 
 // replayWindow tolerates dual-gateway delivery races.
 const replayWindow = 16
@@ -263,12 +259,11 @@ func NewStoreWithDB(keys KeyResolver, db *tsdb.DB) *Store {
 		keys:    keys,
 		db:      db,
 		scratch: sync.Pool{New: newAdmitScratch},
-		weeks:   make(map[int64]bool),
 		fs:      osFS{},
 	}
 	s.guards = make([]*guardShard, db.Shards())
 	for i := range s.guards {
-		s.guards[i] = &guardShard{devices: make(map[lpwan.EUI64]*device)}
+		s.guards[i] = &guardShard{devices: make(map[lpwan.EUI64]*device), weeks: make(map[int64]struct{})}
 	}
 	return s
 }
@@ -286,27 +281,6 @@ func (s *Store) Close() error { return s.db.Close() }
 
 // StorageStats returns the storage engine's summary.
 func (s *Store) StorageStats() tsdb.Stats { return s.db.Stats() }
-
-// AddLapse records a public-unreachability window (lease lapse, hosting
-// failure). Packets arriving during a lapse are dropped: nobody was
-// listening at the published name.
-func (s *Store) AddLapse(from, to time.Duration) {
-	if to <= from {
-		panic("cloud: empty lapse window")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lapses = append(s.lapses, window{from, to})
-}
-
-func (s *Store) inLapseLocked(t time.Duration) bool {
-	for _, w := range s.lapses {
-		if t >= w.from && t < w.to {
-			return true
-		}
-	}
-	return false
-}
 
 // ReplayWAL rolls the storage engine's write-ahead log forward over
 // whatever state is already loaded (usually the last checkpoint). Records
@@ -333,16 +307,13 @@ func (s *Store) ReplayWAL() (tsdb.ReplayStats, error) {
 		keep := gs.enrol(p.Device).win.Record(p.Seq, replayWindow) && pt.At >= folded
 		if keep {
 			gs.accepted++
+			gs.weeks[int64(pt.At/sim.Week)] = struct{}{}
 		}
 		gs.mu.Unlock()
-		if !keep {
-			return false
+		if keep {
+			s.stats.accepted.Add(1)
 		}
-		s.stats.accepted.Add(1)
-		s.mu.Lock()
-		s.weeks[int64(pt.At/sim.Week)] = true
-		s.mu.Unlock()
-		return true
+		return keep
 	})
 }
 
@@ -373,7 +344,7 @@ func readingOf(pt tsdb.Point) Reading {
 
 // Stats returns a snapshot of the counters. Each field is individually
 // exact; a snapshot taken while ingest races may tear between fields
-// (e.g. an accept counted but its week not yet ledgered) — at
+// (e.g. a duplicate counted before the accept it duplicates) — at
 // quiescence it is exact in full.
 func (s *Store) Stats() IngestStats {
 	return s.stats.snapshot()
@@ -412,21 +383,24 @@ func (s *Store) Count() uint64 {
 }
 
 // WeeklyUptime returns the paper's end-to-end metric over [0, horizon):
-// the fraction of weeks in which at least one packet was accepted.
+// the fraction of weeks in which at least one packet was accepted, the
+// union of the guard shards' ledgers.
 func (s *Store) WeeklyUptime(horizon time.Duration) float64 {
 	total := int64(horizon / sim.Week)
 	if total <= 0 {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	up := int64(0)
-	for w := range s.weeks {
-		if w < total {
-			up++
+	up := make(map[int64]struct{})
+	for _, gs := range s.guards {
+		gs.mu.Lock()
+		for w := range gs.weeks {
+			if w < total {
+				up[w] = struct{}{}
+			}
 		}
+		gs.mu.Unlock()
 	}
-	return float64(up) / float64(total)
+	return float64(len(up)) / float64(total)
 }
 
 // LongestGap returns the longest interval between consecutive accepted
@@ -442,18 +416,4 @@ func (s *Store) WeeklyUptime(horizon time.Duration) float64 {
 // LongestGap/TopGaps for the full sealed history.
 func (s *Store) LongestGap(horizon time.Duration) time.Duration {
 	return query.MergeLongestGap(s.db.TimesByDevice(), horizon)
-}
-
-// DomainLeaseSchedule returns the renewal deadlines the operators must
-// meet over the horizon given the maximum lease term (10 years per ICANN,
-// §4.5): one renewal at every multiple of the term.
-func DomainLeaseSchedule(horizon time.Duration, maxTerm time.Duration) []time.Duration {
-	if maxTerm <= 0 {
-		panic("cloud: non-positive lease term")
-	}
-	var out []time.Duration
-	for t := maxTerm; t < horizon; t += maxTerm {
-		out = append(out, t)
-	}
-	return out
 }

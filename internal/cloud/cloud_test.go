@@ -272,21 +272,6 @@ func TestLongestGapSingleDeviceDominates(t *testing.T) {
 	}
 }
 
-func TestLeaseLapseDropsData(t *testing.T) {
-	s := NewStore(StaticKeys(master))
-	s.AddLapse(sim.Week, 2*sim.Week)
-	if err := s.Ingest(sim.Week+sim.Day, sealed(t, 1, 1, 1)); !errors.Is(err, ErrLeaseLapsed) {
-		t.Fatalf("lapse err = %v", err)
-	}
-	if err := s.Ingest(2*sim.Week, sealed(t, 1, 2, 1)); err != nil {
-		t.Fatalf("post-lapse packet rejected: %v", err)
-	}
-	st := s.Stats()
-	if st.LeaseLapsed != 1 || st.Accepted != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestDevicesSorted(t *testing.T) {
 	s := NewStore(StaticKeys(master))
 	for i, dev := range []uint64{9, 3, 7} {
@@ -298,24 +283,4 @@ func TestDevicesSorted(t *testing.T) {
 	if len(devs) != 3 || devs[0].Uint64() != 3 || devs[2].Uint64() != 9 {
 		t.Fatalf("devices = %v", devs)
 	}
-}
-
-func TestDomainLeaseSchedule(t *testing.T) {
-	// 50 years at a 10-year max term: renewals at 10, 20, 30, 40.
-	sched := DomainLeaseSchedule(sim.Years(50), sim.Years(10))
-	if len(sched) != 4 {
-		t.Fatalf("schedule = %v", sched)
-	}
-	if sched[0] != sim.Years(10) || sched[3] != sim.Years(40) {
-		t.Fatalf("schedule = %v", sched)
-	}
-}
-
-func TestDomainLeasePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero lease term did not panic")
-		}
-	}()
-	DomainLeaseSchedule(sim.Years(50), 0)
 }

@@ -167,8 +167,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 // node that first accepted them, and the cluster secret gates the HTTP
 // route — so no signature re-check, no replay-guard freshness veto
 // (the whole point is admitting records the guard window has moved
-// past), and no lapse/quarantine policy (they were applied at first
-// accept).
+// past).
 //
 // Returns how many records were newly stored. Like admission, the merge
 // appends under the device's guard-shard lock and flushes after it. On a
@@ -213,6 +212,7 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 			rec = gs.enrol(dev)
 		}
 		rec.win.Record(r.Packet.Seq, replayWindow)
+		gs.weeks[int64(r.At/sim.Week)] = struct{}{}
 		s.observeArrival(r.At)
 	}
 	// Dedup-check and append commit together under the guard lock, or a
@@ -225,14 +225,7 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 	}
 	gs.mu.Unlock()
 
-	if len(missing) > 0 {
-		s.stats.repaired.Add(uint64(len(missing)))
-		s.mu.Lock()
-		for _, pt := range missing {
-			s.weeks[int64(pt.At/sim.Week)] = true
-		}
-		s.mu.Unlock()
-	}
+	s.stats.repaired.Add(uint64(len(missing)))
 	if err := s.db.Flush(held); err != nil {
 		return len(missing), s.persistFailed(len(missing), err)
 	}

@@ -2,8 +2,10 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -42,13 +44,30 @@ func fuzzBuckets(n int) []rollup.Bucket {
 	return bs
 }
 
+// resealed returns a copy of data with the CRC of every frame whose
+// length field keeps it inside data recomputed, so that a mutation of a
+// frame's payload reaches the bucket decoders instead of stopping at the
+// checksum. The checksum's own refusal is TestDamagedSegmentRefusesBoot's.
+func resealed(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	for off := 0; off+8 <= len(out); {
+		end := off + 8 + int(binary.BigEndian.Uint32(out[off:]))
+		if end > len(out) {
+			break
+		}
+		binary.BigEndian.PutUint32(out[off+4:], crc32.Checksum(out[off+8:end], castagnoli))
+		off = end
+	}
+	return out
+}
+
 // FuzzSegmentDecode: whatever decodeSealed accepts, in either encoding,
 // re-encodes to exactly the bytes it came from (both encodings are
 // canonical; fixed frames are re-encoded by appendFixedFrame, the
 // test-local copy of the encoder builds before manifest version 4 used),
 // every frame it hands on is within bounds, and decoding allocates one
 // frame's worth of scratch (under 256 KiB) whatever the length fields
-// say.
+// say. Every in-bounds frame is resealed first (resealed).
 func FuzzSegmentDecode(f *testing.F) {
 	dev := lpwan.EUIFromUint64(0xCAFE)
 	ones := make([]rollup.Bucket, 4) // one reading each: the single form
@@ -84,6 +103,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(badTier)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = resealed(data)
 		var re []byte
 		var err error
 		spent := allocated(func() {

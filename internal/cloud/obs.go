@@ -61,8 +61,8 @@ func (s *Store) RegisterMetrics(reg *obs.Registry, clock obs.Clock) {
 	reg.CounterFunc("cloud_ingest_bad_signature_total", "packets failing HMAC verification", s.stats.badSignature.Load)
 	reg.CounterFunc("cloud_ingest_malformed_total", "packets failing structural parse", s.stats.malformed.Load)
 	reg.CounterFunc("cloud_ingest_unknown_device_total", "packets from devices the key resolver refused", s.stats.unknownDev.Load)
-	reg.CounterFunc("cloud_ingest_lease_lapsed_total", "packets arriving while the public endpoint was dark", s.stats.leaseLapsed.Load)
-	reg.CounterFunc("cloud_ingest_quarantined_total", "packets from devices whose trust was revoked", s.stats.quarantined.Load)
+	reg.CounterFunc("cloud_ingest_lease_lapsed_total", "packets an older build refused as arriving while the public endpoint was dark, carried from its archive (nothing counts them now)", s.stats.leaseLapsed.Load)
+	reg.CounterFunc("cloud_ingest_quarantined_total", "packets an older build refused from quarantined devices, carried from its archive (nothing counts them now)", s.stats.quarantined.Load)
 	reg.CounterFunc("cloud_ingest_persist_failures_total", "packets refused acknowledgement because their WAL flush failed", s.stats.persistFailures.Load)
 	reg.CounterFunc("cloud_repair_readings_total", "readings merged from replicas by read-repair", s.stats.repaired.Load)
 	reg.CounterFunc("cloud_ingest_stale_total", "packets arriving below the rollup fold watermark (sealed region)", s.stats.stale.Load)

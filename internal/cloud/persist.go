@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -102,38 +103,37 @@ type devSeries struct {
 
 // cut copies the store's state for persisting: the snapshot's header, the
 // raw series shard by shard, and the rollup buckets at or above the given
-// watermarks (zero for all; nil with rollups off). Stats.Accepted is exact
-// for the series beside it even with ingest running — a shard's series and
-// admission count are read under its guard lock, which admission and
-// memtable insert share — so a reboot that loads them and replays the WAL
-// counts every acknowledged packet once. foldMu keeps a fold from moving
+// watermarks (zero for all; nil with rollups off). Stats.Accepted and the
+// weeks ledger are exact for the series beside them even with ingest
+// running — a shard's series, admission count and weeks are read under its
+// guard lock, which admission and memtable insert share — so a reboot that
+// loads them and replays the WAL counts every acknowledged packet, and
+// every week it arrived in, once. foldMu keeps a fold from moving
 // points between the copies; nothing here does I/O.
 func (s *Store) cut(hourlyFrom, dailyFrom time.Duration) (snapshotFile, []map[lpwan.EUI64][]tsdb.Point, *rollup.EngineState) {
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
-	s.mu.Lock()
 	snap := snapshotFile{
 		Version: snapshotVersion,
 		Stats:   s.stats.snapshot(),
-		Weeks:   make([]int64, 0, len(s.weeks)),
+		Weeks:   []int64{},
 	}
-	for wk := range s.weeks {
-		snap.Weeks = append(snap.Weeks, wk)
+	if l := s.lapses.Load(); l != nil && len(*l) > 0 {
+		snap.Lapses = *l
 	}
-	for _, l := range s.lapses {
-		snap.Lapses = append(snap.Lapses, [2]int64{int64(l.from), int64(l.to)})
-	}
-	s.mu.Unlock()
-	sort.Slice(snap.Weeks, func(i, j int) bool { return snap.Weeks[i] < snap.Weeks[j] })
-
 	snap.Stats.Accepted = 0
 	shards := make([]map[lpwan.EUI64][]tsdb.Point, len(s.guards))
 	for i, gs := range s.guards {
 		gs.mu.Lock()
 		shards[i] = s.db.SnapshotShard(i)
 		snap.Stats.Accepted += gs.accepted
+		for wk := range gs.weeks {
+			snap.Weeks = append(snap.Weeks, wk)
+		}
 		gs.mu.Unlock()
 	}
+	slices.Sort(snap.Weeks)
+	snap.Weeks = slices.Compact(snap.Weeks)
 	if r := s.rollups.Load(); r != nil {
 		tiers := r.ExportSince(hourlyFrom, dailyFrom)
 		return snap, shards, &tiers
@@ -337,17 +337,9 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 
 // install swaps loaded state in; nothing before it may have touched the
 // store, so a load that fails leaves it as it was. snap carries the
-// stats, weeks and lapses (a manifest's, or a JSON snapshot's own).
+// stats, weeks and lapses (a manifest's, or a JSON snapshot's own); the
+// restored weeks go to shard 0, as the restored Accepted does.
 func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *rollup.Engine) {
-	weeks := make(map[int64]bool, len(snap.Weeks))
-	for _, w := range snap.Weeks {
-		weeks[w] = true
-	}
-	var lapses []window
-	for _, l := range snap.Lapses {
-		lapses = append(lapses, window{from: time.Duration(l[0]), to: time.Duration(l[1])})
-	}
-
 	// Swap everything in: engine memtables loaded without WAL writes —
 	// the snapshot itself is the durable copy of these readings — and
 	// every device record's window rebuilt from the restored readings
@@ -362,8 +354,12 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 			rec.win = telemetry.Window{}
 		}
 		gs.accepted = 0
+		gs.weeks = make(map[int64]struct{})
 		if i == 0 {
 			gs.accepted = snap.Stats.Accepted
+			for _, w := range snap.Weeks {
+				gs.weeks[w] = struct{}{}
+			}
 		}
 		gs.mu.Unlock()
 	}
@@ -400,10 +396,7 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 	}
 
 	s.stats.restore(snap.Stats)
-	s.mu.Lock()
-	s.weeks = weeks
-	s.lapses = lapses
-	s.mu.Unlock()
+	s.lapses.Store(&snap.Lapses)
 }
 
 // manifest is the checkpoint's commit record, the JSON file at the

@@ -2,7 +2,7 @@ package cloud
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +15,6 @@ import (
 func populatedStore(t *testing.T) *Store {
 	t.Helper()
 	s := NewStore(StaticKeys(master))
-	s.AddLapse(10*sim.Week, 11*sim.Week)
 	for dev := uint64(1); dev <= 3; dev++ {
 		for seq := uint32(1); seq <= 5; seq++ {
 			at := time.Duration(seq) * sim.Week
@@ -33,9 +32,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := orig.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// A build that enforced lease lapses wrote them into the snapshot.
+	lapse := []byte(fmt.Sprintf(`"lapses":[[%d,%d]]`, 10*sim.Week, 11*sim.Week))
+	data := bytes.Replace(buf.Bytes(), []byte(`"lapses":null`), lapse, 1)
+	if bytes.Equal(data, buf.Bytes()) {
+		t.Fatal(`the export has no "lapses":null to replace`)
+	}
 
 	restored := NewStore(StaticKeys(master))
-	if err := restored.ReadSnapshot(&buf); err != nil {
+	if err := restored.ReadSnapshot(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,9 +66,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if restored.WeeklyUptime(6*sim.Week) != orig.WeeklyUptime(6*sim.Week) {
 		t.Fatal("weekly uptime diverged")
 	}
-	// Lapses preserved.
-	if err := restored.Ingest(10*sim.Week+time.Hour, sealed(t, 1, 99, 1)); !errors.Is(err, ErrLeaseLapsed) {
-		t.Fatalf("lapse not restored: %v", err)
+	// Lapses carried into the export, and no longer refusing anything.
+	var again bytes.Buffer
+	if err := restored.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(again.Bytes(), lapse) {
+		t.Fatal("restored lapses missing from the export")
+	}
+	if err := restored.Ingest(10*sim.Week+time.Hour, sealed(t, 1, 99, 1)); err != nil {
+		t.Fatalf("packet inside a restored lapse window refused: %v", err)
 	}
 }
 

@@ -450,9 +450,8 @@ func TestFrontHandlerEndToEnd(t *testing.T) {
 // Retry-After for each disposition a replica can give it, and, through
 // the owners' counters, that the packet reached both owners and was
 // refused there for the stated reason. The router acknowledges whatever
-// a replica durably decided: a duplicate, a bad tag, a quarantined
-// device, a stale arrival and a lapsed lease are all final there, so all
-// are 202. A payload of one packet travels bare, so each owner takes it
+// a replica durably decided: a duplicate, a bad tag and a stale arrival
+// are all final there, so all are 202. A payload of one packet travels bare, so each owner takes it
 // on /ingest — a frame of one on routerd's /ingest/batch included.
 func TestRouterLonePacketDispositions(t *testing.T) {
 	const foldAt = 10 * 24 * time.Hour // each replica's fold watermark is a day below
@@ -469,7 +468,6 @@ func TestRouterLonePacketDispositions(t *testing.T) {
 			t.Fatal(err)
 		}
 		store.FoldRollups(foldAt)
-		store.AddLapse(3*foldAt, 4*foldAt)
 		server := cloud.NewServer(store, time.Now())
 		server.SetClusterSecret(secret)
 		server.SetRetryAfter(7 * time.Second)
@@ -502,10 +500,6 @@ func TestRouterLonePacketDispositions(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	dev := devOwnedBy(t, c.Ring(), 2, 0, 1)
-	quarantined := devOwnedBy(t, c.Ring(), 2, 1, 2)
-	for _, r := range replicas {
-		r.store.Quarantine(lpwan.EUIFromUint64(quarantined), 0)
-	}
 	fresh := sealed(t, dev, 1, 1)
 	forged := sealed(t, dev, 2, 1)
 	forged[len(forged)-1] ^= 0xff
@@ -531,12 +525,8 @@ func TestRouterLonePacketDispositions(t *testing.T) {
 			func(st cloud.IngestStats) uint64 { return st.Duplicates }, -1, http.StatusAccepted, ""},
 		{"bad tag", 2 * foldAt, "", forged, []int{0, 1},
 			func(st cloud.IngestStats) uint64 { return st.BadSignature }, -1, http.StatusAccepted, ""},
-		{"quarantined", 2 * foldAt, "", sealed(t, quarantined, 1, 1), []int{1, 2},
-			func(st cloud.IngestStats) uint64 { return st.Quarantined }, -1, http.StatusAccepted, ""},
 		{"below fold watermark", time.Hour, "", sealed(t, dev, 3, 1), []int{0, 1},
 			func(st cloud.IngestStats) uint64 { return st.Stale }, -1, http.StatusAccepted, ""},
-		{"lease lapsed", 3 * foldAt, "", sealed(t, dev, 5, 1), []int{0, 1},
-			func(st cloud.IngestStats) uint64 { return st.LeaseLapsed }, -1, http.StatusAccepted, ""},
 		{"runt", 2 * foldAt, "", []byte("runt"), nil, nil, -1, http.StatusUnprocessableEntity, ""},
 		{"oversized", 2 * foldAt, "", make([]byte, httpapi.MaxPacketBody+1), nil, nil, -1,
 			http.StatusRequestEntityTooLarge, ""},
@@ -577,8 +567,8 @@ func TestRouterLonePacketDispositions(t *testing.T) {
 			}
 		})
 	}
-	if st := c.Stats(); st.Acked != 7 || st.Rejected != 1 || st.NoQuorum != 1 {
-		t.Errorf("router stats = %+v, want 7 acked, 1 rejected, 1 short of quorum", st)
+	if st := c.Stats(); st.Acked != 5 || st.Rejected != 1 || st.NoQuorum != 1 {
+		t.Errorf("router stats = %+v, want 5 acked, 1 rejected, 1 short of quorum", st)
 	}
 	for i, r := range replicas {
 		if n := r.frames.Load(); n != 0 {

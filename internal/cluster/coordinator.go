@@ -62,9 +62,9 @@ type Config struct {
 // Errors from the coordinator.
 var (
 	// ErrRefused is a replica's 422: it decided the payload for good —
-	// a duplicate, a bad tag, a quarantined device, a sealed or lapsed
-	// arrival — so no retry can change the answer. A success for quorum
-	// purposes: the replica's decision is final there.
+	// a duplicate, a bad tag, a sealed arrival — so no retry can change
+	// the answer. A success for quorum purposes: the replica's decision
+	// is final there.
 	ErrRefused = errors.New("cluster: replica refused the payload for good")
 	// ErrNoQuorum reports that fewer than W replicas durably appended;
 	// the packet is NOT acknowledged and the caller must retry.

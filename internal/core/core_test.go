@@ -198,9 +198,56 @@ func TestLeaseLapseHurtsUptime(t *testing.T) {
 	if l.WeeklyUptime >= c.WeeklyUptime {
 		t.Fatalf("lease lapse must dent uptime: %v vs %v", l.WeeklyUptime, c.WeeklyUptime)
 	}
-	if l.Store.Stats().LeaseLapsed == 0 {
+	if l.PacketsLapsed == 0 {
 		t.Fatal("no packets were dropped during the lapse")
 	}
+	if c.PacketsLapsed != 0 {
+		t.Fatalf("%d packets dropped with every renewal made", c.PacketsLapsed)
+	}
+}
+
+func TestLeaseLapseDropsData(t *testing.T) {
+	cfg := shortOwned(3)
+	cfg.Horizon = sim.Years(15)
+	cfg.MissLeaseRenewals = []int{0} // miss the year-10 renewal
+	cfg.LeaseLapse = sim.Years(1)
+
+	l := RunExperiment(cfg)
+	if l.PacketsLapsed == 0 {
+		t.Fatal("no packets were dropped during the lapse")
+	}
+	// The drops never reach the endpoint: it decided every other delivery
+	// once, and holds nothing that arrived inside the window.
+	st := l.Store.Stats()
+	if decided := st.Accepted + st.Duplicates + st.BadSignature + st.Malformed + st.UnknownDev; decided != l.PacketsDelivered-l.PacketsLapsed {
+		t.Fatalf("the endpoint decided %d packets; %d were delivered and %d of them dropped", decided, l.PacketsDelivered, l.PacketsLapsed)
+	}
+	from, to := sim.Years(10), sim.Years(11)
+	for _, dev := range l.Store.Devices() {
+		for _, r := range l.Store.HistoryRange(dev, from, to) {
+			t.Fatalf("device %v has a reading at %v, inside the lapse", dev, r.At)
+		}
+	}
+}
+
+func TestDomainLeaseSchedule(t *testing.T) {
+	// 50 years at a 10-year max term: renewals at 10, 20, 30, 40.
+	sched := DomainLeaseSchedule(sim.Years(50), sim.Years(10))
+	if len(sched) != 4 {
+		t.Fatalf("schedule = %v", sched)
+	}
+	if sched[0] != sim.Years(10) || sched[3] != sim.Years(40) {
+		t.Fatalf("schedule = %v", sched)
+	}
+}
+
+func TestDomainLeasePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("zero lease term did not panic")
+		}
+	}()
+	DomainLeaseSchedule(sim.Years(50), 0)
 }
 
 func TestExperimentDeterministic(t *testing.T) {

@@ -82,8 +82,9 @@ type ExperimentConfig struct {
 	CellRadiusMeters float64
 
 	// MissLeaseRenewals injects the institutional failure: the domain
-	// lease renewals at these indices (0-based) are missed, darkening
-	// the endpoint for LeaseLapse until someone notices.
+	// lease renewals at these indices (0-based) of DomainLeaseSchedule
+	// are missed, darkening the endpoint for LeaseLapse until someone
+	// notices.
 	MissLeaseRenewals []int
 	LeaseLapse        time.Duration
 
@@ -132,7 +133,11 @@ type Outcome struct {
 
 	PacketsSent      uint64
 	PacketsDelivered uint64
-	PacketsAccepted  uint64 // after endpoint verification + dedup
+	// PacketsLapsed counts deliveries that fell inside a missed lease
+	// renewal's window: nobody was listening at the published name, so
+	// they never reached the endpoint.
+	PacketsLapsed   uint64
+	PacketsAccepted uint64 // after endpoint verification + dedup
 
 	DevicesAliveAtEnd  int
 	DeviceReplacements int
@@ -169,6 +174,20 @@ func (o *Outcome) DeliveryRatio() float64 {
 // masterSecret provisions device keys for the whole experiment fleet.
 var masterSecret = []byte("centuryscale-experiment-master")
 
+// DomainLeaseSchedule returns the renewal deadlines the operators must
+// meet over the horizon given the maximum lease term (10 years per ICANN,
+// §4.5): one renewal at every multiple of the term.
+func DomainLeaseSchedule(horizon time.Duration, maxTerm time.Duration) []time.Duration {
+	if maxTerm <= 0 {
+		panic("core: non-positive lease term")
+	}
+	var out []time.Duration
+	for t := maxTerm; t < horizon; t += maxTerm {
+		out = append(out, t)
+	}
+	return out
+}
+
 // ownedGateway is a gateway slot in the owned design with its own renewal
 // process (gateways are maintainable infrastructure, unlike devices).
 type ownedGateway struct {
@@ -191,17 +210,19 @@ func RunExperiment(cfg ExperimentConfig) *Outcome {
 	out.YearlyAccepted = make([]uint64, years)
 	out.YearlyAliveDevices = make([]int, years)
 
-	// Institutional failure injection: missed lease renewals darken the
-	// endpoint.
+	// Institutional failure injection: a missed lease renewal darkens the
+	// public name, so what is delivered in [from, to) reaches no endpoint.
+	type window struct{ from, to time.Duration }
+	var dark []window
 	if len(cfg.MissLeaseRenewals) > 0 {
-		sched := cloud.DomainLeaseSchedule(cfg.Horizon, sim.Years(10))
+		sched := DomainLeaseSchedule(cfg.Horizon, sim.Years(10))
 		lapse := cfg.LeaseLapse
 		if lapse <= 0 {
 			lapse = 60 * sim.Day
 		}
 		for _, idx := range cfg.MissLeaseRenewals {
 			if idx >= 0 && idx < len(sched) {
-				out.Store.AddLapse(sched[idx], sched[idx]+lapse)
+				dark = append(dark, window{sched[idx], sched[idx] + lapse})
 				out.Diary = append(out.Diary, DiaryEntry{
 					At:   sched[idx],
 					What: "domain lease renewal missed; public endpoint dark",
@@ -384,6 +405,12 @@ func RunExperiment(cfg ExperimentConfig) *Outcome {
 				return
 			}
 			out.PacketsDelivered++
+			for _, w := range dark {
+				if now >= w.from && now < w.to {
+					out.PacketsLapsed++
+					return
+				}
+			}
 			if err := out.Store.Ingest(now, wire); err == nil {
 				out.PacketsAccepted++
 				if y := int(sim.ToYears(now)); y < len(out.YearlyAccepted) {

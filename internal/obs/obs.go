@@ -270,12 +270,18 @@ func (v *gaugeFuncVec) sample(name string, b *strings.Builder) {
 	}
 }
 
+// formatFloat writes a sample value: an integral one within ±2^53 (a byte
+// count, a bucket count) in plain decimal, so a shell check can read it as
+// an integer however large it grows, and anything else in the shortest
+// form that round-trips.
 func formatFloat(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
 		return "+Inf"
 	case math.IsInf(v, -1):
 		return "-Inf"
+	case v == math.Trunc(v) && math.Abs(v) <= 1<<53:
+		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -52,6 +53,30 @@ func TestFuncMetrics(t *testing.T) {
 	}
 	mustPanic(t, "bad label", func() { r.GaugeFuncVec("a_bytes", "", "bad-label", []string{"x"}, func() float64 { return 0 }) })
 	mustPanic(t, "a value without its gauge", func() { r.GaugeFuncVec("b_bytes", "", "kind", []string{"x", "y"}, func() float64 { return 0 }) })
+}
+
+func TestFormatFloat(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{5865856, "5865856"},
+		{1 << 53, "9007199254740992"},
+		{-(1 << 53), "-9007199254740992"},
+		{1 << 54, "1.8014398509481984e+16"},
+		{0, "0"},
+		{42, "42"},
+		{0.5, "0.5"},
+		{1e-05, "1e-05"},
+		{5865856.5, "5.8658565e+06"},
+		{math.Inf(1), "+Inf"},
+		{math.Inf(-1), "-Inf"},
+		{math.NaN(), "NaN"},
+	} {
+		if got := formatFloat(tc.v); got != tc.want {
+			t.Errorf("formatFloat(%v) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
 }
 
 func TestHistogramBucketsAndClock(t *testing.T) {

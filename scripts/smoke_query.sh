@@ -100,8 +100,8 @@ grep -q 'format version 4' "$TMP/endpointd.log" ||
 # one reading to its hourly and to its daily bucket, each a single-form
 # bucket of at most 16 bytes (8 on the hour; FORMAT.md), where a fixed
 # frame spent 60.
-SEALED="$(grep '^cloud_archive_bytes{kind="sealed"} ' "$METRICS" | awk '{printf "%d", $2}')"
-BUCKETS="$(grep '^cloud_archive_buckets ' "$METRICS" | awk '{printf "%d", $2}')"
+SEALED="$(grep '^cloud_archive_bytes{kind="sealed"} ' "$METRICS" | awk '{print $2}')"
+BUCKETS="$(grep '^cloud_archive_buckets ' "$METRICS" | awk '{print $2}')"
 [ "${BUCKETS:-0}" -gt 0 ] || smoke_fail "the rebooted endpoint reports no sealed buckets"
 [ "$SEALED" -le $((16 * BUCKETS)) ] ||
     smoke_fail "sealed segments hold $SEALED bytes for $BUCKETS buckets: more than 16 a bucket"
