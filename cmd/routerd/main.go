@@ -89,7 +89,7 @@ func main() {
 		coord *cluster.Coordinator
 	)
 	if clf.Enabled() {
-		coord, err = clf.Coordinator(rf.Config())
+		coord, err = clf.Coordinator(rf)
 		if err != nil {
 			log.Fatalf("routerd: %v", err)
 		}

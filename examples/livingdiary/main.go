@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"centuryscale"
 )
@@ -44,8 +45,14 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Println("Cost by category:")
-	for cat, amount := range out.Ledger.ByCategory() {
-		fmt.Printf("  %-18s %v\n", cat, amount)
+	byCat := out.Ledger.ByCategory()
+	cats := make([]string, 0, len(byCat))
+	for cat := range byCat {
+		cats = append(cats, cat)
+	}
+	sort.Strings(cats) // a map ranges in a new order every run
+	for _, cat := range cats {
+		fmt.Printf("  %-18s %v\n", cat, byCat[cat])
 	}
 	fmt.Println()
 	fmt.Println("The diary is the deliverable: \"the nature of a 50-year experiment is such")

@@ -112,6 +112,43 @@ func TestHTTPHistoryBadDevice(t *testing.T) {
 	}
 }
 
+// TestHTTPQueryGapsOneDevice: /query/gaps with a device answers that
+// device's longest gap whatever its rank, in the top-k list's shape.
+func TestHTTPQueryGapsOneDevice(t *testing.T) {
+	srv, ts := newTestServer(t)
+	for dev, hours := range map[uint64][]int{1: {1, 2, 5}, 2: {1, 2, 3, 4, 5}} {
+		for i, h := range hours {
+			if err := srv.store.Ingest(time.Duration(h)*time.Hour, sealed(t, dev, uint32(i+1), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	get := func(q string) (int, []gapPayload) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/query/gaps?horizon=21600&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out []gapPayload
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, out
+	}
+	if _, top := get("k=1"); len(top) != 1 || top[0] != (gapPayload{"00:00:00:00:00:00:00:01", 10800}) {
+		t.Fatalf("top 1 = %+v", top)
+	}
+	if _, one := get("k=1&device=00:00:00:00:00:00:00:02"); len(one) != 1 || one[0] != (gapPayload{"00:00:00:00:00:00:00:02", 3600}) {
+		t.Fatalf("device 2 = %+v", one)
+	}
+	if status, _ := get("device=nonsense"); status != http.StatusBadRequest {
+		t.Fatalf("bad device: status %d", status)
+	}
+}
+
 func TestHTTPIndexPage(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/")

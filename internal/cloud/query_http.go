@@ -8,6 +8,7 @@ import (
 
 	"centuryscale/internal/httpapi"
 	"centuryscale/internal/obs"
+	"centuryscale/internal/query"
 )
 
 // Query surface: the read path's public face. Three routes, all GET:
@@ -17,7 +18,7 @@ import (
 //	/query/uptime  weekly uptime for one device (device, horizon), or
 //	               the store-wide ledger metric with no device
 //	/query/gaps    top-K devices by longest no-arrival interval (k,
-//	               horizon)
+//	               horizon), or one device's (device, horizon)
 //
 // Answers come from the rollup tiers wherever the window is sealed and
 // from raw points above the watermark — the response says which
@@ -221,7 +222,19 @@ func (s *Server) handleQueryGaps(w http.ResponseWriter, r *http.Request) {
 		if horizon <= 0 {
 			horizon = s.store.HighWater()
 		}
-		gaps := s.store.QueryEngine().TopGaps(k, horizon)
+		var gaps []query.DeviceGap
+		if r.URL.Query().Get("device") != "" {
+			// One device, whatever its rank: a cluster router asks this of
+			// an owner whose own top k left the device out.
+			dev, err := httpapi.ParseDevice("cloud", r)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return false
+			}
+			gaps = []query.DeviceGap{{Device: dev, Gap: s.store.QueryEngine().LongestGap(dev, horizon)}}
+		} else {
+			gaps = s.store.QueryEngine().TopGaps(k, horizon)
+		}
 		out := make([]gapPayload, len(gaps))
 		for i, g := range gaps {
 			out[i] = gapPayload{Device: g.Device.String(), GapSeconds: g.Gap.Seconds()}

@@ -76,10 +76,6 @@ func newCluster(t *testing.T, n, r, w int, clock obs.Clock) ([]*node, *Coordinat
 		Peers: urls, Replicas: r, WriteQuorum: w, Secret: secret,
 		Clock:        clock,
 		SuspectAfter: time.Second, DownAfter: 3 * time.Second,
-		Uplink: resilience.Config{
-			MaxAttempts: 2, BreakerThreshold: 1000,
-			Sleep: func(context.Context, time.Duration) {},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,10 +264,6 @@ func TestIngestMissedQuorumShedsWithReplicaHint(t *testing.T) {
 
 	c, err := New(Config{
 		Peers: []string{shedding.URL}, Replicas: 1, WriteQuorum: 1, Secret: secret,
-		Uplink: resilience.Config{
-			MaxAttempts: 1, BreakerThreshold: 1000,
-			Sleep: func(context.Context, time.Duration) {},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,10 +479,6 @@ func TestRouterLonePacketDispositions(t *testing.T) {
 	clock := &fakeClock{}
 	c, err := New(Config{
 		Peers: urls, Replicas: 2, WriteQuorum: 2, Secret: secret, Clock: clock.Now,
-		Uplink: resilience.Config{
-			MaxAttempts: 2, BreakerThreshold: 1000,
-			Sleep: func(context.Context, time.Duration) {},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)

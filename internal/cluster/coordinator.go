@@ -54,9 +54,11 @@ type Config struct {
 	// peerIdleConns idle connections per peer and writes each request
 	// whole (peerWriteBuffer).
 	Client *http.Client
-	// Uplink tunes the per-peer resilience.Uplink used for replicated
-	// ingest (retries, breaker, jitter seed).
-	Uplink resilience.Config
+	// Breaker tunes each peer's circuit breaker on the replicated write:
+	// after FailureThreshold failed sends in a row the peer is refused
+	// without a request until OpenFor has passed. Zero fields take
+	// resilience.NewBreaker's defaults.
+	Breaker resilience.BreakerConfig
 }
 
 // Errors from the coordinator.
@@ -72,6 +74,9 @@ var (
 	// ErrUnavailable reports that a read found no live replica for the
 	// device's partition.
 	ErrUnavailable = errors.New("cluster: no live replica for partition")
+	// ErrPeerDown reports a replica send refused without a request: the
+	// peer's breaker is open. Transient, like any failed send.
+	ErrPeerDown = errors.New("cluster: peer down (breaker open)")
 )
 
 // peerIdleConns is how many idle connections the default client keeps
@@ -91,16 +96,16 @@ const peerWriteBuffer = 4<<10 + 8 + batch.MaxFrameBytes
 
 // peer is the coordinator's handle on one endpoint node.
 type peer struct {
-	index  int
-	url    string
-	uplink *resilience.Uplink
+	url     string
+	breaker *resilience.Breaker
 }
 
 // Coordinator is the router-tier brain: it partitions devices over the
-// ring, replicates ingest to R owners through per-peer resilient
-// uplinks, acknowledges on W durable appends, detects dead nodes by
-// heartbeat, and read-repairs divergent replicas on range queries.
-// Safe for concurrent use.
+// ring, sends each ingest payload once to its R owners, acknowledges on
+// W durable appends, detects dead nodes by heartbeat, and read-repairs
+// divergent replicas on range queries. It retries nothing itself: a
+// missed quorum goes back to whoever sent the payload, whose own uplink
+// buffers and retries it (DESIGN.md S51). Safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
 	ring   *Ring
@@ -116,8 +121,6 @@ type Coordinator struct {
 	repaired    atomic.Uint64
 	hbFailures  atomic.Uint64
 	lastHB      atomic.Int64 // clock nanos of the last heartbeat round
-	closedOnce  sync.Once
-	closeErr    error
 	healthState atomic.Int32 // last health status computed, for /status
 }
 
@@ -167,34 +170,18 @@ func New(cfg Config) (*Coordinator, error) {
 		client: cfg.Client,
 		clock:  cfg.Clock,
 	}
-	for i, url := range cfg.Peers {
-		ucfg := cfg.Uplink
-		if ucfg.Seed == 0 {
-			// Distinct jitter streams per peer, still seed-stable.
-			ucfg.Seed = uint64(i) + 1
-		}
-		sender := &replicaSender{url: url, secret: cfg.Secret, client: cfg.Client}
-		c.peers = append(c.peers, &peer{
-			index:  i,
-			url:    url,
-			uplink: resilience.NewUplink(sender, ucfg),
-		})
+	for _, url := range cfg.Peers {
+		c.peers = append(c.peers, &peer{url: url, breaker: resilience.NewBreaker(cfg.Breaker)})
 	}
 	return c, nil
 }
 
-// Close stops the per-peer uplinks and drops the client's idle
-// connections.
-func (c *Coordinator) Close(ctx context.Context) error {
-	c.closedOnce.Do(func() {
-		for _, p := range c.peers {
-			if err := p.uplink.Close(ctx); err != nil && c.closeErr == nil {
-				c.closeErr = err
-			}
-		}
-		c.client.CloseIdleConnections()
-	})
-	return c.closeErr
+// Close drops the client's idle connections. The coordinator holds
+// nothing else to release: it buffers no payload and runs no goroutine
+// of its own. It always returns nil.
+func (c *Coordinator) Close(context.Context) error {
+	c.client.CloseIdleConnections()
+	return nil
 }
 
 // Ring exposes the partition map (for status pages and tests).
@@ -215,9 +202,8 @@ func (c *Coordinator) Detector() *Detector { return c.det }
 // owner a sealed sub-frame of exactly the packets it owns, in payload
 // order, allocated once at its exact size and written in place.
 //
-// The stamp rides inside the payload, not beside it, so a payload parked
-// in an uplink's store-and-forward queue replays with its original
-// arrival time, not the drain time. The buffers are not pooled: an
+// The stamp rides inside the payload, so one buffer per owner carries
+// everything its request needs. The buffers are not pooled: an
 // http.RoundTripper may still read a request body after RoundTrip
 // returns, so a recycled buffer could be overwritten while a transport
 // is still writing it (DESIGN.md S45).
@@ -264,16 +250,27 @@ func splitClusterPayload(payload []byte) (time.Duration, []byte, error) {
 	return time.Duration(binary.BigEndian.Uint64(payload[:8])), payload[8:], nil
 }
 
-// replicaSender posts framed payloads to one node's /ingest with the
-// cluster headers. It implements resilience.Sender so the uplink's
-// retry/breaker/hint machinery applies unchanged.
-type replicaSender struct {
-	url    string
-	secret string
-	client *http.Client
+// send posts one owner's stamped payload to that node once. An open
+// breaker refuses it without a request (ErrPeerDown); otherwise the
+// breaker learns the answer: a 202, or a refusal the node made for good,
+// counts as a success, anything else as a failure. Sends to one peer
+// take no lock and overlap (DESIGN.md S45).
+func (c *Coordinator) send(ctx context.Context, p *peer, payload []byte) error {
+	if !p.breaker.Allow() {
+		return ErrPeerDown
+	}
+	err := c.post(ctx, p, payload)
+	if err == nil || resilience.IsPermanent(err) {
+		p.breaker.Success()
+	} else {
+		p.breaker.Failure()
+	}
+	return err
 }
 
-func (s *replicaSender) Send(payload []byte) error {
+// post is send's request: a bare packet to /ingest, a frame to
+// /ingest/batch, under the cluster headers.
+func (c *Coordinator) post(ctx context.Context, p *peer, payload []byte) error {
 	arrival, wire, err := splitClusterPayload(payload)
 	if err != nil {
 		return resilience.Permanent(err)
@@ -285,14 +282,14 @@ func (s *replicaSender) Send(payload []byte) error {
 	if batch.IsFrame(wire) {
 		route = "/ingest/batch"
 	}
-	req, err := http.NewRequest("POST", s.url+route, bytes.NewReader(wire))
+	req, err := http.NewRequestWithContext(ctx, "POST", p.url+route, bytes.NewReader(wire))
 	if err != nil {
 		return resilience.Permanent(err)
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(cloud.ClusterSecretHeader, s.secret)
+	req.Header.Set(cloud.ClusterSecretHeader, c.cfg.Secret)
 	req.Header.Set(cloud.ClusterArrivalHeader, strconv.FormatInt(int64(arrival), 10))
-	resp, err := s.client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("cluster: replicate post: %w", err)
 	}
@@ -304,7 +301,7 @@ func (s *replicaSender) Send(payload []byte) error {
 	case http.StatusUnprocessableEntity:
 		// The replica decided the payload for good (a duplicate from a
 		// retry or a read-repair, or any other final refusal): quorum-
-		// countable, and Permanent, so the uplink stops retrying.
+		// countable, and Permanent, so the breaker counts it a success.
 		return resilience.Permanent(ErrRefused)
 	}
 	return httpapi.ClassifyStatus("cluster: replica", resp)
@@ -359,8 +356,10 @@ func (c *Coordinator) IngestBatch(ctx context.Context, frame []byte) error {
 // the durability question packet by packet.
 //
 // Each owner's payload is built once, at its exact size, by
-// ownerPayloads, and the sends to different owners — and to one owner
-// from concurrent frames — overlap (DESIGN.md S45).
+// ownerPayloads, and sent once; the sends to different owners — and to
+// one owner from concurrent frames — overlap (DESIGN.md S45). A missed
+// quorum is the caller's to retry, with the largest Retry-After hint any
+// replica offered.
 //
 // Allocations: per payload and per owner node, never per packet; about
 // 23 KB for a 256-packet frame over three peers (TestQuorumWriteAllocBudget).
@@ -388,8 +387,8 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int) er
 
 	payloads := ownerPayloads(c.clock(), payload, owners, rep, len(c.peers))
 
-	// One concurrent SendSync per owner node: nil from SendSync means the
-	// node accepted its payload before it returned.
+	// One concurrent send per owner node: nil means the node accepted its
+	// payload before send returned.
 	errs := make([]error, len(c.peers))
 	var wg sync.WaitGroup
 	for node, p := range payloads {
@@ -400,7 +399,7 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int) er
 		go func(node int, p []byte) {
 			defer wg.Done()
 			c.inflight.Add(1)
-			errs[node] = c.peers[node].uplink.SendSync(ctx, p)
+			errs[node] = c.send(ctx, c.peers[node], p)
 			c.inflight.Add(-1)
 		}(node, p)
 	}

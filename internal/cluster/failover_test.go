@@ -144,13 +144,8 @@ func runChaosKill(t *testing.T, victim int) {
 	coord, err := New(Config{
 		Peers: urls, Replicas: 2, WriteQuorum: 2, Secret: secret,
 		SuspectAfter: 25 * time.Millisecond, DownAfter: 75 * time.Millisecond,
-		Client: &http.Client{Timeout: 2 * time.Second},
-		Uplink: resilience.Config{
-			MaxAttempts:      1, // the driver owns retries; keep sends fast
-			BreakerThreshold: 3,
-			BreakerOpenFor:   20 * time.Millisecond,
-			Seed:             uint64(victim) + 1,
-		},
+		Client:  &http.Client{Timeout: 2 * time.Second},
+		Breaker: resilience.BreakerConfig{FailureThreshold: 3, OpenFor: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

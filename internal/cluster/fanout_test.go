@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,10 +76,6 @@ func TestConcurrentFramesLandIntact(t *testing.T) {
 	c, err := New(Config{
 		Peers: urls, Replicas: 2, WriteQuorum: 2, Secret: secret,
 		Clock: func() time.Duration { return arrival },
-		Uplink: resilience.Config{
-			MaxAttempts: 2, BreakerThreshold: 1000,
-			Sleep: func(context.Context, time.Duration) {},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +156,115 @@ func TestConcurrentFramesLandIntact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReplicaSendsOverlap pins F12 (DESIGN.md S45): the coordinator
+// holds no per-peer lock across a replica send, so a second payload for
+// the same owner is delivered while that replica still holds the first
+// request. The replica hop makes one attempt, so in_flight is the only
+// case: there is no retry backoff for a second payload to overlap with.
+func TestReplicaSendsOverlap(t *testing.T) {
+	t.Run("in_flight", func(t *testing.T) {
+		parked, release := make(chan struct{}), make(chan struct{})
+		var holding atomic.Bool
+		replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !holding.Swap(true) {
+				close(parked)
+				<-release
+			}
+			w.WriteHeader(http.StatusAccepted)
+		}))
+		defer replica.Close()
+		c, err := New(Config{Peers: []string{replica.URL}, Replicas: 1, WriteQuorum: 1, Secret: secret})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close(context.Background())
+
+		ctx := context.Background()
+		first, second := sealed(t, 1, 1, 1), sealed(t, 2, 1, 1)
+		held := make(chan error, 1)
+		go func() { held <- c.Ingest(ctx, first) }()
+		select {
+		case <-parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the first payload never reached the replica")
+		}
+		overlapped := make(chan error, 1)
+		go func() { overlapped <- c.Ingest(ctx, second) }()
+		select {
+		case err := <-overlapped:
+			close(release)
+			if err != nil {
+				t.Fatalf("second payload: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			close(release)
+			t.Fatal("a second payload to the same replica waited for the first")
+		}
+		if err := <-held; err != nil {
+			t.Fatalf("first payload: %v", err)
+		}
+	})
+}
+
+// TestOpenBreakerSendsNothing: a peer that failed FailureThreshold sends
+// in a row is refused without a request while its breaker is open — the
+// write misses quorum at once, with ErrPeerDown as the cause — and the
+// first send after OpenFor probes it and, answered, closes the breaker.
+// Each payload is sent once: the caller, not the coordinator, retries.
+func TestOpenBreakerSendsNothing(t *testing.T) {
+	var requests atomic.Int64
+	var healthy atomic.Bool
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		if !healthy.Load() {
+			http.Error(w, "down", http.StatusInternalServerError)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer replica.Close()
+	var now atomic.Int64
+	c, err := New(Config{
+		Peers: []string{replica.URL}, Replicas: 1, WriteQuorum: 1, Secret: secret,
+		Breaker: resilience.BreakerConfig{
+			FailureThreshold: 2, OpenFor: time.Minute,
+			Now: func() time.Time { return time.Unix(0, now.Load()) },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(context.Background())
+
+	ctx := context.Background()
+	for seq := uint32(1); seq <= 2; seq++ {
+		if err := c.Ingest(ctx, sealed(t, 1, seq, 1)); !errors.Is(err, ErrNoQuorum) {
+			t.Fatalf("write %d to a failing peer: %v, want ErrNoQuorum", seq, err)
+		}
+	}
+	if n := requests.Load(); n != 2 {
+		t.Fatalf("two writes made %d requests, want 2: each payload is sent once", n)
+	}
+	healthy.Store(true) // the peer recovers, but its breaker is open
+	// The quorum error names the last replica's cause in text only: were
+	// it wrapped, one replica's permanent refusal would make the whole
+	// missed quorum permanent upstream.
+	err = c.Ingest(ctx, sealed(t, 1, 3, 1))
+	if !errors.Is(err, ErrNoQuorum) || !strings.Contains(err.Error(), ErrPeerDown.Error()) {
+		t.Fatalf("write through an open breaker: %v, want ErrNoQuorum from ErrPeerDown", err)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Fatalf("an open breaker let %d requests through", n-2)
+	}
+	now.Store(int64(time.Minute)) // the open window has elapsed: probe
+	if err := c.Ingest(ctx, sealed(t, 1, 4, 1)); err != nil {
+		t.Fatalf("probe write: %v", err)
+	}
+	if n := requests.Load(); n != 3 {
+		t.Fatalf("the probe made %d requests, want 1", n-2)
 	}
 }
 

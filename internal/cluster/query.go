@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 
 	"centuryscale/internal/httpapi"
+	"centuryscale/internal/lpwan"
 )
 
 // Query proxying: the router serves the same /query* routes as a single
@@ -26,7 +28,9 @@ import (
 // /query/gaps fans out to every live node (each holds only its
 // partitions' devices) and merges per device by the SMALLEST gap: a
 // replica that missed writes reports a spuriously large gap, and the
-// union of arrivals — the truth — can only have a smaller one.
+// union of arrivals — the truth — can only have a smaller one. Each node
+// cuts its answer to its own top k, so the router also asks every owner
+// that left a listed device out for that device's gap before it ranks.
 
 // maxQueryBody bounds a proxied response: a full-century weekly query
 // is ~1 MB of JSON; 16 MB leaves room without trusting a node blindly.
@@ -154,38 +158,51 @@ func (c *Coordinator) handleQueryGaps(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	pathAndQuery := "/query/gaps?" + r.URL.Query().Encode()
-
+	q := r.URL.Query()
 	merged := make(map[string]float64)
-	answered := 0
-	for node := range c.peers {
-		if c.det.Down(node) {
-			continue
-		}
-		status, body, err := c.fetchQuery(r.Context(), c.peers[node], pathAndQuery)
-		if err != nil {
-			c.det.Observe(node, false)
-			continue
-		}
-		c.det.Observe(node, true)
-		if status != http.StatusOK {
-			continue
-		}
-		var entries []gapEntry
-		if err := json.Unmarshal(body, &entries); err != nil {
-			continue
-		}
-		answered++
+	merge := func(entries []gapEntry) {
 		for _, e := range entries {
 			if cur, ok := merged[e.Device]; !ok || e.GapSeconds < cur {
 				merged[e.Device] = e.GapSeconds
 			}
 		}
 	}
+	// listed[node] holds the devices node ranked; nil if it did not answer.
+	listed := make([]map[string]bool, len(c.peers))
+	answered := 0
+	for node := range c.peers {
+		entries, ok := c.fetchGaps(r.Context(), node, q)
+		if !ok {
+			continue
+		}
+		answered++
+		listed[node] = make(map[string]bool, len(entries))
+		for _, e := range entries {
+			listed[node][e.Device] = true
+		}
+		merge(entries)
+	}
 	if answered == 0 {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, ErrUnavailable.Error(), http.StatusServiceUnavailable)
 		return
+	}
+	// A device that only a lagging owner ranked carries that owner's gap:
+	// ask each answering owner that cut it for its own.
+	for dev := range merged {
+		id, err := lpwan.ParseEUI64(dev)
+		if err != nil {
+			continue
+		}
+		q.Set("device", dev)
+		for _, node := range c.ring.Owners(id, c.cfg.Replicas) {
+			if listed[node] == nil || listed[node][dev] {
+				continue
+			}
+			if entries, ok := c.fetchGaps(r.Context(), node, q); ok {
+				merge(entries)
+			}
+		}
 	}
 	out := make([]gapEntry, 0, len(merged))
 	for dev, gap := range merged {
@@ -201,4 +218,22 @@ func (c *Coordinator) handleQueryGaps(w http.ResponseWriter, r *http.Request) {
 		out = out[:k]
 	}
 	httpapi.WriteJSON(w, out)
+}
+
+// fetchGaps asks one live node's /query/gaps under q and decodes the
+// answer; ok is false if the node is down or gave no 200 list.
+func (c *Coordinator) fetchGaps(ctx context.Context, node int, q url.Values) (entries []gapEntry, ok bool) {
+	if c.det.Down(node) {
+		return nil, false
+	}
+	status, body, err := c.fetchQuery(ctx, c.peers[node], "/query/gaps?"+q.Encode())
+	if err != nil {
+		c.det.Observe(node, false)
+		return nil, false
+	}
+	c.det.Observe(node, true)
+	if status != http.StatusOK || json.Unmarshal(body, &entries) != nil {
+		return nil, false
+	}
+	return entries, true
 }

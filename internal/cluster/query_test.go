@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -173,5 +174,47 @@ func TestClusterQuerySurvivesOwnerLoss(t *testing.T) {
 	nodes[owners[1]].srv.Close()
 	if status, _ := front.get("/query?device="+devStr+"&step=3600&from=0&to=40000", nil); status != http.StatusServiceUnavailable {
 		t.Fatalf("both owners down: status %d, want 503", status)
+	}
+}
+
+// TestClusterGapsIgnoreLaggingReplica: every node cuts its /query/gaps
+// answer to its own top k, so a device only a lagging owner ranks would
+// keep that owner's spuriously large gap. Here D's owners are nodes 0
+// and 1, node 1 missed D's hours 3–7, and F (owners 0 and 2) truly has
+// the largest gap. At k=1 node 0 lists only F, node 1 only D at 6 h.
+// The router must ask node 0 for D's gap (1 h) before ranking, and
+// answer F at 3 h.
+func TestClusterGapsIgnoreLaggingReplica(t *testing.T) {
+	clock := &fakeClock{}
+	nodes, c := newCluster(t, 3, 2, 1, clock.Now)
+	front := newFront(t, c)
+	d := devOwnedBy(t, c.Ring(), 2, 0, 1)
+	f := devOwnedBy(t, c.Ring(), 2, 0, 2)
+	put := func(node int, dev uint64, hours ...int) {
+		for i, h := range hours {
+			if err := nodes[node].store.Ingest(time.Duration(h)*time.Hour, sealed(t, dev, uint32(i+1), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, d, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	put(1, d, 1, 2, 8, 9, 10)
+	put(0, f, 1, 2, 5, 6, 7, 8, 9, 10)
+	put(2, f, 1, 2, 5, 6, 7, 8, 9, 10)
+
+	var gaps []gapEntry
+	if status, body := front.get("/query/gaps?k=1&horizon=39600", &gaps); status != http.StatusOK {
+		t.Fatalf("/query/gaps status %d: %s", status, body)
+	}
+	want := []gapEntry{{Device: lpwan.EUIFromUint64(f).String(), GapSeconds: 10800}}
+	if !reflect.DeepEqual(gaps, want) {
+		t.Fatalf("gaps = %+v, want %+v", gaps, want)
+	}
+	if status, body := front.get("/query/gaps?k=2&horizon=39600", &gaps); status != http.StatusOK {
+		t.Fatalf("/query/gaps status %d: %s", status, body)
+	}
+	want = append(want, gapEntry{Device: lpwan.EUIFromUint64(d).String(), GapSeconds: 3600})
+	if !reflect.DeepEqual(gaps, want) {
+		t.Fatalf("k=2: gaps = %+v, want %+v", gaps, want)
 	}
 }

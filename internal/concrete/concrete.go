@@ -110,35 +110,19 @@ func (s Structure) InitiationYears() float64 {
 	if s.ThresholdChloride >= s.SurfaceChloride {
 		return math.Inf(1)
 	}
-	// Invert: erf(u) = 1 - Cth/Cs where u = cover / (2 sqrt(D t)).
+	// Invert: erf(u) = 1 - Cth/Cs where u = cover / (2 sqrt(D t)). A
+	// threshold at or below zero is met at once; math.Erfinv would give
+	// +Inf at 1 and NaN past it.
 	target := 1 - s.ThresholdChloride/s.SurfaceChloride
-	u := erfInv(target)
+	if target >= 1 {
+		return 0
+	}
+	u := math.Erfinv(target)
 	if u <= 0 {
 		return 0
 	}
 	root := s.CoverMM / (2 * u)
 	return root * root / s.DiffusionMM2PerYear
-}
-
-// erfInv inverts math.Erf on (0, 1) by bisection; 60 iterations are
-// exact to float64 for our argument range.
-func erfInv(y float64) float64 {
-	if y <= 0 {
-		return 0
-	}
-	if y >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := 0.0, 6.0
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if math.Erf(mid) < y {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // micronsPerYearPerUAcm2 is Faraday's-law steel loss for 1 µA/cm².

@@ -139,18 +139,15 @@ func TestHarvestPanicsOnBadGeometry(t *testing.T) {
 	Bridge().HarvestMicroWatts(0, 0.5, 0)
 }
 
-func TestErfInv(t *testing.T) {
-	for _, y := range []float64{0.1, 0.3333, 0.5, 0.8, 0.99} {
-		u := erfInv(y)
-		if math.Abs(math.Erf(u)-y) > 1e-12 {
-			t.Fatalf("erfInv(%v) = %v, erf back = %v", y, u, math.Erf(u))
+// TestInitiationImmediate: a threshold at or below zero chloride is
+// reached the moment the structure exists, never NaN.
+func TestInitiationImmediate(t *testing.T) {
+	for _, th := range []float64{0, -0.1} {
+		s := Bridge()
+		s.ThresholdChloride = th
+		if got := s.InitiationYears(); got != 0 {
+			t.Fatalf("threshold %v: initiation %v years, want 0", th, got)
 		}
-	}
-	if erfInv(0) != 0 {
-		t.Fatal("erfInv(0) != 0")
-	}
-	if !math.IsInf(erfInv(1), 1) {
-		t.Fatal("erfInv(1) != +Inf")
 	}
 }
 

@@ -41,16 +41,17 @@ func RegisterClusterFlags() *ClusterFlags {
 func (f *ClusterFlags) Enabled() bool { return f.Peers != "" }
 
 // Coordinator builds the cluster coordinator from the flags. The
-// daemon's resilience tuning is reused for the per-peer uplinks so one
-// -retries/-breaker-* vocabulary covers both modes.
-func (f *ClusterFlags) Coordinator(up resilience.Config) (*cluster.Coordinator, error) {
+// daemon's -breaker-fails and -breaker-open tune each peer's breaker on
+// the replica hop; -retries and the rest of the resilience flags reach
+// only the daemon's own uplink, which retries what the cluster sheds.
+func (f *ClusterFlags) Coordinator(rf *ResilienceFlags) (*cluster.Coordinator, error) {
 	return cluster.New(cluster.Config{
 		Peers:        splitPeers(f.Peers),
 		Replicas:     f.Replicas,
 		WriteQuorum:  f.WriteQuorum,
 		Secret:       f.Secret,
 		SuspectAfter: f.SuspectAfter,
-		Uplink:       up,
+		Breaker:      resilience.BreakerConfig{FailureThreshold: rf.BreakerFail, OpenFor: rf.BreakerOpen},
 	})
 }
 

@@ -25,10 +25,10 @@
 // to no summary. dataflow's ioMethods special-cases one seam,
 // tsdb.logFile, so the WAL's writes and fsyncs stay visible.
 // resilience.Sender is not special-cased, and lockedio is not taught to
-// resolve its implementations: that is how Uplink.SendSync held its
-// per-peer lock across every replica round trip unseen (DESIGN.md F12).
-// TestUplinkSendSyncOverlaps in internal/resilience holds that contract
-// instead: two SendSync calls to one peer must overlap.
+// resolve its implementations: that is how the replica hop once held a
+// per-peer lock across every round trip unseen (DESIGN.md F12).
+// TestReplicaSendsOverlap in internal/cluster holds that contract
+// instead: two payloads to one replica must overlap.
 //
 // Some critical sections hold a lock across I/O on purpose — the WAL
 // append must serialize the write with the memtable insert or the

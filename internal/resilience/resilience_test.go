@@ -572,152 +572,19 @@ func TestUplinkHonorsPeerRetryAfter(t *testing.T) {
 	}
 }
 
-// TestUplinkSendSyncNeverBuffers pins the quorum-replication contract:
-// SendSync reports the true delivery outcome and leaves nothing in the
-// store-and-forward queue.
-func TestUplinkSendSyncNeverBuffers(t *testing.T) {
-	inner := &flakySender{failN: 1000} // down for the whole test
-	u := NewUplink(inner, testConfig())
-	defer u.Close(context.Background())
-
-	if err := u.SendSync(context.Background(), []byte{1}); err == nil {
-		t.Fatal("SendSync against a dead peer reported success")
-	}
-	if n := u.QueueLen(); n != 0 {
-		t.Fatalf("SendSync buffered %d payloads", n)
-	}
-	st := u.Stats()
-	if st.Sent != 0 || st.Buffered != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestUplinkSendSyncDelivers(t *testing.T) {
-	inner := &flakySender{failN: 1} // first try fails, retry lands
-	u := NewUplink(inner, testConfig())
-	defer u.Close(context.Background())
-	if err := u.SendSync(context.Background(), []byte{42}); err != nil {
-		t.Fatal(err)
-	}
-	st := u.Stats()
-	if st.Sent != 1 || st.Retries != 1 || st.Buffered != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	got := inner.received()
-	if len(got) != 1 || got[0][0] != 42 {
-		t.Fatalf("received %v", got)
-	}
-}
-
-func TestUplinkSendSyncBreakerOpen(t *testing.T) {
-	inner := &flakySender{failN: 1000}
-	cfg := testConfig()
-	cfg.BreakerThreshold = 2
-	cfg.BreakerOpenFor = time.Hour
-	u := NewUplink(inner, cfg)
-	defer u.Close(context.Background())
-	_ = u.SendSync(context.Background(), []byte{1}) // trips the breaker
-	err := u.SendSync(context.Background(), []byte{2})
-	if !errors.Is(err, ErrPeerDown) {
-		t.Fatalf("err = %v, want ErrPeerDown", err)
-	}
-}
-
-func TestUplinkSendSyncPermanentSurfaces(t *testing.T) {
-	u := NewUplink(SenderFunc(func([]byte) error { return Permanent(errors.New("refused")) }), testConfig())
-	defer u.Close(context.Background())
-	err := u.SendSync(context.Background(), []byte{1})
-	if err == nil || !IsPermanent(err) {
-		t.Fatalf("err = %v", err)
-	}
-	if st := u.Stats(); st.RejectedPermanent != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestUplinkSendSyncOverlaps pins F12 (DESIGN.md S45): SendSync holds no
-// per-peer lock across the inner send, so a second payload for the same
-// peer is delivered while the first is still out — parked on the
-// network, or asleep in its retry backoff.
-func TestUplinkSendSyncOverlaps(t *testing.T) {
-	ctx := context.Background()
-	// overlap starts SendSync({1}), waits until parked reports it stuck,
-	// and requires SendSync({2}) to return before release lets it go.
-	overlap := func(t *testing.T, u *Uplink, parked <-chan struct{}, release chan struct{}) {
-		t.Helper()
-		defer u.Close(ctx)
-		first := make(chan error, 1)
-		go func() { first <- u.SendSync(ctx, []byte{1}) }()
-		select {
-		case <-parked:
-		case <-time.After(5 * time.Second):
-			t.Fatal("the first SendSync never reached its parking point")
-		}
-		second := make(chan error, 1)
-		go func() { second <- u.SendSync(ctx, []byte{2}) }()
-		select {
-		case err := <-second:
-			close(release)
-			if err != nil {
-				t.Fatalf("second SendSync: %v", err)
-			}
-		case <-time.After(2 * time.Second):
-			close(release)
-			t.Fatal("a second SendSync to the same peer waited for the first")
-		}
-		if err := <-first; err != nil {
-			t.Fatalf("first SendSync: %v", err)
-		}
-	}
-
-	t.Run("in flight", func(t *testing.T) {
-		parked, release := make(chan struct{}), make(chan struct{})
-		inner := SenderFunc(func(p []byte) error {
-			if p[0] == 1 {
-				close(parked)
-				<-release
-			}
-			return nil
-		})
-		overlap(t, NewUplink(inner, testConfig()), parked, release)
-	})
-
-	t.Run("in backoff", func(t *testing.T) {
-		parked, release := make(chan struct{}), make(chan struct{})
-		var failed atomic.Bool
-		// Payload 1's first attempt fails transiently, so it sleeps
-		// before its retry; the sleep blocks until released.
-		inner := SenderFunc(func(p []byte) error {
-			if p[0] == 1 && !failed.Swap(true) {
-				return errors.New("transient")
-			}
-			return nil
-		})
-		cfg := testConfig()
-		cfg.Sleep = func(ctx context.Context, _ time.Duration) {
-			close(parked)
-			select {
-			case <-release:
-			case <-ctx.Done():
-			}
-		}
-		overlap(t, NewUplink(inner, cfg), parked, release)
-	})
-}
-
-// TestUplinkSendSyncHalfOpenProbes pins the half-open breaker under
-// concurrent SendSync (DESIGN.md S45): every caller that finds it
-// half-open may probe at once, the first failed probe re-trips it for
-// all, and every call is accounted for exactly once — sent, refused
-// permanently, failed, or turned away by the open breaker.
-func TestUplinkSendSyncHalfOpenProbes(t *testing.T) {
+// TestBreakerHalfOpenConcurrentProbes pins the half-open breaker under
+// concurrent callers, as the cluster coordinator's replica sends use it
+// (DESIGN.md S45): every caller that finds it half-open may probe at
+// once, the first failed probe re-trips it for all, and every call is
+// accounted for exactly once — landed, refused permanently, failed, or
+// turned away by the open breaker without reaching the peer.
+func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	const callers = 64
-	ctx := context.Background()
 	var now atomic.Int64
 	var calls atomic.Uint64
 	// The first call fails and trips the breaker; after that every fifth
 	// call fails transiently, every seventh is refused, the rest land.
-	inner := SenderFunc(func([]byte) error {
+	peer := func() error {
 		switch n := calls.Add(1); {
 		case n == 1 || n%5 == 0:
 			return errors.New("transient")
@@ -725,21 +592,31 @@ func TestUplinkSendSyncHalfOpenProbes(t *testing.T) {
 			return Permanent(errors.New("refused"))
 		}
 		return nil
+	}
+	b := NewBreaker(BreakerConfig{
+		FailureThreshold:  1,
+		OpenFor:           time.Minute,
+		HalfOpenSuccesses: callers + 1, // only a failed probe ends the half-open state
+		Now:               func() time.Time { return time.Unix(0, now.Load()) },
 	})
-	cfg := testConfig()
-	cfg.MaxAttempts = 1
-	cfg.BreakerThreshold = 1
-	cfg.BreakerOpenFor = time.Minute
-	cfg.BreakerProbes = callers + 1 // only a failed probe ends the half-open state
-	cfg.Now = func() time.Time { return time.Unix(0, now.Load()) }
-	u := NewUplink(inner, cfg)
-	defer u.Close(ctx)
-	if err := u.SendSync(ctx, []byte{0}); err == nil || u.Stats().State != BreakerOpen {
-		t.Fatalf("the first failure did not trip the breaker: %v, %v", err, u.Stats().State)
+	// send is the coordinator's protocol: ask, call, report.
+	send := func() (reached bool, err error) {
+		if !b.Allow() {
+			return false, nil
+		}
+		if err = peer(); err == nil || IsPermanent(err) {
+			b.Success()
+		} else {
+			b.Failure()
+		}
+		return true, err
+	}
+	if _, err := send(); err == nil || b.State() != BreakerOpen {
+		t.Fatalf("the first failure did not trip the breaker: %v, %v", err, b.State())
 	}
 	now.Store(int64(time.Minute)) // the open window has elapsed: half-open
 
-	var failed, down atomic.Uint64
+	var landed, refused, failed, down atomic.Uint64
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
@@ -747,10 +624,13 @@ func TestUplinkSendSyncHalfOpenProbes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			switch err := u.SendSync(ctx, []byte{1}); {
-			case err == nil, IsPermanent(err):
-			case errors.Is(err, ErrPeerDown):
+			switch reached, err := send(); {
+			case !reached:
 				down.Add(1)
+			case err == nil:
+				landed.Add(1)
+			case IsPermanent(err):
+				refused.Add(1)
 			default:
 				failed.Add(1)
 			}
@@ -759,16 +639,18 @@ func TestUplinkSendSyncHalfOpenProbes(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	st := u.Stats()
-	if sum := st.Sent + st.RejectedPermanent + failed.Load() + down.Load(); sum != callers {
-		t.Errorf("sent %d + refused %d + failed %d + down %d = %d, want %d calls",
-			st.Sent, st.RejectedPermanent, failed.Load(), down.Load(), sum, callers)
+	if sum := landed.Load() + refused.Load() + failed.Load() + down.Load(); sum != callers {
+		t.Errorf("landed %d + refused %d + failed %d + down %d = %d, want %d calls",
+			landed.Load(), refused.Load(), failed.Load(), down.Load(), sum, callers)
 	}
 	if failed.Load() == 0 {
-		t.Error("no probe failed; the sender fails every fifth call")
+		t.Error("no probe failed; the peer fails every fifth call")
 	}
-	if st.Breaker.Trips != 2 || st.State != BreakerOpen {
-		t.Errorf("breaker %v after %d trips, want open after 2: one failed probe re-trips it", st.State, st.Breaker.Trips)
+	if st := b.Stats(); st.Trips != 2 || b.State() != BreakerOpen {
+		t.Errorf("breaker %v after %d trips, want open after 2: one failed probe re-trips it", b.State(), st.Trips)
+	}
+	if st := b.Stats(); st.Rejected != down.Load() {
+		t.Errorf("breaker counted %d refusals, callers saw %d", st.Rejected, down.Load())
 	}
 	if reached := calls.Load() - 1; reached != callers-down.Load() {
 		t.Errorf("%d probes reached the peer, want %d: a turned-away call must not", reached, callers-down.Load())
@@ -776,8 +658,8 @@ func TestUplinkSendSyncHalfOpenProbes(t *testing.T) {
 }
 
 // TestUplinkAllocBudgets pins the gateway datapath's allocation budgets
-// against a peer that accepts everything: an unbatched Send and a
-// SendSync cost 0 allocations per payload, and with batching on a full
+// against a peer that accepts everything: an unbatched Send costs 0
+// allocations per payload, and with batching on a full
 // frame costs 1 — the builder's buffer, handed downstream — whether it
 // holds 16 packets or 256.
 func TestUplinkAllocBudgets(t *testing.T) {
@@ -795,14 +677,6 @@ func TestUplinkAllocBudgets(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("Send allocates %.0f times per payload, want 0", got)
-	}
-	ctx := context.Background()
-	if got := testing.AllocsPerRun(1000, func() {
-		if err := u.SendSync(ctx, packet); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("SendSync allocates %.0f times per payload, want 0", got)
 	}
 
 	for _, size := range []int{16, 256} {

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -143,10 +142,7 @@ type Uplink struct {
 	frames  atomic.Uint64
 
 	// sendMu orders Send's fast path against the drain loop, so buffered
-	// payloads cannot be overtaken by fresh ones. That is its one job:
-	// SendSync never takes it, since it neither buffers nor queues and
-	// shares only the self-locking breaker and backoff and the atomic
-	// counters with the other two.
+	// payloads cannot be overtaken by fresh ones.
 	sendMu sync.Mutex
 
 	// pending is the open batch frame (nil = batching disabled), guarded
@@ -271,41 +267,6 @@ func (u *Uplink) flushAged(ctx context.Context) {
 	u.sendMu.Unlock()
 }
 
-// ErrPeerDown reports that SendSync could not attempt delivery because
-// the circuit breaker is open: the peer is known-down and probing is not
-// yet due. It is transient — callers treat it like any failed send.
-var ErrPeerDown = errors.New("resilience: peer down (breaker open)")
-
-// SendSync attempts synchronous delivery only and reports the true
-// outcome: unlike Send it never buffers, so a nil return means the peer
-// accepted the payload before SendSync returned. This is the primitive
-// quorum replication needs — an acknowledgement upstream must mean
-// "durably delivered to W peers", and a payload parked in a
-// store-and-forward queue is not that. Retries, jitter, Retry-After
-// hints, and the circuit breaker all apply exactly as in Send.
-//
-// SendSync holds no lock across the network (DESIGN.md S45, F12): it
-// never queues behind the store-and-forward queue, so concurrent calls
-// overlap on the inner sender, which must be safe for concurrent use,
-// and one call sleeping in its retry backoff delays no other. While the
-// breaker is half-open every concurrent caller may probe; the first
-// probe that fails re-trips it for all.
-//
-// Allocations: 0 per payload, measured by TestUplinkAllocBudgets.
-func (u *Uplink) SendSync(ctx context.Context, payload []byte) error {
-	if !u.breaker.Allow() {
-		return ErrPeerDown
-	}
-	err := u.trySend(ctx, payload, u.cfg.MaxAttempts)
-	switch {
-	case err == nil:
-		u.sent.Add(1)
-	case IsPermanent(err):
-		u.rejects.Add(1)
-	}
-	return err
-}
-
 // buffer enqueues payload and wakes the drain loop.
 func (u *Uplink) buffer(payload []byte) {
 	u.queue.Push(payload)
@@ -326,9 +287,8 @@ func (u *Uplink) buffer(payload []byte) {
 // (a gateway's UDP handler, a router's ingest), and a peer asking for
 // more patience than the backoff schedule budgeted must not stall the
 // caller; the hinted error is returned so Send parks the payload for
-// the drain loop (which waits out the hint off the hot path, up to
-// BackoffMax) and SendSync surfaces the hint for the caller's own
-// shedding.
+// the drain loop, which waits out the hint off the hot path, up to
+// BackoffMax.
 func (u *Uplink) trySend(ctx context.Context, payload []byte, attempts int) error {
 	var err error
 	for i := 0; i < attempts; i++ {
