@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-pkg lint-gate lint-baseline race check fuzz bench bench-e2e bench-e2e-test smoke-obs smoke-cluster smoke-query
+.PHONY: build test vet lint lint-pkg lint-gate lint-baseline race check fuzz bench bench-e2e bench-e2e-test smoke-obs smoke-cluster smoke-query smoke-edge
 
 build:
 	$(GO) build ./...
@@ -134,3 +134,11 @@ smoke-obs:
 # rather than bare on /ingest.
 smoke-cluster:
 	./scripts/smoke_cluster.sh
+
+# smoke-edge is the edge drill against the real binaries: sensornodes
+# over UDP to gatewayd, which forwards to a WAL-backed endpointd that is
+# SIGKILLed mid-run and rebooted on the same data dir. Fails unless every
+# packet sent is stored exactly once and gatewayd's drain loop delivered
+# part of the backlog (uplink_drained_total > 0).
+smoke-edge:
+	./scripts/smoke_edge.sh

@@ -8,11 +8,12 @@
 // An optional -block flag seeds the blocklist with comma-separated
 // EUI-64 addresses of known-bad devices.
 //
-// The backhaul is resilient: transient endpoint failures are retried
-// with jittered backoff, a circuit breaker stops hammering a dead
-// endpoint, and a bounded store-and-forward queue (-queue) buffers
-// readings across outages, draining in order on recovery. SIGINT/SIGTERM
-// flush the buffer before exit. The -chaos-* flags inject a seeded fault
+// The backhaul is resilient without ever stalling the UDP read loop:
+// each payload gets one attempt, a transient failure parks it in a
+// bounded store-and-forward queue (-queue), and one background loop
+// retries the queue in order with a jittered backoff that grows while
+// the endpoint stays down (-retry-base, capped at -retry-max).
+// SIGINT/SIGTERM flush the buffer before exit. The -chaos-* flags inject a seeded fault
 // schedule into the uplink for outage drills.
 package main
 
@@ -79,15 +80,15 @@ func main() {
 	}
 	health := obs.NewHealth()
 	health.Register("uplink", func() error {
-		if st := up.Stats(); st.State == resilience.BreakerOpen {
-			return fmt.Errorf("breaker open; %d payloads buffered", st.QueueLen)
+		if st := up.Stats(); st.ConsecutiveFailures > 0 {
+			return fmt.Errorf("%d consecutive failures; %d payloads buffered", st.ConsecutiveFailures, st.QueueLen)
 		}
 		return nil
 	})
 	of.Serve(ctx, log.Printf, reg, health)
 
 	log.Printf("gatewayd %s: forwarding %s -> %s (queue %d)", *id, conn.LocalAddr(), *endpoint, rf.Queue)
-	if err := daemon.ServeUDP(ctx, conn, gw); err != nil {
+	if err := daemon.ServeUDP(ctx, conn, gw.HandleFrame); err != nil {
 		log.Fatalf("gatewayd: %v", err)
 	}
 
@@ -100,5 +101,5 @@ func main() {
 	s := gw.Stats()
 	u := up.Stats()
 	log.Printf("gatewayd: done. forwarded=%d malformed=%d blocked=%d uplink-errors=%d", s.Forwarded, s.DropMalformed, s.DropBlocked, s.UplinkErrors)
-	log.Printf("gatewayd: uplink sent=%d drained=%d retries=%d buffered=%d dropped-oldest=%d breaker-trips=%d", u.Sent, u.Drained, u.Retries, u.Buffered, u.Queue.DroppedOldest, u.Breaker.Trips)
+	log.Printf("gatewayd: uplink sent=%d drained=%d buffered=%d dropped-oldest=%d", u.Sent, u.Drained, u.Buffered, u.Queue.DroppedOldest)
 }

@@ -6,10 +6,11 @@
 //
 //	hotspotd -listen :7100 -router http://127.0.0.1:9000
 //
-// Dumb does not mean lossy: the router uplink retries transient
-// failures, trips a circuit breaker when the router is down, and buffers
-// frames in a bounded store-and-forward queue (-queue), draining in
-// order on recovery. SIGINT/SIGTERM flush the buffer before exit. The
+// Dumb does not mean lossy: each frame gets one attempt, a transient
+// failure parks it in a bounded store-and-forward queue (-queue), and
+// one background loop retries the queue in order with a backoff that
+// grows while the router stays down. SIGINT/SIGTERM flush the buffer
+// before exit. The
 // -chaos-* flags inject a seeded fault schedule for outage drills.
 package main
 
@@ -59,15 +60,15 @@ func main() {
 	}
 	health := obs.NewHealth()
 	health.Register("uplink", func() error {
-		if st := up.Stats(); st.State == resilience.BreakerOpen {
-			return fmt.Errorf("breaker open; %d frames buffered", st.QueueLen)
+		if st := up.Stats(); st.ConsecutiveFailures > 0 {
+			return fmt.Errorf("%d consecutive failures; %d frames buffered", st.ConsecutiveFailures, st.QueueLen)
 		}
 		return nil
 	})
 	of.Serve(ctx, log.Printf, reg, health)
 
 	log.Printf("hotspotd: forwarding %s -> %s (queue %d)", conn.LocalAddr(), *router, rf.Queue)
-	if err := daemon.ServeHotspotUplink(ctx, conn, up); err != nil {
+	if err := daemon.ServeUDP(ctx, conn, up.Send); err != nil {
 		log.Fatalf("hotspotd: %v", err)
 	}
 
@@ -77,5 +78,5 @@ func main() {
 		log.Printf("hotspotd: shutdown flush: %v", err)
 	}
 	u := up.Stats()
-	log.Printf("hotspotd: done. sent=%d drained=%d retries=%d buffered=%d dropped-oldest=%d rejected=%d breaker-trips=%d", u.Sent, u.Drained, u.Retries, u.Buffered, u.Queue.DroppedOldest, u.RejectedPermanent, u.Breaker.Trips)
+	log.Printf("hotspotd: done. sent=%d drained=%d buffered=%d dropped-oldest=%d rejected=%d", u.Sent, u.Drained, u.Buffered, u.Queue.DroppedOldest, u.RejectedPermanent)
 }

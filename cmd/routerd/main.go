@@ -13,15 +13,16 @@
 // hotspots stop getting paid.
 //
 // Delivery to the owner's endpoint rides the same resilient uplink as
-// the gateways: retries, circuit breaking, and a bounded
-// store-and-forward queue (-queue) that SIGINT/SIGTERM flush before
-// exit. The -chaos-* flags inject a seeded fault schedule into endpoint
+// the gateways: one attempt per payload, and a bounded store-and-forward
+// queue (-queue) that one backoff loop retries and SIGINT/SIGTERM flush
+// before exit. The -chaos-* flags inject a seeded fault schedule into endpoint
 // delivery for outage drills.
 //
 // With -cluster-peers the router fronts a replicated endpoint fleet
 // instead of a single endpoint: each verified frame is forwarded to the
 // R owner replicas of its device partition and acknowledged only after
-// W durable appends (WAL-before-ack across machines). The router then
+// W durable appends (WAL-before-ack across machines); each replica sits
+// behind a circuit breaker (-breaker-fails, -breaker-open). The router then
 // also serves the cluster's public face — POST /ingest, GET /history
 // (merged + read-repaired), GET /status — next to /uplink, and its
 // -debug-addr /healthz aggregates per-node heartbeat state: degraded
@@ -89,7 +90,7 @@ func main() {
 		coord *cluster.Coordinator
 	)
 	if clf.Enabled() {
-		coord, err = clf.Coordinator(rf)
+		coord, err = clf.Coordinator()
 		if err != nil {
 			log.Fatalf("routerd: %v", err)
 		}
@@ -154,5 +155,5 @@ func main() {
 	rs := router.Stats()
 	u := up.Stats()
 	log.Printf("routerd: done. delivered=%d bad-frames=%d replays=%d unfunded=%d credits-left=%d", rs.Delivered, rs.BadFrames, rs.Replays, rs.Unfunded, wallet.Balance())
-	log.Printf("routerd: uplink sent=%d drained=%d retries=%d buffered=%d dropped-oldest=%d breaker-trips=%d", u.Sent, u.Drained, u.Retries, u.Buffered, u.Queue.DroppedOldest, u.Breaker.Trips)
+	log.Printf("routerd: uplink sent=%d drained=%d buffered=%d dropped-oldest=%d", u.Sent, u.Drained, u.Buffered, u.Queue.DroppedOldest)
 }

@@ -276,7 +276,7 @@ func (s *Store) guardFor(dev lpwan.EUI64) *guardShard {
 // and shutdown).
 func (s *Store) DB() *tsdb.DB { return s.db }
 
-// Close seals the storage engine's WALs.
+// Close seals the storage engine's write-ahead log.
 func (s *Store) Close() error { return s.db.Close() }
 
 // StorageStats returns the storage engine's summary.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
 	"sort"
@@ -30,7 +31,9 @@ import (
 // replica that missed writes reports a spuriously large gap, and the
 // union of arrivals — the truth — can only have a smaller one. Each node
 // cuts its answer to its own top k, so the router also asks every owner
-// that left a listed device out for that device's gap before it ranks.
+// that left a listed device out for that device's gap before it ranks,
+// and re-asks with k doubled every node whose k-th gap still exceeds the
+// merged k-th: a device that every owner cut is otherwise never seen.
 
 // maxQueryBody bounds a proxied response: a full-century weekly query
 // is ~1 MB of JSON; 16 MB leaves room without trusting a node blindly.
@@ -148,6 +151,20 @@ type gapEntry struct {
 	GapSeconds float64 `json:"gap_seconds"`
 }
 
+// kthLargest returns the k-th largest gap in merged, or -1 when it holds
+// fewer than k devices.
+func kthLargest(merged map[string]float64, k int) float64 {
+	if len(merged) < k {
+		return -1
+	}
+	gaps := make([]float64, 0, len(merged))
+	for _, g := range merged {
+		gaps = append(gaps, g)
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(gaps)))
+	return gaps[k-1]
+}
+
 func (c *Coordinator) handleQueryGaps(w http.ResponseWriter, r *http.Request) {
 	k := 10
 	if v := r.URL.Query().Get("k"); v != "" {
@@ -167,41 +184,81 @@ func (c *Coordinator) handleQueryGaps(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// listed[node] holds the devices node ranked; nil if it did not answer.
+	// listed[node] holds the devices node ranked (nil if it did not
+	// answer) and asked[node] how many it was asked for. A node that
+	// listed all it was asked for may hold more; floor[node], its
+	// smallest listed gap, bounds every device it left out.
 	listed := make([]map[string]bool, len(c.peers))
-	answered := 0
-	for node := range c.peers {
+	asked := make([]int, len(c.peers))
+	floor := make([]float64, len(c.peers))
+	ask := func(node, n int) bool {
+		floor[node] = -1 // re-ask no more unless this answer is full
+		q.Set("k", strconv.Itoa(n))
 		entries, ok := c.fetchGaps(r.Context(), node, q)
 		if !ok {
-			continue
+			return false
 		}
-		answered++
+		asked[node] = n
 		listed[node] = make(map[string]bool, len(entries))
 		for _, e := range entries {
 			listed[node][e.Device] = true
 		}
+		if len(entries) == n { // ranked largest first
+			floor[node] = entries[n-1].GapSeconds
+		}
 		merge(entries)
+		return true
+	}
+	answered := 0
+	for node := range c.peers {
+		if ask(node, k) {
+			answered++
+		}
 	}
 	if answered == 0 {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, ErrUnavailable.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	// A device that only a lagging owner ranked carries that owner's gap:
-	// ask each answering owner that cut it for its own.
-	for dev := range merged {
-		id, err := lpwan.ParseEUI64(dev)
-		if err != nil {
-			continue
-		}
-		q.Set("device", dev)
-		for _, node := range c.ring.Owners(id, c.cfg.Replicas) {
-			if listed[node] == nil || listed[node][dev] {
+	resolved := make(map[string]bool)
+	for {
+		// A device that only a lagging owner ranked carries that owner's
+		// gap: ask each answering owner that cut it for its own (F16).
+		for dev := range merged {
+			if resolved[dev] {
 				continue
 			}
-			if entries, ok := c.fetchGaps(r.Context(), node, q); ok {
-				merge(entries)
+			resolved[dev] = true
+			id, err := lpwan.ParseEUI64(dev)
+			if err != nil {
+				continue
 			}
+			dq := maps.Clone(q)
+			dq.Set("device", dev)
+			for _, node := range c.ring.Owners(id, c.cfg.Replicas) {
+				if listed[node] == nil || listed[node][dev] {
+					continue
+				}
+				if entries, ok := c.fetchGaps(r.Context(), node, dq); ok {
+					merge(entries)
+				}
+			}
+		}
+		// A device a node cut has at most the node's floor there, so
+		// while a full node's floor exceeds the merged k-th gap, a device
+		// it cut could still rank: re-ask it with k doubled. The k-th is
+		// taken after the asks above, since a lagging owner's overstated
+		// gap would raise it and stop the re-asks early.
+		kth := kthLargest(merged, k)
+		again := false
+		for node := range c.peers {
+			if listed[node] != nil && floor[node] > kth {
+				ask(node, 2*asked[node])
+				again = true
+			}
+		}
+		if !again {
+			break
 		}
 	}
 	out := make([]gapEntry, 0, len(merged))

@@ -218,3 +218,43 @@ func TestClusterGapsIgnoreLaggingReplica(t *testing.T) {
 		t.Fatalf("k=2: gaps = %+v, want %+v", gaps, want)
 	}
 }
+
+// TestClusterGapsFindDeviceEveryOwnerCut: a device that lagging devices
+// push out of every one of its owners' top k is listed by no node. Here
+// D (owners 0 and 1) lags on node 0, H (owners 1 and 2) lags on node 2,
+// and G (owners 0 and 2) has a real 2 h gap on both. At k=1 node 0 lists
+// only D at 6 h, node 2 only H at 5 h, and node 1 only H at 1.5 h. The
+// router must re-ask nodes 0 and 2 with k doubled — their k-th gap
+// exceeds the merged k-th — and answer G at 2 h. The merged k-th must be
+// taken after the per-device asks: before them D still reads node 0's
+// 6 h, and no node's k-th gap exceeds that.
+func TestClusterGapsFindDeviceEveryOwnerCut(t *testing.T) {
+	clock := &fakeClock{}
+	nodes, c := newCluster(t, 3, 2, 1, clock.Now)
+	front := newFront(t, c)
+	d := devOwnedBy(t, c.Ring(), 2, 0, 1)
+	h := devOwnedBy(t, c.Ring(), 2, 1, 2)
+	g := devOwnedBy(t, c.Ring(), 2, 0, 2)
+	put := func(node int, dev uint64, halfHours ...int) {
+		for i, hh := range halfHours {
+			if err := nodes[node].store.Ingest(time.Duration(hh)*time.Hour/2, sealed(t, dev, uint32(i+1), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, d, 2, 4, 16, 18, 20)
+	put(1, d, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
+	put(1, h, 2, 4, 6, 8, 10, 12, 14, 17, 20)
+	put(2, h, 2, 4, 14, 16, 18, 20)
+	put(0, g, 2, 4, 8, 10, 12, 14, 16, 18, 20)
+	put(2, g, 2, 4, 8, 10, 12, 14, 16, 18, 20)
+
+	var gaps []gapEntry
+	if status, body := front.get("/query/gaps?k=1&horizon=39600", &gaps); status != http.StatusOK {
+		t.Fatalf("/query/gaps status %d: %s", status, body)
+	}
+	want := []gapEntry{{Device: lpwan.EUIFromUint64(g).String(), GapSeconds: 7200}}
+	if !reflect.DeepEqual(gaps, want) {
+		t.Fatalf("gaps = %+v, want %+v", gaps, want)
+	}
+}

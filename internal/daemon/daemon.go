@@ -19,16 +19,27 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"centuryscale/internal/batch"
-	"centuryscale/internal/gateway"
 	"centuryscale/internal/httpapi"
 	"centuryscale/internal/lorawan"
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/telemetry"
 )
+
+// defaultClient is the outbound client of every HTTPUplink and
+// RouterUplink that sets none: one shared transport, so its connection
+// pool is reused across sends and senders.
+var defaultClient = &http.Client{Timeout: 10 * time.Second}
+
+// clientOr returns c, or the shared default client when c is nil.
+func clientOr(c *http.Client) *http.Client {
+	if c != nil {
+		return c
+	}
+	return defaultClient
+}
 
 // HTTPUplink forwards gateway payloads to the endpoint's /ingest route.
 // Errors are classified for retry loops: network failures and 5xx are
@@ -38,24 +49,8 @@ import (
 type HTTPUplink struct {
 	// URL is the endpoint base, e.g. "http://127.0.0.1:8080".
 	URL string
-	// Client defaults to a shared 10-second-timeout client. Set it
-	// before the first Send or not at all.
+	// Client defaults to a shared 10-second-timeout client.
 	Client *http.Client
-
-	fallbackOnce sync.Once
-	fallback     *http.Client
-}
-
-func (u *HTTPUplink) client() *http.Client {
-	if u.Client != nil {
-		return u.Client
-	}
-	// Construct the fallback exactly once so its transport's connection
-	// pool is reused across sends instead of leaking one pool per call.
-	u.fallbackOnce.Do(func() {
-		u.fallback = &http.Client{Timeout: 10 * time.Second}
-	})
-	return u.fallback
 }
 
 // Send implements gateway.Uplink (and resilience.Sender). Bare packets
@@ -67,7 +62,7 @@ func (u *HTTPUplink) Send(payload []byte) error {
 	if batch.IsFrame(payload) {
 		route = "/ingest/batch"
 	}
-	resp, err := u.client().Post(u.URL+route, "application/octet-stream", bytes.NewReader(payload))
+	resp, err := clientOr(u.Client).Post(u.URL+route, "application/octet-stream", bytes.NewReader(payload))
 	if err != nil {
 		return fmt.Errorf("daemon: uplink post: %w", err)
 	}
@@ -81,11 +76,14 @@ func (u *HTTPUplink) Send(payload []byte) error {
 	return httpapi.ClassifyStatus("daemon: uplink", resp)
 }
 
-// ServeUDP reads link-layer frames from the socket and hands them to the
-// gateway until the context is cancelled. Malformed datagrams are counted
-// by the gateway and dropped; socket errors other than closure are
-// returned.
-func ServeUDP(ctx context.Context, conn net.PacketConn, gw *gateway.Gateway) error {
+// ServeUDP reads datagrams from the socket and hands each, copied, to
+// handle until the context is cancelled: gatewayd passes
+// gateway.Gateway.HandleFrame, hotspotd its uplink's Send. handle's
+// errors are its own statistics (a gateway counts malformed and blocked
+// frames; a resilience.Uplink buffers what it cannot deliver), not the
+// listener's problem: the devices retry by cadence, not by ACK. Socket
+// errors other than closure are returned.
+func ServeUDP(ctx context.Context, conn net.PacketConn, handle func([]byte) error) error {
 	done := make(chan struct{})
 	watcherDone := make(chan struct{})
 	defer func() {
@@ -113,9 +111,7 @@ func ServeUDP(ctx context.Context, conn net.PacketConn, gw *gateway.Gateway) err
 		}
 		frame := make([]byte, n)
 		copy(frame, buf[:n])
-		// Forwarding errors (blocklist, uplink down) are the gateway's
-		// statistics, not the listener's problem.
-		_ = gw.HandleFrame(frame)
+		_ = handle(frame)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestEndToEndDatapath(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- ServeUDP(ctx, conn, gw) }()
+	go func() { serveDone <- ServeUDP(ctx, conn, gw.HandleFrame) }()
 
 	// Sensor node.
 	id := lpwan.EUIFromUint64(0xBEEF)
@@ -97,7 +97,7 @@ func TestGatewayDropsForgedTraffic(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { _ = ServeUDP(ctx, conn, gw) }()
+	go func() { _ = ServeUDP(ctx, conn, gw.HandleFrame) }()
 
 	tx, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -199,7 +199,7 @@ func TestSensorNodeRunLoop(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { _ = ServeUDP(ctx, conn, gw) }()
+	go func() { _ = ServeUDP(ctx, conn, gw.HandleFrame) }()
 
 	id := lpwan.EUIFromUint64(0xA1)
 	node := &SensorNode{
@@ -238,7 +238,7 @@ func TestServeUDPReturnsOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- ServeUDP(context.Background(), conn, gw) }()
+	go func() { done <- ServeUDP(context.Background(), conn, gw.HandleFrame) }()
 	time.Sleep(20 * time.Millisecond)
 	conn.Close()
 	select {

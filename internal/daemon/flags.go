@@ -13,17 +13,15 @@ import (
 // operator tunes gatewayd, hotspotd, and routerd identically, and a
 // drill rehearsed against one daemon replays against another.
 
-// ResilienceFlags carries the retry/breaker/queue knobs of one daemon.
+// ResilienceFlags carries the queue/retry/batch knobs of one daemon's
+// uplink.
 type ResilienceFlags struct {
-	Queue       int
-	Retries     int
-	RetryBase   time.Duration
-	RetryMax    time.Duration
-	BreakerFail int
-	BreakerOpen time.Duration
-	Seed        uint64
-	Batch       int
-	BatchAge    time.Duration
+	Queue     int
+	RetryBase time.Duration
+	RetryMax  time.Duration
+	Seed      uint64
+	Batch     int
+	BatchAge  time.Duration
 }
 
 // RegisterResilienceFlags declares the standard resilience flags on the
@@ -31,11 +29,9 @@ type ResilienceFlags struct {
 func RegisterResilienceFlags() *ResilienceFlags {
 	f := &ResilienceFlags{}
 	flag.IntVar(&f.Queue, "queue", 4096, "store-and-forward queue depth (drop-oldest on overflow)")
-	flag.IntVar(&f.Retries, "retries", 3, "synchronous send attempts before buffering")
-	flag.DurationVar(&f.RetryBase, "retry-base", 200*time.Millisecond, "initial retry backoff (full jitter)")
-	flag.DurationVar(&f.RetryMax, "retry-max", 30*time.Second, "retry backoff cap")
-	flag.IntVar(&f.BreakerFail, "breaker-fails", 5, "consecutive failures that open the circuit breaker")
-	flag.DurationVar(&f.BreakerOpen, "breaker-open", 5*time.Second, "how long the breaker stays open before probing")
+	flag.DurationVar(&f.RetryBase, "retry-base", 200*time.Millisecond,
+		"drain loop's first retry backoff, doubling per consecutive failure (full jitter)")
+	flag.DurationVar(&f.RetryMax, "retry-max", 30*time.Second, "retry backoff cap (also caps a peer's Retry-After)")
 	flag.Uint64Var(&f.Seed, "retry-seed", 1, "seed for retry jitter (reproducible recovery timing)")
 	flag.IntVar(&f.Batch, "batch", 0,
 		"packets per uplink batch frame (0 or 1 = unbatched; >1 amortizes one endpoint fsync over the frame)")
@@ -47,15 +43,12 @@ func RegisterResilienceFlags() *ResilienceFlags {
 // Config converts the flags into a resilience.Config.
 func (f *ResilienceFlags) Config() resilience.Config {
 	return resilience.Config{
-		MaxAttempts:      f.Retries,
-		BackoffBase:      f.RetryBase,
-		BackoffMax:       f.RetryMax,
-		BreakerThreshold: f.BreakerFail,
-		BreakerOpenFor:   f.BreakerOpen,
-		QueueDepth:       f.Queue,
-		Seed:             f.Seed,
-		BatchSize:        f.Batch,
-		BatchAge:         f.BatchAge,
+		BackoffBase: f.RetryBase,
+		BackoffMax:  f.RetryMax,
+		QueueDepth:  f.Queue,
+		Seed:        f.Seed,
+		BatchSize:   f.Batch,
+		BatchAge:    f.BatchAge,
 	}
 }
 
@@ -103,8 +96,8 @@ func (f *ChaosFlags) Config() chaos.Config {
 }
 
 // HTTPClient returns an outbound client with the chaos schedule wired
-// into its transport, or nil when injection is disabled (letting the
-// uplink construct its shared default client).
+// into its transport, or nil when injection is disabled (the uplink
+// then uses the package's shared default client).
 func (f *ChaosFlags) HTTPClient(timeout time.Duration) *http.Client {
 	if !f.Enabled() {
 		return nil

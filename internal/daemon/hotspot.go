@@ -2,18 +2,13 @@ package daemon
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sync"
-	"time"
 
 	"centuryscale/internal/helium"
 	"centuryscale/internal/httpapi"
-	"centuryscale/internal/resilience"
 )
 
 // Hotspot plumbing: the third-party path's real datapath. A hotspot is
@@ -68,24 +63,11 @@ type RouterUplink struct {
 	URL string
 	// Client defaults to a shared 10-second-timeout client.
 	Client *http.Client
-
-	fallbackOnce sync.Once
-	fallback     *http.Client
-}
-
-func (r *RouterUplink) client() *http.Client {
-	if r.Client != nil {
-		return r.Client
-	}
-	r.fallbackOnce.Do(func() {
-		r.fallback = &http.Client{Timeout: 10 * time.Second}
-	})
-	return r.fallback
 }
 
 // Send implements gateway.Uplink (and resilience.Sender).
 func (r *RouterUplink) Send(frame []byte) error {
-	resp, err := r.client().Post(r.URL+"/uplink", "application/octet-stream", bytes.NewReader(frame))
+	resp, err := clientOr(r.Client).Post(r.URL+"/uplink", "application/octet-stream", bytes.NewReader(frame))
 	if err != nil {
 		return fmt.Errorf("daemon: hotspot post: %w", err)
 	}
@@ -95,49 +77,4 @@ func (r *RouterUplink) Send(frame []byte) error {
 		return nil
 	}
 	return httpapi.ClassifyStatus("daemon: hotspot", resp)
-}
-
-// ServeHotspotUplink forwards raw LoRaWAN frames from a UDP socket into
-// up until the context is cancelled. Send errors are the uplink's
-// problem (a resilience.Uplink buffers them; a bare RouterUplink drops
-// them): the devices retry by cadence, not by ACK, and the hotspot
-// itself stays faithfully dumb.
-func ServeHotspotUplink(ctx context.Context, conn net.PacketConn, up resilience.Sender) error {
-	done := make(chan struct{})
-	watcherDone := make(chan struct{})
-	defer func() {
-		// Join the watcher: without this it could still be inside
-		// conn.Close when we return and the caller reuses the socket.
-		close(done)
-		<-watcherDone
-	}()
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-	buf := make([]byte, 2048)
-	for {
-		n, _, err := conn.ReadFrom(buf)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("daemon: hotspot read: %w", err)
-		}
-		frame := make([]byte, n)
-		copy(frame, buf[:n])
-		_ = up.Send(frame)
-	}
-}
-
-// ServeHotspot forwards raw LoRaWAN frames from a UDP socket to the
-// router URL until the context is cancelled: the entire hotspot,
-// faithfully small. Failed POSTs are dropped; wrap a RouterUplink in a
-// resilience.Uplink and use ServeHotspotUplink for the buffered variant.
-func ServeHotspot(ctx context.Context, conn net.PacketConn, routerURL string, client *http.Client) error {
-	return ServeHotspotUplink(ctx, conn, &RouterUplink{URL: routerURL, Client: client})
 }

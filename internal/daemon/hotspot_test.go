@@ -115,7 +115,7 @@ func TestThirdPartyEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hotspotDone := make(chan error, 1)
-	go func() { hotspotDone <- ServeHotspot(ctx, conn, routerSrv.URL, nil) }()
+	go func() { hotspotDone <- ServeUDP(ctx, conn, (&RouterUplink{URL: routerSrv.URL}).Send) }()
 
 	// Device: telemetry inside LoRaWAN, fired at the hotspot.
 	id := lpwan.EUIFromUint64(0x77)

@@ -67,16 +67,12 @@ func TestKillRecoverBatchedZeroAcknowledgedLoss(t *testing.T) {
 	up := resilience.NewUplink(
 		&HTTPUplink{URL: "http://" + endpointAddr, Client: &http.Client{Timeout: 2 * time.Second}},
 		resilience.Config{
-			MaxAttempts:      2,
-			BackoffBase:      time.Millisecond,
-			BackoffMax:       10 * time.Millisecond,
-			BreakerThreshold: 3,
-			BreakerOpenFor:   20 * time.Millisecond,
-			QueueDepth:       256,
-			DrainInterval:    5 * time.Millisecond,
-			Seed:             11,
-			BatchSize:        frameSize,
-			BatchAge:         5 * time.Millisecond,
+			BackoffBase: time.Millisecond,
+			BackoffMax:  10 * time.Millisecond,
+			QueueDepth:  256,
+			Seed:        11,
+			BatchSize:   frameSize,
+			BatchAge:    5 * time.Millisecond,
 		})
 	defer up.Close(context.Background())
 

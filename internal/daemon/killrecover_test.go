@@ -66,14 +66,10 @@ func TestKillRecoverZeroAcknowledgedLoss(t *testing.T) {
 	up := resilience.NewUplink(
 		&HTTPUplink{URL: "http://" + endpointAddr, Client: &http.Client{Timeout: 2 * time.Second}},
 		resilience.Config{
-			MaxAttempts:      2,
-			BackoffBase:      time.Millisecond,
-			BackoffMax:       10 * time.Millisecond,
-			BreakerThreshold: 3,
-			BreakerOpenFor:   20 * time.Millisecond,
-			QueueDepth:       256,
-			DrainInterval:    5 * time.Millisecond,
-			Seed:             11,
+			BackoffBase: time.Millisecond,
+			BackoffMax:  10 * time.Millisecond,
+			QueueDepth:  256,
+			Seed:        11,
 		})
 	defer up.Close(context.Background())
 

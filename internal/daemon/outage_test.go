@@ -44,14 +44,10 @@ func TestResilientDatapathZeroLossAcrossOutage(t *testing.T) {
 	rt := chaos.NewRoundTripper(nil, chaosCfg)
 	inner := &HTTPUplink{URL: endpoint.URL, Client: &http.Client{Transport: rt, Timeout: 2 * time.Second}}
 	up := resilience.NewUplink(inner, resilience.Config{
-		MaxAttempts:      2,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       10 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerOpenFor:   20 * time.Millisecond,
-		QueueDepth:       256,
-		DrainInterval:    5 * time.Millisecond,
-		Seed:             7,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  10 * time.Millisecond,
+		QueueDepth:  256,
+		Seed:        7,
 	})
 	defer up.Close(context.Background())
 
@@ -63,7 +59,7 @@ func TestResilientDatapathZeroLossAcrossOutage(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- ServeUDP(ctx, conn, gw) }()
+	go func() { serveDone <- ServeUDP(ctx, conn, gw.HandleFrame) }()
 
 	id := lpwan.EUIFromUint64(0xCAFE)
 	node := &SensorNode{
@@ -121,8 +117,8 @@ func TestResilientDatapathZeroLossAcrossOutage(t *testing.T) {
 	if ust.Queue.Enqueued == 0 {
 		t.Fatalf("outage never forced buffering: %+v", ust)
 	}
-	if ust.Breaker.Trips == 0 {
-		t.Fatalf("breaker never tripped: %+v", ust)
+	if ust.Drained == 0 {
+		t.Fatalf("the drain loop delivered nothing: %+v", ust)
 	}
 	if ust.Queue.DroppedOldest != 0 {
 		t.Fatalf("store-and-forward overflowed: %+v", ust)
@@ -173,14 +169,10 @@ func TestResilientHotspotPathBuffersRouterOutage(t *testing.T) {
 	up := resilience.NewUplink(
 		&RouterUplink{URL: routerSrv.URL, Client: &http.Client{Transport: rt, Timeout: 2 * time.Second}},
 		resilience.Config{
-			MaxAttempts:      2,
-			BackoffBase:      time.Millisecond,
-			BackoffMax:       5 * time.Millisecond,
-			BreakerThreshold: 2,
-			BreakerOpenFor:   10 * time.Millisecond,
-			QueueDepth:       64,
-			DrainInterval:    5 * time.Millisecond,
-			Seed:             3,
+			BackoffBase: time.Millisecond,
+			BackoffMax:  5 * time.Millisecond,
+			QueueDepth:  64,
+			Seed:        3,
 		})
 	defer up.Close(context.Background())
 
@@ -191,7 +183,7 @@ func TestResilientHotspotPathBuffersRouterOutage(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hotspotDone := make(chan error, 1)
-	go func() { hotspotDone <- ServeHotspotUplink(ctx, conn, up) }()
+	go func() { hotspotDone <- ServeUDP(ctx, conn, up.Send) }()
 
 	id := lpwan.EUIFromUint64(0x88)
 	tx, err := net.ListenPacket("udp", "127.0.0.1:0")

@@ -26,7 +26,7 @@ func startGatewayUDP(t *testing.T, up gateway.Uplink) (*gateway.Gateway, net.Pac
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- ServeUDP(ctx, conn, gw) }()
+	go func() { done <- ServeUDP(ctx, conn, gw.HandleFrame) }()
 	return gw, conn, cancel, done
 }
 
@@ -145,7 +145,7 @@ func TestServeUDPSocketErrorSurfaces(t *testing.T) {
 	conn := &faultyPacketConn{PacketConn: inner, err: bang}
 	gw := gateway.New(gateway.Config{ID: "gw"}, gateway.UplinkFunc(func([]byte) error { return nil }))
 
-	got := ServeUDP(context.Background(), conn, gw)
+	got := ServeUDP(context.Background(), conn, gw.HandleFrame)
 	if got == nil || !errors.Is(got, bang) {
 		t.Fatalf("ServeUDP = %v, want wrapped %v", got, bang)
 	}

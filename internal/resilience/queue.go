@@ -65,29 +65,33 @@ func (q *Queue) Push(p []byte) (evicted bool) {
 	return evicted
 }
 
-// Peek returns the oldest payload without removing it.
-func (q *Queue) Peek() ([]byte, bool) {
+// Peek returns the oldest payload without removing it, and its
+// position: the number of payloads that left the queue before it,
+// popped or evicted. The position names the payload for Pop.
+func (q *Queue) Peek() (p []byte, pos uint64, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.n == 0 {
-		return nil, false
+		return nil, 0, false
 	}
-	return q.buf[q.head], true
+	return q.buf[q.head], q.stats.Dequeued + q.stats.DroppedOldest, true
 }
 
-// Pop removes and returns the oldest payload.
-func (q *Queue) Pop() ([]byte, bool) {
+// Pop removes the oldest payload if it is still the one Peek returned
+// at pos. It reports false, removing nothing, when that payload has
+// been evicted (or popped) since: a caller that peeked, sent and then
+// popped must not take a newer payload out unsent.
+func (q *Queue) Pop(pos uint64) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.n == 0 {
-		return nil, false
+	if q.n == 0 || q.stats.Dequeued+q.stats.DroppedOldest != pos {
+		return false
 	}
-	p := q.buf[q.head]
 	q.buf[q.head] = nil
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 	q.stats.Dequeued++
-	return p, true
+	return true
 }
 
 // Stats returns a snapshot of the counters.

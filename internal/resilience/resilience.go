@@ -1,20 +1,22 @@
 // Package resilience turns the best-effort datapath into infrastructure:
-// exponential backoff with full jitter, a three-state circuit breaker,
-// and a bounded store-and-forward queue, composed into an Uplink wrapper
-// that any layer of the real datapath (gateway backhaul, hotspot→router,
-// router→endpoint) can put in front of its sender.
+// exponential backoff with full jitter and a bounded store-and-forward
+// queue, composed into an Uplink wrapper that any layer of the real
+// datapath (gateway backhaul, hotspot→router, router→endpoint) can put
+// in front of its sender, plus the three-state circuit breaker the
+// cluster coordinator keeps per replica.
 //
 // The paper's core claim is that a century-scale deployment survives
 // because every layer above the transmit-only device tolerates failure:
 // gateways die, backhauls sunset, endpoints move hosts. Devices retry by
 // cadence, not by ACK — so once a packet has made it off the air, the
-// wired side owes it better than "drop on the first failed POST". The
-// policy encoded here is the classic one (Signpost, self-healing LoRa
-// meshes): retry transient failures briefly, trip a breaker when the
-// peer is clearly down so we stop hammering it, buffer in arrival order
-// while the breaker is open, and drain the buffer in order on recovery.
-// Overflow drops the oldest reading first: for cadence telemetry the
-// newest value is the one the endpoint's weekly-uptime metric needs.
+// wired side owes it better than "drop on the first failed POST", and
+// the loop reading the radio side must never stall on a slow peer. The
+// policy encoded here: try each payload once on the caller's goroutine,
+// buffer in arrival order when that fails, and let one background loop
+// retry the buffer head-first with a backoff that grows while the peer
+// stays down. Overflow drops the oldest reading first: for cadence
+// telemetry the newest value is the one the endpoint's weekly-uptime
+// metric needs.
 //
 // All randomness (retry jitter) comes from an internal/rng stream, so a
 // seeded run of the datapath is reproducible; the matching fault side
@@ -63,8 +65,8 @@ func IsPermanent(err error) bool {
 }
 
 // RetryAfterError is a transient failure that carries the peer's own
-// back-pressure hint (an HTTP 503/429 Retry-After). Retry loops honour
-// After in place of their computed backoff when it is longer.
+// back-pressure hint (an HTTP 503/429 Retry-After). The Uplink's drain
+// loop waits After in place of its computed backoff, up to BackoffMax.
 type RetryAfterError struct {
 	After time.Duration
 	Err   error

@@ -133,6 +133,15 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// pop peeks the head and pops it by its position.
+func pop(q *Queue) ([]byte, bool) {
+	p, pos, ok := q.Peek()
+	if ok && !q.Pop(pos) {
+		panic("pop of a just-peeked head failed")
+	}
+	return p, ok
+}
+
 func TestQueueFIFOAndDropOldest(t *testing.T) {
 	q := NewQueue(3)
 	for i := 0; i < 3; i++ {
@@ -148,12 +157,12 @@ func TestQueueFIFOAndDropOldest(t *testing.T) {
 	}
 	// Oldest (0) evicted: order is 1,2,3.
 	for want := byte(1); want <= 3; want++ {
-		p, ok := q.Pop()
+		p, ok := pop(q)
 		if !ok || p[0] != want {
 			t.Fatalf("pop = %v %v, want [%d]", p, ok, want)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	if _, ok := pop(q); ok {
 		t.Fatal("pop from empty succeeded")
 	}
 	st := q.Stats()
@@ -171,7 +180,7 @@ func TestQueueWrapAround(t *testing.T) {
 			seq++
 		}
 		for i := 0; i < 3; i++ {
-			p, ok := q.Pop()
+			p, ok := pop(q)
 			if !ok {
 				t.Fatal("pop failed")
 			}
@@ -208,19 +217,14 @@ func (f *flakySender) received() [][]byte {
 	return append([][]byte(nil), f.got...)
 }
 
-func instantSleep(context.Context, time.Duration) {}
-
+// testConfig keeps the real sleeper: the drain loop's waits of at most
+// 10µs yield the processor while a test holds its peer down.
 func testConfig() Config {
 	return Config{
-		MaxAttempts:      2,
-		BackoffBase:      time.Microsecond,
-		BackoffMax:       10 * time.Microsecond,
-		BreakerThreshold: 3,
-		BreakerOpenFor:   time.Millisecond,
-		QueueDepth:       64,
-		DrainInterval:    time.Millisecond,
-		Seed:             1,
-		Sleep:            instantSleep,
+		BackoffBase: time.Microsecond,
+		BackoffMax:  10 * time.Microsecond,
+		QueueDepth:  64,
+		Seed:        1,
 	}
 }
 
@@ -234,21 +238,100 @@ func TestUplinkHappyPath(t *testing.T) {
 		}
 	}
 	st := u.Stats()
-	if st.Sent != 5 || st.Buffered != 0 || st.Retries != 0 {
+	if st.Sent != 5 || st.Buffered != 0 || st.ConsecutiveFailures != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
-func TestUplinkRetriesTransient(t *testing.T) {
-	inner := &flakySender{failN: 1} // first call fails, retry succeeds
-	u := NewUplink(inner, testConfig())
+// TestSendMakesOneAttemptAndNeverSleeps: a transient failure on an
+// empty queue parks the payload. Send returns nil after exactly one
+// attempt and never calls Config.Sleep on the caller's goroutine — here
+// the sleeper blocks until released, so a Send that slept would hang —
+// and the drain loop delivers the payload once the sleep ends.
+func TestSendMakesOneAttemptAndNeverSleeps(t *testing.T) {
+	inner := &flakySender{failN: 1}
+	release := make(chan struct{})
+	var released sync.Once
+	cfg := testConfig()
+	cfg.Sleep = func(ctx context.Context, _ time.Duration) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+	}
+	u := NewUplink(inner, cfg)
+	defer u.Close(context.Background())
+	defer released.Do(func() { close(release) })
+
+	sent := make(chan error, 1)
+	go func() { sent <- u.Send([]byte{7}) }()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatalf("Send = %v, want nil: a transient failure is buffered", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Send slept on the caller's goroutine")
+	}
+	inner.mu.Lock()
+	calls := inner.calls
+	inner.mu.Unlock()
+	if calls != 1 {
+		t.Fatalf("Send made %d attempts, want 1", calls)
+	}
+	if st := u.Stats(); st.Sent != 0 || st.Buffered != 1 {
+		t.Fatalf("after the failed attempt: %+v, want the payload buffered", st)
+	}
+
+	released.Do(func() { close(release) })
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := u.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := inner.received(); len(got) != 1 || got[0][0] != 7 {
+		t.Fatalf("delivered %v, want [[7]]", got)
+	}
+	if st := u.Stats(); st.Drained != 1 {
+		t.Fatalf("stats = %+v, want the payload drained", st)
+	}
+}
+
+// TestDrainBackoffGrowsWithFailures: while the peer stays down, the
+// drain loop's successive waits are Delay(0), Delay(1), … of the
+// uplink's own seeded schedule, capped at BackoffMax, and the
+// consecutive-failure count climbs with them.
+func TestDrainBackoffGrowsWithFailures(t *testing.T) {
+	const fails = 9 // Send's attempt and the drain loop's first 8 probes
+	inner := &flakySender{failN: fails}
+	rec := &recordingSleep{}
+	cfg := testConfig()
+	cfg.BackoffBase = time.Millisecond
+	cfg.BackoffMax = 8 * time.Millisecond
+	cfg.Seed = 42
+	cfg.Sleep = rec.sleep
+	u := NewUplink(inner, cfg)
 	defer u.Close(context.Background())
 	if err := u.Send([]byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	st := u.Stats()
-	if st.Sent != 1 || st.Retries != 1 || st.Buffered != 0 {
-		t.Fatalf("stats = %+v", st)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := u.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ref := NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed)
+	slept := rec.slept()
+	if len(slept) != fails {
+		t.Fatalf("slept %d times, want one wait before each of %d retries: %v", len(slept), fails, slept)
+	}
+	for i, d := range slept {
+		if want := ref.Delay(i); d != want || d > cfg.BackoffMax {
+			t.Errorf("wait %d = %v, want Delay(%d) = %v (cap %v)", i, d, i, want, cfg.BackoffMax)
+		}
+	}
+	if st := u.Stats(); st.Drained != 1 || st.ConsecutiveFailures != 0 {
+		t.Fatalf("stats = %+v, want drained with the failure count reset", st)
 	}
 }
 
@@ -261,7 +344,7 @@ func TestUplinkPermanentSurfaces(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	st := u.Stats()
-	if st.Buffered != 0 || st.RejectedPermanent != 1 || st.Retries != 0 {
+	if st.Buffered != 0 || st.RejectedPermanent != 1 || st.ConsecutiveFailures != 0 {
 		t.Fatalf("permanent error buffered or retried: %+v", st)
 	}
 }
@@ -279,11 +362,7 @@ func TestUplinkBuffersOutageAndDrainsInOrder(t *testing.T) {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
-	cfg := testConfig()
-	// Threshold 2 = the first Send's two failed attempts trip the breaker
-	// deterministically, before the recovery below.
-	cfg.BreakerThreshold = 2
-	u := NewUplink(inner, cfg)
+	u := NewUplink(inner, testConfig())
 	defer u.Close(context.Background())
 
 	for i := 0; i < 20; i++ {
@@ -291,8 +370,8 @@ func TestUplinkBuffersOutageAndDrainsInOrder(t *testing.T) {
 			t.Fatalf("send %d during outage: %v", i, err)
 		}
 	}
-	if st := u.Stats(); st.Queue.Enqueued == 0 {
-		t.Fatalf("nothing buffered during outage: %+v", st)
+	if st := u.Stats(); st.Queue.Enqueued != 20 || st.ConsecutiveFailures == 0 {
+		t.Fatalf("outage not buffered whole, or not counted: %+v", st)
 	}
 
 	down.Lock()
@@ -315,8 +394,8 @@ func TestUplinkBuffersOutageAndDrainsInOrder(t *testing.T) {
 		}
 	}
 	st := u.Stats()
-	if st.Breaker.Trips == 0 {
-		t.Fatalf("breaker never tripped during outage: %+v", st)
+	if st.Sent != 0 || st.Drained != 20 || st.ConsecutiveFailures != 0 {
+		t.Fatalf("want all 20 drained and the failure count reset: %+v", st)
 	}
 	if st.QueueLen != 0 {
 		t.Fatalf("queue not empty after flush: %+v", st)
@@ -327,9 +406,7 @@ func TestUplinkOrderPreservedWhenQueueNonEmpty(t *testing.T) {
 	// While anything is buffered, new sends must queue behind it even if
 	// the peer is healthy again — no overtaking.
 	inner := &flakySender{}
-	cfg := testConfig()
-	cfg.DrainInterval = time.Hour // drain only when kicked by Send/Flush
-	u := NewUplink(inner, cfg)
+	u := NewUplink(inner, testConfig())
 	defer u.Close(context.Background())
 
 	u.queue.Push([]byte{0}) // pre-buffered payload, drain not yet kicked
@@ -494,27 +571,59 @@ func (r *recordingSleep) slept() []time.Duration {
 	return append([]time.Duration(nil), r.durs...)
 }
 
-// TestUplinkHonorsPeerRetryAfter sends through Uplink.Send against a
-// peer whose 503s carry a Retry-After hint, with the uplink's own
-// backoff schedule configured far larger than the hint. The retry sleep
-// must be exactly the peer's hint — the hint replaces the local
-// schedule, it is not merely a floor under it.
+// TestFlushWakesDrainBackoff: a flush — the daemons' shutdown path —
+// probes at once, not after the drain loop's backoff. The schedule here
+// waits up to an hour; the peer is back after Send's failed attempt, and
+// Flush must deliver well inside its 5 s budget.
+func TestFlushWakesDrainBackoff(t *testing.T) {
+	inner := &flakySender{failN: 1}
+	cfg := testConfig()
+	cfg.BackoffBase = time.Hour
+	cfg.BackoffMax = time.Hour
+	u := NewUplink(inner, cfg)
+	defer func() {
+		// Bounded: without the wake the drain loop sleeps for an hour.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = u.Close(ctx)
+	}()
+	if err := u.Send([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	// Let the drain loop enter its wait before the flush.
+	for deadline := time.Now().Add(5 * time.Second); u.wake.Load() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the drain loop never started its backoff wait")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := u.Flush(ctx); err != nil {
+		t.Fatalf("flush against a recovered peer: %v", err)
+	}
+	if st := u.Stats(); st.Drained != 1 {
+		t.Fatalf("stats = %+v, want the payload drained", st)
+	}
+}
+
+// TestUplinkHonorsPeerRetryAfter runs against a peer whose 503 carries
+// a Retry-After hint, with the uplink's own backoff schedule configured
+// far larger than the hint. Send parks the payload without sleeping,
+// and the drain loop's wait is exactly the peer's hint — the hint
+// replaces the local schedule, it is not merely a floor under it.
 func TestUplinkHonorsPeerRetryAfter(t *testing.T) {
 	const hint = 700 * time.Millisecond
 	rec := &recordingSleep{}
-	calls := 0
+	var calls atomic.Int64
 	inner := SenderFunc(func([]byte) error {
-		calls++
-		if calls == 1 {
+		if calls.Add(1) == 1 {
 			return &RetryAfterError{After: hint, Err: errors.New("shedding")}
 		}
 		return nil
 	})
 	cfg := testConfig()
-	cfg.MaxAttempts = 2
-	// Own schedule would sleep somewhere in (1h, 2h]: full jitter can
-	// draw small values from a large ceiling, so force the floor up to
-	// make "used own backoff" and "used peer hint" disjoint.
+	// Own schedule would sleep somewhere in [0, 2h]: "used own backoff"
+	// and "used peer hint" are told apart by the exact value.
 	cfg.BackoffBase = 2 * time.Hour
 	cfg.BackoffMax = 2 * time.Hour
 	cfg.Sleep = rec.sleep
@@ -524,51 +633,110 @@ func TestUplinkHonorsPeerRetryAfter(t *testing.T) {
 	if err := u.Send([]byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	slept := rec.slept()
-	if len(slept) != 1 {
-		t.Fatalf("slept %d times, want 1 (%v)", len(slept), slept)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := u.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if slept[0] != hint {
-		t.Fatalf("slept %v, want the peer hint %v", slept[0], hint)
+	if slept := rec.slept(); len(slept) != 1 || slept[0] != hint {
+		t.Fatalf("slept %v, want [%v], the peer hint", slept, hint)
+	}
+	if st := u.Stats(); st.Buffered != 1 || st.Drained != 1 {
+		t.Fatalf("payload not delivered via the buffer: %+v", st)
+	}
+}
+
+// blockingPeer accepts every payload, except that a Send of the payload
+// whose first byte is hold signals entered and waits for release.
+type blockingPeer struct {
+	hold             byte
+	entered, release chan struct{}
+	flakySender
+}
+
+func newBlockingPeer(hold byte) *blockingPeer {
+	return &blockingPeer{hold: hold, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *blockingPeer) Send(p []byte) error {
+	if p[0] == b.hold {
+		close(b.entered)
+		<-b.release
+	}
+	return b.flakySender.Send(p)
+}
+
+// TestSendNeverWaitsOnDrainProbe: the drain loop holds no lock that
+// Send needs while its request is in flight. A peer hangs on the one
+// buffered payload; a Send of a second payload must queue behind it and
+// return at once, and both land in order once the peer answers.
+func TestSendNeverWaitsOnDrainProbe(t *testing.T) {
+	peer := newBlockingPeer(1)
+	u := NewUplink(peer, testConfig())
+	defer u.Close(context.Background())
+	defer func() {
+		select {
+		case <-peer.release:
+		default:
+			close(peer.release)
+		}
+	}()
+
+	u.buffer([]byte{1})
+	select {
+	case <-peer.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the drain loop never probed the buffered payload")
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- u.Send([]byte{2}) }()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("Send waited on the drain loop's request to a hung peer")
 	}
 
-	// The converse direction must NOT block the caller: a hint longer
-	// than the local schedule ends the synchronous loop, Send parks the
-	// payload, and the drain loop delivers it — the peer is still not
-	// hammered before its hint, but the datapath calling Send (a
-	// gateway's UDP handler) is never held hostage for 90 minutes.
-	rec2 := &recordingSleep{}
-	var calls2 atomic.Int64
-	long := 90 * time.Minute
-	inner2 := SenderFunc(func([]byte) error {
-		if calls2.Add(1) == 1 {
-			return &RetryAfterError{After: long, Err: errors.New("shedding")}
-		}
-		return nil
-	})
-	cfg2 := testConfig()
-	cfg2.MaxAttempts = 2
-	cfg2.BackoffBase = time.Millisecond
-	cfg2.BackoffMax = time.Millisecond
-	cfg2.Sleep = rec2.sleep
-	u2 := NewUplink(inner2, cfg2)
-	defer u2.Close(context.Background())
-	if err := u2.Send([]byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	flushCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	close(peer.release)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := u2.Flush(flushCtx); err != nil {
+	if err := u.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range rec2.slept() {
-		if d == long {
-			t.Fatalf("synchronous path slept the full %v hint; it must hand off to the buffer instead", long)
-		}
+	if got := peer.received(); len(got) != 2 || got[0][0] != 1 || got[1][0] != 2 {
+		t.Fatalf("delivered %v, want [[1] [2]]", got)
 	}
-	st := u2.Stats()
-	if st.Buffered != 1 || st.Drained != 1 {
-		t.Fatalf("payload not delivered via the buffer: %+v", st)
+}
+
+// TestDrainEvictedInFlightCountsAsDropped: drop-oldest can evict the
+// payload the drain loop has in flight. Its Pop must then remove
+// nothing — not the newer payload that is now the head — and the
+// evicted one counts as dropped, not drained.
+func TestDrainEvictedInFlightCountsAsDropped(t *testing.T) {
+	peer := newBlockingPeer(1)
+	cfg := testConfig()
+	cfg.QueueDepth = 1
+	u := NewUplink(peer, cfg)
+	defer u.Close(context.Background())
+
+	u.buffer([]byte{1})
+	<-peer.entered
+	if err := u.Send([]byte{2}); err != nil { // evicts [1] from the full queue
+		t.Fatal(err)
+	}
+	close(peer.release)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := u.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := peer.received(); len(got) != 2 || got[1][0] != 2 {
+		t.Fatalf("delivered %v, want [2] sent after the evicted [1]", got)
+	}
+	if st := u.Stats(); st.Drained != 1 || st.Queue.DroppedOldest != 1 || st.Queue.Dequeued != 1 {
+		t.Fatalf("stats = %+v, want 1 drained and 1 dropped", st)
 	}
 }
 
@@ -664,9 +832,9 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 // holds 16 packets or 256.
 func TestUplinkAllocBudgets(t *testing.T) {
 	accept := SenderFunc(func([]byte) error { return nil })
+	// The drain loop sleeps until kicked, and a peer that accepts
+	// everything never kicks it: AllocsPerRun counts every goroutine.
 	cfg := testConfig()
-	// Keep the drain loop asleep: AllocsPerRun counts every goroutine.
-	cfg.DrainInterval = time.Hour
 	packet := make([]byte, batch.PacketSize)
 
 	u := NewUplink(accept, cfg)
@@ -714,10 +882,10 @@ func TestDrainCapsPeerRetryAfter(t *testing.T) {
 	} {
 		rec := &recordingSleep{}
 		var calls atomic.Int64
-		// Refused with the hint twice — the synchronous attempt, which
-		// parks the payload, and the drain loop's first — then accepted.
+		// Refused with the hint once — Send's attempt, which parks the
+		// payload — then accepted by the drain loop's probe.
 		inner := SenderFunc(func([]byte) error {
-			if calls.Add(1) <= 2 {
+			if calls.Add(1) == 1 {
 				return &RetryAfterError{After: tc.hint, Err: errors.New("shedding")}
 			}
 			return nil

@@ -12,23 +12,12 @@ import (
 
 // Config tunes an Uplink. Zero fields take the defaults noted.
 type Config struct {
-	// MaxAttempts bounds the synchronous tries per Send before the
-	// payload is handed to the store-and-forward queue. Default 3.
-	MaxAttempts int
-	// BackoffBase / BackoffMax shape the retry delays (full jitter).
-	// Defaults 100ms / 30s.
+	// BackoffBase / BackoffMax shape the drain loop's retry delays (full
+	// jitter, growing with consecutive failures). Defaults 100ms / 30s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BreakerThreshold / BreakerOpenFor / BreakerProbes tune the circuit
-	// breaker; see BreakerConfig. Defaults 5 / 5s / 1.
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
-	BreakerProbes    int
 	// QueueDepth bounds the store-and-forward buffer. Default 1024.
 	QueueDepth int
-	// DrainInterval is how often the drain loop re-checks the queue when
-	// nothing has kicked it. Default 250ms.
-	DrainInterval time.Duration
 	// BatchSize, when > 1, enables gateway-side batching: packet-sized
 	// payloads (exactly batch.PacketSize bytes) accumulate into a batch
 	// frame that is flushed downstream once it holds this many packets
@@ -43,20 +32,14 @@ type Config struct {
 	// Seed feeds the jitter stream; the same seed replays the same
 	// delays. Default 1.
 	Seed uint64
-	// Now is the breaker clock; nil means time.Now.
+	// Now is the batch-age clock; nil means time.Now.
 	Now func() time.Time
-	// Sleep is the retry sleeper; nil means a context-aware timer sleep.
-	// Tests inject an instant fake.
+	// Sleep is the drain loop's retry sleeper; nil means a context-aware
+	// timer sleep. Tests inject an instant fake.
 	Sleep func(ctx context.Context, d time.Duration)
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.DrainInterval <= 0 {
-		c.DrainInterval = 250 * time.Millisecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -84,12 +67,10 @@ func (c Config) withDefaults() Config {
 
 // UplinkStats counts an Uplink's disposition of payloads.
 type UplinkStats struct {
-	// Sent counts payloads delivered on the synchronous fast path.
+	// Sent counts payloads delivered by Send's one attempt.
 	Sent uint64
-	// Drained counts payloads delivered from the buffer after an outage.
+	// Drained counts payloads delivered from the buffer by the drain loop.
 	Drained uint64
-	// Retries counts extra synchronous attempts beyond the first.
-	Retries uint64
 	// Buffered counts payloads that entered the store-and-forward queue.
 	Buffered uint64
 	// RejectedPermanent counts payloads the peer permanently refused
@@ -103,23 +84,27 @@ type UplinkStats struct {
 	// PendingPackets is the open frame's current fill.
 	PendingPackets int
 	Queue          QueueStats
-	Breaker        BreakerStats
 	QueueLen       int
-	State          BreakerState
+	// ConsecutiveFailures counts the transient failures since the peer
+	// last answered (a delivery or a permanent refusal); it sets the
+	// drain loop's backoff.
+	ConsecutiveFailures int64
 }
 
-// Uplink wraps an inner Sender with retry, circuit breaking, and
-// store-and-forward buffering. It satisfies gateway.Uplink, so it drops
-// into any hop of the real datapath.
+// Uplink wraps an inner Sender with store-and-forward buffering and one
+// retry loop. It satisfies gateway.Uplink, so it drops into any hop of
+// the real datapath.
 //
-// Send semantics: on the happy path the payload goes straight through
-// (with a few jittered retries on transient failure). When the peer is
-// down — breaker open, or retries exhausted — the payload is buffered
-// and Send returns nil: the packet made it off the air and is now this
-// hop's responsibility. A background drain loop replays the buffer in
-// arrival order once the peer recovers. Once anything is buffered, new
-// payloads queue behind it, preserving order. Only Permanent errors
-// (peer understood and refused) surface to the caller.
+// Send semantics: Send never waits out a retry. When nothing is
+// buffered it makes one attempt; a transient failure parks the payload
+// in the queue and Send returns nil: the packet made it off the air and
+// is now this hop's responsibility. Once anything is buffered, new
+// payloads queue behind it without an attempt, preserving order. A
+// background drain loop — the uplink's only retry loop — replays the
+// buffer in arrival order, waiting a jittered backoff that grows with
+// consecutive failures (or the peer's own Retry-After) before each
+// retry. Only Permanent errors (peer understood and refused) surface to
+// the caller.
 //
 // Close flushes what it can and stops the drain loop; use Flush for a
 // mid-run barrier. Safe for concurrent use.
@@ -127,7 +112,6 @@ type Uplink struct {
 	inner   Sender
 	cfg     Config
 	backoff *Backoff
-	breaker *Breaker
 	queue   *Queue
 
 	kick chan struct{}
@@ -136,13 +120,23 @@ type Uplink struct {
 
 	sent    atomic.Uint64
 	drained atomic.Uint64
-	retries atomic.Uint64
 	rejects atomic.Uint64
 	batched atomic.Uint64
 	frames  atomic.Uint64
 
-	// sendMu orders Send's fast path against the drain loop, so buffered
-	// payloads cannot be overtaken by fresh ones.
+	// failures counts transient failures since the peer last answered;
+	// hint is the Retry-After the latest one carried (0 = none). Send
+	// attempts only on an empty queue and the drain loop only on a
+	// non-empty one, so their attempts never overlap.
+	failures atomic.Int64
+	hint     atomic.Int64
+	// wake cancels the drain loop's current backoff wait (nil when it
+	// is not waiting), so Flush can probe the peer at once.
+	wake atomic.Pointer[context.CancelFunc]
+
+	// sendMu serializes Send, so a payload is buffered or attempted
+	// whole, and a concurrent Send cannot attempt past one being parked.
+	// The drain loop never takes it.
 	sendMu sync.Mutex
 
 	// pending is the open batch frame (nil = batching disabled), guarded
@@ -163,16 +157,10 @@ func NewUplink(inner Sender, cfg Config) *Uplink {
 		inner:   inner,
 		cfg:     cfg,
 		backoff: NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
-		breaker: NewBreaker(BreakerConfig{
-			FailureThreshold:  cfg.BreakerThreshold,
-			OpenFor:           cfg.BreakerOpenFor,
-			HalfOpenSuccesses: cfg.BreakerProbes,
-			Now:               cfg.Now,
-		}),
-		queue: NewQueue(cfg.QueueDepth),
-		kick:  make(chan struct{}, 1),
-		stop:  cancel,
-		done:  make(chan struct{}),
+		queue:   NewQueue(cfg.QueueDepth),
+		kick:    make(chan struct{}, 1),
+		stop:    cancel,
+		done:    make(chan struct{}),
 	}
 	if cfg.BatchSize > 1 {
 		u.pending = &batch.Builder{MaxPackets: cfg.BatchSize}
@@ -210,27 +198,26 @@ func (u *Uplink) Send(payload []byte) error {
 		_ = u.pending.Add(payload)
 		u.batched.Add(1)
 		if u.pending.Count() >= u.cfg.BatchSize {
-			u.flushPendingLocked(context.Background())
+			u.flushPendingLocked()
 		}
 		u.sendMu.Unlock()
 		return nil
 	}
-	err := u.sendNowLocked(context.Background(), payload)
+	err := u.sendNowLocked(payload)
 	u.sendMu.Unlock()
 	return err
 }
 
-// sendNowLocked is Send's delivery core, called with sendMu held: try
-// the peer now, buffer on transient failure, surface only permanent
-// refusals.
-func (u *Uplink) sendNowLocked(ctx context.Context, payload []byte) error {
+// sendNowLocked is Send's delivery core, called with sendMu held: one
+// attempt on an empty queue, buffer on transient failure, surface only
+// permanent refusals.
+func (u *Uplink) sendNowLocked(payload []byte) error {
 	// Anything already buffered must go first: queue behind it.
-	if u.queue.Len() > 0 || !u.breaker.Allow() {
+	if u.queue.Len() > 0 {
 		u.buffer(payload)
 		return nil
 	}
-	err := u.trySend(ctx, payload, u.cfg.MaxAttempts)
-	switch {
+	switch err := u.attempt(payload); {
 	case err == nil:
 		u.sent.Add(1)
 	case IsPermanent(err):
@@ -248,21 +235,21 @@ func (u *Uplink) sendNowLocked(ctx context.Context, payload []byte) error {
 // can sit in the store-and-forward queue indefinitely. A permanent
 // refusal is counted via sendNowLocked; there is no caller to surface
 // it to.
-func (u *Uplink) flushPendingLocked(ctx context.Context) {
+func (u *Uplink) flushPendingLocked() {
 	frame := u.pending.Take()
 	if frame == nil {
 		return
 	}
 	u.frames.Add(1)
-	_ = u.sendNowLocked(ctx, frame)
+	_ = u.sendNowLocked(frame)
 }
 
 // flushAged flushes the pending frame if its oldest packet has waited
 // at least BatchAge. Called from the drain loop's age ticker.
-func (u *Uplink) flushAged(ctx context.Context) {
+func (u *Uplink) flushAged() {
 	u.sendMu.Lock()
 	if u.pending != nil && u.pending.Count() > 0 && u.now().Sub(u.pendingSince) >= u.cfg.BatchAge {
-		u.flushPendingLocked(ctx)
+		u.flushPendingLocked()
 	}
 	u.sendMu.Unlock()
 }
@@ -276,63 +263,41 @@ func (u *Uplink) buffer(payload []byte) {
 	}
 }
 
-// trySend makes up to attempts tries against the inner sender, sleeping
-// between them, and keeps the breaker informed. When the previous
-// failure carried the peer's own Retry-After hint, that hint governs —
-// the peer knows its recovery timeline better than our jitter schedule
-// does — but in two different ways. A hint shorter than the local
-// backoff IS the sleep: an endpoint asking for 1s must not be kept
-// waiting behind a 30s schedule. A hint longer than the local backoff
-// ends the synchronous loop instead — trySend runs inline on datapaths
-// (a gateway's UDP handler, a router's ingest), and a peer asking for
-// more patience than the backoff schedule budgeted must not stall the
-// caller; the hinted error is returned so Send parks the payload for
-// the drain loop, which waits out the hint off the hot path, up to
-// BackoffMax.
-func (u *Uplink) trySend(ctx context.Context, payload []byte, attempts int) error {
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			d := u.backoff.Delay(i - 1)
-			if hint := retryHint(err); hint > 0 {
-				if hint > d {
-					return err
-				}
-				d = hint
-			}
-			u.retries.Add(1)
-			u.cfg.Sleep(ctx, d)
-			if ctx.Err() != nil {
-				return err
-			}
-			if !u.breaker.Allow() {
-				return err
-			}
-		}
-		err = u.inner.Send(payload)
-		if err == nil {
-			u.breaker.Success()
-			return nil
-		}
-		if IsPermanent(err) {
-			// The peer made a decision; that is not an outage.
-			u.breaker.Success()
-			return err
-		}
-		u.breaker.Failure()
+// attempt makes one try against the inner sender and records the
+// outcome: a delivery or a permanent refusal (the peer made a decision;
+// that is not an outage) resets the failure count, and a transient
+// failure bumps it and keeps the peer's Retry-After hint, if any.
+func (u *Uplink) attempt(payload []byte) error {
+	err := u.inner.Send(payload)
+	if err == nil || IsPermanent(err) {
+		u.failures.Store(0)
+		return err
 	}
+	u.hint.Store(int64(retryHint(err)))
+	u.failures.Add(1)
 	return err
 }
 
-// drainLoop replays the buffer in order whenever the peer allows. With
-// batching enabled it also owns the age flush: a second ticker at
-// BatchAge bounds how long a pending frame waits for more packets. One
-// goroutine carries both duties, so the uplink's lifecycle surface is
-// unchanged — Close cancels ctx and joins done exactly as before.
+// retryDelay is the wait before the next probe after n consecutive
+// transient failures: the jittered Backoff.Delay(n-1), so successive
+// waits follow Delay(0), Delay(1), … up to BackoffMax. When the latest
+// failure carried the peer's own Retry-After hint, the hint replaces the
+// schedule — the peer knows its recovery timeline better than our
+// jitter does — but never past BackoffMax: the peer sets the hint, and
+// one asking for years would strand the queue.
+func (u *Uplink) retryDelay(n int64) time.Duration {
+	if hint := time.Duration(u.hint.Load()); hint > 0 {
+		return min(hint, u.backoff.max)
+	}
+	return u.backoff.Delay(int(n - 1))
+}
+
+// drainLoop replays the buffer in order whenever it is kicked. With
+// batching enabled it also owns the age flush: a ticker at BatchAge
+// bounds how long a pending frame waits for more packets. One goroutine
+// carries both duties, so Close cancels ctx and joins done.
 func (u *Uplink) drainLoop(ctx context.Context) {
 	defer close(u.done)
-	tick := time.NewTicker(u.cfg.DrainInterval)
-	defer tick.Stop()
 	var ageC <-chan time.Time
 	if u.pending != nil {
 		age := time.NewTicker(u.cfg.BatchAge)
@@ -344,64 +309,69 @@ func (u *Uplink) drainLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-u.kick:
-		case <-tick.C:
 		case <-ageC:
-			u.flushAged(ctx)
+			u.flushAged()
 		}
 		u.drainOnce(ctx)
 	}
 }
 
-// drainOnce sends buffered payloads head-first until the queue empties,
-// the breaker rejects, or a transient failure says the peer is still
-// down. Payloads are only popped after a definitive outcome, so a crash
-// mid-send never loses the head silently.
+// wait sleeps d on the drain loop, or until ctx ends or Flush wakes it.
+func (u *Uplink) wait(ctx context.Context, d time.Duration) {
+	wctx, cancel := context.WithCancel(ctx)
+	u.wake.Store(&cancel)
+	u.cfg.Sleep(wctx, d)
+	u.wake.Store(nil)
+	cancel()
+}
+
+// drainOnce sends buffered payloads head-first until the queue empties
+// or ctx ends, waiting out retryDelay before each probe that follows a
+// transient failure. It holds no lock across a request — only the
+// queue's own, to peek and to pop — so a Send never waits on a probe of
+// a hung peer. A payload is popped only after a definitive outcome, so
+// a crash mid-send never loses the head silently; and Pop removes only
+// the payload that was peeked: if drop-oldest evicted it while it was
+// in flight, the eviction already counted it as dropped, not drained.
 func (u *Uplink) drainOnce(ctx context.Context) {
-	for ctx.Err() == nil {
-		u.sendMu.Lock()
-		p, ok := u.queue.Peek()
+	for u.queue.Len() > 0 {
+		if n := u.failures.Load(); n > 0 {
+			u.wait(ctx, u.retryDelay(n))
+		}
+		if ctx.Err() != nil {
+			return
+		}
+		p, pos, ok := u.queue.Peek()
 		if !ok {
-			u.sendMu.Unlock()
 			return
 		}
-		if !u.breaker.Allow() {
-			u.sendMu.Unlock()
-			return
-		}
-		err := u.trySend(ctx, p, 1)
-		switch {
+		switch err := u.attempt(p); {
 		case err == nil:
-			u.queue.Pop()
-			u.drained.Add(1)
-			u.sendMu.Unlock()
-		case IsPermanent(err):
-			u.queue.Pop()
-			u.rejects.Add(1)
-			u.sendMu.Unlock()
-		default:
-			u.sendMu.Unlock()
-			// Peer still down: wait out a backoff before the next probe
-			// rather than spinning — or the peer's own hint, when the
-			// failure carried one, but never past BackoffMax: the peer
-			// sets the hint, and one asking for years would strand the
-			// queue.
-			d := u.backoff.Delay(0)
-			if hint := retryHint(err); hint > 0 {
-				d = min(hint, u.backoff.max)
+			if u.queue.Pop(pos) {
+				u.drained.Add(1)
 			}
-			u.cfg.Sleep(ctx, d)
+		case IsPermanent(err):
+			if u.queue.Pop(pos) {
+				u.rejects.Add(1)
+			}
 		}
 	}
 }
 
 // Flush blocks until the pending frame is dispatched and the buffer is
 // empty, or ctx expires — returning an error describing what is still
-// stranded in the latter case.
+// stranded in the latter case. It cuts the drain loop's current backoff
+// wait short once, so a shutdown flush probes a peer that has recovered
+// now rather than after up to BackoffMax; later retries keep the
+// schedule.
 func (u *Uplink) Flush(ctx context.Context) error {
 	if u.pending != nil {
 		u.sendMu.Lock()
-		u.flushPendingLocked(ctx)
+		u.flushPendingLocked()
 		u.sendMu.Unlock()
+	}
+	if cancel := u.wake.Load(); cancel != nil {
+		(*cancel)()
 	}
 	for {
 		if u.queue.Len() == 0 {
@@ -434,17 +404,15 @@ func (u *Uplink) QueueLen() int { return u.queue.Len() }
 // Stats returns a snapshot of the uplink's counters.
 func (u *Uplink) Stats() UplinkStats {
 	st := UplinkStats{
-		Sent:              u.sent.Load(),
-		Drained:           u.drained.Load(),
-		Retries:           u.retries.Load(),
-		Buffered:          u.queue.Stats().Enqueued,
-		RejectedPermanent: u.rejects.Load(),
-		BatchedPackets:    u.batched.Load(),
-		FramesBuilt:       u.frames.Load(),
-		Queue:             u.queue.Stats(),
-		Breaker:           u.breaker.Stats(),
-		QueueLen:          u.queue.Len(),
-		State:             u.breaker.State(),
+		Sent:                u.sent.Load(),
+		Drained:             u.drained.Load(),
+		Buffered:            u.queue.Stats().Enqueued,
+		RejectedPermanent:   u.rejects.Load(),
+		BatchedPackets:      u.batched.Load(),
+		FramesBuilt:         u.frames.Load(),
+		Queue:               u.queue.Stats(),
+		QueueLen:            u.queue.Len(),
+		ConsecutiveFailures: u.failures.Load(),
 	}
 	if u.pending != nil {
 		u.sendMu.Lock()

@@ -69,11 +69,10 @@ func (sh *shard) history(dev lpwan.EUI64) []Point {
 // growing it exactly once if needed. Points are kept in arrival order,
 // which is not guaranteed to be sorted by At across restarts, so this
 // is a filter, not a binary search. The count pass costs one extra walk
-// of a series already resident under the lock; it replaces the old
-// rangeCopy's geometric append growth (up to 2x the result size in
-// transient garbage per query, ~355 KB/op in BenchmarkTSDBRangeQuery)
-// with a single exact-size allocation — or none, when a pooled buf
-// already has the capacity.
+// of a series already resident under the lock; it replaces geometric
+// append growth (up to 2x the result size in transient garbage per
+// query, ~355 KB/op in BenchmarkTSDBRangeQuery) with a single exact-size
+// allocation — or none, when a pooled buf already has the capacity.
 //
 // Allocations: 0 into a buffer that fits, else 1 (TestRangeAllocBudget).
 func (sh *shard) rangeInto(dev lpwan.EUI64, from, to time.Duration, buf []Point) []Point {

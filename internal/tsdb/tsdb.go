@@ -384,7 +384,7 @@ func (db *DB) ForEach(fn func(Point)) {
 
 // TimesByDevice copies the arrival times of every stored series, one
 // slice per device in that device's arrival order (not guaranteed sorted
-// by At across restarts — see rangeCopy). Order across devices is
+// by At across restarts — see rangeInto). Order across devices is
 // unspecified. Each shard's lock is held only for its own copy. This
 // feeds cross-device gap analysis, which merges the per-device runs
 // rather than re-sorting the fleet's entire history.

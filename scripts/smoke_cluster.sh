@@ -64,7 +64,7 @@ smoke_defer_pid "$N2_PID"
     -cluster-peers "http://127.0.0.1:$BASE,http://127.0.0.1:$((BASE + 1)),http://127.0.0.1:$((BASE + 2))" \
     -replicas 2 -write-quorum 2 -cluster-secret "$SECRET" \
     -suspect-after 500ms -heartbeat-every 200ms \
-    -retries 1 -retry-base 10ms \
+    -retry-base 10ms \
     -debug-addr "127.0.0.1:$DEBUG_PORT" >"$TMP/routerd.log" 2>&1 &
 ROUTER_PID=$!
 smoke_defer_pid "$ROUTER_PID"
