@@ -21,8 +21,9 @@
 // With -cluster-peers the router fronts a replicated endpoint fleet
 // instead of a single endpoint: each verified frame is forwarded to the
 // R owner replicas of its device partition and acknowledged only after
-// W durable appends (WAL-before-ack across machines); each replica sits
-// behind a circuit breaker (-breaker-fails, -breaker-open). The router then
+// W durable appends (WAL-before-ack across machines); a replica the
+// heartbeat detector calls down gets no write until it answers again
+// (-heartbeat-every, -suspect-after; down at 3x). The router then
 // also serves the cluster's public face — POST /ingest, GET /history
 // (merged + read-repaired), GET /status — next to /uplink, and its
 // -debug-addr /healthz aggregates per-node heartbeat state: degraded

@@ -366,13 +366,14 @@ func (s *Store) History(dev lpwan.EUI64) []Reading {
 }
 
 // HistoryRange returns one device's readings with arrival time in
-// [from, to), in arrival order — the storage engine's range query, used
-// by the status page's windowed views.
+// [from, to), in arrival order — the storage engine's range query,
+// behind /history and /export.
 func (s *Store) HistoryRange(dev lpwan.EUI64, from, to time.Duration) []Reading {
-	it := s.db.Range(dev, from, to)
-	out := make([]Reading, 0, it.Remaining())
-	for it.Next() {
-		out = append(out, readingOf(it.Point()))
+	pts, release := s.db.RangeSlice(dev, from, to)
+	defer release()
+	out := make([]Reading, len(pts))
+	for i, pt := range pts {
+		out[i] = readingOf(pt)
 	}
 	return out
 }

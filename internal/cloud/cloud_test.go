@@ -11,7 +11,6 @@ import (
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/sim"
 	"centuryscale/internal/telemetry"
-	"centuryscale/internal/tsdb"
 )
 
 var master = []byte("fleet-master-secret")
@@ -214,7 +213,9 @@ func TestLongestGap(t *testing.T) {
 // replaced: flatten every arrival time and sort the whole history.
 func naiveLongestGap(s *Store, horizon time.Duration) time.Duration {
 	var times []time.Duration
-	s.DB().ForEach(func(p tsdb.Point) { times = append(times, p.At) })
+	for _, run := range s.DB().TimesByDevice() {
+		times = append(times, run...)
+	}
 	if len(times) == 0 {
 		return horizon
 	}

@@ -42,11 +42,13 @@ type Config struct {
 	Secret string
 	// VNodes is the ring's virtual-node count per peer. Default 64.
 	VNodes int
-	// Clock stamps arrivals and drives the failure detector. Default
-	// obs.ProcessClock(); tests inject a fake.
+	// Clock stamps arrivals and drives the failure detector, the one
+	// opinion of peer health that writes, reads, /status and /healthz
+	// all ask. Default obs.ProcessClock(); tests inject a fake.
 	Clock obs.Clock
 	// SuspectAfter / DownAfter are the detector thresholds. Defaults
-	// 2s / 6s.
+	// 2s / 6s. A peer unheard for DownAfter gets no replica write and
+	// no read until a heartbeat or a write reaches it again.
 	SuspectAfter time.Duration
 	DownAfter    time.Duration
 	// Client is the HTTP client for replicated writes, heartbeats and
@@ -54,11 +56,6 @@ type Config struct {
 	// peerIdleConns idle connections per peer and writes each request
 	// whole (peerWriteBuffer).
 	Client *http.Client
-	// Breaker tunes each peer's circuit breaker on the replicated write:
-	// after FailureThreshold failed sends in a row the peer is refused
-	// without a request until OpenFor has passed. Zero fields take
-	// resilience.NewBreaker's defaults.
-	Breaker resilience.BreakerConfig
 }
 
 // Errors from the coordinator.
@@ -74,9 +71,10 @@ var (
 	// ErrUnavailable reports that a read found no live replica for the
 	// device's partition.
 	ErrUnavailable = errors.New("cluster: no live replica for partition")
-	// ErrPeerDown reports a replica send refused without a request: the
-	// peer's breaker is open. Transient, like any failed send.
-	ErrPeerDown = errors.New("cluster: peer down (breaker open)")
+	// ErrPeerDown reports a replica send skipped without a request: the
+	// failure detector calls the peer Down. Transient, like any failed
+	// send.
+	ErrPeerDown = errors.New("cluster: peer down")
 )
 
 // peerIdleConns is how many idle connections the default client keeps
@@ -96,8 +94,11 @@ const peerWriteBuffer = 4<<10 + 8 + batch.MaxFrameBytes
 
 // peer is the coordinator's handle on one endpoint node.
 type peer struct {
-	url     string
-	breaker *resilience.Breaker
+	url string
+	// misses counts packets acknowledged without this owner: its send
+	// failed, or was skipped as Down, while the other owners met W.
+	// Read-repair owes it exactly these records.
+	misses atomic.Uint64
 }
 
 // Coordinator is the router-tier brain: it partitions devices over the
@@ -171,7 +172,7 @@ func New(cfg Config) (*Coordinator, error) {
 		clock:  cfg.Clock,
 	}
 	for _, url := range cfg.Peers {
-		c.peers = append(c.peers, &peer{url: url, breaker: resilience.NewBreaker(cfg.Breaker)})
+		c.peers = append(c.peers, &peer{url: url})
 	}
 	return c, nil
 }
@@ -250,20 +251,18 @@ func splitClusterPayload(payload []byte) (time.Duration, []byte, error) {
 	return time.Duration(binary.BigEndian.Uint64(payload[:8])), payload[8:], nil
 }
 
-// send posts one owner's stamped payload to that node once. An open
-// breaker refuses it without a request (ErrPeerDown); otherwise the
-// breaker learns the answer: a 202, or a refusal the node made for good,
-// counts as a success, anything else as a failure. Sends to one peer
-// take no lock and overlap (DESIGN.md S45).
-func (c *Coordinator) send(ctx context.Context, p *peer, payload []byte) error {
-	if !p.breaker.Allow() {
+// send posts one owner's stamped payload to node once, unless the
+// failure detector calls the node Down: then it makes no request and
+// returns ErrPeerDown, as the read paths skip a Down node. A success — a
+// 202, or a refusal the node made for good — marks the node heard. Sends
+// to one peer take no lock and overlap (DESIGN.md S45).
+func (c *Coordinator) send(ctx context.Context, node int, payload []byte) error {
+	if c.det.Down(node) {
 		return ErrPeerDown
 	}
-	err := c.post(ctx, p, payload)
-	if err == nil || resilience.IsPermanent(err) {
-		p.breaker.Success()
-	} else {
-		p.breaker.Failure()
+	err := c.post(ctx, c.peers[node], payload)
+	if quorumSuccess(err) {
+		c.det.Heard(node)
 	}
 	return err
 }
@@ -301,7 +300,7 @@ func (c *Coordinator) post(ctx context.Context, p *peer, payload []byte) error {
 	case http.StatusUnprocessableEntity:
 		// The replica decided the payload for good (a duplicate from a
 		// retry or a read-repair, or any other final refusal): quorum-
-		// countable, and Permanent, so the breaker counts it a success.
+		// countable, and Permanent, so no upstream hop retries it.
 		return resilience.Permanent(ErrRefused)
 	}
 	return httpapi.ClassifyStatus("cluster: replica", resp)
@@ -352,8 +351,9 @@ func (c *Coordinator) IngestBatch(ctx context.Context, frame []byte) error {
 // lone packet is its own payload, whatever its length). It routes each
 // packet to its owners, sends every owner node one payload under one
 // arrival stamp — the lone packet itself, or a sub-frame of the packets
-// that node owns — feeds the outcomes to the failure detector, and asks
-// the durability question packet by packet.
+// that node owns — and asks the durability question packet by packet.
+// An owner that failed or was skipped while every packet still met W
+// counts the packets it missed (cluster_replica_misses_total).
 //
 // Each owner's payload is built once, at its exact size, by
 // ownerPayloads, and sent once; the sends to different owners — and to
@@ -399,7 +399,7 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int) er
 		go func(node int, p []byte) {
 			defer wg.Done()
 			c.inflight.Add(1)
-			errs[node] = c.send(ctx, c.peers[node], p)
+			errs[node] = c.send(ctx, node, p)
 			c.inflight.Add(-1)
 		}(node, p)
 	}
@@ -408,11 +408,7 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int) er
 	var hint time.Duration
 	var lastErr error
 	for node := range payloads {
-		if payloads[node] == nil {
-			continue
-		}
-		if quorumSuccess(errs[node]) {
-			c.det.Observe(node, true)
+		if payloads[node] == nil || quorumSuccess(errs[node]) {
 			continue
 		}
 		lastErr = errs[node]
@@ -439,6 +435,15 @@ func (c *Coordinator) quorumWrite(ctx context.Context, payload []byte, n int) er
 	}
 	if acked == n {
 		c.acked.Add(uint64(n))
+		if lastErr != nil {
+			// Every packet met W without some owner: each packet that
+			// owner holds in this payload is one read-repair owes it.
+			for _, node := range owners {
+				if !quorumSuccess(errs[node]) {
+					c.peers[node].misses.Add(1)
+				}
+			}
+		}
 		return nil
 	}
 	// The caller retries the whole payload, so nothing in it counts as
@@ -473,10 +478,9 @@ func (c *Coordinator) History(ctx context.Context, dev lpwan.EUI64, from, to tim
 		}
 		recs, err := c.fetchHistory(ctx, c.peers[node], dev)
 		if err != nil {
-			c.det.Observe(node, false)
 			continue
 		}
-		c.det.Observe(node, true)
+		c.det.Heard(node)
 		surveys = append(surveys, survey{node: node, records: recs})
 	}
 	if len(surveys) == 0 {
@@ -577,7 +581,7 @@ func (c *Coordinator) replicate(ctx context.Context, p *peer, dev lpwan.EUI64, r
 }
 
 // HeartbeatOnce probes every peer's /status once, synchronously, and
-// feeds the outcomes to the detector. Exposed on its own so tests (and
+// marks each peer that answered heard. Exposed on its own so tests (and
 // the chaos harness) can drive detection deterministically; daemons run
 // it from RunHeartbeats.
 func (c *Coordinator) HeartbeatOnce(ctx context.Context) {
@@ -586,11 +590,11 @@ func (c *Coordinator) HeartbeatOnce(ctx context.Context) {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			ok := c.probe(ctx, p)
-			if !ok {
+			if c.probe(ctx, p) {
+				c.det.Heard(i)
+			} else {
 				c.hbFailures.Add(1)
 			}
-			c.det.Observe(i, ok)
 		}(i, p)
 	}
 	wg.Wait()
@@ -681,6 +685,13 @@ func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("cluster_ingest_rejected_total", "structurally invalid packets refused outright", c.rejected.Load)
 	reg.CounterFunc("cluster_read_repair_records_total", "records pushed to lagging replicas by read-repair", c.repaired.Load)
 	reg.CounterFunc("cluster_heartbeat_failures_total", "heartbeat probes that did not come back OK", c.hbFailures.Load)
+	reg.CounterFunc("cluster_replica_misses_total", "packets acknowledged without one of their owners, summed over owners", func() uint64 {
+		var n uint64
+		for _, p := range c.peers {
+			n += p.misses.Load()
+		}
+		return n
+	})
 	reg.GaugeFunc("cluster_replica_sends_inflight", "replica sends in progress, summed over peers", func() float64 {
 		return float64(c.inflight.Load())
 	})

@@ -33,10 +33,11 @@ func (s NodeState) String() string {
 }
 
 // Detector is a timeout failure detector: each node's state is a pure
-// function of (time since its last successful heartbeat, the two
-// thresholds). No gossip, no phi-accrual — with a handful of nodes and
-// an injectable clock, the simple thing is also the testable thing.
-// Safe for concurrent use.
+// function of (time since the node was last heard, the two thresholds).
+// No gossip, no phi-accrual — with a handful of nodes and an injectable
+// clock, the simple thing is also the testable thing. It is the
+// coordinator's only liveness state: replica writes, reads, /status and
+// /healthz all ask it. Safe for concurrent use.
 type Detector struct {
 	clock        obs.Clock
 	suspectAfter time.Duration
@@ -71,14 +72,11 @@ func NewDetector(n int, clock obs.Clock, suspectAfter, downAfter time.Duration) 
 	return d
 }
 
-// Observe records a heartbeat outcome for node. A success resets the
-// node's decay; a failure records nothing — state decays by silence, so
-// one lost probe on a healthy node cannot flap it (the next success
-// lands before suspectAfter does).
-func (d *Detector) Observe(node int, ok bool) {
-	if !ok {
-		return
-	}
+// Heard records that node answered — a heartbeat, a replica write, a
+// read — and resets its decay. There is no failure to record: state
+// decays by silence, so one lost probe on a healthy node cannot flap it
+// (the next answer lands before suspectAfter does).
+func (d *Detector) Heard(node int) {
 	now := d.clock()
 	d.mu.Lock()
 	if now > d.lastOK[node] {

@@ -6,9 +6,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"centuryscale/internal/batch"
 	"centuryscale/internal/chaos"
 	"centuryscale/internal/cloud"
 	"centuryscale/internal/lpwan"
@@ -144,8 +149,7 @@ func runChaosKill(t *testing.T, victim int) {
 	coord, err := New(Config{
 		Peers: urls, Replicas: 2, WriteQuorum: 2, Secret: secret,
 		SuspectAfter: 25 * time.Millisecond, DownAfter: 75 * time.Millisecond,
-		Client:  &http.Client{Timeout: 2 * time.Second},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 3, OpenFor: 20 * time.Millisecond},
+		Client: &http.Client{Timeout: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +230,11 @@ func runChaosKill(t *testing.T, victim int) {
 			pending = append(pending, wire)
 		}
 		applyDue()
-		// Opportunistically retry the refused backlog as acks free up.
+		// Opportunistically retry the refused backlog as acks free up,
+		// after a heartbeat round as routerd's heartbeat goroutine would
+		// run: a rebooted node gets writes once it has been heard.
 		if killed == -1 && len(pending) > 0 {
+			coord.HeartbeatOnce(ctx)
 			still := pending[:0]
 			for _, w := range pending {
 				if !trySend(w) {
@@ -247,6 +254,7 @@ func runChaosKill(t *testing.T, victim int) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d packets never acknowledged after recovery (stats %+v)", len(pending), coord.Stats())
 		}
+		coord.HeartbeatOnce(ctx)
 		still := pending[:0]
 		for _, w := range pending {
 			if !trySend(w) {
@@ -313,5 +321,226 @@ func runChaosKill(t *testing.T, victim int) {
 				t.Fatalf("owner %d stored dev %v seq %d mangled: % x vs % x", owner, p.Device, p.Seq, reseal, wire)
 			}
 		}
+	}
+}
+
+// TestReplicaMissesCountWhatRepairOwes: at R=3, W=2 a packet that two
+// owners accept is acknowledged without the third. With one of four
+// nodes down for a span of writes — failing fast at first, then skipped
+// once the detector calls it Down — cluster_replica_misses_total equals
+// the acknowledged packets that node owns in the span, /status shows them
+// as the node's misses, and once the node answers again, /history reads
+// repair exactly that many records onto it.
+func TestReplicaMissesCountWhatRepairOwes(t *testing.T) {
+	for victim := 0; victim < 4; victim++ {
+		t.Run(fmt.Sprintf("down-node-%d", victim), func(t *testing.T) {
+			runReplicaMisses(t, victim)
+		})
+	}
+}
+
+func runReplicaMisses(t *testing.T, victim int) {
+	const devices = 12
+	var down atomic.Bool
+	var writesWhileDown atomic.Int64
+	urls := make([]string, 4)
+	for i := range urls {
+		server := cloud.NewServer(cloud.NewStore(cloud.StaticKeys(master)), time.Now())
+		server.SetClusterSecret(secret)
+		var h http.Handler = server
+		if i == victim {
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if down.Load() {
+					if strings.HasPrefix(r.URL.Path, "/ingest") {
+						writesWhileDown.Add(1)
+					}
+					http.Error(w, "down", http.StatusInternalServerError)
+					return
+				}
+				server.ServeHTTP(w, r)
+			})
+		}
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	clock := &fakeClock{}
+	clock.Advance(time.Hour)
+	c, err := New(Config{
+		Peers: urls, Replicas: 3, WriteQuorum: 2, Secret: secret,
+		Clock: clock.Now, SuspectAfter: time.Second, DownAfter: 3 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close(context.Background()) })
+	reg := obs.NewRegistry()
+	c.RegisterMetrics(reg)
+	front := newFront(t, c)
+	ctx := context.Background()
+
+	// owns reports whether victim is one of dev's three owners.
+	owns := func(dev uint64) bool {
+		for _, o := range c.Ring().Owners(lpwan.EUIFromUint64(dev), 3) {
+			if o == victim {
+				return true
+			}
+		}
+		return false
+	}
+	frameAt := func(seq uint32) (frame []byte, owned uint64) {
+		wires := make([][]byte, devices)
+		for i := range wires {
+			dev := uint64(i + 1)
+			wires[i] = sealed(t, dev, seq, float32(seq))
+			if owns(dev) {
+				owned++
+			}
+		}
+		if frame, err = batch.AppendFrame(nil, wires...); err != nil {
+			t.Fatal(err)
+		}
+		return frame, owned
+	}
+	write := func(seq uint32) uint64 {
+		t.Helper()
+		frame, owned := frameAt(seq)
+		clock.Advance(time.Second)
+		if err := c.IngestBatch(ctx, frame); err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
+		}
+		return owned
+	}
+
+	write(1)
+	down.Store(true)
+	want := write(2) // the victim fails fast
+	// A lone packet, of a device outside the frames, travels bare.
+	lone := uint64(devices + 1)
+	for !owns(lone) {
+		lone++
+	}
+	if err := c.Ingest(ctx, sealed(t, lone, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want++
+	if n := writesWhileDown.Load(); n != 2 {
+		t.Fatalf("the victim was sent %d writes before it was called down, want 2", n)
+	}
+	clock.Advance(3 * time.Second)
+	c.HeartbeatOnce(ctx)
+	if !c.Detector().Down(victim) {
+		t.Fatalf("victim is %v after a silent heartbeat round, want down", c.Detector().State(victim))
+	}
+	want += write(3) // the victim is skipped
+	if n := writesWhileDown.Load(); n != 2 {
+		t.Fatalf("a down victim was sent %d more writes", n-2)
+	}
+	down.Store(false)
+	c.HeartbeatOnce(ctx)
+	write(4)
+
+	if want == 0 {
+		t.Fatal("the victim owns none of the devices; the span tests nothing")
+	}
+	var st statusPayload
+	if code, body := front.get("/status", &st); code != http.StatusOK {
+		t.Fatalf("/status: %d %s", code, body)
+	}
+	for i, n := range st.Nodes {
+		exp := uint64(0)
+		if i == victim {
+			exp = want
+		}
+		if n.Misses != exp {
+			t.Errorf("node %d misses = %d, want %d", i, n.Misses, exp)
+		}
+	}
+	if line := fmt.Sprintf("cluster_replica_misses_total %d\n", want); !strings.Contains(string(reg.Exposition()), line) {
+		t.Errorf("exposition lacks %q", line)
+	}
+
+	before := c.Stats().RepairedRecords
+	for dev := uint64(1); dev <= lone; dev++ {
+		if code, body := front.get("/history?device="+lpwan.EUIFromUint64(dev).String(), nil); code != http.StatusOK {
+			t.Fatalf("/history of %d: %d %s", dev, code, body)
+		}
+	}
+	if got := c.Stats().RepairedRecords - before; got != want {
+		t.Fatalf("read-repair pushed %d records, want the %d the quorum forgave", got, want)
+	}
+}
+
+// TestHungReplicaStopsStallingWrites: at R=3, W=2 one owner accepts
+// connections and never answers. Once the detector calls it Down,
+// writes are acknowledged by the other two without waiting out the
+// client timeout, and the hung owner receives no further request.
+func TestHungReplicaStopsStallingWrites(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int64
+	var held sync.WaitGroup // the accept loop and every connection it holds
+	hang := make(chan struct{})
+	held.Add(1)
+	go func() {
+		defer held.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			held.Add(1)
+			go func() {
+				defer held.Done()
+				<-hang
+				conn.Close()
+			}()
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); close(hang); held.Wait() })
+
+	live := []*node{newNode(t), newNode(t)}
+	const timeout = 10 * time.Second
+	clock := &fakeClock{}
+	clock.Advance(time.Hour)
+	c, err := New(Config{
+		Peers:    []string{live[0].srv.URL, live[1].srv.URL, "http://" + ln.Addr().String()},
+		Replicas: 3, WriteQuorum: 2, Secret: secret,
+		Clock: clock.Now, SuspectAfter: time.Second, DownAfter: 3 * time.Second,
+		Client: &http.Client{Timeout: timeout},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close(context.Background()) })
+
+	// The hung peer is silent past DownAfter; one heartbeat round hears
+	// the other two, and gives up on the hung probe at its own deadline.
+	clock.Advance(3 * time.Second)
+	hb, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	c.HeartbeatOnce(hb)
+	cancel()
+	if s := c.Detector().Snapshot(); s[0] != StateAlive || s[1] != StateAlive || s[2] != StateDown {
+		t.Fatalf("detector = %v, want [alive alive down]", s)
+	}
+	probes := conns.Load()
+
+	start := time.Now()
+	for seq := uint32(1); seq <= 20; seq++ {
+		if err := c.Ingest(context.Background(), sealed(t, uint64(seq), seq, 1)); err != nil {
+			t.Fatalf("write %d: %v", seq, err)
+		}
+	}
+	if took := time.Since(start); took >= timeout/2 {
+		t.Fatalf("20 writes took %v: a down replica still stalls them", took)
+	}
+	if n := conns.Load() - probes; n != 0 {
+		t.Fatalf("the hung replica was sent %d requests after it was called down", n)
+	}
+	if got := c.peers[2].misses.Load(); got != 20 {
+		t.Fatalf("hung replica misses = %d, want all 20 writes", got)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"centuryscale/internal/batch"
 	"centuryscale/internal/cloud"
 	"centuryscale/internal/lpwan"
-	"centuryscale/internal/resilience"
 	"centuryscale/internal/telemetry"
 )
 
@@ -209,30 +208,27 @@ func TestReplicaSendsOverlap(t *testing.T) {
 	})
 }
 
-// TestOpenBreakerSendsNothing: a peer that failed FailureThreshold sends
-// in a row is refused without a request while its breaker is open — the
-// write misses quorum at once, with ErrPeerDown as the cause — and the
-// first send after OpenFor probes it and, answered, closes the breaker.
-// Each payload is sent once: the caller, not the coordinator, retries.
-func TestOpenBreakerSendsNothing(t *testing.T) {
-	var requests atomic.Int64
-	var healthy atomic.Bool
+// TestDownPeerSendsNothing: the failure detector, on the coordinator's
+// one clock, gates replica writes as it gates reads. A write that
+// reaches the peer marks it heard; a peer silent past DownAfter gets no
+// request, and the write misses quorum at once with ErrPeerDown as the
+// cause; one heartbeat round that reaches the peer lets the next write
+// through. Each payload is sent once: the caller, not the coordinator,
+// retries.
+func TestDownPeerSendsNothing(t *testing.T) {
+	var writes atomic.Int64
 	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		if !healthy.Load() {
-			http.Error(w, "down", http.StatusInternalServerError)
+		if r.URL.Path == "/status" {
 			return
 		}
+		writes.Add(1)
 		w.WriteHeader(http.StatusAccepted)
 	}))
 	defer replica.Close()
-	var now atomic.Int64
+	clock := &fakeClock{}
 	c, err := New(Config{
 		Peers: []string{replica.URL}, Replicas: 1, WriteQuorum: 1, Secret: secret,
-		Breaker: resilience.BreakerConfig{
-			FailureThreshold: 2, OpenFor: time.Minute,
-			Now: func() time.Time { return time.Unix(0, now.Load()) },
-		},
+		Clock: clock.Now, SuspectAfter: time.Second, DownAfter: 3 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,31 +236,34 @@ func TestOpenBreakerSendsNothing(t *testing.T) {
 	defer c.Close(context.Background())
 
 	ctx := context.Background()
-	for seq := uint32(1); seq <= 2; seq++ {
-		if err := c.Ingest(ctx, sealed(t, 1, seq, 1)); !errors.Is(err, ErrNoQuorum) {
-			t.Fatalf("write %d to a failing peer: %v, want ErrNoQuorum", seq, err)
+	// Two writes 2 s apart, then 2 s more: the second write was heard,
+	// so 4 s after boot the peer is only suspect and still gets writes.
+	for seq := uint32(1); seq <= 3; seq++ {
+		if err := c.Ingest(ctx, sealed(t, 1, seq, 1)); err != nil {
+			t.Fatalf("write %d to a heard peer: %v", seq, err)
 		}
+		clock.Advance(2 * time.Second)
 	}
-	if n := requests.Load(); n != 2 {
-		t.Fatalf("two writes made %d requests, want 2: each payload is sent once", n)
+	if n := writes.Load(); n != 3 {
+		t.Fatalf("three writes made %d requests, want 3: each payload is sent once", n)
 	}
-	healthy.Store(true) // the peer recovers, but its breaker is open
+	clock.Advance(time.Second) // 3 s since the last write: Down
 	// The quorum error names the last replica's cause in text only: were
 	// it wrapped, one replica's permanent refusal would make the whole
 	// missed quorum permanent upstream.
-	err = c.Ingest(ctx, sealed(t, 1, 3, 1))
+	err = c.Ingest(ctx, sealed(t, 1, 4, 1))
 	if !errors.Is(err, ErrNoQuorum) || !strings.Contains(err.Error(), ErrPeerDown.Error()) {
-		t.Fatalf("write through an open breaker: %v, want ErrNoQuorum from ErrPeerDown", err)
+		t.Fatalf("write to a down peer: %v, want ErrNoQuorum from ErrPeerDown", err)
 	}
-	if n := requests.Load(); n != 2 {
-		t.Fatalf("an open breaker let %d requests through", n-2)
+	if n := writes.Load(); n != 3 {
+		t.Fatalf("a down peer got %d requests", n-3)
 	}
-	now.Store(int64(time.Minute)) // the open window has elapsed: probe
+	c.HeartbeatOnce(ctx) // the peer answers /status: heard
 	if err := c.Ingest(ctx, sealed(t, 1, 4, 1)); err != nil {
-		t.Fatalf("probe write: %v", err)
+		t.Fatalf("write after the peer was heard: %v", err)
 	}
-	if n := requests.Load(); n != 3 {
-		t.Fatalf("the probe made %d requests, want 1", n-2)
+	if n := writes.Load(); n != 4 {
+		t.Fatalf("the write after recovery made %d requests, want 1", n-3)
 	}
 }
 

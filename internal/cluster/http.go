@@ -107,6 +107,9 @@ func (c *Coordinator) handleHistory(w http.ResponseWriter, r *http.Request) {
 type nodeStatus struct {
 	URL   string `json:"url"`
 	State string `json:"state"`
+	// Misses is the peer's cluster_replica_misses_total share: packets
+	// acknowledged without it, which read-repair owes it.
+	Misses uint64 `json:"misses"`
 }
 
 type statusPayload struct {
@@ -122,7 +125,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	states := c.det.Snapshot()
 	nodes := make([]nodeStatus, len(c.peers))
 	for i, p := range c.peers {
-		nodes[i] = nodeStatus{URL: p.url, State: states[i].String()}
+		nodes[i] = nodeStatus{URL: p.url, State: states[i].String(), Misses: p.misses.Load()}
 	}
 	httpapi.WriteJSON(w, statusPayload{
 		Nodes:       nodes,

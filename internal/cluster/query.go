@@ -121,10 +121,9 @@ func (c *Coordinator) proxyDeviceQuery(w http.ResponseWriter, r *http.Request, p
 		}
 		status, body, err := c.fetchQuery(r.Context(), c.peers[node], pathAndQuery)
 		if err != nil {
-			c.det.Observe(node, false)
 			continue
 		}
-		c.det.Observe(node, true)
+		c.det.Heard(node)
 		switch {
 		case status == http.StatusOK:
 			if s, err := score(body); err == nil && s > best {
@@ -285,10 +284,9 @@ func (c *Coordinator) fetchGaps(ctx context.Context, node int, q url.Values) (en
 	}
 	status, body, err := c.fetchQuery(ctx, c.peers[node], "/query/gaps?"+q.Encode())
 	if err != nil {
-		c.det.Observe(node, false)
 		return nil, false
 	}
-	c.det.Observe(node, true)
+	c.det.Heard(node)
 	if status != http.StatusOK || json.Unmarshal(body, &entries) != nil {
 		return nil, false
 	}

@@ -13,7 +13,8 @@ import (
 )
 
 // queryCluster boots a 3-node cluster with R=2, W=1 and a fake clock,
-// feeds count packets for dev (one per hour of virtual arrival time),
+// feeds count packets for dev (one per hour of virtual arrival time,
+// each after a heartbeat round, as routerd would have run in that hour),
 // and returns the nodes, coordinator, and a front server on Handler().
 func queryCluster(t *testing.T, dev uint64, count int) ([]*node, *Coordinator, *httptestFront, *fakeClock) {
 	t.Helper()
@@ -21,6 +22,7 @@ func queryCluster(t *testing.T, dev uint64, count int) ([]*node, *Coordinator, *
 	nodes, c := newCluster(t, 3, 2, 1, clock.Now)
 	for seq := uint32(1); seq <= uint32(count); seq++ {
 		clock.Advance(time.Hour)
+		c.HeartbeatOnce(context.Background())
 		if err := c.Ingest(context.Background(), sealed(t, dev, seq, float32(seq))); err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}

@@ -21,8 +21,6 @@ type ClusterFlags struct {
 	Secret         string
 	HeartbeatEvery time.Duration
 	SuspectAfter   time.Duration
-	BreakerFail    int
-	BreakerOpen    time.Duration
 }
 
 // RegisterClusterFlags declares the standard cluster flags on the
@@ -36,18 +34,16 @@ func RegisterClusterFlags() *ClusterFlags {
 	flag.StringVar(&f.Secret, "cluster-secret", "", "shared secret for intra-cluster routes (required with -cluster-peers)")
 	flag.DurationVar(&f.HeartbeatEvery, "heartbeat-every", 500*time.Millisecond, "peer heartbeat probe interval")
 	flag.DurationVar(&f.SuspectAfter, "suspect-after", 2*time.Second, "heartbeat silence before a peer is suspected (down at 3x)")
-	flag.IntVar(&f.BreakerFail, "breaker-fails", 5, "consecutive failed replica sends that open a peer's circuit breaker")
-	flag.DurationVar(&f.BreakerOpen, "breaker-open", 5*time.Second, "how long a peer's breaker stays open before probing")
 	return f
 }
 
 // Enabled reports whether cluster mode was requested.
 func (f *ClusterFlags) Enabled() bool { return f.Peers != "" }
 
-// Coordinator builds the cluster coordinator from the flags.
-// -breaker-fails and -breaker-open tune each peer's breaker on the
-// replica hop; the resilience flags reach only the daemon's own uplink,
-// which retries what the cluster sheds.
+// Coordinator builds the cluster coordinator from the flags. The
+// heartbeat detector (-heartbeat-every, -suspect-after) decides which
+// replicas get writes; the resilience flags reach only the daemon's own
+// uplink, which retries what the cluster sheds.
 func (f *ClusterFlags) Coordinator() (*cluster.Coordinator, error) {
 	return cluster.New(cluster.Config{
 		Peers:        splitPeers(f.Peers),
@@ -55,7 +51,6 @@ func (f *ClusterFlags) Coordinator() (*cluster.Coordinator, error) {
 		WriteQuorum:  f.WriteQuorum,
 		Secret:       f.Secret,
 		SuspectAfter: f.SuspectAfter,
-		Breaker:      resilience.BreakerConfig{FailureThreshold: f.BreakerFail, OpenFor: f.BreakerOpen},
 	})
 }
 

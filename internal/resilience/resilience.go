@@ -2,8 +2,9 @@
 // exponential backoff with full jitter and a bounded store-and-forward
 // queue, composed into an Uplink wrapper that any layer of the real
 // datapath (gateway backhaul, hotspot→router, router→endpoint) can put
-// in front of its sender, plus the three-state circuit breaker the
-// cluster coordinator keeps per replica.
+// in front of its sender. Peer health is not kept here: the cluster
+// coordinator asks its heartbeat detector, and an Uplink's drain loop
+// learns a peer is back from its next probe.
 //
 // The paper's core claim is that a century-scale deployment survives
 // because every layer above the transmit-only device tolerates failure:

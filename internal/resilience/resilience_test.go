@@ -81,58 +81,6 @@ func TestBackoffOverflowGuard(t *testing.T) {
 	}
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenFor: time.Minute, HalfOpenSuccesses: 2, Now: clock})
-
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("new breaker not closed")
-	}
-	// Two failures, then a success: the consecutive count resets.
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("tripped before threshold of consecutive failures")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatal("did not trip at threshold")
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed a call")
-	}
-	// Window elapses: probes allowed.
-	now = now.Add(time.Minute)
-	if !b.Allow() || b.State() != BreakerHalfOpen {
-		t.Fatalf("no half-open transition: %v", b.State())
-	}
-	// A probe failure re-opens immediately.
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatal("probe failure did not re-open")
-	}
-	now = now.Add(time.Minute)
-	if !b.Allow() {
-		t.Fatal("second probe window refused")
-	}
-	b.Success()
-	if b.State() != BreakerHalfOpen {
-		t.Fatal("closed before enough probe successes")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatal("did not close after probe successes")
-	}
-	st := b.Stats()
-	if st.Trips != 2 || st.Rejected == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // pop peeks the head and pops it by its position.
 func pop(q *Queue) ([]byte, bool) {
 	p, pos, ok := q.Peek()
@@ -737,91 +685,6 @@ func TestDrainEvictedInFlightCountsAsDropped(t *testing.T) {
 	}
 	if st := u.Stats(); st.Drained != 1 || st.Queue.DroppedOldest != 1 || st.Queue.Dequeued != 1 {
 		t.Fatalf("stats = %+v, want 1 drained and 1 dropped", st)
-	}
-}
-
-// TestBreakerHalfOpenConcurrentProbes pins the half-open breaker under
-// concurrent callers, as the cluster coordinator's replica sends use it
-// (DESIGN.md S45): every caller that finds it half-open may probe at
-// once, the first failed probe re-trips it for all, and every call is
-// accounted for exactly once — landed, refused permanently, failed, or
-// turned away by the open breaker without reaching the peer.
-func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
-	const callers = 64
-	var now atomic.Int64
-	var calls atomic.Uint64
-	// The first call fails and trips the breaker; after that every fifth
-	// call fails transiently, every seventh is refused, the rest land.
-	peer := func() error {
-		switch n := calls.Add(1); {
-		case n == 1 || n%5 == 0:
-			return errors.New("transient")
-		case n%7 == 0:
-			return Permanent(errors.New("refused"))
-		}
-		return nil
-	}
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold:  1,
-		OpenFor:           time.Minute,
-		HalfOpenSuccesses: callers + 1, // only a failed probe ends the half-open state
-		Now:               func() time.Time { return time.Unix(0, now.Load()) },
-	})
-	// send is the coordinator's protocol: ask, call, report.
-	send := func() (reached bool, err error) {
-		if !b.Allow() {
-			return false, nil
-		}
-		if err = peer(); err == nil || IsPermanent(err) {
-			b.Success()
-		} else {
-			b.Failure()
-		}
-		return true, err
-	}
-	if _, err := send(); err == nil || b.State() != BreakerOpen {
-		t.Fatalf("the first failure did not trip the breaker: %v, %v", err, b.State())
-	}
-	now.Store(int64(time.Minute)) // the open window has elapsed: half-open
-
-	var landed, refused, failed, down atomic.Uint64
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			switch reached, err := send(); {
-			case !reached:
-				down.Add(1)
-			case err == nil:
-				landed.Add(1)
-			case IsPermanent(err):
-				refused.Add(1)
-			default:
-				failed.Add(1)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-
-	if sum := landed.Load() + refused.Load() + failed.Load() + down.Load(); sum != callers {
-		t.Errorf("landed %d + refused %d + failed %d + down %d = %d, want %d calls",
-			landed.Load(), refused.Load(), failed.Load(), down.Load(), sum, callers)
-	}
-	if failed.Load() == 0 {
-		t.Error("no probe failed; the peer fails every fifth call")
-	}
-	if st := b.Stats(); st.Trips != 2 || b.State() != BreakerOpen {
-		t.Errorf("breaker %v after %d trips, want open after 2: one failed probe re-trips it", b.State(), st.Trips)
-	}
-	if st := b.Stats(); st.Rejected != down.Load() {
-		t.Errorf("breaker counted %d refusals, callers saw %d", st.Rejected, down.Load())
-	}
-	if reached := calls.Load() - 1; reached != callers-down.Load() {
-		t.Errorf("%d probes reached the peer, want %d: a turned-away call must not", reached, callers-down.Load())
 	}
 }
 

@@ -51,9 +51,8 @@ func TestAppendAllocBudget(t *testing.T) {
 
 // TestRangeAllocBudget pins the read path's allocation budget, one call
 // at a time and separately for the two paths a call can take. Pool hit —
-// the steady state: at most 2 allocations, the Iterator (or RangeSlice's
-// release closure) plus nothing else, the result landing in the recycled
-// buffer. Pool miss — first use, after a GC, or whenever the race
+// the steady state: at most 2 allocations, RangeSlice's release closure
+// plus nothing else, the result landing in the recycled buffer. Pool miss — first use, after a GC, or whenever the race
 // detector makes sync.Pool drop a Put (it drops one in four, which is why
 // the old averaged budget of 2 read 3 in one -race run in six): 3 more,
 // the pool's New (a slice header and its 512-point array) and the one
@@ -122,17 +121,6 @@ func TestRangeAllocBudget(t *testing.T) {
 			t.Errorf("%s: %d of %d calls exceeded the pool-miss budget of %d allocations, want <= %d", name, over, calls, missBudget, stray)
 		}
 	}
-	budget("Range", func() {
-		it := db.Range(dev, from, to)
-		n := 0
-		for it.Next() {
-			n++
-		}
-		it.Close()
-		if n != points/3 {
-			t.Fatalf("range returned %d points", n)
-		}
-	})
 	budget("RangeSlice", func() {
 		pts, release := db.RangeSlice(dev, from, to)
 		if len(pts) != points/3 {

@@ -120,40 +120,11 @@ func BenchmarkTSDBRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkTSDBRangeQuery measures the status page's read path: a range
-// query over the middle third of a 10k-point device history.
-func BenchmarkTSDBRangeQuery(b *testing.B) {
-	db, err := Open(Options{Shards: 4}) // memory-only: reads never touch the WAL
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	dev := lpwan.EUIFromUint64(7)
-	const points = 10_000
-	for i := 0; i < points; i++ {
-		db.Load(Point{Device: dev, At: time.Duration(i) * time.Minute, Seq: uint32(i + 1), Value: float32(i)})
-	}
-	from := time.Duration(points/3) * time.Minute
-	to := time.Duration(2*points/3) * time.Minute
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := db.Range(dev, from, to)
-		n := 0
-		for it.Next() {
-			n++
-		}
-		it.Close() // returns the backing buffer to the range pool
-		if n != points/3 {
-			b.Fatalf("range returned %d points", n)
-		}
-	}
-}
-
-// BenchmarkTSDBRangeSlice is the same query through the pooled-slice
-// fast path the query engine uses — no Iterator wrapper at all.
+// BenchmarkTSDBRangeSlice measures the read path /history, /export and
+// the query engine share: a range query over the middle third of a
+// 10k-point device history, its buffer returned to the range pool.
 func BenchmarkTSDBRangeSlice(b *testing.B) {
-	db, err := Open(Options{Shards: 4})
+	db, err := Open(Options{Shards: 4}) // memory-only: reads never touch the WAL
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -343,21 +343,12 @@ var rangePool = sync.Pool{
 	},
 }
 
-// Range returns an iterator over one device's points with At in
-// [from, to), in arrival order. The iterator holds a private copy, so it
-// stays valid (and the shard stays unlocked) while the caller streams
-// it out to a slow HTTP client. The copy's buffer is pooled: call Close
-// when done to recycle it. Skipping Close is safe — the buffer is then
-// simply garbage-collected instead of reused.
-func (db *DB) Range(dev lpwan.EUI64, from, to time.Duration) *Iterator {
-	pts, release := db.RangeSlice(dev, from, to)
-	return &Iterator{pts: pts, i: -1, release: release}
-}
-
-// RangeSlice is the allocation-free form of Range: the returned slice
-// borrows a pooled buffer, and release returns it to the pool. The
-// slice must not be used after release (which is idempotent and safe to
-// drop — unreleased buffers are garbage-collected).
+// RangeSlice returns one device's points with At in [from, to), in
+// arrival order: a private copy taken under the shard lock, so it never
+// blocks ingest and never observes a later append. The slice borrows a
+// pooled buffer, and release returns it to the pool. The slice must not
+// be used after release (which is idempotent; a buffer never released
+// is garbage-collected instead of reused).
 func (db *DB) RangeSlice(dev lpwan.EUI64, from, to time.Duration) (pts []Point, release func()) {
 	bufp := rangePool.Get().(*[]Point)
 	*bufp = db.shardFor(dev).rangeInto(dev, from, to, (*bufp)[:0])
@@ -365,19 +356,6 @@ func (db *DB) RangeSlice(dev lpwan.EUI64, from, to time.Duration) (pts []Point, 
 		if bufp != nil {
 			rangePool.Put(bufp)
 			bufp = nil
-		}
-	}
-}
-
-// ForEach calls fn for every stored point, shard by shard (each shard's
-// lock is held only for its own copy). Order within a device follows
-// arrival; order across devices is unspecified.
-func (db *DB) ForEach(fn func(Point)) {
-	for _, sh := range db.shards {
-		for _, pts := range sh.snapshot() {
-			for _, p := range pts {
-				fn(p)
-			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ func TestMemoryAppendHistoryDevices(t *testing.T) {
 	}
 }
 
-func TestRangeIterator(t *testing.T) {
+func TestRangeSlice(t *testing.T) {
 	db := mustOpen(t, Options{Shards: 2})
 	dev := uint64(7)
 	for seq := uint32(1); seq <= 10; seq++ {
@@ -70,31 +70,25 @@ func TestRangeIterator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it := db.Range(lpwan.EUIFromUint64(dev), 3*time.Hour, 7*time.Hour)
-	if it.Remaining() != 4 {
-		t.Fatalf("remaining = %d", it.Remaining())
+	pts, release := db.RangeSlice(lpwan.EUIFromUint64(dev), 3*time.Hour, 7*time.Hour)
+	if len(pts) != 4 {
+		t.Fatalf("range holds %d points, want 4", len(pts))
 	}
-	want := uint32(3)
-	for it.Next() {
-		if got := it.Point().Seq; got != want {
-			t.Fatalf("iterator seq = %d, want %d", got, want)
+	for i, p := range pts {
+		if want := uint32(3 + i); p.Seq != want {
+			t.Fatalf("range seq = %d, want %d", p.Seq, want)
 		}
-		want++
 	}
-	if want != 7 {
-		t.Fatalf("iterator ended at seq %d", want)
-	}
-	// The iterator is a snapshot: appends after creation are invisible.
-	it = db.Range(lpwan.EUIFromUint64(dev), 0, time.Duration(1<<62))
+	release()
+	release() // idempotent
+	// The slice is a snapshot: appends after the call are invisible.
+	pts, release = db.RangeSlice(lpwan.EUIFromUint64(dev), 0, time.Duration(1<<62))
+	defer release()
 	if err := db.Append(pt(dev, 11, 11*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for it.Next() {
-		n++
-	}
-	if n != 10 {
-		t.Fatalf("iterator saw %d points", n)
+	if len(pts) != 10 || pts[9].Seq != 10 {
+		t.Fatalf("range saw %d points, last seq %d", len(pts), pts[len(pts)-1].Seq)
 	}
 }
 

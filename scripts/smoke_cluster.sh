@@ -110,6 +110,11 @@ METRICS="$(curl -s "http://127.0.0.1:$DEBUG_PORT/metrics")"
 printf '%s\n' "$METRICS" | grep -q '^cluster_replica_sends_inflight ' ||
     smoke_fail "/metrics does not export cluster_replica_sends_inflight"
 
+# At R=2, W=2 every acknowledged packet reached both of its owners, so
+# no packet was acknowledged without one: the miss counter reads 0.
+printf '%s\n' "$METRICS" | grep -qx 'cluster_replica_misses_total 0' ||
+    smoke_fail "cluster_replica_misses_total is not 0 at W=R: $(printf '%s\n' "$METRICS" | grep '^cluster_replica_misses_total')"
+
 # The replica hop's shape is chosen by payload size (DESIGN.md S46):
 # clusterload sends only lone packets, so every node — the rebooted
 # victim included — must have taken them bare on /ingest, never as
