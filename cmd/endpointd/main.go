@@ -167,7 +167,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("endpointd: WAL replay: %v", err)
 		}
-		log.Printf("endpointd: WAL replay: %d records, %d applied, %d corrupt frames tolerated in %v (shards %d, fsync %s)",
+		log.Printf("endpointd: WAL replay: %d points, %d applied, %d corrupt frames tolerated in %v (shards %d, fsync %s)",
 			rs.Records, rs.Kept, rs.Corruptions, time.Since(begin).Round(time.Millisecond), *shards, *walFsync)
 	}
 

@@ -751,11 +751,27 @@ func TestDamagedSegmentRefusesBoot(t *testing.T) {
 
 // TestFrameWorkloadDirectoryUnchanged is K6: a durable store that never
 // checkpoints (an endpointd without -snapshot) leaves nothing on disk
-// but its WAL, at exactly one 38-byte record per accepted packet.
+// but its WAL, 17 + 21k bytes per run of k points. A frame's packets
+// share one arrival, so each storage shard it touches logs one run
+// (split at 194 points); a lone packet is a run of one, 38 bytes.
 func TestFrameWorkloadDirectoryUnchanged(t *testing.T) {
 	r := newRig(t)
 	s := r.boot()
-	n := feedDays(t, s, 0, 2)
+	singles := feedDays(t, s, 0, 2)
+	const frames, perFrame = 8, 256
+	for f := 0; f < frames; f++ {
+		wires := make([][]byte, perFrame)
+		for i := range wires {
+			wires[i] = sealed(t, uint64(0xD000+i), uint32(f+1), float32(i%23))
+		}
+		res, err := s.IngestBatch(3*24*time.Hour+time.Duration(f)*time.Minute, frameOf(t, wires...))
+		if err != nil || res.Accepted != perFrame {
+			t.Fatalf("frame %d: %+v, %v", f, res, err)
+		}
+	}
+	// Each frame spreads over all four of the rig's shards, at most 194
+	// packets on any: four runs.
+	const want = 432*38 + frames*(4*17+perFrame*21)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -773,8 +789,8 @@ func TestFrameWorkloadDirectoryUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != int64(n)*38 || tsdb.RecordSize != 38 {
-		t.Fatalf("%d bytes on disk for %d packets, want exactly 38 each", total, n)
+	if total != want || singles != 432 || tsdb.RecordSize != 38 {
+		t.Fatalf("%d bytes on disk for %d single packets and %d frames of %d, want exactly %d", total, singles, frames, perFrame, want)
 	}
 }
 

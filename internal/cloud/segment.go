@@ -34,8 +34,10 @@ import (
 // frames (appendCompactFrame), the only ones a checkpoint writes; 1 and 2
 // are the fixed 60-byte buckets of manifest version 3, still read, since
 // a segment written before the upgrade takes compact frames appended to
-// it. The tail file is a run of the WAL's own 38-byte point records
-// (tsdb.AppendRecord).
+// it. The tail file is a sequence of 38-byte point records
+// (tsdb.AppendRecord), the WAL's record type 0x01; the WAL's arrival
+// runs (0x02) are never written there, though its reader would accept
+// them (FORMAT.md).
 const (
 	segFrameHeader  = 21
 	maxFrameBuckets = 1024

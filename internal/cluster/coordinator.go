@@ -584,7 +584,15 @@ func (c *Coordinator) replicate(ctx context.Context, p *peer, dev lpwan.EUI64, r
 // marks each peer that answered heard. Exposed on its own so tests (and
 // the chaos harness) can drive detection deterministically; daemons run
 // it from RunHeartbeats.
+//
+// A round gives up on its probes after half of SuspectAfter: a peer that
+// has not answered by then is not heard this round, and the round ends.
+// Waiting out the slowest probe instead — one hung peer holds it for the
+// client's whole timeout — would leave every healthy peer unheard for
+// that long, decaying to Suspect or Down between rounds.
 func (c *Coordinator) HeartbeatOnce(ctx context.Context) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.SuspectAfter/2)
+	defer cancel()
 	var wg sync.WaitGroup
 	for i, p := range c.peers {
 		wg.Add(1)

@@ -471,16 +471,15 @@ func runReplicaMisses(t *testing.T, victim int) {
 	}
 }
 
-// TestHungReplicaStopsStallingWrites: at R=3, W=2 one owner accepts
-// connections and never answers. Once the detector calls it Down,
-// writes are acknowledged by the other two without waiting out the
-// client timeout, and the hung owner receives no further request.
-func TestHungReplicaStopsStallingWrites(t *testing.T) {
+// hungPeer listens on loopback, accepts every connection and never
+// answers on it. It returns the peer's URL and a count of the
+// connections accepted.
+func hungPeer(t *testing.T) (string, *atomic.Int64) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var conns atomic.Int64
+	conns := new(atomic.Int64)
 	var held sync.WaitGroup // the accept loop and every connection it holds
 	hang := make(chan struct{})
 	held.Add(1)
@@ -501,13 +500,55 @@ func TestHungReplicaStopsStallingWrites(t *testing.T) {
 		}
 	}()
 	t.Cleanup(func() { ln.Close(); close(hang); held.Wait() })
+	return "http://" + ln.Addr().String(), conns
+}
 
+// TestHungPeerDoesNotStretchHeartbeats: one peer accepts and never
+// answers, on the default client (5 s timeout). A heartbeat round gives
+// up on it at half of SuspectAfter, so the healthy peers are heard every
+// round and never read Suspect or Down, while the hung one decays.
+func TestHungPeerDoesNotStretchHeartbeats(t *testing.T) {
+	hung, _ := hungPeer(t)
+	live := []*node{newNode(t), newNode(t)}
+	c, err := New(Config{
+		Peers:    []string{live[0].srv.URL, live[1].srv.URL, hung},
+		Replicas: 2, WriteQuorum: 2, Secret: secret,
+		SuspectAfter: time.Second, DownAfter: 3 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close(context.Background()) })
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.RunHeartbeats(ctx, 100*time.Millisecond)
+	}()
+	defer func() { cancel(); <-done }()
+
+	for end := time.Now().Add(2500 * time.Millisecond); time.Now().Before(end); time.Sleep(50 * time.Millisecond) {
+		if s := c.Detector().Snapshot(); s[0] != StateAlive || s[1] != StateAlive {
+			t.Fatalf("detector = %v: a hung peer's probe kept the healthy ones unheard", s)
+		}
+	}
+	if s := c.Detector().State(2); s == StateAlive {
+		t.Fatalf("hung peer reads %v after 2.5 s of silence", s)
+	}
+}
+
+// TestHungReplicaStopsStallingWrites: at R=3, W=2 one owner accepts
+// connections and never answers. Once the detector calls it Down,
+// writes are acknowledged by the other two without waiting out the
+// client timeout, and the hung owner receives no further request.
+func TestHungReplicaStopsStallingWrites(t *testing.T) {
+	hung, conns := hungPeer(t)
 	live := []*node{newNode(t), newNode(t)}
 	const timeout = 10 * time.Second
 	clock := &fakeClock{}
 	clock.Advance(time.Hour)
 	c, err := New(Config{
-		Peers:    []string{live[0].srv.URL, live[1].srv.URL, "http://" + ln.Addr().String()},
+		Peers:    []string{live[0].srv.URL, live[1].srv.URL, hung},
 		Replicas: 3, WriteQuorum: 2, Secret: secret,
 		Clock: clock.Now, SuspectAfter: time.Second, DownAfter: 3 * time.Second,
 		Client: &http.Client{Timeout: timeout},

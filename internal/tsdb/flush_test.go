@@ -78,8 +78,10 @@ func TestFlushMetrics(t *testing.T) {
 	}
 
 	lsn := db.AppendDeferred([]Point{pt(1, 1, time.Minute), pt(2, 1, time.Minute), pt(3, 1, time.Minute)})
-	if got := sample("tsdb_wal_unflushed_bytes"); got != "114" {
-		t.Fatalf("unflushed bytes before the flush = %s, want 3 records = 114", got)
+	// Device 1's lone point record (38), then devices 2 and 3, which
+	// share the other shard, as one arrival run of two (17 + 2×21).
+	if got := sample("tsdb_wal_unflushed_bytes"); got != "97" {
+		t.Fatalf("unflushed bytes before the flush = %s, want a run of 2 and a point record = 97", got)
 	}
 	if err := db.Flush(lsn); err != nil {
 		t.Fatal(err)
@@ -97,6 +99,7 @@ func TestFlushMetrics(t *testing.T) {
 	}
 	for name, want := range map[string]string{
 		"tsdb_wal_unflushed_bytes":      "0",
+		"tsdb_wal_bytes_total":          "135", // the frame's 97, and the retried point's 38 once
 		"tsdb_wal_flushes_total":        "2",
 		"tsdb_wal_flush_failures_total": "1",
 		"tsdb_wal_fsyncs_total":         "2",

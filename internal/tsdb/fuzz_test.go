@@ -2,7 +2,9 @@ package tsdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 	"time"
@@ -10,11 +12,119 @@ import (
 	"centuryscale/internal/lpwan"
 )
 
+// runOf returns k points of distinct devices that share one arrival.
+func runOf(k int, at time.Duration) []Point {
+	ps := make([]Point, k)
+	for i := range ps {
+		ps[i] = Point{Device: lpwan.EUIFromUint64(uint64(0xC0DE + i)), At: at, Seq: uint32(7 + i), Sensor: uint8(i % 5), Value: float32(i) / 4, Uptime: uint32(99 * i)}
+	}
+	return ps
+}
+
+// framed wraps payload in a frame header with a correct CRC.
+func framed(payload []byte) []byte {
+	rec := make([]byte, frameHeader, frameHeader+len(payload))
+	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
+	return append(rec, payload...)
+}
+
+// runRefusals are arrival-run frames the decoder must refuse, however
+// sound their CRC: no entries, lengths not of the form 9+21k, and a run
+// too long for MaxFrame (refused at the length prefix, so its frame is
+// the header alone).
+var runRefusals = []struct {
+	name  string
+	frame []byte
+	want  error
+}{
+	{"k=0", framed(appendRun(nil, runOf(1, time.Hour))[frameHeader : frameHeader+runHeader]), ErrBadRecord},
+	{"entry short a byte", framed(appendRun(nil, runOf(2, time.Hour))[frameHeader : frameHeader+runHeader+2*runEntry-1]), ErrBadRecord},
+	{"entry and a byte", framed(append(appendRun(nil, runOf(1, time.Hour))[frameHeader:], 0)), ErrBadRecord},
+	{"arrival only half there", framed([]byte{recordRun, 0, 0, 0, 0}), ErrBadRecord},
+	{"k=maxRun+1", binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, runHeader+runEntry*(maxRun+1)), 0), ErrFrameSize},
+	{"unknown type", framed(append([]byte{0x03}, appendRun(nil, runOf(1, time.Hour))[frameHeader+1:]...)), ErrBadRecord},
+}
+
+// TestRunRecordRefusals: after an intact run, each refused frame ends
+// the read with its error, and the intact prefix is exactly the run.
+func TestRunRecordRefusals(t *testing.T) {
+	head := appendRun(nil, runOf(3, time.Minute))
+	for _, tc := range runRefusals {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []Point
+			n, good, err := DecodeRecords(bytes.NewReader(append(append([]byte(nil), head...), tc.frame...)), func(p Point) { got = append(got, p) })
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if n != 3 || len(got) != 3 || good != int64(len(head)) {
+				t.Fatalf("intact prefix: %d points, %d emitted, %d bytes; want 3, 3, %d", n, len(got), good, len(head))
+			}
+		})
+	}
+}
+
+// TestAppendLogRuns pins what the WAL writes for a shard's group: one
+// arrival run per run of points sharing At, split at maxRun, 17 + 21k
+// bytes each, a lone point as its 38-byte point record, and every point
+// back in order on decode.
+func TestAppendLogRuns(t *testing.T) {
+	var ps []Point
+	ps = append(ps, runOf(256, time.Hour)...)      // split 194 + 62
+	ps = append(ps, runOf(1, 2*time.Hour)...)      // lone: a point record
+	ps = append(ps, runOf(maxRun, 3*time.Hour)...) // exactly one full run
+	ps = append(ps, runOf(2, 4*time.Hour)...)
+	log := appendLog(nil, ps)
+	want := 17*2 + 21*256 + RecordSize + 17 + 21*maxRun + 17 + 21*2
+	if len(log) != want {
+		t.Fatalf("%d bytes, want %d", len(log), want)
+	}
+	var types []byte
+	for off := 0; off < len(log); off += frameHeader + int(binary.BigEndian.Uint32(log[off:])) {
+		types = append(types, log[off+frameHeader])
+	}
+	if !bytes.Equal(types, []byte{recordRun, recordRun, recordPoint, recordRun, recordRun}) {
+		t.Fatalf("record types %x", types)
+	}
+	var got []Point
+	n, good, err := DecodeRecords(bytes.NewReader(log), func(p Point) { got = append(got, p) })
+	if err != nil || n != uint64(len(ps)) || good != int64(len(log)) {
+		t.Fatalf("decode: %d points, %d bytes, %v", n, good, err)
+	}
+	for i := range ps {
+		if got[i] != ps[i] {
+			t.Fatalf("point %d: got %+v, want %+v", i, got[i], ps[i])
+		}
+	}
+}
+
+// resealed returns a copy of data with the CRC of every frame whose
+// length field is within MaxFrame and keeps it inside data recomputed,
+// so that a mutation of a payload reaches the record decoders instead of
+// stopping at the checksum. The checksum's own refusal is
+// TestRecoveryFlippedCRCByte's.
+func resealed(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	for off := 0; off+frameHeader <= len(out); {
+		n := binary.BigEndian.Uint32(out[off:])
+		end := off + frameHeader + int(n)
+		if n > MaxFrame || end > len(out) {
+			break
+		}
+		binary.BigEndian.PutUint32(out[off+4:], crc32.Checksum(out[off+frameHeader:end], castagnoli))
+		off = end
+	}
+	return out
+}
+
 // FuzzWALDecode drives the frame decoder with arbitrary bytes, the way
-// a corrupted disk or a hostile file would: it must never panic, never
-// allocate beyond MaxFrame for a payload, and anything it does decode
-// must re-encode to the exact bytes it came from (the framing is
-// canonical). Mirrors internal/telemetry's FuzzVerify discipline.
+// a corrupted disk or a hostile file would, every in-bounds frame
+// resealed first (resealed): it must never panic, never allocate beyond
+// MaxFrame for a payload, refuse what FORMAT.md refuses (a run of no
+// points, a run length not 9+21k, a length above MaxFrame), and anything
+// it does decode, of either record type, must re-encode to the exact
+// bytes it came from (the framing is canonical). Mirrors
+// internal/telemetry's FuzzVerify discipline.
 func FuzzWALDecode(f *testing.F) {
 	// Seed with valid frames so the fuzzer starts from the real format.
 	valid := AppendRecord(nil, Point{
@@ -26,16 +136,27 @@ func FuzzWALDecode(f *testing.F) {
 		Uptime: 99,
 	})
 	two := AppendRecord(append([]byte(nil), valid...), Point{Device: lpwan.EUIFromUint64(1), Seq: 1})
+	// Seeds stay small: the fuzzer minimizes every new input it finds,
+	// and minimizing a kilobyte-long one stalls it for seconds.
+	run := appendRun(nil, runOf(3, 42*time.Hour))
 	f.Add(valid)
 	f.Add(two)
+	f.Add(run)
+	f.Add(appendLog(append([]byte(nil), valid...), append(runOf(2, time.Hour), runOf(1, 2*time.Hour)...)))
+	f.Add(appendRun(nil, runOf(1, 0)))
+	for _, tc := range runRefusals {
+		f.Add(append(append([]byte(nil), run...), tc.frame...))
+	}
 	f.Add(valid[:len(valid)-5])           // torn tail
+	f.Add(run[:len(run)-5])               // torn run
 	f.Add(bytes.Repeat([]byte{0xFF}, 64)) // garbage length prefix
 	f.Add(bytes.Repeat([]byte{0x00}, 64)) // zero length prefix
 	corrupted := append([]byte(nil), valid...)
-	corrupted[frameHeader+4] ^= 0x20 // payload bit flip -> CRC mismatch
+	corrupted[frameHeader+4] ^= 0x20 // payload bit flip, resealed: reaches the decoder
 	f.Add(corrupted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = resealed(data)
 		r := bytes.NewReader(data)
 		buf := make([]byte, frameHeader+MaxFrame)
 		for {
@@ -54,15 +175,33 @@ func FuzzWALDecode(f *testing.F) {
 			if len(payload) > MaxFrame {
 				t.Fatalf("decoder over-allocated: %d bytes", len(payload))
 			}
-			p, err := decodePoint(payload)
+			var pts []Point
+			n, err := decodePayload(payload, func(p Point) { pts = append(pts, p) })
 			if err != nil {
 				if !errors.Is(err, ErrBadRecord) {
 					t.Fatalf("unclassified record error: %v", err)
 				}
+				if len(pts) != 0 {
+					t.Fatalf("refused payload emitted %d points", len(pts))
+				}
 				return
 			}
-			// Canonical: a decoded point re-frames to identical bytes.
-			reframed := AppendRecord(nil, p)
+			// Canonical: decoded points re-frame to identical bytes.
+			var reframed []byte
+			switch payload[0] {
+			case recordPoint:
+				reframed = AppendRecord(nil, pts[0])
+			case recordRun:
+				if n < 1 || n > maxRun || len(payload) != runHeader+runEntry*n {
+					t.Fatalf("accepted a run of %d points in %d bytes", n, len(payload))
+				}
+				reframed = appendRun(nil, pts)
+			default:
+				t.Fatalf("accepted record type %#x", payload[0])
+			}
+			if n != len(pts) {
+				t.Fatalf("decoder reported %d points, emitted %d", n, len(pts))
+			}
 			if !bytes.Equal(reframed[frameHeader:], payload) {
 				t.Fatalf("round trip not canonical:\n in: %x\nout: %x", payload, reframed[frameHeader:])
 			}

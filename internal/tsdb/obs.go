@@ -44,12 +44,13 @@ func (db *DB) Health() error {
 // the flusher two clock readings per flush, never per record.
 func (db *DB) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("tsdb_appended_total", "points admitted to the memtable and the log buffer (acknowledged only once flushed)", db.appended.Load)
-	reg.CounterFunc("tsdb_replayed_total", "WAL records decoded at boot replay", db.replayed.Load)
+	reg.CounterFunc("tsdb_replayed_total", "points decoded from the WAL at boot replay", db.replayed.Load)
 	reg.CounterFunc("tsdb_corruptions_total", "torn or corrupt WAL frames tolerated", db.corruptions.Load)
 	reg.CounterFunc("tsdb_append_errors_total", "points of Append/AppendBatch calls whose flush failed: admitted, not acknowledged, their retry is a duplicate", db.appendErrors.Load)
 	if w := db.wal; w != nil {
 		reg.CounterFunc("tsdb_wal_fsyncs_total", "WAL fsync syscalls issued", w.fsyncs.Load)
 		reg.CounterFunc("tsdb_wal_fsync_errors_total", "WAL fsync syscalls failed", w.fsyncErrs.Load)
+		reg.CounterFunc("tsdb_wal_bytes_total", "record bytes written to the log by flushes that succeeded; over tsdb_appended_total, the log's bytes per point", w.flushed.Load)
 		reg.CounterFunc("tsdb_wal_flushes_total", "log flushes that wrote at least one record", w.flushes.Load)
 		reg.CounterFunc("tsdb_wal_flush_failures_total", "log flushes failed (nothing they covered was acknowledged)", w.flushFails.Load)
 		reg.GaugeFunc("tsdb_wal_unflushed_bytes", "record bytes appended to the log buffer and not yet flushed", func() float64 {

@@ -25,15 +25,13 @@ func newShard(w *wal) *shard {
 // any of them is acknowledged. Log-buffer append and memtable insert
 // share the critical section, so log order and memtable order agree per
 // device: what /history serves live is what replay rebuilds. The records
-// are encoded before the log's own mutex is taken, which is then held
-// for one memcpy.
+// — one arrival run per run of points sharing At (appendLog) — are
+// encoded before the log's own mutex is taken, which is then held for
+// one memcpy.
 func (sh *shard) append(ps []Point) (lsn LSN) {
 	sh.mu.Lock()
 	if sh.wal != nil {
-		sh.scratch = sh.scratch[:0]
-		for _, p := range ps {
-			sh.scratch = AppendRecord(sh.scratch, p)
-		}
+		sh.scratch = appendLog(sh.scratch[:0], ps)
 		lsn = sh.wal.append(sh.scratch)
 	}
 	for _, p := range ps {

@@ -57,8 +57,8 @@ type Stats struct {
 
 // ReplayStats summarises one boot-time WAL replay.
 type ReplayStats struct {
-	Records     uint64 // records decoded from the WAL
-	Kept        uint64 // records the caller's filter admitted
+	Records     uint64 // points decoded from the WAL, of either record type
+	Kept        uint64 // points the caller's filter admitted
 	Corruptions uint64 // torn/corrupt frames tolerated
 }
 
@@ -248,9 +248,9 @@ func (db *DB) Replay(keep func(Point) bool) (ReplayStats, error) {
 		}
 	}
 	replay := func(dir string, segs []uint64) error {
-		records, corruptions, err := replaySegments(dir, segs, db.opts.Logf, emit)
+		points, corruptions, err := replaySegments(dir, segs, db.opts.Logf, emit)
 		drain()
-		st.Records += records
+		st.Records += points
 		st.Corruptions += corruptions
 		return err
 	}
@@ -271,7 +271,7 @@ func (db *DB) Replay(keep func(Point) bool) (ReplayStats, error) {
 	return st, err
 }
 
-// replayBatch is how many records Replay holds at a time (2.5 MiB of
+// replayBatch is how many points Replay holds at a time (2.5 MiB of
 // Points): enough that each shard's share of a batch revisits its
 // devices many times over, small beside the memtable being rebuilt.
 const replayBatch = 1 << 16

@@ -436,18 +436,18 @@ func (w *wal) removeBelow(idx uint64) error {
 // The crash-time segment's torn tail is the usual case; a failed flush
 // that could not repair its segment (dropTorn, abandon) leaves one
 // mid-list. Replayed segments all predate the open and have no writer.
-func replaySegments(dir string, segs []uint64, logf func(string, ...any), emit func(Point)) (records, corruptions uint64, err error) {
+func replaySegments(dir string, segs []uint64, logf func(string, ...any), emit func(Point)) (points, corruptions uint64, err error) {
 	for _, idx := range segs {
 		path := filepath.Join(dir, segName(idx))
-		segRecords, good, corrupt, err := replaySegment(path, emit)
-		records += segRecords
+		segPoints, good, corrupt, err := replaySegment(path, emit)
+		points += segPoints
 		if err != nil {
-			return records, corruptions, err
+			return points, corruptions, err
 		}
 		if corrupt != nil {
 			corruptions++
 			if logf != nil {
-				logf("tsdb: %s: %v after %d records (%d bytes intact); recovering", path, corrupt, segRecords, good)
+				logf("tsdb: %s: %v after %d points (%d bytes intact); recovering", path, corrupt, segPoints, good)
 			}
 			// Best-effort: a segment that cannot be trimmed is counted again.
 			if terr := os.Truncate(path, good); terr != nil && logf != nil {
@@ -455,7 +455,7 @@ func replaySegments(dir string, segs []uint64, logf func(string, ...any), emit f
 			}
 		}
 	}
-	return records, corruptions, nil
+	return points, corruptions, nil
 }
 
 // listSegments returns the sorted segment indices in dir.
@@ -477,13 +477,13 @@ func listSegments(dir string) ([]uint64, error) {
 // replaySegment reads one segment, emitting decoded points, and reports
 // how many bytes of intact records prefix the file. A decode failure is
 // returned as corrupt (recoverable); only I/O setup errors are fatal.
-func replaySegment(path string, emit func(Point)) (records uint64, goodBytes int64, corrupt, err error) {
+func replaySegment(path string, emit func(Point)) (points uint64, goodBytes int64, corrupt, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("tsdb: wal segment: %w", err)
 	}
 	//lint:syncerr read-only replay handle; a close error cannot un-write the records just decoded
 	defer f.Close()
-	records, goodBytes, corrupt = DecodeRecords(bufio.NewReader(f), emit)
-	return records, goodBytes, corrupt, nil
+	points, goodBytes, corrupt = DecodeRecords(bufio.NewReader(f), emit)
+	return points, goodBytes, corrupt, nil
 }

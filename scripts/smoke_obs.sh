@@ -37,8 +37,9 @@ STATUS="$(curl -s -o "$METRICS" -w '%{http_code}' "http://127.0.0.1:$DEBUG_PORT/
 [ -s "$METRICS" ] || smoke_fail "/metrics exposition is empty"
 
 # The registry must actually carry the daemon's instruments, not just
-# any bytes: check for one cloud counter and one tsdb counter.
-for want in cloud_ingest_accepted_total tsdb_appended_total; do
+# any bytes: check for one cloud counter and the tsdb counters whose
+# ratio is the log's bytes per point.
+for want in cloud_ingest_accepted_total tsdb_appended_total tsdb_wal_bytes_total; do
     grep -q "^$want " "$METRICS" || smoke_fail "exposition is missing $want:" "$METRICS"
 done
 
