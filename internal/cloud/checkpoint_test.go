@@ -650,6 +650,73 @@ func sameAnswers(t *testing.T, a, b *Store) {
 // the load with the file (and the offset, where there is one) — and
 // leaves the store it was loading into untouched. Bytes past the
 // recorded length and files the manifest does not name are not damage.
+// TestDevicesOutliveTheirRawWindow: a device that reports once and then
+// falls silent past the raw window stays in /devices and in /status's
+// count after a checkpoint folds its only reading away — live, after a
+// reboot from manifest plus WAL, and after a reload of the JSON export
+// (K3). Its one reading carries sequence number 0, so the reboots must
+// give it a record from a bucket MaxSeq of 0.
+func TestDevicesOutliveTheirRawWindow(t *testing.T) {
+	const quiet, chatty = 0xD1, 0xD2
+	r := newRig(t)
+	live := r.boot()
+	defer live.Close()
+	if err := live.Ingest(time.Hour, sealed(t, quiet, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 72; i++ {
+		if err := live.Ingest(time.Duration(i)*time.Hour, sealed(t, chatty, uint32(i), 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.CheckpointAt(r.snap, live.HighWater()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(live.History(lpwan.EUIFromUint64(quiet))); n != 0 {
+		t.Fatalf("the checkpoint left %d raw readings of the silent device", n)
+	}
+	// One more reading after the checkpoint, so the reboot replays a WAL.
+	if err := live.Ingest(73*time.Hour, sealed(t, chatty, 73, 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	want := fmt.Sprintf("[%q,%q]\n", lpwan.EUIFromUint64(quiet), lpwan.EUIFromUint64(chatty))
+	check := func(name string, s *Store) {
+		t.Helper()
+		srv := NewServer(s, time.Now())
+		get := func(u string) string {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest("GET", u, nil))
+			if w.Code != 200 {
+				t.Fatalf("%s: GET %s: %d %s", name, u, w.Code, w.Body.String())
+			}
+			return w.Body.String()
+		}
+		if got := get("/devices"); got != want {
+			t.Errorf("%s: /devices = %s, want %s", name, got, want)
+		}
+		var st statusPayload
+		if err := json.Unmarshal([]byte(get("/status")), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Devices != 2 {
+			t.Errorf("%s: /status devices = %d, want 2", name, st.Devices)
+		}
+	}
+	check("live", live)
+	rebooted := r.boot()
+	defer rebooted.Close()
+	check("rebooted from manifest and WAL", rebooted)
+	fromJSON := NewStore(StaticKeys(master))
+	if err := fromJSON.EnableRollups(rollup.Config{}, rigRetain); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromJSON.ReadSnapshot(bytes.NewReader(exportOf(t, live))); err != nil {
+		t.Fatal(err)
+	}
+	check("reloaded from the JSON export", fromJSON)
+}
+
 func TestDamagedSegmentRefusesBoot(t *testing.T) {
 	r := newRig(t)
 	s := r.boot()

@@ -21,13 +21,14 @@
 package cloud
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"centuryscale/internal/lpwan"
-	"centuryscale/internal/query"
 	"centuryscale/internal/rollup"
 	"centuryscale/internal/sim"
 	"centuryscale/internal/telemetry"
@@ -350,9 +351,39 @@ func (s *Store) Stats() IngestStats {
 	return s.stats.snapshot()
 }
 
-// Devices returns the addresses with stored data, sorted.
+// Devices returns every device the store holds readings of, raw or
+// folded into rollup buckets, sorted by address: the guard shards'
+// records (DESIGN.md S55). A record stays when its raw points are folded
+// away, so a device silent past the raw window is still listed.
 func (s *Store) Devices() []lpwan.EUI64 {
-	return s.db.Devices()
+	var out []lpwan.EUI64
+	s.eachDevice(func(dev lpwan.EUI64) { out = append(out, dev) })
+	slices.SortFunc(out, func(a, b lpwan.EUI64) int { return cmp.Compare(a.Uint64(), b.Uint64()) })
+	return out
+}
+
+// deviceCount is len(Devices()) without building the list.
+func (s *Store) deviceCount() int {
+	n := 0
+	s.eachDevice(func(lpwan.EUI64) { n++ })
+	return n
+}
+
+// eachDevice calls fn, under its guard shard's lock, for every record
+// whose window has seen a sequence number. A record is made only when a
+// reading is admitted, restored, replayed or repaired, and never removed;
+// the one a restore into a used store reset has a zero window and stays
+// out until its device is heard again.
+func (s *Store) eachDevice(fn func(lpwan.EUI64)) {
+	for _, gs := range s.guards {
+		gs.mu.Lock()
+		for dev, rec := range gs.devices {
+			if rec.win != (telemetry.Window{}) {
+				fn(dev)
+			}
+		}
+		gs.mu.Unlock()
+	}
 }
 
 // History returns a copy of one device's readings in arrival order.
@@ -402,19 +433,4 @@ func (s *Store) WeeklyUptime(horizon time.Duration) float64 {
 		gs.mu.Unlock()
 	}
 	return float64(len(up)) / float64(total)
-}
-
-// LongestGap returns the longest interval between consecutive accepted
-// packets (across all devices) within [0, horizon), including the gap from
-// the last packet to the horizon. It answers "how close did the
-// experiment come to missing its weekly deadline".
-//
-// The k-way merge over per-device arrival runs (PR 5's O(n log k)
-// replacement for flatten-and-sort) lives in internal/query now, shared
-// with the per-device tier-walk queries; only the 8-byte times are
-// copied out of the shards. Note this scans the RAW store: with rollups
-// enabled it covers the raw tail only — use the query engine's
-// LongestGap/TopGaps for the full sealed history.
-func (s *Store) LongestGap(horizon time.Duration) time.Duration {
-	return query.MergeLongestGap(s.db.TimesByDevice(), horizon)
 }

@@ -2,8 +2,6 @@ package cloud
 
 import (
 	"errors"
-	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -192,84 +190,6 @@ func TestWeeklyUptimeEmptyHorizon(t *testing.T) {
 	s := NewStore(StaticKeys(master))
 	if got := s.WeeklyUptime(time.Hour); got != 0 {
 		t.Fatalf("uptime over sub-week horizon = %v", got)
-	}
-}
-
-func TestLongestGap(t *testing.T) {
-	s := NewStore(StaticKeys(master))
-	_ = s.Ingest(sim.Day, sealed(t, 1, 1, 1))
-	_ = s.Ingest(5*sim.Day, sealed(t, 1, 2, 1))
-	// Gaps: 1d (start), 4d (between), 5d (to the 10-day horizon).
-	if got := s.LongestGap(10 * sim.Day); got != 5*sim.Day {
-		t.Fatalf("longest gap = %v", got)
-	}
-	empty := NewStore(StaticKeys(master))
-	if got := empty.LongestGap(sim.Week); got != sim.Week {
-		t.Fatalf("empty-store gap = %v", got)
-	}
-}
-
-// naiveLongestGap is the reference implementation the k-way merge
-// replaced: flatten every arrival time and sort the whole history.
-func naiveLongestGap(s *Store, horizon time.Duration) time.Duration {
-	var times []time.Duration
-	for _, run := range s.DB().TimesByDevice() {
-		times = append(times, run...)
-	}
-	if len(times) == 0 {
-		return horizon
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	gap := times[0]
-	for i := 1; i < len(times); i++ {
-		if d := times[i] - times[i-1]; d > gap {
-			gap = d
-		}
-	}
-	if d := horizon - times[len(times)-1]; d > gap {
-		gap = d
-	}
-	return gap
-}
-
-// TestLongestGapMatchesNaive drives a many-device fleet with randomized
-// arrival times — per-device series deliberately NOT sorted by At, the
-// shape a restarted daemon's reset arrival clock leaves behind — and
-// checks the merge agrees exactly with the flatten-and-sort reference.
-func TestLongestGapMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := NewStore(StaticKeys(master))
-	seqs := make(map[uint64]uint32)
-	for i := 0; i < 3000; i++ {
-		dev := uint64(rng.Intn(25) + 1)
-		seqs[dev]++
-		at := time.Duration(rng.Int63n(int64(100 * sim.Day)))
-		if err := s.Ingest(at, sealed(t, dev, seqs[dev], 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, horizon := range []time.Duration{100 * sim.Day, 101 * sim.Day, 365 * sim.Day} {
-		want := naiveLongestGap(s, horizon)
-		if got := s.LongestGap(horizon); got != want {
-			t.Fatalf("horizon %v: merge gap = %v, naive = %v", horizon, got, want)
-		}
-	}
-}
-
-// TestLongestGapSingleDeviceDominates pins the cross-device property:
-// one chatty device must not mask another's silence — the gap is over
-// the union of arrivals, not per device.
-func TestLongestGapSingleDeviceDominates(t *testing.T) {
-	s := NewStore(StaticKeys(master))
-	// Device 1 reports daily for 10 days; device 2 only at day 0.
-	for d := 0; d < 10; d++ {
-		_ = s.Ingest(time.Duration(d)*sim.Day, sealed(t, 1, uint32(d+1), 1))
-	}
-	_ = s.Ingest(0, sealed(t, 2, 1, 1))
-	// Union of arrivals is daily: the longest gap is the 2-day tail to
-	// the 11-day horizon, not device 2's 11 days of silence.
-	if got := s.LongestGap(11 * sim.Day); got != 2*sim.Day {
-		t.Fatalf("gap = %v, want %v", got, 2*sim.Day)
 	}
 }
 

@@ -244,7 +244,7 @@ type statusPayload struct {
 func (s *Server) status() statusPayload {
 	return statusPayload{
 		UptimeSeconds: s.now().Seconds(),
-		Devices:       len(s.store.Devices()),
+		Devices:       s.store.deviceCount(),
 		WeeklyUptime:  s.store.WeeklyUptime(s.now()),
 		Stats:         s.store.Stats(),
 		Shed:          s.shed.Load(),

@@ -383,14 +383,15 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 		s.observeArrival(restoredRollups.FoldedBefore())
 		// Seed replay protection for devices whose raw points were
 		// folded away: only the buckets' max sequence number survives,
-		// and without it a replayed pre-fold packet would re-enter.
+		// and without it a replayed pre-fold packet would re-enter. Every
+		// device the tiers hold gets a record this way, so Devices lists
+		// it; a MaxSeq of 0 is a real sequence number, and Seed(0) is the
+		// window that has seen it.
 		for _, dev := range restoredRollups.Devices() {
-			if seq := restoredRollups.MaxSeq(dev); seq > 0 {
-				gs := s.guardFor(dev)
-				gs.mu.Lock()
-				gs.enrol(dev).win.Seed(seq)
-				gs.mu.Unlock()
-			}
+			gs := s.guardFor(dev)
+			gs.mu.Lock()
+			gs.enrol(dev).win.Seed(restoredRollups.MaxSeq(dev))
+			gs.mu.Unlock()
 		}
 		s.rollups.Store(restoredRollups)
 	}

@@ -58,7 +58,7 @@ func marshalRollups(t *testing.T, s *Store) []byte {
 
 func rawCount(s *Store) int {
 	n := 0
-	for _, dev := range s.db.Devices() {
+	for _, dev := range s.Devices() {
 		n += len(s.History(dev))
 	}
 	return n
@@ -139,7 +139,7 @@ func TestRollupFoldDrainsAndAnswersIdentically(t *testing.T) {
 		t.Fatalf("buckets+raw = %d, fed %d", got, total)
 	}
 	// And the raw survivors are exactly the points above the watermark.
-	for _, dev := range s.db.Devices() {
+	for _, dev := range s.Devices() {
 		for _, rd := range s.History(dev) {
 			if rd.At < wm {
 				t.Fatalf("raw point at %v survived below watermark %v", rd.At, wm)

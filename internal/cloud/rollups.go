@@ -151,7 +151,7 @@ func (src storeSource) RawPoints(dev lpwan.EUI64, from, to time.Duration) ([]tsd
 	return src.s.db.RangeSlice(dev, from, to)
 }
 
-func (src storeSource) RawDevices() []lpwan.EUI64 { return src.s.db.Devices() }
+func (src storeSource) Devices() []lpwan.EUI64 { return src.s.Devices() }
 
 // QueryEngine returns the streaming query layer over this store's
 // rollup tiers and raw tail.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -227,6 +228,63 @@ func TestLeaseLapseDropsData(t *testing.T) {
 		for _, r := range l.Store.HistoryRange(dev, from, to) {
 			t.Fatalf("device %v has a reading at %v, inside the lapse", dev, r.At)
 		}
+	}
+}
+
+// naiveLongestGap is the fleet-wide longest gap by brute force: every
+// reading the store holds, flattened and sorted, with the run-in from 0
+// and the run-out to the horizon.
+func naiveLongestGap(out *Outcome) time.Duration {
+	var times []time.Duration
+	for _, dev := range out.Store.Devices() {
+		for _, r := range out.Store.History(dev) {
+			times = append(times, r.At)
+		}
+	}
+	slices.Sort(times)
+	var gap, prev time.Duration
+	for _, at := range append(times, out.Config.Horizon) {
+		gap = max(gap, at-prev)
+		prev = at
+	}
+	return gap
+}
+
+// TestLongestGapMatchesStore: the running maximum RunExperiment keeps
+// over accepted arrivals equals the longest gap over every reading the
+// store holds — on a plain run, across a lease lapse (a year-long gap
+// mid-run) and after a wallet runs dry (the gap is the run-out).
+func TestLongestGapMatchesStore(t *testing.T) {
+	lapsed := shortOwned(3)
+	lapsed.Horizon = sim.Years(11)
+	lapsed.MissLeaseRenewals = []int{0}
+	lapsed.LeaseLapse = sim.Years(1)
+	drained := DefaultExperiment(ThirdPartyLoRa)
+	drained.Horizon = sim.Years(3)
+	drained.NumDevices = 10
+	drained.ReportInterval = 6 * time.Hour
+	drained.WalletCents = 1
+	for _, tc := range []struct {
+		name    string
+		cfg     ExperimentConfig
+		atLeast time.Duration
+	}{
+		{"owned", shortOwned(1), 0},
+		{"lease lapse", lapsed, sim.Years(1)},
+		{"wallet drained", drained, sim.Years(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := RunExperiment(tc.cfg)
+			if out.PacketsAccepted == 0 {
+				t.Fatal("no packets accepted")
+			}
+			if want := naiveLongestGap(out); out.LongestGap != want {
+				t.Fatalf("LongestGap = %v, the store's readings give %v", out.LongestGap, want)
+			}
+			if out.LongestGap < tc.atLeast {
+				t.Fatalf("LongestGap = %v, want at least %v", out.LongestGap, tc.atLeast)
+			}
+		})
 	}
 }
 

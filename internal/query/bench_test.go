@@ -39,7 +39,7 @@ func buildCentury(b *testing.B, fold bool) (*Engine, lpwan.EUI64, time.Duration)
 		wm := eng.Advance(horizon - 30*sim.Day)
 		eng.Fold(db.DrainBelow(wm))
 	}
-	return &Engine{Src: DBSource{DB: db, Rollups: eng}}, dev, horizon
+	return &Engine{Src: dbSource{db: db, rollups: eng, devs: []lpwan.EUI64{dev}}}, dev, horizon
 }
 
 func benchCenturyWindows(b *testing.B, fold bool) {

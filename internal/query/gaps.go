@@ -107,29 +107,14 @@ type DeviceGap struct {
 
 // TopGaps returns the k devices with the longest no-arrival intervals
 // in [0, horizon), longest first, ties broken by ascending device
-// address — the "which sensors are dying" dashboard query. Devices are
-// drawn from both the rollup tiers and the raw store, so a device whose
-// every point has been folded away still ranks.
+// address — the "which sensors are dying" dashboard query. It ranks the
+// source's Devices, which keep a device whose every point has been
+// folded away.
 func (e *Engine) TopGaps(k int, horizon time.Duration) []DeviceGap {
 	if k <= 0 {
 		return nil
 	}
-	seen := make(map[lpwan.EUI64]bool)
-	var devs []lpwan.EUI64
-	if r := e.Src.RollupEngine(); r != nil {
-		for _, d := range r.Devices() {
-			if !seen[d] {
-				seen[d] = true
-				devs = append(devs, d)
-			}
-		}
-	}
-	for _, d := range e.Src.RawDevices() {
-		if !seen[d] {
-			seen[d] = true
-			devs = append(devs, d)
-		}
-	}
+	devs := e.Src.Devices()
 	out := make([]DeviceGap, 0, len(devs))
 	for _, d := range devs {
 		out = append(out, DeviceGap{Device: d, Gap: e.LongestGap(d, horizon)})

@@ -8,7 +8,7 @@
 //
 // The layer is deliberately storage-agnostic: it reads through the
 // small Source interface, so the same engine serves the endpoint's
-// in-process store, tests over a bare tsdb.DB, and benchmarks.
+// in-process store and tests over a bare tsdb.DB.
 // Everything here is pure virtual-time arithmetic — no wall clock.
 package query
 
@@ -30,28 +30,13 @@ var ErrBadWindow = errors.New("query: window range must be non-empty with a posi
 // (rollups disabled), in which case every query runs over raw points.
 // RawPoints returns one device's points with At in [from, to) plus a
 // release func for the underlying pooled buffer; the slice must not be
-// used after release.
+// used after release. Devices lists every device the source holds
+// readings of, raw or folded.
 type Source interface {
 	RollupEngine() *rollup.Engine
 	RawPoints(dev lpwan.EUI64, from, to time.Duration) ([]tsdb.Point, func())
-	RawDevices() []lpwan.EUI64
+	Devices() []lpwan.EUI64
 }
-
-// DBSource adapts a bare tsdb.DB (+ optional rollup engine) to Source —
-// the binding used by cloud.Store and by tests and benchmarks that
-// don't want a full endpoint.
-type DBSource struct {
-	DB      *tsdb.DB
-	Rollups *rollup.Engine // nil = raw only
-}
-
-func (s DBSource) RollupEngine() *rollup.Engine { return s.Rollups }
-
-func (s DBSource) RawPoints(dev lpwan.EUI64, from, to time.Duration) ([]tsdb.Point, func()) {
-	return s.DB.RangeSlice(dev, from, to)
-}
-
-func (s DBSource) RawDevices() []lpwan.EUI64 { return s.DB.Devices() }
 
 // Engine answers aggregate queries through a Source.
 type Engine struct {

@@ -93,7 +93,7 @@ func memDB(t testing.TB) *tsdb.DB {
 }
 
 func TestWindowsBadArgs(t *testing.T) {
-	q := &Engine{Src: DBSource{DB: memDB(t)}}
+	q := &Engine{Src: dbSource{db: memDB(t)}}
 	dev := lpwan.EUIFromUint64(1)
 	for _, c := range []struct{ from, to, step time.Duration }{
 		{0, time.Hour, 0},
@@ -118,7 +118,7 @@ func TestWindowsAlignmentBelowWatermark(t *testing.T) {
 	}
 	wm := eng.Advance(2 * time.Hour)
 	eng.Fold(db.DrainBelow(wm))
-	q := &Engine{Src: DBSource{DB: db, Rollups: eng}}
+	q := &Engine{Src: dbSource{db: db, rollups: eng}}
 
 	if _, err := q.Windows(dev, 30*time.Minute, 4*time.Hour, time.Hour); err == nil {
 		t.Fatal("unaligned from below watermark accepted")
@@ -146,7 +146,7 @@ func TestWindowsRawOnly(t *testing.T) {
 	db.Load(pts[2])
 	db.Load(pts[0])
 	db.Load(pts[1])
-	q := &Engine{Src: DBSource{DB: db}}
+	q := &Engine{Src: dbSource{db: db}}
 
 	it, err := q.Windows(dev, 0, 4*time.Hour, time.Hour)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestWindowsTierStitching(t *testing.T) {
 		t.Fatalf("watermark = %v", wm)
 	}
 	eng.Fold(db.DrainBelow(wm))
-	q := &Engine{Src: DBSource{DB: db, Rollups: eng}}
+	q := &Engine{Src: dbSource{db: db, rollups: eng}}
 
 	it, err := q.Windows(dev, 0, 72*time.Hour, 24*time.Hour)
 	if err != nil {
@@ -247,7 +247,7 @@ func TestWindowsEmptyBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Fold(db.DrainBelow(eng.Advance(48 * time.Hour)))
-	q := &Engine{Src: DBSource{DB: db, Rollups: eng}}
+	q := &Engine{Src: dbSource{db: db, rollups: eng}}
 
 	for _, step := range []time.Duration{48 * time.Hour, 24 * time.Hour, 6 * time.Hour} {
 		it, err := q.Windows(dev, 0, 48*time.Hour, step)
@@ -315,7 +315,7 @@ func TestRollupVsNaiveProperty(t *testing.T) {
 			if eng.StaleDrops() != 0 {
 				t.Fatalf("fold dropped %d points as stale", eng.StaleDrops())
 			}
-			q := &Engine{Src: DBSource{DB: db, Rollups: eng}}
+			q := &Engine{Src: dbSource{db: db, rollups: eng, devs: devs}}
 
 			steps := []time.Duration{time.Hour, 2 * time.Hour, 6 * time.Hour, sim.Day, sim.Week}
 			for trial := 0; trial < 40; trial++ {
@@ -383,14 +383,15 @@ func TestWeeklyUptimeAcrossTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Fold(db.DrainBelow(eng.Advance(10 * sim.Day)))
-	q := &Engine{Src: DBSource{DB: db, Rollups: eng}}
+	q := &Engine{Src: dbSource{db: db, rollups: eng}}
 	if got := q.WeeklyUptime(dev, 3*sim.Week); got != 2.0/3.0 {
 		t.Fatalf("WeeklyUptime = %v, want 2/3", got)
 	}
 }
 
 // TestTopGapsFoldedAwayDevice: a device whose every point has been
-// folded (and drained) must still rank, sourced from the tiers alone.
+// folded (and drained) must still rank, its gap read from the tiers
+// alone.
 func TestTopGapsFoldedAwayDevice(t *testing.T) {
 	db := memDB(t)
 	cold := lpwan.EUIFromUint64(0x10)
@@ -403,7 +404,7 @@ func TestTopGapsFoldedAwayDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Fold(db.DrainBelow(eng.Advance(2 * sim.Day)))
-	q := &Engine{Src: DBSource{DB: db, Rollups: eng}}
+	q := &Engine{Src: dbSource{db: db, rollups: eng, devs: []lpwan.EUI64{cold, warm}}}
 
 	got := q.TopGaps(10, 10*sim.Day)
 	if len(got) != 2 {
@@ -415,20 +416,5 @@ func TestTopGapsFoldedAwayDevice(t *testing.T) {
 	}
 	if got[1].Device != warm || got[1].Gap != 9*sim.Day-time.Hour {
 		t.Fatalf("second gap = %+v", got[1])
-	}
-}
-
-func TestMergeLongestGap(t *testing.T) {
-	series := [][]time.Duration{
-		{2 * time.Hour, 5 * time.Hour},
-		{3 * time.Hour},
-		nil,
-	}
-	// Union of arrivals: 2h, 3h, 5h over a 12h horizon → run-out 7h.
-	if got := MergeLongestGap(series, 12*time.Hour); got != 7*time.Hour {
-		t.Fatalf("MergeLongestGap = %v, want 7h", got)
-	}
-	if got := MergeLongestGap(nil, time.Hour); got != time.Hour {
-		t.Fatalf("empty MergeLongestGap = %v, want horizon", got)
 	}
 }

@@ -1,0 +1,26 @@
+package query
+
+import (
+	"time"
+
+	"centuryscale/internal/lpwan"
+	"centuryscale/internal/rollup"
+	"centuryscale/internal/tsdb"
+)
+
+// dbSource is the Source the tests read: a bare tsdb.DB, an optional
+// rollup engine, and the device set the test names, standing in for the
+// endpoint's device registry.
+type dbSource struct {
+	db      *tsdb.DB
+	rollups *rollup.Engine // nil = raw only
+	devs    []lpwan.EUI64
+}
+
+func (s dbSource) RollupEngine() *rollup.Engine { return s.rollups }
+
+func (s dbSource) RawPoints(dev lpwan.EUI64, from, to time.Duration) ([]tsdb.Point, func()) {
+	return s.db.RangeSlice(dev, from, to)
+}
+
+func (s dbSource) Devices() []lpwan.EUI64 { return s.devs }

@@ -37,11 +37,13 @@ type fileOp struct {
 }
 
 // injectFaults puts a fault layer under db's log, wrapping the segment
-// that Open already started.
+// that Open already started. Opens and directory syncs are recorded
+// against descriptor 0, the log directory.
 func injectFaults(db *DB) *faults {
 	fs := &faults{rules: make(map[string]*faultRule)}
 	w := db.wal
 	w.openFile = fs.open
+	w.syncDir = fs.syncDir
 	fs.files = 1
 	w.f = &faultFile{fs: fs, f: w.f.(*os.File), id: 1}
 	return fs
@@ -89,6 +91,24 @@ func (fs *faults) open(path string) (logFile, error) {
 	id := fs.files
 	fs.mu.Unlock()
 	return &faultFile{fs: fs, f: f, id: id}, nil
+}
+
+func (fs *faults) syncDir(dir string) error {
+	if r := fs.trip(0, "syncdir"); r != nil {
+		return r.err
+	}
+	return syncDir(dir)
+}
+
+// trace returns every recorded call in order as "file:op".
+func (fs *faults) trace() []string {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	out := make([]string, len(fs.ops))
+	for i, o := range fs.ops {
+		out[i] = fmt.Sprintf("%d:%s", o.file, o.op)
+	}
+	return out
 }
 
 // opsOf returns the calls descriptor file saw, in order, as "op" or
@@ -193,6 +213,7 @@ func TestFlushFaults(t *testing.T) {
 		// One-byte segments: every flush that writes anything rotates.
 		{"rotation: next segment cannot be opened", 1, func(fs *faults, n int) { fs.fail("open", syscall.EMFILE, n, 0) }},
 		{"rotation: close fails", 1, func(fs *faults, n int) { fs.fail("close", eio, n, 0) }},
+		{"rotation: log directory sync fails", 1, func(fs *faults, n int) { fs.fail("syncdir", eio, n, 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -306,7 +327,7 @@ func TestFlushFaults(t *testing.T) {
 			ack(last)
 
 			live := make(map[lpwan.EUI64][]Point)
-			for _, dev := range db.Devices() {
+			for _, dev := range storedDevices(db) {
 				live[dev] = db.History(dev)
 			}
 			if err := db.Close(); err != nil {
@@ -338,7 +359,7 @@ func TestFlushFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			replayed := 0
-			for _, dev := range re.Devices() {
+			for _, dev := range storedDevices(re) {
 				got := re.History(dev)
 				replayed += len(got)
 				if fmt.Sprint(got) != fmt.Sprint(live[dev]) {
@@ -383,6 +404,37 @@ func TestFsyncFailureNeverRetriedOnSameDescriptor(t *testing.T) {
 	}
 	if n := db.wal.fsyncErrs.Load(); n != 1 {
 		t.Errorf("fsync errors counted = %d", n)
+	}
+}
+
+// TestNewSegmentNameIsDurable pins the order that makes a new segment's
+// directory entry durable: under always and interval the log directory
+// is fsynced after the segment is created and before anything is
+// written to it, so no record in it is acknowledged while a host crash
+// could still lose its name; under never the directory is not synced.
+// One-byte segments make every flush that writes rotate. (Open's own
+// directory syncs run before the fault layer is in place.)
+func TestNewSegmentNameIsDurable(t *testing.T) {
+	for _, tc := range []struct {
+		policy SyncPolicy
+		want   string
+	}{
+		{SyncAlways, "[1:write 1:sync 1:close 0:open 0:syncdir 2:write 2:sync 2:close 0:open 0:syncdir]"},
+		{SyncInterval, "[1:write 1:sync 1:close 0:open 0:syncdir 2:write 2:sync 2:close 0:open 0:syncdir]"},
+		{SyncNever, "[1:write 1:close 0:open 2:write 2:close 0:open]"},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			db := mustOpen(t, Options{Dir: t.TempDir(), Shards: 1, Sync: tc.policy, SegmentBytes: 1})
+			fs := injectFaults(db)
+			for seq := uint32(1); seq <= 2; seq++ {
+				if err := db.Append(pt(1, seq, time.Minute)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fmt.Sprint(fs.trace()); got != tc.want {
+				t.Errorf("calls %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -95,34 +95,6 @@ func (sh *shard) rangeInto(dev lpwan.EUI64, from, to time.Duration, buf []Point)
 	return buf
 }
 
-// times copies just the arrival times of every series in the shard, one
-// slice per device in arrival order. Gap analysis needs only the 8-byte
-// times; copying full Points would move ~5x the bytes under the lock.
-func (sh *shard) times() [][]time.Duration {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([][]time.Duration, 0, len(sh.points))
-	for _, ps := range sh.points {
-		ts := make([]time.Duration, len(ps))
-		for i, p := range ps {
-			ts[i] = p.At
-		}
-		out = append(out, ts)
-	}
-	return out
-}
-
-// devices returns the shard's device set (unsorted).
-func (sh *shard) devices() []lpwan.EUI64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]lpwan.EUI64, 0, len(sh.points))
-	for d := range sh.points {
-		out = append(out, d)
-	}
-	return out
-}
-
 // snapshot copies the shard's whole series map. Called per shard by the
 // snapshot writer so that encoding (the expensive part) happens with no
 // lock held and ingest stalls only for this one shard's memcpy.

@@ -318,16 +318,6 @@ func (db *DB) Sync() error {
 	return db.wal.sync()
 }
 
-// Devices returns every device with stored points, sorted by address.
-func (db *DB) Devices() []lpwan.EUI64 {
-	var out []lpwan.EUI64
-	for _, sh := range db.shards {
-		out = append(out, sh.devices()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Uint64() < out[j].Uint64() })
-	return out
-}
-
 // History returns a copy of one device's points in arrival order.
 func (db *DB) History(dev lpwan.EUI64) []Point {
 	return db.shardFor(dev).history(dev)
@@ -358,20 +348,6 @@ func (db *DB) RangeSlice(dev lpwan.EUI64, from, to time.Duration) (pts []Point, 
 			bufp = nil
 		}
 	}
-}
-
-// TimesByDevice copies the arrival times of every stored series, one
-// slice per device in that device's arrival order (not guaranteed sorted
-// by At across restarts — see rangeInto). Order across devices is
-// unspecified. Each shard's lock is held only for its own copy. This
-// feeds cross-device gap analysis, which merges the per-device runs
-// rather than re-sorting the fleet's entire history.
-func (db *DB) TimesByDevice() [][]time.Duration {
-	var out [][]time.Duration
-	for _, sh := range db.shards {
-		out = append(out, sh.times()...)
-	}
-	return out
 }
 
 // SnapshotShard copies shard i's series map. Snapshot writers iterate

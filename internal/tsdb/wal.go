@@ -90,6 +90,17 @@ func openSegment(path string) (logFile, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
+// syncDir fsyncs a directory, making the entries created in it durable:
+// without it a host crash can lose a new segment's name, and with it
+// records already fsynced inside the file.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
+}
+
 // wal is the one log under every shard, in two parts (DESIGN.md S40).
 //
 // The log buffer: appenders on any shard copy encoded records into buf
@@ -107,6 +118,7 @@ type wal struct {
 	segmentBytes int64
 	policy       SyncPolicy
 	openFile     func(path string) (logFile, error) // tests inject faults here
+	syncDir      func(dir string) error             // and here
 	clock        obs.Clock                          // flush-time histogram clock; nil is wall time, tests inject theirs
 
 	mu       sync.Mutex
@@ -145,16 +157,23 @@ type wal struct {
 
 // openWAL opens (creating if needed) the log directory and starts a
 // fresh active segment above every existing one. Appends never reuse an
-// old segment, so replay and recovery never race a writer.
+// old segment, so replay and recovery never race a writer. Unless the
+// policy is never, the directory holding the log directory is fsynced
+// once, so the log's own entry survives a host crash.
 func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: wal dir: %w", err)
+	}
+	if policy != SyncNever {
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return nil, fmt.Errorf("tsdb: wal dir: %w", err)
+		}
 	}
 	existing, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{dir: dir, segmentBytes: segmentBytes, policy: policy, openFile: openSegment, existing: existing}
+	w := &wal{dir: dir, segmentBytes: segmentBytes, policy: policy, openFile: openSegment, syncDir: syncDir, existing: existing}
 	w.cond = sync.NewCond(&w.mu)
 	w.idx = 1
 	if n := len(existing); n > 0 {
@@ -166,10 +185,21 @@ func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, error) {
 	return w, nil
 }
 
+// openActive creates the segment w.idx names and, unless the policy is
+// never, fsyncs the log directory before any record is written to it:
+// a flush that acknowledges a record in the segment has its name on
+// disk too. The sync costs one directory fsync per segment. If it fails
+// the segment is closed unused, and the next flush creates it again.
 func (w *wal) openActive() error {
 	f, err := w.openFile(filepath.Join(w.dir, segName(w.idx)))
 	if err != nil {
 		return fmt.Errorf("tsdb: wal segment: %w", err)
+	}
+	if w.policy != SyncNever {
+		if err := w.syncDir(w.dir); err != nil {
+			_ = f.Close() // empty and unused; the sync's error is the one to report
+			return fmt.Errorf("tsdb: wal dir sync: %w", err)
+		}
 	}
 	w.f, w.size, w.synced = f, 0, 0
 	return nil

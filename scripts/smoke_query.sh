@@ -8,7 +8,8 @@
 # the latency budget. Then SIGKILL the daemon — no shutdown path — boot
 # a fresh process from the checkpoint (manifest + segments) + WAL, and
 # require the byte-exact same answer: the rollup state survived the crash
-# with no double-count and no loss. Scrape /metrics for the query_* and
+# with no double-count and no loss. Both times /devices and /status must
+# still name both devices. Scrape /metrics for the query_* and
 # cloud_checkpoint_* instruments, then stop the daemon and take the way
 # out an operator holding only files has: -export-json must turn them
 # into the portable JSON snapshot without listening.
@@ -49,6 +50,17 @@ await_ready() {
     smoke_await "$PID" "http://127.0.0.1:$PORT/status" "" "$TMP/endpointd.log"
 }
 
+# check_devices requires the device set to hold both devices: /devices
+# lists two and /status counts two, whatever share of their readings the
+# fold has moved into buckets.
+check_devices() {
+    DEVS="$(curl -s "http://127.0.0.1:$PORT/devices")"
+    [ "$(printf '%s' "$DEVS" | grep -o '"[^"]*"' | wc -l)" -eq 2 ] ||
+        smoke_fail "$1: /devices is $DEVS, want two devices"
+    curl -s "http://127.0.0.1:$PORT/status" | grep -q '"devices":2,' ||
+        smoke_fail "$1: /status does not report \"devices\":2"
+}
+
 mkdir -p "$TMP/tsdb"
 boot
 await_ready
@@ -64,6 +76,7 @@ await_ready
 "$TMP/queryload" -endpoint "http://127.0.0.1:$PORT" -mode verify \
     -devices 2 -points 730 -answer "$TMP/answer.json" -max-millis 10 ||
     smoke_fail "pre-kill verify failed — endpointd log follows" "$TMP/endpointd.log"
+check_devices "after the fold"
 
 # The crash: SIGKILL, no shutdown path — the checkpoint (sealed buckets,
 # watermarks, raw window) and the WAL (what came after) are the only
@@ -81,6 +94,7 @@ await_ready
 "$TMP/queryload" -endpoint "http://127.0.0.1:$PORT" -mode verify \
     -devices 2 -points 730 -answer "$TMP/answer.json" -max-millis 10 ||
     smoke_fail "post-kill verify failed — endpointd log follows" "$TMP/endpointd.log"
+check_devices "after the SIGKILL reboot"
 
 # The query layer's instruments must be live on the debug surface.
 METRICS="$TMP/metrics.txt"
