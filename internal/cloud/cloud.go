@@ -58,7 +58,7 @@ type Reading struct {
 // plain-value snapshot/export form (JSON in snapshots and /status); the
 // live counters behind it are atomics (ingestCounters).
 type IngestStats struct {
-	Accepted        uint64
+	Accepted        uint64 // readings the store holds: admitted, replayed, restored or repaired
 	Duplicates      uint64 // same packet via a second gateway, or replay
 	BadSignature    uint64
 	Malformed       uint64
@@ -66,7 +66,7 @@ type IngestStats struct {
 	LeaseLapsed     uint64 // carried from archives of builds that refused lapsed arrivals; nothing counts it now
 	Quarantined     uint64 // carried likewise from builds that had a quarantine; nothing counts it now
 	PersistFailures uint64 // WAL flush failed; packet not acked (it is admitted, and its retry is a duplicate)
-	Repaired        uint64 // readings merged from a replica by read-repair
+	Repaired        uint64 // readings merged from a replica by read-repair; a subset of Accepted
 	Stale           uint64 // arrival below the rollup fold watermark (sealed region)
 }
 
@@ -134,9 +134,10 @@ type guardShard struct {
 	// restored. Records are never removed and never replaced, so a
 	// pointer found under mu stays the device's live record.
 	devices map[lpwan.EUI64]*device
-	// accepted counts admissions under mu, which also covers their
-	// memtable insert, so Store.cut reads a shard's series and its share of
-	// Stats.Accepted together. Shard 0 starts from a restore's total.
+	// accepted counts admissions and repaired readings under mu, which
+	// also covers their memtable insert, so Store.cut reads a shard's
+	// series and its share of Stats.Accepted together. Shard 0 starts
+	// from a restore's total.
 	accepted uint64
 	// weeks holds the index of every week in which this shard admitted a
 	// reading, under the same mu and for the same reason: a checkpoint
@@ -195,7 +196,11 @@ type Store struct {
 	// see rollups.go for the fold protocol.
 	rollups   atomic.Pointer[rollup.Engine]
 	retainRaw time.Duration // raw tail width; set once by EnableRollups
-	foldMu    sync.Mutex    // serializes FoldRollups against itself and against a checkpoint's cut
+	// foldMu's write side is FoldRollups', from Advance to the end of
+	// Fold; a query's cut and a checkpoint's cut take the read side, so
+	// neither sees a fold half landed. Lock order: foldMu → the rollup
+	// engine's mu → a shard's mu.
+	foldMu sync.RWMutex
 
 	// Checkpoint state (persist.go), owned by whoever holds saving: the
 	// archive the last load or save left, the disk seam only tests

@@ -223,8 +223,13 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 	if len(missing) > 0 {
 		held = s.db.AppendDeferred(missing)
 	}
+	// Counted under the guard lock as admission counts, so Accepted is
+	// the readings the store holds live, in a checkpoint's cut, and after
+	// ReplayWAL (which cannot tell a repaired record from an admitted one).
+	gs.accepted += uint64(len(missing))
 	gs.mu.Unlock()
 
+	s.stats.accepted.Add(uint64(len(missing)))
 	s.stats.repaired.Add(uint64(len(missing)))
 	if err := s.db.Flush(held); err != nil {
 		return len(missing), s.persistFailed(len(missing), err)

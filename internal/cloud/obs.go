@@ -56,7 +56,7 @@ func (o *checkpointObs) lap(p int, since time.Duration) time.Duration {
 // time); deterministic hosts pass their virtual clock so two seeded runs
 // scrape byte-identical latency sums.
 func (s *Store) RegisterMetrics(reg *obs.Registry, clock obs.Clock) {
-	reg.CounterFunc("cloud_ingest_accepted_total", "packets verified and admitted to the store (acknowledged once their WAL flush returns)", s.stats.accepted.Load)
+	reg.CounterFunc("cloud_ingest_accepted_total", "readings the store holds: packets verified and admitted (acknowledged once their WAL flush returns) plus readings merged by read-repair", s.stats.accepted.Load)
 	reg.CounterFunc("cloud_ingest_duplicates_total", "packets rejected as replays or dual-gateway duplicates", s.stats.duplicates.Load)
 	reg.CounterFunc("cloud_ingest_bad_signature_total", "packets failing HMAC verification", s.stats.badSignature.Load)
 	reg.CounterFunc("cloud_ingest_malformed_total", "packets failing structural parse", s.stats.malformed.Load)
@@ -64,7 +64,7 @@ func (s *Store) RegisterMetrics(reg *obs.Registry, clock obs.Clock) {
 	reg.CounterFunc("cloud_ingest_lease_lapsed_total", "packets an older build refused as arriving while the public endpoint was dark, carried from its archive (nothing counts them now)", s.stats.leaseLapsed.Load)
 	reg.CounterFunc("cloud_ingest_quarantined_total", "packets an older build refused from quarantined devices, carried from its archive (nothing counts them now)", s.stats.quarantined.Load)
 	reg.CounterFunc("cloud_ingest_persist_failures_total", "packets refused acknowledgement because their WAL flush failed", s.stats.persistFailures.Load)
-	reg.CounterFunc("cloud_repair_readings_total", "readings merged from replicas by read-repair", s.stats.repaired.Load)
+	reg.CounterFunc("cloud_repair_readings_total", "readings merged from replicas by read-repair (counted in cloud_ingest_accepted_total too)", s.stats.repaired.Load)
 	reg.CounterFunc("cloud_ingest_stale_total", "packets arriving below the rollup fold watermark (sealed region)", s.stats.stale.Load)
 	reg.CounterFunc("cloud_ingest_batch_frames_total", "well-formed frames admitted on the batched ingest path", s.batchFrames.Load)
 	reg.CounterFunc("cloud_ingest_batch_frame_errors_total", "frames rejected at the structural layer (torn, bad CRC, bad count)", s.batchFrameErrors.Load)

@@ -108,11 +108,12 @@ type devSeries struct {
 // running — a shard's series, admission count and weeks are read under its
 // guard lock, which admission and memtable insert share — so a reboot that
 // loads them and replays the WAL counts every acknowledged packet, and
-// every week it arrived in, once. foldMu keeps a fold from moving
-// points between the copies; nothing here does I/O.
+// every week it arrived in, once. The read side of foldMu keeps a fold
+// from moving points between the copies; a cut only copies, so it shares
+// that side with queries and with another cut. Nothing here does I/O.
 func (s *Store) cut(hourlyFrom, dailyFrom time.Duration) (snapshotFile, []map[lpwan.EUI64][]tsdb.Point, *rollup.EngineState) {
-	s.foldMu.Lock()
-	defer s.foldMu.Unlock()
+	s.foldMu.RLock()
+	defer s.foldMu.RUnlock()
 	snap := snapshotFile{
 		Version: snapshotVersion,
 		Stats:   s.stats.snapshot(),

@@ -133,12 +133,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		defer it.Close()
 		out := queryPayload{
-			Device:      dev.String(),
-			StepSeconds: step.Seconds(),
-			Windows:     []windowPayload{},
-		}
-		if re := s.store.Rollups(); re != nil {
-			out.FoldedBeforeSeconds = re.FoldedBefore().Seconds()
+			Device:              dev.String(),
+			StepSeconds:         step.Seconds(),
+			FoldedBeforeSeconds: it.Watermark().Seconds(),
+			Windows:             []windowPayload{},
 		}
 		for it.Next() {
 			wa := it.Window()

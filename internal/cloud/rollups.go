@@ -8,7 +8,6 @@ import (
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/query"
 	"centuryscale/internal/rollup"
-	"centuryscale/internal/tsdb"
 )
 
 // Rollup integration: the endpoint's side of the tiered read path.
@@ -85,7 +84,10 @@ func (s *Store) observeArrival(at time.Duration) {
 // every guard-shard lock is taken and released once. Ingest checks the
 // watermark under its guard lock, so after the barrier no append below
 // the new watermark can be in flight — the drain is complete by
-// construction, and rollup.Engine.StaleDrops stays zero.
+// construction, and rollup.Engine.StaleDrops stays zero. The write side
+// of foldMu is held from Advance to the end of Fold, so a query's cut
+// (taken under the read side) never sees the new watermark without the
+// buckets it seals. Ingest never takes foldMu.
 func (s *Store) FoldRollups(now time.Duration) int {
 	r := s.rollups.Load()
 	if r == nil {
@@ -142,13 +144,14 @@ func (s *Store) CheckpointAt(path string, now time.Duration) error {
 
 // storeSource adapts the store to the query engine's Source, reading
 // the rollup pointer per call so a snapshot restore mid-flight is
-// picked up.
+// picked up, and taking each cut under the read side of foldMu, so a
+// query sees a fold either not begun or fully landed (DESIGN.md S56).
 type storeSource struct{ s *Store }
 
-func (src storeSource) RollupEngine() *rollup.Engine { return src.s.rollups.Load() }
-
-func (src storeSource) RawPoints(dev lpwan.EUI64, from, to time.Duration) ([]tsdb.Point, func()) {
-	return src.s.db.RangeSlice(dev, from, to)
+func (src storeSource) Cut(dev lpwan.EUI64, from, to time.Duration) query.Cut {
+	src.s.foldMu.RLock()
+	defer src.s.foldMu.RUnlock()
+	return query.ReadCut(src.s.rollups.Load(), src.s.db, dev, from, to)
 }
 
 func (src storeSource) Devices() []lpwan.EUI64 { return src.s.Devices() }

@@ -19,84 +19,48 @@ func (e *Engine) WeeklyUptime(dev lpwan.EUI64, horizon time.Duration) float64 {
 		return 0
 	}
 	weeks := make(map[int64]bool)
-	mark := func(t time.Duration) {
-		if w := int64(t / sim.Week); w < total {
+	c := e.Src.Cut(dev, 0, horizon)
+	defer c.Release()
+	c.spans(func(start, _, _, _ time.Duration) {
+		if w := int64(start / sim.Week); w < total {
 			weeks[w] = true
 		}
-	}
-	var folded time.Duration
-	if r := e.Src.RollupEngine(); r != nil {
-		folded = r.FoldedBefore()
-		hourly, daily := r.SeriesView(dev)
-		dailyFolded := r.DailyFoldedBefore()
-		for _, b := range daily {
-			mark(b.Start)
-		}
-		for _, b := range hourly {
-			if b.Start >= dailyFolded {
-				mark(b.Start)
-			}
-		}
-	}
-	pts, release := e.Src.RawPoints(dev, folded, horizon)
-	for _, p := range pts {
-		if p.At >= folded {
-			mark(p.At)
-		}
-	}
-	release()
+	})
 	return float64(len(weeks)) / float64(total)
 }
 
 // LongestGap returns one device's longest interval with no arrival in
 // [0, horizon), counting the run-in from 0 to the first arrival and the
-// run-out from the last arrival to the horizon. The sealed region is
-// walked tier by tier: a bucket contributes its internal MaxGap plus
-// the seam gap from the previous bucket's Last to its First, so the
-// answer over buckets equals the answer over the raw points they
-// summarized.
+// run-out from the last arrival to the horizon. A bucket contributes its
+// internal MaxGap plus the seam gap from the previous span's Last to its
+// First, so the answer over buckets equals the answer over the raw
+// points they summarized.
 func (e *Engine) LongestGap(dev lpwan.EUI64, horizon time.Duration) time.Duration {
-	var gap time.Duration
-	prev := time.Duration(0)
-	step := func(first, last, inner time.Duration) {
-		if g := first - prev; g > gap {
-			gap = g
-		}
-		if inner > gap {
-			gap = inner
-		}
+	var gap, prev time.Duration
+	c := e.Src.Cut(dev, 0, horizon)
+	defer c.Release()
+	c.spans(func(_, first, last, inner time.Duration) {
+		gap = max(gap, first-prev, inner)
 		prev = last
+	})
+	return max(gap, horizon-prev)
+}
+
+// spans walks the cut's history in time order, tier by tier: the daily
+// buckets, then the hourly buckets the daily tier does not cover, then
+// the raw points. A bucket passes its Start, first and last arrival and
+// internal MaxGap; a raw point its At three times and no inner gap.
+func (c *Cut) spans(fn func(start, first, last, inner time.Duration)) {
+	for _, b := range c.Daily {
+		fn(b.Start, b.First, b.Last, b.MaxGap)
 	}
-	var folded time.Duration
-	if r := e.Src.RollupEngine(); r != nil {
-		folded = r.FoldedBefore()
-		hourly, daily := r.SeriesView(dev)
-		dailyFolded := r.DailyFoldedBefore()
-		for _, b := range daily {
-			step(b.First, b.Last, b.MaxGap)
-		}
-		for _, b := range hourly {
-			if b.Start >= dailyFolded {
-				step(b.First, b.Last, b.MaxGap)
-			}
-		}
+	hourly := c.Hourly[sort.Search(len(c.Hourly), func(i int) bool { return c.Hourly[i].Start >= c.DailyFolded }):]
+	for _, b := range hourly {
+		fn(b.Start, b.First, b.Last, b.MaxGap)
 	}
-	pts, release := e.Src.RawPoints(dev, folded, horizon)
-	ts := make([]time.Duration, 0, len(pts))
-	for _, p := range pts {
-		if p.At >= folded && p.At < horizon {
-			ts = append(ts, p.At)
-		}
+	for _, p := range c.Raw {
+		fn(p.At, p.At, p.At, 0)
 	}
-	release()
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	for _, t := range ts {
-		step(t, t, 0)
-	}
-	if g := horizon - prev; g > gap {
-		gap = g
-	}
-	return gap
 }
 
 // DeviceGap pairs a device with its longest no-arrival interval.

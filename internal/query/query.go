@@ -13,8 +13,10 @@
 package query
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,16 +28,48 @@ import (
 // ErrBadWindow rejects non-positive steps and empty or negative ranges.
 var ErrBadWindow = errors.New("query: window range must be non-empty with a positive step")
 
-// Source is what the query engine reads. RollupEngine may return nil
-// (rollups disabled), in which case every query runs over raw points.
-// RawPoints returns one device's points with At in [from, to) plus a
-// release func for the underlying pooled buffer; the slice must not be
-// used after release. Devices lists every device the source holds
-// readings of, raw or folded.
+// Source is what the query engine reads. Cut returns one device's cut
+// over [from, to); every query reads exactly one cut per device, so the
+// source decides what a consistent instant means (the endpoint's store
+// takes the cut under the read side of its fold lock). Devices lists
+// every device the source holds readings of, raw or folded.
 type Source interface {
-	RollupEngine() *rollup.Engine
-	RawPoints(dev lpwan.EUI64, from, to time.Duration) ([]tsdb.Point, func())
+	Cut(dev lpwan.EUI64, from, to time.Duration) Cut
 	Devices() []lpwan.EUI64
+}
+
+// Cut is one device's read state at one instant: the fold watermarks,
+// the tier widths, both bucket tiers and the raw points above the fold.
+// With rollups off the watermarks and widths are zero and the tiers nil.
+// The bucket slices are read-only views; Raw must not be used after
+// Release, which returns its pooled buffer.
+type Cut struct {
+	Folded, DailyFolded     time.Duration // rollup.Engine.FoldedBefore, DailyFoldedBefore
+	HourlyWidth, DailyWidth time.Duration
+	Hourly, Daily           []rollup.Bucket
+	Raw                     []tsdb.Point // At in [max(from, Folded), to), sorted by (At, Seq)
+	Release                 func()
+}
+
+// ReadCut reads one device's cut from a rollup engine (nil: rollups
+// off) and the raw store. It takes no lock of its own: a caller whose
+// store folds concurrently must hold the fold off until it returns, or
+// the watermark and the buckets can come from either side of the fold.
+func ReadCut(r *rollup.Engine, db *tsdb.DB, dev lpwan.EUI64, from, to time.Duration) Cut {
+	var c Cut
+	if r != nil {
+		cfg := r.Config()
+		c.Folded, c.DailyFolded = r.FoldedBefore(), r.DailyFoldedBefore()
+		c.HourlyWidth, c.DailyWidth = cfg.Hourly, cfg.Daily
+		c.Hourly, c.Daily = r.SeriesView(dev)
+	}
+	c.Raw, c.Release = db.RangeSlice(dev, max(from, c.Folded), to)
+	// Arrival order is not guaranteed At-sorted across restarts; every
+	// walk over the cut needs a single sorted pass.
+	slices.SortFunc(c.Raw, func(a, b tsdb.Point) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq))
+	})
+	return c
 }
 
 // Engine answers aggregate queries through a Source.
@@ -77,55 +111,19 @@ type TierHits struct {
 // answer to be exact, so when from < FoldedBefore both from and step
 // must be multiples of the hourly tier width.
 //
-// The iterator is a streaming cursor: raw points are fetched once at
-// creation (so the result is a consistent cut even while ingest
-// continues) and every tier is walked monotonically. Close releases the
-// pooled raw buffer.
+// The iterator is a streaming cursor over one cut (so the result is
+// consistent even while ingest and folds continue), walking every tier
+// monotonically. Close releases the pooled raw buffer.
 func (e *Engine) Windows(dev lpwan.EUI64, from, to, step time.Duration) (*WindowIter, error) {
 	if step <= 0 || to <= from || from < 0 {
 		return nil, ErrBadWindow
 	}
-	it := &WindowIter{from: from, to: to, step: step, cur: from}
-	if r := e.Src.RollupEngine(); r != nil {
-		it.folded = r.FoldedBefore()
-		it.dailyFolded = r.DailyFoldedBefore()
-		it.hw = r.Config().Hourly
-		it.dw = r.Config().Daily
-		if from < it.folded {
-			if from%it.hw != 0 || step%it.hw != 0 {
-				return nil, fmt.Errorf("query: window boundaries below the fold watermark (%v) must align to the hourly tier (%v): from=%v step=%v", it.folded, it.hw, from, step)
-			}
-			it.hourly, it.daily = r.SeriesView(dev)
-		}
+	c := e.Src.Cut(dev, from, to)
+	if from < c.Folded && (from%c.HourlyWidth != 0 || step%c.HourlyWidth != 0) {
+		c.Release()
+		return nil, fmt.Errorf("query: window boundaries below the fold watermark (%v) must align to the hourly tier (%v): from=%v step=%v", c.Folded, c.HourlyWidth, from, step)
 	}
-	rawFrom := from
-	if it.folded > rawFrom {
-		rawFrom = it.folded
-	}
-	if to > rawFrom {
-		raw, release := e.Src.RawPoints(dev, rawFrom, to)
-		it.release = release
-		// Points below the watermark that the store has not drained yet
-		// are excluded: once the watermark is published, the sealed
-		// region belongs to the buckets alone (counting such a point
-		// here would double-count it the moment the fold lands).
-		kept := raw[:0]
-		for _, p := range raw {
-			if p.At >= it.folded {
-				kept = append(kept, p)
-			}
-		}
-		// Arrival order is not guaranteed At-sorted across restarts;
-		// the window walk needs a single sorted pass.
-		sort.Slice(kept, func(i, j int) bool {
-			if kept[i].At != kept[j].At {
-				return kept[i].At < kept[j].At
-			}
-			return kept[i].Seq < kept[j].Seq
-		})
-		it.raw = kept
-	}
-	return it, nil
+	return &WindowIter{c: c, to: to, step: step, cur: from}, nil
 }
 
 // WindowIter streams WindowAggs. Usage:
@@ -137,17 +135,12 @@ func (e *Engine) Windows(dev lpwan.EUI64, from, to, step time.Duration) (*Window
 //		...
 //	}
 type WindowIter struct {
-	from, to, step      time.Duration
-	folded, dailyFolded time.Duration
-	hw, dw              time.Duration
-	hourly, daily       []rollup.Bucket
-	hi, di              int
-	raw                 []tsdb.Point
-	ri                  int
-	release             func()
-	cur                 time.Duration
-	w                   WindowAgg
-	tiers               TierHits
+	c          Cut
+	to, step   time.Duration
+	hi, di, ri int
+	cur        time.Duration
+	w          WindowAgg
+	tiers      TierHits
 }
 
 // Next computes the next window, reporting whether one was produced.
@@ -161,23 +154,22 @@ func (it *WindowIter) Next() bool {
 	a := acc{prev: ws}
 
 	// Sealed part: buckets, coarsest tier first where alignment allows.
-	if se := minDur(we, it.folded); ws < se {
-		dlo := alignUp(ws, it.dw)
-		dhi := minDur(alignDown(se, it.dw), it.dailyFolded)
+	c := &it.c
+	if se := min(we, c.Folded); ws < se {
+		dlo := alignUp(ws, c.DailyWidth)
+		dhi := min(alignDown(se, c.DailyWidth), c.DailyFolded)
 		if dlo < dhi {
-			it.consumeHourly(&a, ws, dlo)
-			it.consumeDaily(&a, dlo, dhi)
-			it.consumeHourly(&a, dhi, se)
+			consume(&a, c.Hourly, &it.hi, &it.tiers.Hourly, ws, dlo)
+			consume(&a, c.Daily, &it.di, &it.tiers.Daily, dlo, dhi)
+			consume(&a, c.Hourly, &it.hi, &it.tiers.Hourly, dhi, se)
 		} else {
-			it.consumeHourly(&a, ws, se)
+			consume(&a, c.Hourly, &it.hi, &it.tiers.Hourly, ws, se)
 		}
 	}
 
 	// Raw tail: the cursor is monotone because windows are.
-	for it.ri < len(it.raw) && it.raw[it.ri].At < we {
-		p := it.raw[it.ri]
-		it.ri++
-		if p.At >= ws {
+	for ; it.ri < len(c.Raw) && c.Raw[it.ri].At < we; it.ri++ {
+		if p := c.Raw[it.ri]; p.At >= ws {
 			a.addPoint(p)
 			it.tiers.Raw++
 		}
@@ -195,38 +187,29 @@ func (it *WindowIter) Window() WindowAgg { return it.w }
 // Tiers reports cumulative tier hits so far.
 func (it *WindowIter) Tiers() TierHits { return it.tiers }
 
+// Watermark is the fold watermark of the cut the iterator answers
+// from: below it every window was answered from buckets.
+func (it *WindowIter) Watermark() time.Duration { return it.c.Folded }
+
 // Close releases the pooled raw buffer. The iterator must not be used
 // afterwards. Idempotent.
 func (it *WindowIter) Close() {
-	if it.release != nil {
-		it.release()
-		it.release = nil
+	if it.c.Release != nil {
+		it.c.Release()
+		it.c.Release = nil
 	}
-	it.raw = nil
+	it.c.Raw = nil
 }
 
-func (it *WindowIter) consumeHourly(a *acc, lo, hi time.Duration) {
-	// Skip buckets covered by the daily tier (or below the query range)
-	// by binary search, not linear walk: a century query would otherwise
-	// step through ~1M hourly buckets just to skip them.
-	it.hi += sort.Search(len(it.hourly)-it.hi, func(i int) bool {
-		return it.hourly[it.hi+i].Start >= lo
-	})
-	for it.hi < len(it.hourly) && it.hourly[it.hi].Start < hi {
-		a.addBucket(it.hourly[it.hi])
-		it.tiers.Hourly++
-		it.hi++
-	}
-}
-
-func (it *WindowIter) consumeDaily(a *acc, lo, hi time.Duration) {
-	it.di += sort.Search(len(it.daily)-it.di, func(i int) bool {
-		return it.daily[it.di+i].Start >= lo
-	})
-	for it.di < len(it.daily) && it.daily[it.di].Start < hi {
-		a.addBucket(it.daily[it.di])
-		it.tiers.Daily++
-		it.di++
+// consume adds tier bs's buckets starting in [lo, hi) to a, advancing
+// the cursor *i and the hit count *hits. The cursor skips to lo by
+// binary search, not a linear walk: a century query would otherwise step
+// through ~1M hourly buckets just to skip the ones the daily tier covers.
+func consume(a *acc, bs []rollup.Bucket, i, hits *int, lo, hi time.Duration) {
+	*i += sort.Search(len(bs)-*i, func(j int) bool { return bs[*i+j].Start >= lo })
+	for ; *i < len(bs) && bs[*i].Start < hi; *i++ {
+		a.addBucket(bs[*i])
+		*hits++
 	}
 }
 
@@ -299,11 +282,4 @@ func alignDown(t, w time.Duration) time.Duration {
 
 func alignUp(t, w time.Duration) time.Duration {
 	return alignDown(t+w-1, w)
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

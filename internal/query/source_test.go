@@ -17,10 +17,8 @@ type dbSource struct {
 	devs    []lpwan.EUI64
 }
 
-func (s dbSource) RollupEngine() *rollup.Engine { return s.rollups }
-
-func (s dbSource) RawPoints(dev lpwan.EUI64, from, to time.Duration) ([]tsdb.Point, func()) {
-	return s.db.RangeSlice(dev, from, to)
+func (s dbSource) Cut(dev lpwan.EUI64, from, to time.Duration) Cut {
+	return ReadCut(s.rollups, s.db, dev, from, to)
 }
 
 func (s dbSource) Devices() []lpwan.EUI64 { return s.devs }

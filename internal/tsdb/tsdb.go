@@ -46,7 +46,6 @@ type Options struct {
 // Stats describes the engine's current shape.
 type Stats struct {
 	Shards      int    `json:"shards"`
-	Devices     int    `json:"devices"`
 	Points      int    `json:"points"`
 	Appended    uint64 `json:"appended"`
 	Replayed    uint64 `json:"replayed"`
@@ -367,7 +366,6 @@ func (db *DB) Stats() Stats {
 	}
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		st.Devices += len(sh.points)
 		for _, pts := range sh.points {
 			st.Points += len(pts)
 		}

@@ -52,7 +52,8 @@ await_ready() {
 
 # check_devices requires the device set to hold both devices: /devices
 # lists two and /status counts two, whatever share of their readings the
-# fold has moved into buckets.
+# fold has moved into buckets. "devices" is the one device count in the
+# /status body, so the grep cannot match any other field.
 check_devices() {
     DEVS="$(curl -s "http://127.0.0.1:$PORT/devices")"
     [ "$(printf '%s' "$DEVS" | grep -o '"[^"]*"' | wc -l)" -eq 2 ] ||
