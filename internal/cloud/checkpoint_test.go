@@ -25,21 +25,44 @@ import (
 	"centuryscale/internal/sim"
 	"centuryscale/internal/telemetry"
 	"centuryscale/internal/tsdb"
+	"centuryscale/internal/vfs"
 )
 
-// faultFS is the fault injector behind the checkpoint writer's seam: the
-// real filesystem, a log of every operation that reached it, and one
-// scripted failure. In "error" mode the chosen operation fails once and
-// the process lives on; in "crash" mode it and everything after it never
-// happen, which is what a power cut at that instant leaves on disk. With
-// short set, a failing write first lets half its bytes through.
+// faultFS is the fault injector under a rig's store, from boot: the
+// vfs.FS that both the WAL and the checkpoint write through, backed by
+// the real filesystem, with a log of every operation that reached it and
+// one scripted failure. In "error" mode the chosen operation fails once
+// and the process lives on; in "crash" mode it and everything after it
+// never happen, which is what a power cut at that instant leaves on
+// disk. With short set, a failing write first lets half its bytes
+// through.
 type faultFS struct {
 	mu      sync.Mutex
 	ops     []string
-	failAt  int // index into ops of the operation to fail; -1 for none
+	failAt  int    // index into ops of the operation to fail; -1 for none
+	failOn  string // or the first operation whose name begins with this
 	crash   bool
 	short   bool
 	crashed bool
+}
+
+// diskOf returns the fault injector a rig opened s's DB with.
+func diskOf(s *Store) *faultFS { return s.DB().FS().(*faultFS) }
+
+// script clears the log and sets the failure to come: the failAt'th
+// operation from now (-1: none), or the first named failOn ("": none).
+// script(-1, "", false, false) heals the disk and records what follows.
+func (fs *faultFS) script(failAt int, failOn string, crash, short bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.ops, fs.failAt, fs.failOn, fs.crash, fs.short, fs.crashed = nil, failAt, failOn, crash, short, false
+}
+
+// recorded returns the operations logged since the last script.
+func (fs *faultFS) recorded() []string {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return append([]string(nil), fs.ops...)
 }
 
 var (
@@ -63,9 +86,10 @@ func (fs *faultFS) stepAt(op string) (scripted bool, err error) {
 	}
 	i := len(fs.ops)
 	fs.ops = append(fs.ops, op)
-	if i != fs.failAt {
+	if i != fs.failAt && (fs.failOn == "" || !strings.HasPrefix(op, fs.failOn)) {
 		return false, nil
 	}
+	fs.failOn = ""
 	if fs.crash {
 		fs.crashed = true
 		return true, errCrashed
@@ -77,35 +101,35 @@ func (fs *faultFS) Mkdir(dir string) error {
 	if err := fs.step("mkdir " + filepath.Base(dir)); err != nil {
 		return err
 	}
-	return osFS{}.Mkdir(dir)
+	return vfs.OS{}.Mkdir(dir)
 }
 
 func (fs *faultFS) Rename(from, to string) error {
 	if err := fs.step("rename " + filepath.Base(to)); err != nil {
 		return err
 	}
-	return osFS{}.Rename(from, to)
+	return vfs.OS{}.Rename(from, to)
 }
 
 func (fs *faultFS) Remove(path string) error {
 	if err := fs.step("remove " + filepath.Base(path)); err != nil {
 		return err
 	}
-	return osFS{}.Remove(path)
+	return vfs.OS{}.Remove(path)
 }
 
 func (fs *faultFS) SyncDir(dir string) error {
 	if err := fs.step("syncdir " + filepath.Base(dir)); err != nil {
 		return err
 	}
-	return osFS{}.SyncDir(dir)
+	return vfs.OS{}.SyncDir(dir)
 }
 
-func (fs *faultFS) OpenAppend(path string) (ckptFile, error) {
+func (fs *faultFS) OpenAppend(path string) (vfs.File, error) {
 	if err := fs.step("open " + filepath.Base(path)); err != nil {
 		return nil, err
 	}
-	f, err := osFS{}.OpenAppend(path)
+	f, err := vfs.OS{}.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +138,7 @@ func (fs *faultFS) OpenAppend(path string) (ckptFile, error) {
 
 type faultFile struct {
 	fs   *faultFS
-	f    ckptFile
+	f    vfs.File
 	name string
 }
 
@@ -165,10 +189,11 @@ func newRig(t *testing.T) *archiveRig {
 	return &archiveRig{t: t, dir: dir, snap: filepath.Join(dir, "snapshot.json")}
 }
 
-// open starts a store on the rig's WAL without loading anything.
+// open starts a store on the rig's WAL without loading anything, on a
+// fresh fault injector (diskOf) that fails nothing until scripted.
 func (r *archiveRig) open() *Store {
 	r.t.Helper()
-	db, err := tsdb.Open(tsdb.Options{Dir: filepath.Join(r.dir, "tsdb"), Shards: 4, Sync: tsdb.SyncNever})
+	db, err := tsdb.Open(tsdb.Options{Dir: filepath.Join(r.dir, "tsdb"), Shards: 4, Sync: tsdb.SyncNever, FS: &faultFS{failAt: -1}})
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -290,12 +315,31 @@ func onlyNamedFiles(t *testing.T, snap string) {
 	}
 }
 
+// caseNames names the subtest of each recorded operation: a save
+// operation by its place among the save's own ("00 mkdir ..."), a WAL
+// operation by itself ("close wal-00000001.log"), so that a save
+// operation's case keeps its name whatever the WAL does around it.
+func caseNames(ops []string) []string {
+	names := make([]string, len(ops))
+	n := 0
+	for i, op := range ops {
+		if strings.Contains(op, " wal-") {
+			names[i] = op
+			continue
+		}
+		names[i] = fmt.Sprintf("%02d %s", n, op)
+		n++
+	}
+	return names
+}
+
 // TestCheckpointCrashPoints is K1 and K2, operation by operation. A
 // control run records every operation one checkpoint sends through the
-// seam — once for the first checkpoint of an archive (a full base), once
-// for a later one (a delta) — and then each operation in turn is made to
-// fail (ENOSPC, the process lives) or to be the last thing that happened
-// (a crash), with short writes tried on every write. Whatever is then on
+// disk seam — the WAL's rotation, the save and the WAL's truncation, as
+// one sequence; once for the first checkpoint of an archive (a full
+// base), once for a later one (a delta) — and then each operation in
+// turn is made to fail (ENOSPC, the process lives) or to be the last
+// thing that happened (a crash), with short writes tried on every write. Whatever is then on
 // disk must boot to exactly the control's state before the checkpoint or
 // after it, never a mixture; a checkpoint that did not commit must not
 // have truncated the WAL or advanced what it thinks is written; the
@@ -322,8 +366,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		// operations it is made of.
 		cr, control := prepare(t)
 		pre := exportOf(t, control)
-		rec := &faultFS{failAt: -1}
-		control.fs = rec
+		diskOf(control).script(-1, "", false, false)
 		if err := control.Checkpoint(cr.snap); err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +374,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		if bytes.Equal(pre, post) {
 			t.Fatal("the checkpoint under test folded nothing: pre and post states are the same")
 		}
-		ops := rec.ops
+		ops := diskOf(control).recorded()
 		t.Logf("%s checkpoint: %d operations: %s", which, len(ops), strings.Join(ops, ", "))
 		kinds := map[string]bool{}
 		for _, op := range ops {
@@ -346,18 +389,24 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		if which == "delta" && !strings.Contains(strings.Join(ops, ","), "remove tail-") {
 			t.Error("delta checkpoint never removed the superseded tail")
 		}
+		for _, walOp := range []string{"close wal-", "open wal-", "remove wal-"} {
+			if !strings.Contains(strings.Join(ops, ","), walOp) {
+				t.Errorf("%s checkpoint never issued a %s...: the enumeration does not cover the WAL's rotation and truncation", which, walOp)
+			}
+		}
 		control.Close()
 
+		names := caseNames(ops)
 		for i, op := range ops {
 			for _, mode := range []string{"error", "crash", "short-error", "short-crash"} {
 				if strings.HasPrefix(mode, "short") && !strings.HasPrefix(op, "write ") {
 					continue
 				}
-				t.Run(fmt.Sprintf("%s/%02d %s/%s", which, i, op, mode), func(t *testing.T) {
+				t.Run(which+"/"+names[i]+"/"+mode, func(t *testing.T) {
 					r, s := prepare(t)
 					srv := NewServer(s, time.Now())
 					walBefore := r.walSegments()
-					s.fs = &faultFS{failAt: i, crash: strings.HasSuffix(mode, "crash"), short: strings.HasPrefix(mode, "short")}
+					diskOf(s).script(i, "", strings.HasSuffix(mode, "crash"), strings.HasPrefix(mode, "short"))
 					err := srv.Checkpoint(r.snap)
 
 					if err != nil {
@@ -394,7 +443,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 					}
 					// The process lived: the fault heals, the next tick
 					// retries, and everything converges on the control.
-					s.fs = osFS{}
+					diskOf(s).script(-1, "", false, false)
 					if err := srv.Checkpoint(r.snap); err != nil {
 						t.Fatalf("retry: %v", err)
 					}
@@ -437,15 +486,16 @@ func TestCrashedCheckpointConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedDays(t, control, 4, 7)
-	rec := &faultFS{failAt: -1}
-	control.fs = rec
+	diskOf(control).script(-1, "", false, false)
 	if err := control.Checkpoint(cr.snap); err != nil {
 		t.Fatal(err)
 	}
 	want := exportOf(t, control)
 
-	for i, op := range rec.ops {
-		t.Run(fmt.Sprintf("%02d %s", i, op), func(t *testing.T) {
+	ops := diskOf(control).recorded()
+	names := caseNames(ops)
+	for i := range ops {
+		t.Run(names[i], func(t *testing.T) {
 			r := newRig(t)
 			s := r.boot()
 			feedDays(t, s, 0, 4)
@@ -453,7 +503,7 @@ func TestCrashedCheckpointConverges(t *testing.T) {
 				t.Fatal(err)
 			}
 			feedDays(t, s, 4, 7)
-			s.fs = &faultFS{failAt: i, crash: true, short: true}
+			diskOf(s).script(i, "", true, true)
 			_ = s.Checkpoint(r.snap) // dies at op
 
 			b := r.boot()
@@ -1344,7 +1394,7 @@ func TestCheckpointMetrics(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.fs = &faultFS{failAt: 3} // the tail's write: nothing new to seal, so the tail file is the first one touched
+		diskOf(s).script(-1, "write tail-", false, false) // nothing new to seal, so the tail is the first file written
 		if err := s.Checkpoint(r.snap); err == nil {
 			t.Fatal("injected fault did not fail the checkpoint")
 		}
@@ -1534,7 +1584,7 @@ func TestArchiveGauges(t *testing.T) {
 	}
 	want := scrape(s)
 	feedDays(t, s, 6, 7)
-	s.fs = &faultFS{failAt: 1}
+	diskOf(s).script(-1, "open sealed-", false, false)
 	if err := s.Checkpoint(r.snap); err == nil {
 		t.Fatal("injected fault did not fail the checkpoint")
 	}

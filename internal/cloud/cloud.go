@@ -203,12 +203,11 @@ type Store struct {
 	foldMu sync.RWMutex
 
 	// Checkpoint state (persist.go), owned by whoever holds saving: the
-	// archive the last load or save left, the disk seam only tests
-	// replace, the sealed-segment rotation size (0: the default), and what
-	// the cloud_checkpoint_* metrics read.
+	// archive the last load or save left, the sealed-segment rotation
+	// size (0: the default), and what the cloud_checkpoint_* metrics
+	// read. The checkpoint writes through the DB's disk (tsdb.DB.FS).
 	saving                               atomic.Bool
 	arch                                 archive
-	fs                                   ckptFS
 	segmentBytes                         int64
 	lastLoad                             LoadInfo
 	ckptBytes, ckptBuckets, ckptFailures atomic.Uint64
@@ -265,7 +264,6 @@ func NewStoreWithDB(keys KeyResolver, db *tsdb.DB) *Store {
 		keys:    keys,
 		db:      db,
 		scratch: sync.Pool{New: newAdmitScratch},
-		fs:      osFS{},
 	}
 	s.guards = make([]*guardShard, db.Shards())
 	for i := range s.guards {

@@ -507,7 +507,7 @@ func (s *Store) save(path, dir string, o *checkpointObs) error {
 	lap := o.now()
 	head, shards, tiers := s.cut(a.hourly, a.daily)
 	m := manifest{Version: manifestVersion, Stats: head.Stats, Weeks: head.Weeks, Lapses: head.Lapses}
-	if err := s.fs.Mkdir(dir); err != nil {
+	if err := s.db.FS().Mkdir(dir); err != nil {
 		return fmt.Errorf("cloud: checkpoint dir: %w", err)
 	}
 	if tiers != nil {
@@ -539,7 +539,7 @@ func (s *Store) save(path, dir string, o *checkpointObs) error {
 	if err := s.appendFile(dir, &a.tail, records); err != nil {
 		return err
 	}
-	if err := s.fs.SyncDir(dir); err != nil {
+	if err := s.db.FS().SyncDir(dir); err != nil {
 		return fmt.Errorf("cloud: checkpoint dir sync: %w", err)
 	}
 	lap = o.lap(phaseTail, lap)
@@ -553,14 +553,14 @@ func (s *Store) save(path, dir string, o *checkpointObs) error {
 	if err := s.appendFile(filepath.Dir(tmp), &dataFile{Name: filepath.Base(tmp)}, append(body, '\n')); err != nil {
 		return err
 	}
-	if err := s.fs.Rename(tmp, path); err != nil {
+	if err := s.db.FS().Rename(tmp, path); err != nil {
 		return fmt.Errorf("cloud: manifest rename: %w", err)
 	}
 	// Committed as far as any reader of the directory can tell: from here
 	// the new manifest's files are the ones that must stay untouched,
 	// whether or not the fsync below reports the rename durable.
 	s.adopt(a)
-	if err := s.fs.SyncDir(filepath.Dir(path)); err != nil {
+	if err := s.db.FS().SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("cloud: manifest dir sync: %w", err)
 	}
 	o.lap(phaseCommit, lap)
@@ -583,7 +583,7 @@ func (s *Store) LoadFile(path string) error {
 	stale, _ := filepath.Glob(filepath.Join(filepath.Dir(path), ".snapshot-*")) // the pattern is well-formed
 	for _, f := range append(stale, tempPath(path)) {
 		if f != path {
-			_ = os.Remove(f) // best effort: a leftover is only clutter
+			_ = s.db.FS().Remove(f) // best effort: a leftover is only clutter
 		}
 	}
 	s.adopt(archive{})

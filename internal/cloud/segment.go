@@ -335,45 +335,6 @@ func (d *compactReader) after(base time.Duration) time.Duration {
 	return time.Duration(uint64(base) + v)
 }
 
-// ckptFile and ckptFS are the disk as the checkpoint writer sees it: every
-// write, fsync, rename and unlink of a checkpoint goes through this seam.
-// Production is osFS; only tests substitute a fault injector.
-type ckptFile interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Truncate(size int64) error
-	Close() error
-}
-
-type ckptFS interface {
-	Mkdir(dir string) error // an existing directory is not an error
-	OpenAppend(path string) (ckptFile, error)
-	Rename(from, to string) error
-	Remove(path string) error
-	SyncDir(dir string) error
-}
-
-type osFS struct{}
-
-func (osFS) Mkdir(dir string) error {
-	if err := os.Mkdir(dir, 0o755); !os.IsExist(err) {
-		return err
-	}
-	return nil
-}
-func (osFS) Rename(from, to string) error { return os.Rename(from, to) }
-func (osFS) Remove(path string) error     { return os.Remove(path) }
-func (osFS) OpenAppend(path string) (ckptFile, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-func (osFS) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	return errors.Join(d.Sync(), d.Close())
-}
-
 func dataName(prefix string, n uint64) string { return fmt.Sprintf("%s-%08d.seg", prefix, n) }
 
 // dataNumber parses a data file's name; ok only for exactly what dataName
@@ -405,7 +366,7 @@ func maxDataFile(dir string) (max uint64) {
 // retried on the descriptor that may have dropped the pages.
 func (s *Store) appendFile(dir string, f *dataFile, data []byte) error {
 	path := filepath.Join(dir, f.Name)
-	h, err := s.fs.OpenAppend(path)
+	h, err := s.db.FS().OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("cloud: checkpoint open: %w", err)
 	}
@@ -507,7 +468,7 @@ func (s *Store) sweep(dir string) {
 	entries, _ := os.ReadDir(dir) // unreadable: nothing to reclaim this time
 	for _, e := range entries {
 		if _, _, ok := dataNumber(e.Name()); ok && !named[e.Name()] {
-			_ = s.fs.Remove(filepath.Join(dir, e.Name()))
+			_ = s.db.FS().Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }

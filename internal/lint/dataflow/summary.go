@@ -49,10 +49,12 @@ var ioMethods = map[[2]string]map[string]bool{
 	{"encoding/json", "Encoder"}: {"Encode": true},
 	{"encoding/json", "Decoder"}: {"Decode": true},
 	{"bufio", "Writer"}:          {"Flush": true, "ReadFrom": true},
-	// The WAL's file seam: an interface, so a call through it resolves to
-	// no summary, and without this entry the log's writes and fsyncs
-	// would be invisible to lockedio exactly where it matters most.
-	{"centuryscale/internal/tsdb", "logFile"}: nil,
+	// The disk seam under the WAL and the checkpoint: interfaces, so a
+	// call through them resolves to no summary, and without these entries
+	// the log's and the checkpoint's writes and fsyncs would be invisible
+	// to lockedio exactly where it matters most.
+	{"centuryscale/internal/vfs", "File"}: nil,
+	{"centuryscale/internal/vfs", "FS"}:   nil,
 }
 
 // DirectIO returns a human-readable name for the blocking I/O fn

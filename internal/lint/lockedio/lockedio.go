@@ -22,8 +22,9 @@
 // scanned: they do not run synchronously under the lock at that point.
 //
 // I/O behind an interface is a blind spot: a call through one resolves
-// to no summary. dataflow's ioMethods special-cases one seam,
-// tsdb.logFile, so the WAL's writes and fsyncs stay visible.
+// to no summary. dataflow's ioMethods special-cases one seam, vfs.File
+// and vfs.FS, so the WAL's and the checkpoint's writes and fsyncs stay
+// visible.
 // resilience.Sender is not special-cased, and lockedio is not taught to
 // resolve its implementations: that is how the replica hop once held a
 // per-peer lock across every round trip unseen (DESIGN.md F12).

@@ -7,7 +7,8 @@
 // syncerr flags statements that call Close, Sync, Flush, or Truncate and
 // drop the error, when the receiver is an *os.File, a *bufio.Writer, or
 // any type declared in a durability package (internal/tsdb,
-// internal/cloud — where a discarded close IS a discarded fsync).
+// internal/cloud, and internal/vfs, the disk seam both write through —
+// where a discarded close IS a discarded fsync).
 //
 // Escapes, in order of preference: handle the error; write `_ = f.Close()`
 // to make a deliberate best-effort discard explicit and greppable; or
@@ -25,7 +26,7 @@ import (
 
 // DurabilityPackages are import-path suffixes whose own types' Close/
 // Sync/Flush/Truncate methods are treated as durability barriers.
-var DurabilityPackages = []string{"internal/tsdb", "internal/cloud"}
+var DurabilityPackages = []string{"internal/tsdb", "internal/cloud", "internal/vfs"}
 
 var checkedMethods = map[string]bool{
 	"Close": true, "Sync": true, "Flush": true, "Truncate": true,

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 
+	"centuryscale/internal/vfs"
 	"internal/tsdb"
 )
 
@@ -36,4 +37,10 @@ func good(f *os.File, db *tsdb.DB) error {
 // business, not syncerr's.
 func irrelevant(c net.Conn) {
 	c.Close()
+}
+
+// The disk seam's file is a durability type wherever it is used.
+func badSeam(f vfs.File) {
+	f.Close()    // want `vfs\.File\.Close discards its error`
+	_ = f.Sync() // explicit discard: fine
 }

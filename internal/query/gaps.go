@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"centuryscale/internal/lpwan"
+	"centuryscale/internal/rollup"
 	"centuryscale/internal/sim"
 )
 
@@ -21,7 +22,7 @@ func (e *Engine) WeeklyUptime(dev lpwan.EUI64, horizon time.Duration) float64 {
 	weeks := make(map[int64]bool)
 	c := e.Src.Cut(dev, 0, horizon)
 	defer c.Release()
-	c.spans(func(start, _, _, _ time.Duration) {
+	c.spans(horizon, func(start, _, _, _ time.Duration) {
 		if w := int64(start / sim.Week); w < total {
 			weeks[w] = true
 		}
@@ -34,28 +35,46 @@ func (e *Engine) WeeklyUptime(dev lpwan.EUI64, horizon time.Duration) float64 {
 // run-out from the last arrival to the horizon. A bucket contributes its
 // internal MaxGap plus the seam gap from the previous span's Last to its
 // First, so the answer over buckets equals the answer over the raw
-// points they summarized.
+// points they summarized. Below the fold watermark a bucket is the
+// finest history there is, so a horizon there that is off the hourly
+// grid is answered at the grid line below it (DESIGN.md S57, F18).
 func (e *Engine) LongestGap(dev lpwan.EUI64, horizon time.Duration) time.Duration {
 	var gap, prev time.Duration
 	c := e.Src.Cut(dev, 0, horizon)
 	defer c.Release()
-	c.spans(func(_, first, last, inner time.Duration) {
+	if horizon < c.Folded {
+		horizon = rollup.AlignDown(horizon, c.HourlyWidth)
+	}
+	c.spans(horizon, func(_, first, last, inner time.Duration) {
 		gap = max(gap, first-prev, inner)
 		prev = last
 	})
 	return max(gap, horizon-prev)
 }
 
-// spans walks the cut's history in time order, tier by tier: the daily
-// buckets, then the hourly buckets the daily tier does not cover, then
-// the raw points. A bucket passes its Start, first and last arrival and
-// internal MaxGap; a raw point its At three times and no inner gap.
-func (c *Cut) spans(fn func(start, first, last, inner time.Duration)) {
+// spans walks the cut's history below upTo in time order, tier by
+// tier: the daily buckets that end by upTo, then the hourly buckets the
+// daily ones do not cover that start below upTo, then the raw points
+// (the cut holds none at or past upTo). A bucket passes its Start, first
+// and last arrival and internal MaxGap; a raw point its At three times
+// and no inner gap. With upTo on the hourly grid, no span reaches past
+// it.
+func (c *Cut) spans(upTo time.Duration, fn func(start, first, last, inner time.Duration)) {
+	daily := c.DailyFolded
+	if c.DailyWidth > 0 {
+		daily = min(daily, rollup.AlignDown(upTo, c.DailyWidth))
+	}
 	for _, b := range c.Daily {
+		if b.Start >= daily {
+			break
+		}
 		fn(b.Start, b.First, b.Last, b.MaxGap)
 	}
-	hourly := c.Hourly[sort.Search(len(c.Hourly), func(i int) bool { return c.Hourly[i].Start >= c.DailyFolded }):]
+	hourly := c.Hourly[sort.Search(len(c.Hourly), func(i int) bool { return c.Hourly[i].Start >= daily }):]
 	for _, b := range hourly {
+		if b.Start >= upTo {
+			break
+		}
 		fn(b.Start, b.First, b.Last, b.MaxGap)
 	}
 	for _, p := range c.Raw {

@@ -367,7 +367,71 @@ func TestRollupVsNaiveProperty(t *testing.T) {
 			if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 				t.Fatalf("TopGaps = %+v, want %+v", got, want[:2])
 			}
+
+			// Horizons drawn on the hourly grid in (0, 45 d], so most
+			// fall below the fold watermark: no span past the horizon
+			// may count inside it (F18).
+			for trial := 0; trial < 40; trial++ {
+				h := time.Duration(1+src.Intn(int(horizon/time.Hour))) * time.Hour
+				want := make([]DeviceGap, 0, len(devs))
+				for _, d := range devs {
+					g := naiveGap(perDev[d], h)
+					if got := q.LongestGap(d, h); got != g {
+						t.Fatalf("seed %d trial %d: LongestGap(%v, %v) = %v, want %v (watermark %v)", seed, trial, d, h, got, g, wm)
+					}
+					if got, want := q.WeeklyUptime(d, h), naiveUptime(perDev[d], h); got != want {
+						t.Fatalf("seed %d trial %d: WeeklyUptime(%v, %v) = %v, want %v (watermark %v)", seed, trial, d, h, got, want, wm)
+					}
+					want = append(want, DeviceGap{Device: d, Gap: g})
+				}
+				sort.Slice(want, func(i, j int) bool {
+					if want[i].Gap != want[j].Gap {
+						return want[i].Gap > want[j].Gap
+					}
+					return want[i].Device.Uint64() < want[j].Device.Uint64()
+				})
+				if got := q.TopGaps(2, h); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+					t.Fatalf("seed %d trial %d: TopGaps(2, %v) = %+v, want %+v (watermark %v)", seed, trial, h, got, want[:2], wm)
+				}
+			}
 		})
+	}
+}
+
+// TestGapHorizonBelowWatermark is F18's reproduction: hourly readings
+// over days 0–10 and 15–20, all folded. A gap query with a three-day
+// horizon must not see the silence of days 10–15, which lies after it
+// (the walk used to read 121 h where the truth is 1 h); and a horizon
+// off the hourly grid below the watermark is answered at the grid line
+// below it, the finest history the buckets keep.
+func TestGapHorizonBelowWatermark(t *testing.T) {
+	db := memDB(t)
+	dev := lpwan.EUIFromUint64(0xF18)
+	seq := uint32(0)
+	for _, days := range [][2]int{{0, 10}, {15, 20}} {
+		for at := time.Duration(days[0]) * sim.Day; at < time.Duration(days[1])*sim.Day; at += time.Hour {
+			seq++
+			db.Load(tsdb.Point{Device: dev, At: at, Seq: seq, Value: 1})
+		}
+	}
+	eng, err := rollup.New(rollup.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Fold(db.DrainBelow(eng.Advance(21 * sim.Day)))
+	q := &Engine{Src: dbSource{db: db, rollups: eng, devs: []lpwan.EUI64{dev}}}
+	for _, tc := range []struct{ horizon, want time.Duration }{
+		{3 * sim.Day, time.Hour},
+		{10*sim.Day + 30*time.Minute, time.Hour}, // off the grid: read at 10 d (the raw truth is 1 h 30 m)
+		{12 * sim.Day, 2*sim.Day + time.Hour},    // into the silence
+		{21 * sim.Day, 5*sim.Day + time.Hour},    // across it
+	} {
+		if got := q.LongestGap(dev, tc.horizon); got != tc.want {
+			t.Errorf("LongestGap(%v) = %v, want %v", tc.horizon, got, tc.want)
+		}
+	}
+	if got := q.TopGaps(1, 3*sim.Day); len(got) != 1 || got[0].Gap != time.Hour {
+		t.Errorf("TopGaps(1, 3 d) = %+v, want a 1 h gap", got)
 	}
 }
 

@@ -4,19 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"centuryscale/internal/lpwan"
+	"centuryscale/internal/vfs"
 )
 
-// faults is the fault-injecting file layer under the log: real segment
-// files behind the logFile seam, with a scripted failure per operation
-// kind and a record of every call for the assertions that are about
-// which descriptor saw what.
+// faults is the fault-injecting disk under the log: real segment files
+// behind the vfs.FS seam, with a scripted failure per operation kind and
+// a record of every call for the assertions that are about which
+// descriptor saw what.
 type faults struct {
 	mu    sync.Mutex
 	rules map[string]*faultRule
@@ -37,15 +37,14 @@ type fileOp struct {
 }
 
 // injectFaults puts a fault layer under db's log, wrapping the segment
-// that Open already started. Opens and directory syncs are recorded
-// against descriptor 0, the log directory.
+// that Open already started. Opens, unlinks and directory syncs are
+// recorded against descriptor 0, the log directory.
 func injectFaults(db *DB) *faults {
 	fs := &faults{rules: make(map[string]*faultRule)}
 	w := db.wal
-	w.openFile = fs.open
-	w.syncDir = fs.syncDir
+	w.fs = fs
 	fs.files = 1
-	w.f = &faultFile{fs: fs, f: w.f.(*os.File), id: 1}
+	w.f = &faultFile{fs: fs, f: w.f, id: 1}
 	return fs
 }
 
@@ -78,11 +77,11 @@ func (fs *faults) trip(file int, op string) *faultRule {
 	return r
 }
 
-func (fs *faults) open(path string) (logFile, error) {
+func (fs *faults) OpenAppend(path string) (vfs.File, error) {
 	if r := fs.trip(0, "open"); r != nil {
 		return nil, r.err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := vfs.OS{}.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
@@ -93,11 +92,32 @@ func (fs *faults) open(path string) (logFile, error) {
 	return &faultFile{fs: fs, f: f, id: id}, nil
 }
 
-func (fs *faults) syncDir(dir string) error {
+func (fs *faults) SyncDir(dir string) error {
 	if r := fs.trip(0, "syncdir"); r != nil {
 		return r.err
 	}
-	return syncDir(dir)
+	return vfs.OS{}.SyncDir(dir)
+}
+
+func (fs *faults) Mkdir(dir string) error {
+	if r := fs.trip(0, "mkdir"); r != nil {
+		return r.err
+	}
+	return vfs.OS{}.Mkdir(dir)
+}
+
+func (fs *faults) Rename(from, to string) error {
+	if r := fs.trip(0, "rename"); r != nil {
+		return r.err
+	}
+	return vfs.OS{}.Rename(from, to)
+}
+
+func (fs *faults) Remove(path string) error {
+	if r := fs.trip(0, "remove"); r != nil {
+		return r.err
+	}
+	return vfs.OS{}.Remove(path)
 }
 
 // trace returns every recorded call in order as "file:op".
@@ -131,7 +151,7 @@ func (fs *faults) opsOf(file int) []string {
 
 type faultFile struct {
 	fs *faults
-	f  *os.File
+	f  vfs.File
 	id int
 }
 

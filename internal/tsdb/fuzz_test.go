@@ -30,9 +30,9 @@ func framed(payload []byte) []byte {
 }
 
 // runRefusals are arrival-run frames the decoder must refuse, however
-// sound their CRC: no entries, lengths not of the form 9+21k, and a run
-// too long for MaxFrame (refused at the length prefix, so its frame is
-// the header alone).
+// sound their CRC: no entries, lengths not of the form 9+21k, a run too
+// long for MaxFrame (refused at the length prefix, so its frame is the
+// header alone), and a type this build does not know.
 var runRefusals = []struct {
 	name  string
 	frame []byte
@@ -43,7 +43,7 @@ var runRefusals = []struct {
 	{"entry and a byte", framed(append(appendRun(nil, runOf(1, time.Hour))[frameHeader:], 0)), ErrBadRecord},
 	{"arrival only half there", framed([]byte{recordRun, 0, 0, 0, 0}), ErrBadRecord},
 	{"k=maxRun+1", binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, runHeader+runEntry*(maxRun+1)), 0), ErrFrameSize},
-	{"unknown type", framed(append([]byte{0x03}, appendRun(nil, runOf(1, time.Hour))[frameHeader+1:]...)), ErrBadRecord},
+	{"unknown type", framed(append([]byte{0x03}, appendRun(nil, runOf(1, time.Hour))[frameHeader+1:]...)), ErrUnknownRecord},
 }
 
 // TestRunRecordRefusals: after an intact run, each refused frame ends
@@ -121,7 +121,8 @@ func resealed(data []byte) []byte {
 // a corrupted disk or a hostile file would, every in-bounds frame
 // resealed first (resealed): it must never panic, never allocate beyond
 // MaxFrame for a payload, refuse what FORMAT.md refuses (a run of no
-// points, a run length not 9+21k, a length above MaxFrame), and anything
+// points, a run length not 9+21k, a length above MaxFrame, and as
+// ErrUnknownRecord every type but 0x01 and 0x02), and anything
 // it does decode, of either record type, must re-encode to the exact
 // bytes it came from (the framing is canonical). Mirrors
 // internal/telemetry's FuzzVerify discipline.
@@ -178,8 +179,14 @@ func FuzzWALDecode(f *testing.F) {
 			var pts []Point
 			n, err := decodePayload(payload, func(p Point) { pts = append(pts, p) })
 			if err != nil {
-				if !errors.Is(err, ErrBadRecord) {
-					t.Fatalf("unclassified record error: %v", err)
+				// A known type that does not decode is damage; any other
+				// type is a record this build cannot read (K9).
+				want := ErrUnknownRecord
+				if payload[0] == recordPoint || payload[0] == recordRun {
+					want = ErrBadRecord
+				}
+				if !errors.Is(err, want) {
+					t.Fatalf("record type %#x: error %v, want %v", payload[0], err, want)
 				}
 				if len(pts) != 0 {
 					t.Fatalf("refused payload emitted %d points", len(pts))

@@ -102,6 +102,9 @@ var (
 	ErrFrameSize = errors.New("tsdb: frame length out of bounds")
 	ErrFrameCRC  = errors.New("tsdb: frame CRC mismatch")
 	ErrBadRecord = errors.New("tsdb: undecodable record payload")
+	// ErrUnknownRecord is a sound frame of a type this build does not
+	// know: a newer build's record, which replay refuses (K9).
+	ErrUnknownRecord = errors.New("tsdb: unknown record type")
 )
 
 // AppendRecord appends a complete point frame for p to dst: the record
@@ -174,7 +177,8 @@ func appendLog(dst []byte, ps []Point) []byte {
 
 // decodePayload decodes one record payload of either type, handing its
 // points to emit, and returns how many it held. A payload is checked
-// whole before its first point is emitted.
+// whole before its first point is emitted. A known type that does not
+// decode is ErrBadRecord; any other type is ErrUnknownRecord.
 func decodePayload(payload []byte, emit func(Point)) (int, error) {
 	switch leadByte(payload) {
 	case recordPoint:
@@ -205,6 +209,8 @@ func decodePayload(payload []byte, emit func(Point)) (int, error) {
 			emit(p)
 		}
 		return body / runEntry, nil
+	default:
+		return 0, fmt.Errorf("%w %#x (%d bytes)", ErrUnknownRecord, leadByte(payload), len(payload))
 	}
 	return 0, fmt.Errorf("%w: %d bytes, type %#x", ErrBadRecord, len(payload), leadByte(payload))
 }

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -308,5 +309,81 @@ func TestRecoveryCorruptionInEarlierSegment(t *testing.T) {
 	hist := re.History(lpwan.EUIFromUint64(1))
 	if hist[0].Seq != 1 || hist[1].Seq != 4 {
 		t.Fatalf("unexpected survivors: %+v", hist[:2])
+	}
+}
+
+// TestUnknownRecordRefusesBoot is K9 for the log: a segment holding
+// three point records, a sound frame of type 0x03 (a record a newer
+// build could write) and one more point refuses the boot with
+// ErrUnknownRecord, naming the segment, the offset and the type, and
+// leaves every file under wal/ as it was. Recovering past it as damage
+// would truncate the segment and lose the point after it, which a newer
+// build acknowledged.
+func TestUnknownRecordRefusesBoot(t *testing.T) {
+	dir := t.TempDir()
+	logDir := filepath.Join(dir, walDir)
+	if err := os.MkdirAll(logDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for seq := uint32(1); seq <= 3; seq++ {
+		seg = AppendRecord(seg, pt(1, seq, time.Duration(seq)*time.Minute))
+	}
+	unknownAt := len(seg)
+	seg = append(seg, framed([]byte{0x03, 0, 0, 0, 0, 0, 0, 0, 42})...)
+	seg = AppendRecord(seg, pt(1, 4, 4*time.Minute))
+	path := filepath.Join(logDir, segName(1))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshotDir := func() map[string]string {
+		files := map[string]string{}
+		entries, err := os.ReadDir(logDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(logDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	before := snapshotDir()
+
+	db, err := Open(Options{Dir: dir, Shards: 1, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Replay(nil)
+	if cerr := db.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if !errors.Is(err, ErrUnknownRecord) {
+		t.Fatalf("replay = %+v, %v; want ErrUnknownRecord", st, err)
+	}
+	for _, want := range []string{path, fmt.Sprintf("offset %d", unknownAt), "type 0x3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
+	}
+	if st.Corruptions != 0 {
+		t.Errorf("the unknown record was counted as damage: %+v", st)
+	}
+	// The boot's own empty active segment is the only addition.
+	after := snapshotDir()
+	for name, data := range after {
+		if old, ok := before[name]; !ok && data != "" {
+			t.Errorf("%s appeared with %d bytes", name, len(data))
+		} else if ok && old != data {
+			t.Errorf("%s changed: %d bytes, was %d", name, len(data), len(old))
+		}
+	}
+	for name := range before {
+		if _, ok := after[name]; !ok {
+			t.Errorf("%s was removed", name)
+		}
 	}
 }

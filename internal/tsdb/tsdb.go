@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"centuryscale/internal/lpwan"
+	"centuryscale/internal/vfs"
 )
 
 // Defaults for Options zero values.
@@ -41,6 +42,9 @@ type Options struct {
 	// Logf, when set, receives recovery diagnostics
 	// (corrupt WAL records found, segments truncated).
 	Logf func(string, ...any)
+	// FS is the disk the log writes through, and the checkpoint too
+	// (DB.FS); nil is vfs.OS. Tests put a fault injector here.
+	FS vfs.FS
 }
 
 // Stats describes the engine's current shape.
@@ -98,9 +102,12 @@ func Open(opts Options) (*DB, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = DefaultSyncEvery
 	}
+	if opts.FS == nil {
+		opts.FS = vfs.OS{}
+	}
 	db := &DB{opts: opts, shards: make([]*shard, opts.Shards)}
 	if opts.Dir != "" {
-		w, err := openWAL(filepath.Join(opts.Dir, walDir), opts.SegmentBytes, opts.Sync)
+		w, err := openWAL(filepath.Join(opts.Dir, walDir), opts.SegmentBytes, opts.Sync, opts.FS)
 		if err != nil {
 			return nil, err
 		}
@@ -153,6 +160,9 @@ func (db *DB) Shards() int { return len(db.shards) }
 
 // Durable reports whether the engine has a WAL.
 func (db *DB) Durable() bool { return db.opts.Dir != "" }
+
+// FS returns the disk the engine writes through (Options.FS).
+func (db *DB) FS() vfs.FS { return db.opts.FS }
 
 // Mix64 is the splitmix64 finalizer: the avalanche function behind
 // ShardIndex. Exported on its own so higher layers that partition the
@@ -208,7 +218,7 @@ func (db *DB) Reset() {
 // crash between checkpoint write and segment truncation leaves such an
 // overlap by design. Corrupt frames end the damaged segment's replay at
 // the last intact record, counted and (via Options.Logf) logged, never
-// fatal.
+// fatal; a sound record of an unknown type refuses the boot (K9).
 //
 // Records are read in log order and handed on in bounded batches, each
 // bucketed by shard: a device's records reach keep in the order they
@@ -247,7 +257,7 @@ func (db *DB) Replay(keep func(Point) bool) (ReplayStats, error) {
 		}
 	}
 	replay := func(dir string, segs []uint64) error {
-		points, corruptions, err := replaySegments(dir, segs, db.opts.Logf, emit)
+		points, corruptions, err := replaySegments(db.opts.FS, dir, segs, db.opts.Logf, emit)
 		drain()
 		st.Records += points
 		st.Corruptions += corruptions

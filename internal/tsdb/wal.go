@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"centuryscale/internal/obs"
+	"centuryscale/internal/vfs"
 )
 
 // SyncPolicy controls when WAL appends are fsynced.
@@ -77,30 +78,6 @@ func parseSegName(name string) (uint64, bool) {
 // flush has passed its LSN (DB.Flush).
 type LSN uint64
 
-// logFile is what the log needs of a segment file. Production uses
-// *os.File; only tests substitute a fault injector.
-type logFile interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Truncate(size int64) error
-	Close() error
-}
-
-func openSegment(path string) (logFile, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// syncDir fsyncs a directory, making the entries created in it durable:
-// without it a host crash can lose a new segment's name, and with it
-// records already fsynced inside the file.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	return errors.Join(d.Sync(), d.Close())
-}
-
 // wal is the one log under every shard, in two parts (DESIGN.md S40).
 //
 // The log buffer: appenders on any shard copy encoded records into buf
@@ -117,9 +94,8 @@ type wal struct {
 	dir          string
 	segmentBytes int64
 	policy       SyncPolicy
-	openFile     func(path string) (logFile, error) // tests inject faults here
-	syncDir      func(dir string) error             // and here
-	clock        obs.Clock                          // flush-time histogram clock; nil is wall time, tests inject theirs
+	fs           vfs.FS    // every segment open, write, fsync, truncate, close and unlink, and the directory syncs
+	clock        obs.Clock // flush-time histogram clock; nil is wall time, tests inject theirs
 
 	mu       sync.Mutex
 	cond     *sync.Cond // on mu: the flusher role changed hands
@@ -139,10 +115,10 @@ type wal struct {
 	failed   atomic.Pointer[error]
 
 	// flusher-role state
-	f      logFile // active segment; nil after a segment was abandoned
-	idx    uint64  // active segment index
-	size   int64   // bytes written to the active segment
-	synced int64   // bytes of the active segment a successful fsync covered
+	f      vfs.File // active segment; nil after a segment was abandoned
+	idx    uint64   // active segment index
+	size   int64    // bytes written to the active segment
+	synced int64    // bytes of the active segment a successful fsync covered
 
 	flushes    atomic.Uint64 // successful flushes that wrote at least one record
 	flushFails atomic.Uint64 // stored under mu; a waiter that sees it move fails too
@@ -160,12 +136,12 @@ type wal struct {
 // old segment, so replay and recovery never race a writer. Unless the
 // policy is never, the directory holding the log directory is fsynced
 // once, so the log's own entry survives a host crash.
-func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, error) {
+func openWAL(dir string, segmentBytes int64, policy SyncPolicy, fs vfs.FS) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: wal dir: %w", err)
 	}
 	if policy != SyncNever {
-		if err := syncDir(filepath.Dir(dir)); err != nil {
+		if err := fs.SyncDir(filepath.Dir(dir)); err != nil {
 			return nil, fmt.Errorf("tsdb: wal dir: %w", err)
 		}
 	}
@@ -173,7 +149,7 @@ func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{dir: dir, segmentBytes: segmentBytes, policy: policy, openFile: openSegment, syncDir: syncDir, existing: existing}
+	w := &wal{dir: dir, segmentBytes: segmentBytes, policy: policy, fs: fs, existing: existing}
 	w.cond = sync.NewCond(&w.mu)
 	w.idx = 1
 	if n := len(existing); n > 0 {
@@ -191,12 +167,12 @@ func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, error) {
 // disk too. The sync costs one directory fsync per segment. If it fails
 // the segment is closed unused, and the next flush creates it again.
 func (w *wal) openActive() error {
-	f, err := w.openFile(filepath.Join(w.dir, segName(w.idx)))
+	f, err := w.fs.OpenAppend(filepath.Join(w.dir, segName(w.idx)))
 	if err != nil {
 		return fmt.Errorf("tsdb: wal segment: %w", err)
 	}
 	if w.policy != SyncNever {
-		if err := w.syncDir(w.dir); err != nil {
+		if err := w.fs.SyncDir(w.dir); err != nil {
 			_ = f.Close() // empty and unused; the sync's error is the one to report
 			return fmt.Errorf("tsdb: wal dir sync: %w", err)
 		}
@@ -447,7 +423,7 @@ func (w *wal) removeBelow(idx uint64) error {
 	var firstErr error
 	for _, e := range entries {
 		if seg, ok := parseSegName(e.Name()); ok && seg < idx {
-			if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil && firstErr == nil {
+			if err := w.fs.Remove(filepath.Join(w.dir, e.Name())); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -456,17 +432,19 @@ func (w *wal) removeBelow(idx uint64) error {
 }
 
 // replaySegments streams every point recorded in dir's segments segs, in
-// append order. Corruption — a torn final record from a crash, a flipped
-// bit failing CRC, an insane length prefix — ends that segment's replay
-// at the last intact record and is counted, never fatal: a 50-year
-// endpoint treats a damaged log as partial data, not as a reason to
-// refuse to boot. A damaged segment is additionally truncated back to its
-// last intact record — which drops nothing replay would have read — so
-// the damage is not re-counted at every boot until the next checkpoint.
-// The crash-time segment's torn tail is the usual case; a failed flush
-// that could not repair its segment (dropTorn, abandon) leaves one
-// mid-list. Replayed segments all predate the open and have no writer.
-func replaySegments(dir string, segs []uint64, logf func(string, ...any), emit func(Point)) (points, corruptions uint64, err error) {
+// append order. Damage — a torn final record from a crash, a flipped
+// bit failing CRC, an insane length prefix, an undecodable payload —
+// ends that segment's replay at the last intact record and is counted,
+// never fatal: a 50-year endpoint treats a damaged log as partial data,
+// not as a reason to refuse to boot. A damaged segment is additionally
+// truncated back to its last intact record — which drops nothing replay
+// would have read — so the damage is not re-counted at every boot until
+// the next checkpoint. The crash-time segment's torn tail is the usual
+// case; a failed flush that could not repair its segment (dropTorn,
+// abandon) leaves one mid-list. A sound record of an unknown type is a
+// newer build's, not damage: it refuses the boot and truncates nothing
+// (K9). Replayed segments all predate the open and have no writer.
+func replaySegments(fs vfs.FS, dir string, segs []uint64, logf func(string, ...any), emit func(Point)) (points, corruptions uint64, err error) {
 	for _, idx := range segs {
 		path := filepath.Join(dir, segName(idx))
 		segPoints, good, corrupt, err := replaySegment(path, emit)
@@ -474,13 +452,20 @@ func replaySegments(dir string, segs []uint64, logf func(string, ...any), emit f
 		if err != nil {
 			return points, corruptions, err
 		}
+		if errors.Is(corrupt, ErrUnknownRecord) {
+			return points, corruptions, fmt.Errorf("tsdb: %s at offset %d: %w; this build reads types %#x and %#x, so it refuses the log and truncates nothing", path, good, corrupt, recordPoint, recordRun)
+		}
 		if corrupt != nil {
 			corruptions++
 			if logf != nil {
 				logf("tsdb: %s: %v after %d points (%d bytes intact); recovering", path, corrupt, segPoints, good)
 			}
 			// Best-effort: a segment that cannot be trimmed is counted again.
-			if terr := os.Truncate(path, good); terr != nil && logf != nil {
+			f, terr := fs.OpenAppend(path)
+			if terr == nil {
+				terr = errors.Join(f.Truncate(good), f.Close())
+			}
+			if terr != nil && logf != nil {
 				logf("tsdb: %s: truncate: %v", path, terr)
 			}
 		}
