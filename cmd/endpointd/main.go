@@ -7,7 +7,7 @@
 //	          -data-dir /var/lib/century/tsdb -shards 16 -wal-fsync always \
 //	          -snapshot /var/lib/century/store.json -save-every 10m
 //
-//	endpointd -snapshot /var/lib/century/store.json -retain-raw 720h \
+//	endpointd -snapshot /var/lib/century/store.json \
 //	          -export-json /tmp/century-export.json
 //
 // Device keys are derived from the fleet master secret and each device's
@@ -32,13 +32,15 @@
 // The portable artifact — versioned JSON a 2060 operator can read with
 // whatever tools exist then — is an export, made on demand: -export-json
 // F loads whatever -snapshot (and -data-dir) hold, writes the JSON
-// snapshot to F and exits without listening. Pass the same -retain-raw
-// and -rollup-* flags the archive was written under.
+// snapshot to F and exits without listening. No other flag has to match
+// the archive: it records its own tier geometry and fold watermarks.
 //
-// With -retain-raw set, storage becomes tiered: at every checkpoint,
-// points older than the retention window are folded into hourly/daily
-// aggregate buckets (-rollup-hourly / -rollup-daily) and their raw
-// copies dropped — the century-scale read path. GET /query answers
+// Storage is always tiered. With -retain-raw set, at every checkpoint
+// points older than the retention window are folded into hourly and
+// daily aggregate buckets (one hour and one day wide, or whatever widths
+// the loaded archive records) and their raw copies dropped — the
+// century-scale read path; unset, every raw point is kept and nothing
+// new is folded. GET /query answers
 // windowed aggregates from the tiers, /query/uptime weekly uptime, and
 // /query/gaps the top-K silent devices; all three report which tier
 // served them.
@@ -100,9 +102,7 @@ func main() {
 		shards     = flag.Int("shards", 16, "in-memory storage shard count (ingest concurrency; all shards share one WAL)")
 		walFsync   = flag.String("wal-fsync", "always", "WAL fsync policy: always | interval | never")
 		walSyncEv  = flag.Duration("wal-sync-every", time.Second, "fsync cadence under -wal-fsync interval")
-		rollupHr   = flag.Duration("rollup-hourly", time.Hour, "rollup fine-tier bucket width")
-		rollupDay  = flag.Duration("rollup-daily", 24*time.Hour, "rollup coarse-tier bucket width (multiple of -rollup-hourly)")
-		retainRaw  = flag.Duration("retain-raw", 0, "tiered retention: fold points older than this into rollup buckets at each checkpoint and drop the raw copies (0 = rollups off)")
+		retainRaw  = flag.Duration("retain-raw", 0, "tiered retention: fold points older than this into rollup buckets at each checkpoint and drop the raw copies (0 = keep every raw point)")
 		maxInFl    = flag.Int("max-inflight", 256, "max concurrent ingests before shedding 503 (0 = unlimited)")
 		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint attached to shed responses")
 		clusterSec = flag.String("cluster-secret", "", "shared secret arming the intra-cluster routes (/cluster/*) and coordinator arrival stamps")
@@ -139,15 +139,12 @@ func main() {
 		store = cloud.NewStore(keys)
 	}
 
-	// Rollups must be enabled before the checkpoint loads: the loader
-	// restores bucket state into the engine (and refuses one whose tier
-	// geometry differs — summarized buckets cannot be re-cut).
+	// The retention window is set before the checkpoint loads, which
+	// replaces the store's engine with the archive's.
 	if *retainRaw > 0 {
-		cfg := rollup.Config{Hourly: *rollupHr, Daily: *rollupDay}
-		if err := store.EnableRollups(cfg, *retainRaw); err != nil {
+		if err := store.EnableRollups(rollup.Config{}, *retainRaw); err != nil {
 			log.Fatalf("endpointd: %v", err)
 		}
-		log.Printf("endpointd: tiered rollups on (hourly %v, daily %v, raw retention %v)", *rollupHr, *rollupDay, *retainRaw)
 	}
 
 	// Boot: the checkpoint first, then the WAL on top (the readings
@@ -161,6 +158,8 @@ func main() {
 			store.Count(), *snapshot, li.Version, li.Segments, li.Buckets, li.SealedTime.Round(time.Microsecond),
 			li.TailPoints, li.TailTime.Round(time.Microsecond), li.InstallTime.Round(time.Microsecond))
 	}
+	tiers := store.Rollups().Config()
+	log.Printf("endpointd: rollup tiers hourly %v, daily %v, raw retention %v (0: keep every raw point)", tiers.Hourly, tiers.Daily, *retainRaw)
 	if *dataDir != "" {
 		begin := time.Now()
 		rs, err := store.ReplayWAL()

@@ -292,17 +292,15 @@ func (s *Store) admit(at time.Duration, payload []byte, n int) (res BatchResult,
 		// barrier), so any append that saw the old watermark has committed
 		// before the drain runs — no packet can slip between "summarized"
 		// and "raw".
-		if r := s.rollups.Load(); r != nil {
-			if wm := r.FoldedBefore(); at < wm {
-				gs.mu.Unlock()
-				k := len(group)
-				s.stats.stale.Add(uint64(k))
-				res.Stale += k
-				if n == 1 {
-					refusal = fmt.Errorf("%w: arrival %v precedes fold watermark %v", ErrSealed, at, wm)
-				}
-				continue
+		if wm := s.rollups.Load().FoldedBefore(); at < wm {
+			gs.mu.Unlock()
+			k := len(group)
+			s.stats.stale.Add(uint64(k))
+			res.Stale += k
+			if n == 1 {
+				refusal = fmt.Errorf("%w: arrival %v precedes fold watermark %v", ErrSealed, at, wm)
 			}
+			continue
 		}
 		// Record the packets in ascending seq, payload order breaking
 		// ties. Packets of different devices touch different windows, so

@@ -1280,8 +1280,10 @@ func TestLoadRemovesStaleTemps(t *testing.T) {
 // schema without a rollups section). Each must load from the -snapshot
 // path, export byte-for-byte what it was, be replaced by a manifest at
 // the next checkpoint, and boot from that to the same export and the
-// same answers. The refusals that guarded the JSON loader guard the
-// manifest loader too. testdata/archive-v3 is a version-3 archive as the
+// same answers. Either format is read at the geometry it records: a
+// store with no retention window, and one configured at another
+// geometry, load it to the same export and the same answers.
+// testdata/archive-v3 is a version-3 archive as the
 // last build before compact frames wrote it, with the export that build
 // made of it; see testArchiveV3.
 func TestOldSnapshotsLoadForever(t *testing.T) {
@@ -1345,29 +1347,39 @@ func TestOldSnapshotsLoadForever(t *testing.T) {
 				t.Fatal("export after the v3 round trip differs from the fixture")
 			}
 			if fx.rollups {
-				sameAnswers(t, reborn, direct)
 				// Replay protection seeded from the buckets' MaxSeq.
-				dev := reborn.Rollups().Devices()[0]
-				seq := reborn.Rollups().MaxSeq(dev)
-				if err := reborn.Ingest(reborn.HighWater()+time.Minute, sealed(t, dev.Uint64(), seq, 1)); err == nil {
-					t.Error("replay of a folded packet admitted after the v3 round trip")
+				refusesFoldedReplay := func(name string, s *Store) {
+					dev := s.Rollups().Devices()[0]
+					seq := s.Rollups().MaxSeq(dev)
+					if err := s.Ingest(s.HighWater()+time.Minute, sealed(t, dev.Uint64(), seq, 1)); err == nil {
+						t.Errorf("%s: replay of a folded packet admitted", name)
+					}
 				}
-				// The loader's refusals, for both formats at this path.
+				sameAnswers(t, reborn, direct)
+				refusesFoldedReplay("after the v3 round trip", reborn)
+				// Both formats at this path, into stores set up otherwise.
 				jsonPath := filepath.Join(t.TempDir(), "store.json")
 				if err := os.WriteFile(jsonPath, fixture, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				for name, snap := range map[string]string{"json": jsonPath, "manifest": snap} {
 					bare := NewStore(StaticKeys(master))
-					if err := bare.LoadFile(snap); err == nil || !strings.Contains(err.Error(), "rollups are disabled") {
-						t.Errorf("%s into a store without rollups: %v", name, err)
-					}
 					wrong := NewStore(StaticKeys(master))
 					if err := wrong.EnableRollups(rollup.Config{Hourly: 2 * time.Hour, Daily: 48 * time.Hour}, fixtureRetain); err != nil {
 						t.Fatal(err)
 					}
-					if err := wrong.LoadFile(snap); err == nil || !strings.Contains(err.Error(), "geometry") {
-						t.Errorf("%s into another tier geometry: %v", name, err)
+					for kind, s := range map[string]*Store{"with no retention window": bare, "at another tier geometry": wrong} {
+						if err := s.LoadFile(snap); err != nil {
+							t.Fatalf("%s into a store %s: %v", name, kind, err)
+						}
+						if got, want := s.Rollups().Config(), direct.Rollups().Config(); got != want {
+							t.Errorf("%s into a store %s: geometry %+v, want the archive's %+v", name, kind, got, want)
+						}
+						if got := exportOf(t, s); !bytes.Equal(got, want) {
+							t.Errorf("%s into a store %s: export differs from the fixture", name, kind)
+						}
+						sameAnswers(t, s, direct)
+						refusesFoldedReplay(name+" into a store "+kind, s)
 					}
 				}
 			}

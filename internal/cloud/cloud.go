@@ -190,12 +190,13 @@ type Store struct {
 	batchFrames      atomic.Uint64
 	batchFrameErrors atomic.Uint64
 
-	// rollups is the tiered-downsampling engine (nil = rollups
-	// disabled). An atomic pointer because the ingest hot path reads it
-	// per packet while boot (EnableRollups, ReadSnapshot) installs it;
-	// see rollups.go for the fold protocol.
+	// rollups is the tiered-downsampling engine, never nil: armed at the
+	// default geometry by NewStoreWithDB, replaced by EnableRollups and by
+	// a load (which adopts its archive's geometry). An atomic pointer
+	// because the ingest hot path reads it per packet while boot installs
+	// it; see rollups.go for the fold protocol.
 	rollups   atomic.Pointer[rollup.Engine]
-	retainRaw time.Duration // raw tail width; set once by EnableRollups
+	retainRaw time.Duration // raw tail width, 0 = never fold; set once by EnableRollups
 	// foldMu's write side is FoldRollups', from Advance to the end of
 	// Fold; a query's cut and a checkpoint's cut take the read side, so
 	// neither sees a fold half landed. Lock order: foldMu → the rollup
@@ -269,6 +270,12 @@ func NewStoreWithDB(keys KeyResolver, db *tsdb.DB) *Store {
 	for i := range s.guards {
 		s.guards[i] = &guardShard{devices: make(map[lpwan.EUI64]*device), weeks: make(map[int64]struct{})}
 	}
+	eng, err := rollup.New(rollup.Config{})
+	if err != nil {
+		// The default geometry is valid; failure is a programming error.
+		panic("cloud: " + err.Error())
+	}
+	s.rollups.Store(eng)
 	return s
 }
 
@@ -297,10 +304,7 @@ func (s *Store) StorageStats() tsdb.Stats { return s.db.Stats() }
 // twice. The guard still learns their sequence numbers first. Returns
 // the engine's replay summary.
 func (s *Store) ReplayWAL() (tsdb.ReplayStats, error) {
-	var folded time.Duration
-	if r := s.rollups.Load(); r != nil {
-		folded = r.FoldedBefore()
-	}
+	folded := s.rollups.Load().FoldedBefore()
 	return s.db.Replay(func(pt tsdb.Point) bool {
 		s.observeArrival(pt.At)
 		p := packetOf(pt)

@@ -13,7 +13,7 @@ import (
 
 var master = []byte("fleet-master-secret")
 
-func sealed(t *testing.T, dev uint64, seq uint32, value float32) []byte {
+func sealed(t testing.TB, dev uint64, seq uint32, value float32) []byte {
 	t.Helper()
 	id := lpwan.EUIFromUint64(dev)
 	wire, err := telemetry.Packet{

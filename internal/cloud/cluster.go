@@ -185,10 +185,7 @@ func (s *Store) Repair(dev lpwan.EUI64, recs []Reading) (int, error) {
 	// sealed buckets (their raw copies — and with them the seq-dedup
 	// evidence — may be gone), so merging them raw would double-count.
 	// Same rule and same barrier discipline as admission's sealed check.
-	var sealedBelow time.Duration
-	if r := s.rollups.Load(); r != nil {
-		sealedBelow = r.FoldedBefore()
-	}
+	sealedBelow := s.rollups.Load().FoldedBefore()
 	have := make(map[uint32]struct{})
 	for _, pt := range s.db.History(dev) {
 		have[pt.Seq] = struct{}{}

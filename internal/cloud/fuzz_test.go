@@ -152,6 +152,26 @@ func fuzzStore(t testing.TB) (*Store, []byte) {
 	return s, buf.Bytes()
 }
 
+// wideStore is a store folded at 2 h / 48 h, not the default widths: the
+// readers' seed for an archive read at the geometry it records. Forty
+// readings 150 minutes apart, twelve hours of them kept raw, fill both
+// tiers.
+func wideStore(tb testing.TB) *Store {
+	s := NewStore(StaticKeys(master))
+	if err := s.EnableRollups(rollup.Config{Hourly: 2 * time.Hour, Daily: 48 * time.Hour}, 12*time.Hour); err != nil {
+		tb.Fatal(err)
+	}
+	for seq := uint32(1); seq <= 40; seq++ {
+		if err := s.Ingest(time.Duration(seq)*150*time.Minute, sealed(tb, 0xC1, seq, float32(seq%5))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if s.FoldRollups(s.HighWater()) == 0 || s.Rollups().DailyFoldedBefore() == 0 {
+		tb.Fatal("the wide store folded no daily bucket")
+	}
+	return s
+}
+
 // FuzzManifestLoad feeds arbitrary bytes to LoadFile as the file at the
 // -snapshot path, beside a real archive's segments: a manifest may claim
 // any name, length or CRC. Loading must not read outside <path>.d, must
@@ -160,6 +180,25 @@ func fuzzStore(t testing.TB) (*Store, []byte) {
 func FuzzManifestLoad(f *testing.F) {
 	dir := f.TempDir()
 	snap := filepath.Join(dir, "snapshot.json")
+	// The wide archive's manifest is a seed; its files are put back
+	// beside the main archive's once that one's checkpoint has swept them.
+	if err := wideStore(f).Checkpoint(snap); err != nil {
+		f.Fatal(err)
+	}
+	wide, err := os.ReadFile(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wideFiles := map[string][]byte{}
+	entries, err := os.ReadDir(snap + ".d")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		if wideFiles[e.Name()], err = os.ReadFile(filepath.Join(snap+".d", e.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
 	src := NewStore(StaticKeys(master))
 	if err := src.EnableRollups(rollup.Config{}, 36*time.Hour); err != nil {
 		f.Fatal(err)
@@ -178,7 +217,13 @@ func FuzzManifestLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	for name, data := range wideFiles {
+		if err := os.WriteFile(filepath.Join(snap+".d", name), data, 0o644); err != nil {
+			f.Fatal(err)
+		}
+	}
 	f.Add(valid)
+	f.Add(wide)
 	f.Add(bytes.Replace(valid, []byte(`"bytes":`), []byte(`"bytes":9`), 1))                // a length past the file
 	f.Add(bytes.Replace(valid, []byte(`"bytes":`), []byte(`"bytes":-`), 1))                // negative
 	f.Add(bytes.Replace(valid, []byte(`"name":"tail-`), []byte(`"name":"../../tail-`), 1)) // outside the directory
@@ -231,6 +276,11 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	var wide bytes.Buffer
+	if err := wideStore(f).WriteSnapshot(&wide); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wide.Bytes())
 	f.Add([]byte(`{"version":2,"readings":{"00:00:00:00:00:00:00:01":[{"at":5,"seq":4294967295,"sensor":255,"value":1e38,"uptime":4294967295}]},"weeks":[9223372036854775807]}`))
 	f.Add([]byte(`{"version":2,"readings":{"not-a-device":[]}}`))
 	f.Add([]byte(`{"version":2,"rollups":{"hourly":3600000000000,"daily":86400000000000,"folded_before":7200000000000,"daily_folded_before":0,"hourly_buckets":{"00:00:00:00:00:00:00:01":[{"start":3600000000000,"count":18446744073709551615,"sum_bits":9218868437227405312,"min_bits":0,"max_bits":0,"first":0,"last":0,"max_gap":0,"max_seq":0},{"start":0,"count":1}]},"daily_buckets":{}}}`))

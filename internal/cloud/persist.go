@@ -74,9 +74,9 @@ type snapshotBucket struct {
 }
 
 // snapshotRollups carries the rollup engine's full state: tier
-// geometry, both watermarks, and every bucket. Geometry rides along so
-// a restore into a differently-configured engine fails loudly instead
-// of mis-bucketing (summarized data cannot be re-cut).
+// geometry, both watermarks, and every bucket. Geometry rides along
+// because summarized data cannot be re-cut: a reader adopts the widths
+// it records. The section is absent until the first fold.
 type snapshotRollups struct {
 	HourlyNanos      int64                       `json:"hourly"`
 	DailyNanos       int64                       `json:"daily"`
@@ -103,7 +103,8 @@ type devSeries struct {
 
 // cut copies the store's state for persisting: the snapshot's header, the
 // raw series shard by shard, and the rollup buckets at or above the given
-// watermarks (zero for all; nil with rollups off). Stats.Accepted and the
+// watermarks (zero for all; nil before the first fold, so a store that
+// has folded nothing writes no tiers section). Stats.Accepted and the
 // weeks ledger are exact for the series beside them even with ingest
 // running — a shard's series, admission count and weeks are read under its
 // guard lock, which admission and memtable insert share — so a reboot that
@@ -135,11 +136,11 @@ func (s *Store) cut(hourlyFrom, dailyFrom time.Duration) (snapshotFile, []map[lp
 	}
 	slices.Sort(snap.Weeks)
 	snap.Weeks = slices.Compact(snap.Weeks)
-	if r := s.rollups.Load(); r != nil {
-		tiers := r.ExportSince(hourlyFrom, dailyFrom)
-		return snap, shards, &tiers
+	tiers := s.rollups.Load().ExportSince(hourlyFrom, dailyFrom)
+	if tiers.FoldedBefore == 0 {
+		return snap, shards, nil
 	}
-	return snap, shards, nil
+	return snap, shards, &tiers
 }
 
 // WriteSnapshot serialises the store's full state as the portable JSON
@@ -273,22 +274,13 @@ func rollupsFromSnapshot(sr *snapshotRollups) (*rollup.EngineState, error) {
 }
 
 // restoreEngine builds the rollup engine a load installs, before anything
-// is swapped: persisted tiers loaded into a store that has rollups
-// disabled would silently drop summarized history, and at another
-// geometry be mis-bucketed.
+// is swapped: the archive's tiers at the geometry they record, or with
+// none, an empty engine at the store's.
 func (s *Store) restoreEngine(tiers *rollup.EngineState) (*rollup.Engine, error) {
-	cur := s.rollups.Load()
-	switch {
-	case tiers != nil && cur == nil:
-		return nil, fmt.Errorf("cloud: snapshot carries rollup buckets but rollups are disabled on this store (enable with the same tier geometry, or the sealed history is lost)")
-	case tiers != nil:
-		return rollup.Restore(cur.Config(), *tiers)
-	case cur != nil:
-		// Pre-rollup state into a rollup-enabled store: start the tiers
-		// empty at the configured geometry.
-		return rollup.New(cur.Config())
+	if tiers == nil {
+		return rollup.New(s.rollups.Load().Config())
 	}
-	return nil, nil
+	return rollup.Restore(*tiers)
 }
 
 // ReadSnapshot replaces the store's state with a JSON snapshot's. The
@@ -377,25 +369,22 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 		}
 		gs.mu.Unlock()
 	}
-	if restoredRollups != nil {
-		// The watermark is a lower bound on the data clock that produced
-		// it; restoring it keeps HighWater monotone even when every raw
-		// point was folded away.
-		s.observeArrival(restoredRollups.FoldedBefore())
-		// Seed replay protection for devices whose raw points were
-		// folded away: only the buckets' max sequence number survives,
-		// and without it a replayed pre-fold packet would re-enter. Every
-		// device the tiers hold gets a record this way, so Devices lists
-		// it; a MaxSeq of 0 is a real sequence number, and Seed(0) is the
-		// window that has seen it.
-		for _, dev := range restoredRollups.Devices() {
-			gs := s.guardFor(dev)
-			gs.mu.Lock()
-			gs.enrol(dev).win.Seed(restoredRollups.MaxSeq(dev))
-			gs.mu.Unlock()
-		}
-		s.rollups.Store(restoredRollups)
+	// The watermark is a lower bound on the data clock that produced it;
+	// restoring it keeps HighWater monotone even when every raw point was
+	// folded away.
+	s.observeArrival(restoredRollups.FoldedBefore())
+	// Seed replay protection for devices whose raw points were folded
+	// away: only the buckets' max sequence number survives, and without
+	// it a replayed pre-fold packet would re-enter. Every device the tiers
+	// hold gets a record this way, so Devices lists it; a MaxSeq of 0 is a
+	// real sequence number, and Seed(0) is the window that has seen it.
+	for _, dev := range restoredRollups.Devices() {
+		gs := s.guardFor(dev)
+		gs.mu.Lock()
+		gs.enrol(dev).win.Seed(restoredRollups.MaxSeq(dev))
+		gs.mu.Unlock()
 	}
+	s.rollups.Store(restoredRollups)
 
 	s.stats.restore(snap.Stats)
 	s.lapses.Store(&snap.Lapses)
@@ -403,7 +392,7 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 
 // manifest is the checkpoint's commit record, the JSON file at the
 // -snapshot path: the snapshot's header fields under version 4, the tier
-// geometry and fold watermarks (absent with rollups off), and the data
+// geometry and fold watermarks (absent until the first fold), and the data
 // files under <path>.d/, each valid to a recorded length and CRC-32C.
 // Bytes past a length and files it does not name do not exist.
 type manifest struct {
@@ -616,6 +605,11 @@ func (s *Store) loadArchive(path string, m manifest, clock obs.Clock) error {
 	dir := path + ".d"
 	a := archive{path: path, sealed: m.Sealed, tail: m.Tail}
 	info := LoadInfo{Version: m.Version, Segments: len(m.Sealed)}
+	// Sealed segments hold buckets, and buckets exist only below a fold
+	// watermark: a save writes the marks exactly when it has one.
+	if len(m.Sealed) > 0 && (m.Rollups == nil || m.Rollups.FoldedNanos <= 0) {
+		return fmt.Errorf("cloud: manifest names %d sealed segments but no fold watermark", len(m.Sealed))
+	}
 	var tiers *rollup.EngineState
 	if m.Rollups != nil {
 		a.hourly, a.daily = time.Duration(m.Rollups.FoldedNanos), time.Duration(m.Rollups.DailyFoldedNanos)
@@ -647,8 +641,6 @@ func (s *Store) loadArchive(path string, m manifest, clock obs.Clock) error {
 		for _, ds := range byDev {
 			tiers.Devices = append(tiers.Devices, *ds)
 		}
-	} else if len(m.Sealed) > 0 {
-		return fmt.Errorf("cloud: manifest names %d sealed segments but no rollup geometry", len(m.Sealed))
 	}
 	restoredRollups, err := s.restoreEngine(tiers)
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,28 +218,136 @@ func TestRollupSnapshotRoundTripAndGuardSeeding(t *testing.T) {
 	}
 }
 
+// TestRollupSnapshotGeometryGuards: a snapshot is read at the tier
+// geometry it records, whatever the reading store was configured with —
+// buckets cannot be re-cut, so there is no other geometry to read them
+// at — and one whose geometry the engine could never have had is
+// refused, leaving the store as it was.
 func TestRollupSnapshotGeometryGuards(t *testing.T) {
-	_, s := controlRollupState(t, 24*time.Hour)
+	want, s := controlRollupState(t, 24*time.Hour)
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
 
-	// A snapshot carrying buckets refuses to load into a store without a
-	// rollup engine: silently dropping summarized history would lose it.
 	bare := NewStore(StaticKeys(master))
-	if err := bare.ReadSnapshot(bytes.NewReader(snap)); err == nil {
-		t.Fatal("rollup snapshot loaded into rollup-less store")
-	}
-
-	// And refuses a different tier geometry: buckets cannot be re-cut.
 	wrong := NewStore(StaticKeys(master))
 	if err := wrong.EnableRollups(rollup.Config{Hourly: 2 * time.Hour, Daily: 48 * time.Hour}, 24*time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if err := wrong.ReadSnapshot(bytes.NewReader(snap)); err == nil {
-		t.Fatal("rollup snapshot loaded into mismatched geometry")
+	for name, r := range map[string]*Store{"with no retention window": bare, "at another geometry": wrong} {
+		if err := r.ReadSnapshot(bytes.NewReader(snap)); err != nil {
+			t.Fatalf("snapshot into a store %s: %v", name, err)
+		}
+		if got := marshalRollups(t, r); !bytes.Equal(got, want) {
+			t.Errorf("snapshot into a store %s: bucket state differs", name)
+		}
+		assertSameWindows(t, r, s, 6*time.Hour)
+		if got := exportOf(t, r); !bytes.Equal(got, snap) {
+			t.Errorf("snapshot into a store %s: export differs", name)
+		}
+	}
+
+	// Daily not a multiple of hourly: no engine folds at that geometry.
+	bad := bytes.Replace(snap, []byte(`"daily":86400000000000`), []byte(`"daily":5400000000000`), 1)
+	if bytes.Equal(bad, snap) {
+		t.Fatal("the snapshot has no daily width to damage")
+	}
+	fresh := NewStore(StaticKeys(master))
+	before := exportOf(t, fresh)
+	if err := fresh.ReadSnapshot(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "not a multiple") {
+		t.Fatalf("snapshot at hourly 1h, daily 90m: %v", err)
+	}
+	if !bytes.Equal(exportOf(t, fresh), before) {
+		t.Fatal("a refused snapshot changed the store")
+	}
+}
+
+// TestTiersWrittenOnlyOnceFolded pins the write rule: a checkpoint and an
+// export carry the rollups section exactly when something has been
+// folded. Until then a store with a retention window writes the same
+// bytes as a store without one, and after a reboot exports them; from
+// the first fold on the manifest and the export carry the section, and so
+// does the next checkpoint of a store with no retention window that booted
+// from that archive.
+func TestTiersWrittenOnlyOnceFolded(t *testing.T) {
+	dir := t.TempDir()
+	// checkpoint checkpoints s into a path of its own and returns the path
+	// and the manifest.
+	checkpoint := func(name string, s *Store) (string, []byte) {
+		t.Helper()
+		path := filepath.Join(dir, name+".json")
+		if err := s.Checkpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		m, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, m
+	}
+	// boot loads path into a store with no retention window and returns
+	// its export and the store.
+	boot := func(path string) ([]byte, *Store) {
+		t.Helper()
+		r := NewStore(StaticKeys(master))
+		if err := r.LoadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return exportOf(t, r), r
+	}
+	ingestHours := func(s *Store, from, to uint32) {
+		t.Helper()
+		for seq := from; seq <= to; seq++ {
+			if err := s.Ingest(time.Duration(seq)*time.Hour, sealed(t, 0xB1, seq, float32(seq%7))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tiers := []byte(`"rollups"`)
+
+	armed, bare := NewStore(StaticKeys(master)), NewStore(StaticKeys(master))
+	if err := armed.EnableRollups(rollup.Config{}, 24*time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	ingestHours(armed, 1, 20) // all inside the retention window
+	ingestHours(bare, 1, 20)
+	ap, am := checkpoint("armed", armed)
+	bp, bm := checkpoint("bare", bare)
+	if !bytes.Equal(am, bm) {
+		t.Fatalf("unfolded manifests differ:\n%s\n%s", am, bm)
+	}
+	ae, _ := boot(ap)
+	be, _ := boot(bp)
+	if !bytes.Equal(ae, be) {
+		t.Errorf("unfolded exports differ:\n%s\n%s", ae, be)
+	}
+	if bytes.Contains(am, tiers) || bytes.Contains(ae, tiers) {
+		t.Errorf("a store that folded nothing wrote a rollups section:\n%s\n%s", am, ae)
+	}
+	// Older builds wrote the marks with nothing folded, at whatever widths
+	// they were configured with; such an archive boots to the same export.
+	older := bytes.Replace(bm, []byte(`"sealed":`), []byte(`"rollups":{"hourly":7200000000000,"daily":172800000000000,"folded_before":0,"daily_folded_before":0},"sealed":`), 1)
+	if err := os.WriteFile(bp, older, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if oe, _ := boot(bp); !bytes.Equal(oe, be) {
+		t.Errorf("an unfolded archive with marks exports otherwise:\n%s\n%s", oe, be)
+	}
+
+	ingestHours(armed, 21, 80)
+	fp, fm := checkpoint("folded", armed)
+	if armed.Rollups().FoldedBefore() == 0 {
+		t.Fatal("the checkpoint folded nothing")
+	}
+	fe, fr := boot(fp)
+	if !bytes.Contains(fm, tiers) || !bytes.Contains(fe, tiers) {
+		t.Errorf("after the first fold the manifest or the export has no rollups section:\n%s", fm)
+	}
+	rp, rm := checkpoint("refolded", fr)
+	if re, _ := boot(rp); !bytes.Contains(rm, tiers) || !bytes.Equal(re, fe) {
+		t.Errorf("a store with no retention window dropped the tiers it booted from:\n%s", rm)
 	}
 }
 

@@ -33,11 +33,13 @@ import (
 // retryable one.
 var ErrSealed = errors.New("cloud: arrival time below rollup fold watermark (region sealed)")
 
-// EnableRollups switches the store to tiered retention: points older
-// than retainRaw (relative to the data high-water mark) are folded into
-// hourly/daily aggregate buckets at every checkpoint and their raw
-// copies dropped. Must be called at boot, before LoadFile — the loader
-// needs the engine (and its tier geometry) to restore bucket state into.
+// EnableRollups sets the raw retention window: points older than
+// retainRaw (relative to the data high-water mark) are folded into the
+// rollup tiers at every checkpoint and their raw copies dropped. Until it
+// is called nothing is folded. cfg is the tier geometry of a store whose
+// load finds no tiers; an archive that has them is read at the geometry
+// it records. Must be called at boot, before LoadFile, which would
+// otherwise lose its engine to this one.
 func (s *Store) EnableRollups(cfg rollup.Config, retainRaw time.Duration) error {
 	if retainRaw <= 0 {
 		return fmt.Errorf("cloud: rollup raw retention must be positive, got %v", retainRaw)
@@ -51,7 +53,7 @@ func (s *Store) EnableRollups(cfg rollup.Config, retainRaw time.Duration) error 
 	return nil
 }
 
-// Rollups returns the rollup engine, nil when rollups are disabled.
+// Rollups returns the rollup engine; it is never nil.
 func (s *Store) Rollups() *rollup.Engine { return s.rollups.Load() }
 
 // HighWater returns the newest arrival time ever accepted (including
@@ -76,8 +78,8 @@ func (s *Store) observeArrival(at time.Duration) {
 // FoldRollups advances the fold watermark to alignDown(now-retainRaw,
 // hourly) and summarizes every raw point below it into the rollup
 // tiers, dropping the raw copies from the memtable. Returns the number
-// of points folded (0 when rollups are disabled or the watermark did
-// not move). The caller persists the new bucket state by
+// of points folded (0 when no retention window is set or the watermark
+// did not move). The caller persists the new bucket state by
 // checkpointing; CheckpointAt does both in the right order.
 //
 // Publication protocol: the new watermark is published first, then
@@ -89,10 +91,10 @@ func (s *Store) observeArrival(at time.Duration) {
 // (taken under the read side) never sees the new watermark without the
 // buckets it seals. Ingest never takes foldMu.
 func (s *Store) FoldRollups(now time.Duration) int {
-	r := s.rollups.Load()
-	if r == nil {
+	if s.retainRaw == 0 {
 		return 0
 	}
+	r := s.rollups.Load()
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
 	before := r.FoldedBefore()

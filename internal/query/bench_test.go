@@ -6,14 +6,13 @@ import (
 
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/rng"
-	"centuryscale/internal/rollup"
 	"centuryscale/internal/sim"
 	"centuryscale/internal/tsdb"
 )
 
 // buildCentury loads one device's full century at the paper's data rate
-// (one packet per hour, with deterministic sub-hour jitter), optionally
-// folding everything but the last 30 days into rollup tiers. ~876k
+// (one packet per hour, with deterministic sub-hour jitter), and
+// optionally folds everything but the last 30 days into rollup tiers. ~876k
 // points; the rollup variant keeps ~37k buckets plus the raw tail.
 func buildCentury(b *testing.B, fold bool) (*Engine, lpwan.EUI64, time.Duration) {
 	b.Helper()
@@ -30,12 +29,8 @@ func buildCentury(b *testing.B, fold bool) (*Engine, lpwan.EUI64, time.Duration)
 		jitter := time.Duration(src.Intn(int(10 * time.Minute)))
 		db.Load(tsdb.Point{Device: dev, At: at + jitter, Seq: seq, Value: float32(src.Intn(100))})
 	}
-	var eng *rollup.Engine
+	eng := emptyEngine(b)
 	if fold {
-		eng, err = rollup.New(rollup.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
 		wm := eng.Advance(horizon - 30*sim.Day)
 		eng.Fold(db.DrainBelow(wm))
 	}
@@ -76,8 +71,8 @@ func benchCenturyWindows(b *testing.B, fold bool) {
 // query.
 func BenchmarkQueryCenturyRollup(b *testing.B) { benchCenturyWindows(b, true) }
 
-// BenchmarkQueryCenturyRawScan is the same query with rollups disabled:
-// every window answered by scanning raw points. The ratio against
+// BenchmarkQueryCenturyRawScan is the same query over an engine that has
+// folded nothing: every window answered by scanning raw points. The ratio against
 // BenchmarkQueryCenturyRollup is the read path's century dividend.
 func BenchmarkQueryCenturyRawScan(b *testing.B) { benchCenturyWindows(b, false) }
 

@@ -60,10 +60,7 @@ func (e *Engine) LongestGap(dev lpwan.EUI64, horizon time.Duration) time.Duratio
 // and no inner gap. With upTo on the hourly grid, no span reaches past
 // it.
 func (c *Cut) spans(upTo time.Duration, fn func(start, first, last, inner time.Duration)) {
-	daily := c.DailyFolded
-	if c.DailyWidth > 0 {
-		daily = min(daily, rollup.AlignDown(upTo, c.DailyWidth))
-	}
+	daily := min(c.DailyFolded, rollup.AlignDown(upTo, c.DailyWidth))
 	for _, b := range c.Daily {
 		if b.Start >= daily {
 			break

@@ -40,7 +40,7 @@ type Source interface {
 
 // Cut is one device's read state at one instant: the fold watermarks,
 // the tier widths, both bucket tiers and the raw points above the fold.
-// With rollups off the watermarks and widths are zero and the tiers nil.
+// Before the first fold the watermarks are zero and the tiers empty.
 // The bucket slices are read-only views; Raw must not be used after
 // Release, which returns its pooled buffer.
 type Cut struct {
@@ -51,18 +51,14 @@ type Cut struct {
 	Release                 func()
 }
 
-// ReadCut reads one device's cut from a rollup engine (nil: rollups
-// off) and the raw store. It takes no lock of its own: a caller whose
-// store folds concurrently must hold the fold off until it returns, or
-// the watermark and the buckets can come from either side of the fold.
+// ReadCut reads one device's cut from a rollup engine and the raw store.
+// It takes no lock of its own: a caller whose store folds concurrently
+// must hold the fold off until it returns, or the watermark and the
+// buckets can come from either side of the fold.
 func ReadCut(r *rollup.Engine, db *tsdb.DB, dev lpwan.EUI64, from, to time.Duration) Cut {
-	var c Cut
-	if r != nil {
-		cfg := r.Config()
-		c.Folded, c.DailyFolded = r.FoldedBefore(), r.DailyFoldedBefore()
-		c.HourlyWidth, c.DailyWidth = cfg.Hourly, cfg.Daily
-		c.Hourly, c.Daily = r.SeriesView(dev)
-	}
+	cfg := r.Config()
+	c := Cut{Folded: r.FoldedBefore(), DailyFolded: r.DailyFoldedBefore(), HourlyWidth: cfg.Hourly, DailyWidth: cfg.Daily}
+	c.Hourly, c.Daily = r.SeriesView(dev)
 	c.Raw, c.Release = db.RangeSlice(dev, max(from, c.Folded), to)
 	// Arrival order is not guaranteed At-sorted across restarts; every
 	// walk over the cut needs a single sorted pass.

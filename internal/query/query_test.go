@@ -93,7 +93,7 @@ func memDB(t testing.TB) *tsdb.DB {
 }
 
 func TestWindowsBadArgs(t *testing.T) {
-	q := &Engine{Src: dbSource{db: memDB(t)}}
+	q := &Engine{Src: dbSource{db: memDB(t), rollups: emptyEngine(t)}}
 	dev := lpwan.EUIFromUint64(1)
 	for _, c := range []struct{ from, to, step time.Duration }{
 		{0, time.Hour, 0},
@@ -146,7 +146,7 @@ func TestWindowsRawOnly(t *testing.T) {
 	db.Load(pts[2])
 	db.Load(pts[0])
 	db.Load(pts[1])
-	q := &Engine{Src: dbSource{db: db}}
+	q := &Engine{Src: dbSource{db: db, rollups: emptyEngine(t)}}
 
 	it, err := q.Windows(dev, 0, 4*time.Hour, time.Hour)
 	if err != nil {

@@ -52,31 +52,15 @@ const (
 
 // Config fixes the two tier widths. The daily width must be a positive
 // multiple of the hourly width; both are persisted with the bucket
-// state, and a snapshot folded at one geometry refuses to load into an
-// engine configured with another (re-bucketing summarized data exactly
-// is impossible once the raw points are gone).
+// state, and Restore adopts the geometry the state records (re-bucketing
+// summarized data exactly is impossible once the raw points are gone, so
+// buckets are read at the widths they were folded at).
 type Config struct {
 	// Hourly is the fine tier's bucket width (default one hour).
 	Hourly time.Duration
 	// Daily is the coarse tier's bucket width (default 24 hours); it
 	// must be a multiple of Hourly.
 	Daily time.Duration
-}
-
-func (c Config) withDefaults() (Config, error) {
-	if c.Hourly == 0 {
-		c.Hourly = DefaultHourly
-	}
-	if c.Daily == 0 {
-		c.Daily = DefaultDaily
-	}
-	if c.Hourly <= 0 || c.Daily <= 0 {
-		return c, fmt.Errorf("rollup: tier widths must be positive (hourly %v, daily %v)", c.Hourly, c.Daily)
-	}
-	if c.Daily%c.Hourly != 0 {
-		return c, fmt.Errorf("rollup: daily width %v is not a multiple of hourly width %v", c.Daily, c.Hourly)
-	}
-	return c, nil
 }
 
 // Bucket is one aggregate bucket at some tier. Start is aligned to the
@@ -179,14 +163,16 @@ type Engine struct {
 	staleDrops  atomic.Uint64 // points below the watermark refused by Fold (invariant breach guard)
 }
 
-// New returns an empty engine. The config is normalized (zero widths
-// take defaults) and validated.
+// New returns an empty engine. Zero widths take the defaults; the
+// geometry is then held to Restore's rules.
 func New(cfg Config) (*Engine, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.Hourly == 0 {
+		cfg.Hourly = DefaultHourly
 	}
-	return &Engine{cfg: cfg, dev: make(map[lpwan.EUI64]*devState)}, nil
+	if cfg.Daily == 0 {
+		cfg.Daily = DefaultDaily
+	}
+	return Restore(EngineState{Config: cfg})
 }
 
 // Config returns the engine's normalized tier geometry.
@@ -452,17 +438,25 @@ func firstFrom(bs []Bucket, from time.Duration) int {
 	return sort.Search(len(bs), func(i int) bool { return bs[i].Start >= from })
 }
 
-// Restore builds an engine from exported state. The configured geometry
-// must match the state's: summarized buckets cannot be re-cut.
-func Restore(cfg Config, st EngineState) (*Engine, error) {
-	e, err := New(cfg)
-	if err != nil {
-		return nil, err
+// Restore builds an engine from exported state at the geometry the state
+// records: both widths positive, daily a multiple of hourly. Like the
+// buckets (checkTier), the watermarks must be ones the engine could have
+// produced: on their tier's grid, not negative, and the daily one not
+// above the hourly one.
+func Restore(st EngineState) (*Engine, error) {
+	cfg := st.Config
+	if cfg.Hourly <= 0 || cfg.Daily <= 0 {
+		return nil, fmt.Errorf("rollup: tier widths must be positive (hourly %v, daily %v)", cfg.Hourly, cfg.Daily)
 	}
-	if st.Config != (Config{}) && st.Config != e.cfg {
-		return nil, fmt.Errorf("rollup: tier geometry changed: snapshot folded at hourly=%v daily=%v, configured hourly=%v daily=%v",
-			st.Config.Hourly, st.Config.Daily, e.cfg.Hourly, e.cfg.Daily)
+	if cfg.Daily%cfg.Hourly != 0 {
+		return nil, fmt.Errorf("rollup: daily width %v is not a multiple of hourly width %v", cfg.Daily, cfg.Hourly)
 	}
+	if st.FoldedBefore < 0 || st.FoldedBefore%cfg.Hourly != 0 || st.DailyFoldedBefore < 0 ||
+		st.DailyFoldedBefore%cfg.Daily != 0 || st.DailyFoldedBefore > st.FoldedBefore {
+		return nil, fmt.Errorf("rollup: watermarks %v (hourly) and %v (daily) are off the %v/%v grid or out of order",
+			st.FoldedBefore, st.DailyFoldedBefore, cfg.Hourly, cfg.Daily)
+	}
+	e := &Engine{cfg: cfg, dev: make(map[lpwan.EUI64]*devState)}
 	e.folded.Store(int64(st.FoldedBefore))
 	e.dailyFolded = st.DailyFoldedBefore
 	for _, ds := range st.Devices {

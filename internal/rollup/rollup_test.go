@@ -264,7 +264,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	})
 	st := e.Snapshot()
 
-	r, err := Restore(e.Config(), st)
+	r, err := Restore(st)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -278,8 +278,17 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("MaxSeq after restore: %d %d %d", r.MaxSeq(d1), r.MaxSeq(d2), r.MaxSeq(dev(3)))
 	}
 
-	if _, err := Restore(Config{Hourly: 30 * time.Minute, Daily: sim.Day}, st); err == nil {
-		t.Fatal("geometry change must refuse to restore")
+	// The state's geometry is the engine's: a restore adopts it, and
+	// refuses one New would refuse.
+	wide := mustNew(t, Config{Hourly: 2 * time.Hour, Daily: 2 * sim.Day})
+	wide.Advance(50 * time.Hour)
+	wide.Fold([]tsdb.DrainedSeries{{Device: d1, Points: []tsdb.Point{pt(d1, 3*time.Hour, 1, 1)}}})
+	if r, err := Restore(wide.Snapshot()); err != nil || r.Config() != wide.Config() || !reflect.DeepEqual(r.Snapshot(), wide.Snapshot()) {
+		t.Fatalf("restore at 2h/48h: %v", err)
+	}
+	st.Config.Daily = 90 * time.Minute
+	if _, err := Restore(st); err == nil {
+		t.Fatal("a daily width that is not a multiple of the hourly one restored")
 	}
 }
 
@@ -388,7 +397,8 @@ func TestExportSinceIsTheDelta(t *testing.T) {
 
 // TestRestoreRefusesImpossibleTiers: exported state the engine could not
 // have produced — a bucket off the grid, out of order, empty, or at or
-// above its tier's watermark — is refused, because the read path
+// above its tier's watermark, a watermark off its grid or the daily one
+// above the hourly one, a geometry New refuses — is refused, because the read path
 // binary-searches the tiers and would answer wrongly instead of failing.
 func TestRestoreRefusesImpossibleTiers(t *testing.T) {
 	e := mustNew(t, Config{})
@@ -400,23 +410,28 @@ func TestRestoreRefusesImpossibleTiers(t *testing.T) {
 	}
 	e.Fold([]tsdb.DrainedSeries{{Device: d, Points: ps}})
 	good := e.Snapshot()
-	if _, err := Restore(e.Config(), good); err != nil {
+	if _, err := Restore(good); err != nil {
 		t.Fatalf("the engine's own export refused: %v", err)
 	}
 	for name, damage := range map[string]func(st *EngineState){
-		"hourly off the grid":          func(st *EngineState) { st.Devices[0].Hourly[3].Start += time.Minute },
-		"hourly out of order":          func(st *EngineState) { h := st.Devices[0].Hourly; h[3], h[4] = h[4], h[3] },
-		"hourly repeated":              func(st *EngineState) { h := st.Devices[0].Hourly; h[4] = h[3] },
-		"hourly empty":                 func(st *EngineState) { st.Devices[0].Hourly[0].Count = 0 },
-		"hourly negative start":        func(st *EngineState) { st.Devices[0].Hourly[0].Start = -time.Hour },
-		"hourly at the watermark":      func(st *EngineState) { st.FoldedBefore = st.Devices[0].Hourly[59].Start },
-		"daily above its watermark":    func(st *EngineState) { st.DailyFoldedBefore = 0 },
-		"daily off the grid":           func(st *EngineState) { st.Devices[0].Daily[0].Start = time.Hour },
-		"watermark below every bucket": func(st *EngineState) { st.FoldedBefore, st.DailyFoldedBefore = 0, 0 },
+		"hourly off the grid":           func(st *EngineState) { st.Devices[0].Hourly[3].Start += time.Minute },
+		"hourly out of order":           func(st *EngineState) { h := st.Devices[0].Hourly; h[3], h[4] = h[4], h[3] },
+		"hourly repeated":               func(st *EngineState) { h := st.Devices[0].Hourly; h[4] = h[3] },
+		"hourly empty":                  func(st *EngineState) { st.Devices[0].Hourly[0].Count = 0 },
+		"hourly negative start":         func(st *EngineState) { st.Devices[0].Hourly[0].Start = -time.Hour },
+		"hourly at the watermark":       func(st *EngineState) { st.FoldedBefore = st.Devices[0].Hourly[59].Start },
+		"daily above its watermark":     func(st *EngineState) { st.DailyFoldedBefore = 0 },
+		"daily off the grid":            func(st *EngineState) { st.Devices[0].Daily[0].Start = time.Hour },
+		"watermark below every bucket":  func(st *EngineState) { st.FoldedBefore, st.DailyFoldedBefore = 0, 0 },
+		"hourly watermark off the grid": func(st *EngineState) { st.FoldedBefore += time.Minute },
+		"daily watermark off the grid":  func(st *EngineState) { st.DailyFoldedBefore = time.Hour },
+		"daily watermark above hourly":  func(st *EngineState) { st.FoldedBefore, st.DailyFoldedBefore = time.Hour, sim.Day },
+		"negative watermarks":           func(st *EngineState) { st.FoldedBefore, st.DailyFoldedBefore = -time.Hour, -sim.Day },
+		"zero width":                    func(st *EngineState) { st.Config.Hourly = 0 },
 	} {
 		st := e.Snapshot()
 		damage(&st)
-		if _, err := Restore(e.Config(), st); err == nil {
+		if _, err := Restore(st); err == nil {
 			t.Errorf("%s: restored", name)
 		}
 	}

@@ -36,15 +36,18 @@ type fileOp struct {
 	failed bool
 }
 
-// injectFaults puts a fault layer under db's log, wrapping the segment
-// that Open already started. Opens, unlinks and directory syncs are
-// recorded against descriptor 0, the log directory.
+// injectFaults puts a fault layer under db's log. The segment the first
+// write opens is descriptor 1, or, if a write already opened one, that
+// one is. Opens, unlinks and directory syncs are recorded against
+// descriptor 0, the log directory.
 func injectFaults(db *DB) *faults {
 	fs := &faults{rules: make(map[string]*faultRule)}
 	w := db.wal
 	w.fs = fs
-	fs.files = 1
-	w.f = &faultFile{fs: fs, f: w.f, id: 1}
+	if w.f != nil {
+		fs.files = 1
+		w.f = &faultFile{fs: fs, f: w.f, id: 1}
+	}
 	return fs
 }
 
@@ -432,16 +435,17 @@ func TestFsyncFailureNeverRetriedOnSameDescriptor(t *testing.T) {
 // is fsynced after the segment is created and before anything is
 // written to it, so no record in it is acknowledged while a host crash
 // could still lose its name; under never the directory is not synced.
-// One-byte segments make every flush that writes rotate. (Open's own
-// directory syncs run before the fault layer is in place.)
+// One-byte segments make every flush that writes rotate; Open creates no
+// segment, so the first one is opened by the first write. (Open's own
+// directory sync runs before the fault layer is in place.)
 func TestNewSegmentNameIsDurable(t *testing.T) {
 	for _, tc := range []struct {
 		policy SyncPolicy
 		want   string
 	}{
-		{SyncAlways, "[1:write 1:sync 1:close 0:open 0:syncdir 2:write 2:sync 2:close 0:open 0:syncdir]"},
-		{SyncInterval, "[1:write 1:sync 1:close 0:open 0:syncdir 2:write 2:sync 2:close 0:open 0:syncdir]"},
-		{SyncNever, "[1:write 1:close 0:open 2:write 2:close 0:open]"},
+		{SyncAlways, "[0:open 0:syncdir 1:write 1:sync 1:close 0:open 0:syncdir 2:write 2:sync 2:close 0:open 0:syncdir]"},
+		{SyncInterval, "[0:open 0:syncdir 1:write 1:sync 1:close 0:open 0:syncdir 2:write 2:sync 2:close 0:open 0:syncdir]"},
+		{SyncNever, "[0:open 1:write 1:close 0:open 2:write 2:close 0:open]"},
 	} {
 		t.Run(tc.policy.String(), func(t *testing.T) {
 			db := mustOpen(t, Options{Dir: t.TempDir(), Shards: 1, Sync: tc.policy, SegmentBytes: 1})

@@ -115,7 +115,7 @@ type wal struct {
 	failed   atomic.Pointer[error]
 
 	// flusher-role state
-	f      vfs.File // active segment; nil after a segment was abandoned
+	f      vfs.File // active segment; nil before the first write and after a segment was abandoned
 	idx    uint64   // active segment index
 	size   int64    // bytes written to the active segment
 	synced int64    // bytes of the active segment a successful fsync covered
@@ -131,11 +131,13 @@ type wal struct {
 	existing []uint64
 }
 
-// openWAL opens (creating if needed) the log directory and starts a
-// fresh active segment above every existing one. Appends never reuse an
-// old segment, so replay and recovery never race a writer. Unless the
-// policy is never, the directory holding the log directory is fsynced
-// once, so the log's own entry survives a host crash.
+// openWAL opens (creating if needed) the log directory and numbers the
+// active segment above every existing one; the first flush that writes
+// creates it, so a boot that writes nothing leaves the directory's
+// segments as it found them. Appends never reuse an old segment, so
+// replay and recovery never race a writer. Unless the policy is never,
+// the directory holding the log directory is fsynced once, so the log's
+// own entry survives a host crash.
 func openWAL(dir string, segmentBytes int64, policy SyncPolicy, fs vfs.FS) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: wal dir: %w", err)
@@ -154,9 +156,6 @@ func openWAL(dir string, segmentBytes int64, policy SyncPolicy, fs vfs.FS) (*wal
 	w.idx = 1
 	if n := len(existing); n > 0 {
 		w.idx = existing[n-1] + 1
-	}
-	if err := w.openActive(); err != nil {
-		return nil, err
 	}
 	return w, nil
 }
@@ -330,7 +329,11 @@ func (w *wal) lead(lsn LSN, fsync bool, then after) (uint64, error) {
 // caller's replay filter deduplicates like any checkpoint overlap.
 func (w *wal) writeOut(chunk []byte, fsync bool, then after) error {
 	if w.f == nil {
-		// The last flush abandoned its segment: start the next one first.
+		if len(chunk) == 0 {
+			return nil // no segment and nothing to put in one
+		}
+		// Nothing written since boot, or the last flush abandoned its
+		// segment: start the next one first.
 		if err := w.openActive(); err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # smoke_query.sh — the end-to-end drill for the tiered read path against
-# the real binary: boot endpointd with rollups on (-retain-raw), pump a
+# the real binary: boot endpointd with a raw retention window (-retain-raw), pump a
 # two-year virtual series through /ingest with cluster-stamped arrival
 # times (the data clock paces retention, not the wall clock), wait for a
 # checkpoint to fold the old raw tail into hourly/daily buckets, and
@@ -122,10 +122,11 @@ BUCKETS="$(grep '^cloud_archive_buckets ' "$METRICS" | awk '{print $2}')"
     smoke_fail "sealed segments hold $SEALED bytes for $BUCKETS buckets: more than 16 a bucket"
 
 # The way out: stop the daemon (its final checkpoint included), then ask
-# the binary for the portable export of what the files hold.
+# the binary for the portable export of what the files hold. No flag
+# repeats how the archive was written: it records its own tiers.
 kill "$PID"
 wait "$PID" 2>/dev/null || true
-"$TMP/endpointd" -data-dir "$TMP/tsdb" -snapshot "$TMP/store.json" -retain-raw 720h \
+"$TMP/endpointd" -data-dir "$TMP/tsdb" -snapshot "$TMP/store.json" \
     -export-json "$TMP/export.json" >>"$TMP/endpointd.log" 2>&1 ||
     smoke_fail "-export-json failed — endpointd log follows" "$TMP/endpointd.log"
 grep -q '^{"version":2,' "$TMP/export.json" || smoke_fail "-export-json did not write a version-2 JSON snapshot"
