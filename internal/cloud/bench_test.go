@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -121,4 +122,27 @@ func BenchmarkIngestBatched(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*benchPacketsPerFrame), "ns/packet")
+}
+
+// BenchmarkLoadTail times LoadFile's reading of the tail (LoadInfo.TailTime,
+// reported as tail-ns/op) for a year of one hourly reporter, jittered in
+// the hour, checkpointed at default flags so that all 8,760 readings are
+// in the tail: the boot cost a device-run tail must not raise.
+func BenchmarkLoadTail(b *testing.B) {
+	snap := filepath.Join(b.TempDir(), "snapshot.json")
+	if err := hourlyYear(b, func(h int) time.Duration {
+		return time.Duration(uint64(h)*0x9E3779B97F4A7C15>>40%3_600_000) * time.Millisecond
+	}).Checkpoint(snap); err != nil {
+		b.Fatal(err)
+	}
+	var tail time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewStore(StaticKeys(master))
+		if err := s.LoadFile(snap); err != nil {
+			b.Fatal(err)
+		}
+		tail += s.LastLoad().TailTime
+	}
+	b.ReportMetric(float64(tail)/float64(b.N), "tail-ns/op")
 }

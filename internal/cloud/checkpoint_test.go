@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -559,9 +560,11 @@ func TestSealedBucketsWrittenOnce(t *testing.T) {
 		if day >= 4 {
 			// Steady state: two days of new buckets, in compact frames —
 			// 39 bytes a bucket of this traffic, where a fixed frame's
-			// are 60 — and one raw window.
+			// are 60 — and one raw window in device runs: its 225
+			// readings take 1,896 bytes, under two days of them at 10
+			// bytes each, where point records would take 8,550.
 			db, dby, dsealed := s.ckptBuckets.Load()-lastBuckets, s.ckptBytes.Load()-lastBytes, sealedBytes-lastSealed
-			if db > 200 || dsealed > 200*40 || dby > 200*40+4*72*3*tsdb.RecordSize {
+			if db > 200 || dsealed > 200*40 || dby > 200*40+2*72*3*10 {
 				t.Fatalf("day %d: checkpoint wrote %d buckets, %d bytes, %d of them sealed: not a delta of compact frames", day, db, dby, dsealed)
 			}
 		}
@@ -792,6 +795,12 @@ func TestDamagedSegmentRefusesBoot(t *testing.T) {
 			}
 		}
 	}
+	// The tail's second record: one device run per device, so the first
+	// ends where its length field says.
+	tailSecond := 8 + int(binary.BigEndian.Uint32(pristine[tailPath]))
+	if tailSecond+20 >= len(pristine[tailPath]) {
+		t.Fatalf("the tail is one record of %d bytes, want one a device", len(pristine[tailPath]))
+	}
 	flip := func(path string, at int) func() {
 		return func() {
 			b := append([]byte(nil), pristine[path]...)
@@ -812,7 +821,7 @@ func TestDamagedSegmentRefusesBoot(t *testing.T) {
 		{"sealed: short by one frame's tail", func() { os.Truncate(sealedPath, int64(len(pristine[sealedPath])-7)) }, []string{sealedPath, "torn frame"}},
 		{"sealed: empty", func() { os.Truncate(sealedPath, 0) }, []string{sealedPath, "0 bytes on disk"}},
 		{"sealed: missing", func() { os.Remove(sealedPath) }, []string{sealedPath}},
-		{"tail: flipped byte", flip(tailPath, tsdb.RecordSize*3+20), []string{tailPath, fmt.Sprintf("offset %d", tsdb.RecordSize*3), "CRC"}},
+		{"tail: flipped byte", flip(tailPath, tailSecond+20), []string{tailPath, fmt.Sprintf("offset %d", tailSecond), "CRC"}},
 		{"tail: short", func() { os.Truncate(tailPath, int64(len(pristine[tailPath])-10)) }, []string{tailPath, "torn"}},
 		{"tail: missing", func() { os.Remove(tailPath) }, []string{tailPath}},
 		{"manifest: names a path outside its directory", func() {
@@ -1283,12 +1292,15 @@ func TestLoadRemovesStaleTemps(t *testing.T) {
 // same answers. Either format is read at the geometry it records: a
 // store with no retention window, and one configured at another
 // geometry, load it to the same export and the same answers.
-// testdata/archive-v3 is a version-3 archive as the
-// last build before compact frames wrote it, with the export that build
-// made of it; see testArchiveV3.
+// testdata/archive-v3 and archive-v4 are a version-3 and a version-4
+// archive as the last builds before compact frames and before device
+// runs wrote them, each with the export its build made; see
+// testOldArchive.
 func TestOldSnapshotsLoadForever(t *testing.T) {
 	const fixtureRetain = 36 * time.Hour
-	t.Run("archive-v3", func(t *testing.T) { testArchiveV3(t, fixtureRetain) })
+	for _, fx := range oldArchives {
+		t.Run(fx.name, func(t *testing.T) { testOldArchive(t, fx, fixtureRetain) })
+	}
 	for _, fx := range []struct {
 		file    string
 		rollups bool
@@ -1451,16 +1463,48 @@ func TestCheckpointMetrics(t *testing.T) {
 	}
 }
 
-// testArchiveV3: the version-3 archive (three devices, fifteen days: one
-// reporting on the hour, one every 20 minutes, one every 3 hours with a
-// three-day silence; checkpointed every fifth day, rollups at the default
-// geometry) loads and exports byte for byte what the build that wrote it
-// exported. Its next checkpoint appends compact frames to the same
-// segment, after the fixed frames it leaves untouched, under a version-4
-// manifest; a reboot from that mixed segment gives the same export and
-// the same answers as the store that wrote it.
-func testArchiveV3(t *testing.T, retain time.Duration) {
-	src := filepath.Join("testdata", "archive-v3")
+// oldArchive is an archive an older build wrote under testdata/<name>/:
+// a manifest at snapshot.json, its files, and the export that build made
+// of it. Its three devices report for fifteen days, checkpointed every
+// fifth day at the default geometry:
+//
+//   - archive-v3 (version 3, written by 5764c5d): 0xA1 on the hour, 0xA2
+//     every 20 minutes, 0xA3 every 3 hours with a three-day silence; fixed
+//     sealed frames and a tail of point records.
+//   - archive-v4 (version 4, written by ef95a24): 0xB1 on the hour, 0xB2
+//     three times an hour with a reboot on day 7, 0xB3 a few hours apart
+//     at sub-second offsets; compact sealed frames and a tail of point
+//     records.
+type oldArchive struct {
+	name    string
+	version int
+	devs    []uint64
+	// sealed, if set, checks the segment the first checkpoint after the
+	// load grew.
+	sealed func(t *testing.T, segment []byte)
+}
+
+var oldArchives = []oldArchive{
+	{"archive-v3", 3, []uint64{0xA1, 0xA2, 0xA3}, func(t *testing.T, seg []byte) {
+		var tiers []byte
+		if err := decodeSealed(bytes.NewReader(seg), fuzzGeometry, func(_ lpwan.EUI64, tier byte, _ []rollup.Bucket) { tiers = append(tiers, tier) }); err != nil {
+			t.Fatal(err)
+		}
+		if fixed := bytes.IndexAny(tiers, "\x03\x04"); fixed <= 0 || bytes.ContainsAny(tiers[fixed:], "\x01\x02") {
+			t.Fatalf("frame tiers in file order %v: want fixed frames, then compact ones", tiers)
+		}
+	}},
+	{"archive-v4", 4, []uint64{0xB1, 0xB2, 0xB3}, nil},
+}
+
+// testOldArchive: the archive loads and exports byte for byte what the
+// build that wrote it exported, its tail read as point records. Three
+// more days of traffic and a checkpoint append compact frames to the same
+// segment, leaving its frames untouched, and write the tail in device
+// runs under a manifest of the current version; a reboot from that gives
+// the same export and the same answers as the store that wrote it.
+func testOldArchive(t *testing.T, fx oldArchive, retain time.Duration) {
+	src := filepath.Join("testdata", fx.name)
 	want, err := os.ReadFile(filepath.Join(src, "export.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -1499,17 +1543,17 @@ func testArchiveV3(t *testing.T, retain time.Duration) {
 	if err := live.LoadFile(snap); err != nil {
 		t.Fatalf("loading the fixture: %v", err)
 	}
-	if li := live.LastLoad(); li.Version != 3 || li.Segments != 1 || li.Buckets == 0 {
-		t.Fatalf("LastLoad = %+v, want one version-3 segment", li)
+	if li := live.LastLoad(); li.Version != fx.version || li.Segments != 1 || li.Buckets == 0 || li.TailPoints*tsdb.RecordSize != int(live.arch.tail.Bytes) {
+		t.Fatalf("LastLoad = %+v, tail %d bytes; want one version-%d segment and a tail of point records", li, live.arch.tail.Bytes, fx.version)
 	}
 	if got := exportOf(t, live); !bytes.Equal(got, want) {
-		t.Fatal("export after loading the version-3 archive differs from the export its build made")
+		t.Fatalf("export after loading the version-%d archive differs from the export its build made", fx.version)
 	}
 
 	// Three more days from the same devices, so the next checkpoint seals.
 	from := live.HighWater()
 	for h := 1; h <= 72; h++ {
-		for i, dev := range []uint64{0xA1, 0xA2, 0xA3} {
+		for i, dev := range fx.devs {
 			at := from + time.Duration(h)*time.Hour + time.Duration(i*7)*time.Minute
 			if err := live.Ingest(at, sealed(t, dev, uint32(100000+h), float32(h%9)-2)); err != nil {
 				t.Fatal(err)
@@ -1528,27 +1572,34 @@ func testArchiveV3(t *testing.T, retain time.Duration) {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(seg, oldSegment) {
-		t.Fatal("the checkpoint rewrote the version-3 segment's frames instead of appending after them")
+		t.Fatal("the checkpoint rewrote the old segment's frames instead of appending after them")
 	}
-	sealedOnce(t, snap)
-	var tiers []byte
-	if err := decodeSealed(bytes.NewReader(seg), fuzzGeometry, func(_ lpwan.EUI64, tier byte, _ []rollup.Bucket) { tiers = append(tiers, tier) }); err != nil {
+	tail, err := os.ReadFile(filepath.Join(snap+".d", m.Tail.Name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fixed := bytes.IndexAny(tiers, "\x03\x04"); fixed <= 0 || bytes.ContainsAny(tiers[fixed:], "\x01\x02") {
-		t.Fatalf("frame tiers in file order %v: want fixed frames, then compact ones", tiers)
+	if fx.sealed != nil {
+		fx.sealed(t, seg)
 	}
+	var types []byte
+	for off := 0; off+8 < len(tail); off += 8 + int(binary.BigEndian.Uint32(tail[off:])) {
+		types = append(types, tail[off+8])
+	}
+	if !bytes.Equal(types, []byte{3, 3, 3}) {
+		t.Fatalf("tail record types %x, want one device run (03) a device", types)
+	}
+	sealedOnce(t, snap)
 	onlyNamedFiles(t, snap)
 
 	reborn := open()
 	if err := reborn.LoadFile(snap); err != nil {
-		t.Fatalf("loading the mixed segment: %v", err)
+		t.Fatalf("loading what the checkpoint wrote: %v", err)
 	}
-	if li := reborn.LastLoad(); li.Version != manifestVersion {
-		t.Fatalf("LastLoad = %+v", li)
+	if li := reborn.LastLoad(); li.Version != manifestVersion || li.TailPoints != live.db.Stats().Points {
+		t.Fatalf("LastLoad = %+v, want version %d and %d tail points", li, manifestVersion, live.db.Stats().Points)
 	}
 	if got := exportOf(t, reborn); !bytes.Equal(got, exportOf(t, live)) {
-		t.Fatal("export after a reboot from the mixed segment differs from the live store's")
+		t.Fatal("export after the reboot differs from the live store's")
 	}
 	sameAnswers(t, reborn, live)
 }

@@ -217,6 +217,11 @@ func FuzzManifestLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The archive's tail is device runs (0x03), so every seed built on
+	// valid names one for the fuzzer to pair with mutated lengths and CRCs.
+	if tail, err := os.ReadFile(filepath.Join(snap+".d", src.arch.tail.Name)); err != nil || len(tail) < 9 || tail[8] != 0x03 {
+		f.Fatalf("the seed archive's tail is not device runs: %v", err)
+	}
 	for name, data := range wideFiles {
 		if err := os.WriteFile(filepath.Join(snap+".d", name), data, 0o644); err != nil {
 			f.Fatal(err)

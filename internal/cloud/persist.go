@@ -39,13 +39,14 @@ import (
 // snapshotVersion identifies the JSON format. Version 2 added the
 // optional rollups section; version-1 files (no rollups) still load.
 // Versions 3 and up mark the file at the same path as a manifest instead:
-// 4 lets its sealed segments hold compact frames, which a build that
-// reads only 3 would refuse deep inside a frame rather than here.
+// 4 lets its sealed segments hold compact frames, and 5 its tail hold
+// device runs (tsdb.AppendDeviceRuns), which a build that reads only
+// older versions would refuse deep inside a file rather than here.
 const (
 	snapshotVersion    = 2
 	minSnapshotVersion = 1
 	minManifestVersion = 3
-	manifestVersion    = 4
+	manifestVersion    = 5
 )
 
 type snapshotReading struct {
@@ -391,7 +392,7 @@ func (s *Store) install(snap snapshotFile, series []devSeries, restoredRollups *
 }
 
 // manifest is the checkpoint's commit record, the JSON file at the
-// -snapshot path: the snapshot's header fields under version 4, the tier
+// -snapshot path: the snapshot's header fields under version 5, the tier
 // geometry and fold watermarks (absent until the first fold), and the data
 // files under <path>.d/, each valid to a recorded length and CRC-32C.
 // Bytes past a length and files it does not name do not exist.
@@ -450,7 +451,7 @@ func (s *Store) adopt(a archive) {
 }
 
 // LoadInfo describes the last LoadFile for the boot log: the version
-// found (0 nothing, 1-2 a JSON snapshot, 3-4 a manifest) and, for a
+// found (0 nothing, 1-2 a JSON snapshot, 3-5 a manifest) and, for a
 // manifest, what was read and how long checking the sealed segments,
 // reading the tail, and loading it into memtables and guards each took.
 type LoadInfo struct {
@@ -511,19 +512,15 @@ func (s *Store) save(path, dir string, o *checkpointObs) error {
 	a.tail = dataFile{Name: dataName(tailPrefix, a.next)}
 	a.next++
 	var series []devSeries // sorted by device: the tail's bytes are a function of the state
-	points := 0
 	for _, shard := range shards {
 		for dev, pts := range shard {
 			series = append(series, devSeries{dev, pts})
-			points += len(pts)
 		}
 	}
 	sort.Slice(series, func(i, j int) bool { return series[i].dev.Uint64() < series[j].dev.Uint64() })
-	records := make([]byte, 0, points*tsdb.RecordSize)
+	var records []byte
 	for _, ds := range series {
-		for _, pt := range ds.pts {
-			records = tsdb.AppendRecord(records, pt)
-		}
+		records = tsdb.AppendDeviceRuns(records, ds.pts)
 	}
 	if err := s.appendFile(dir, &a.tail, records); err != nil {
 		return err

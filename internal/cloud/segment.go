@@ -16,6 +16,7 @@ import (
 
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/rollup"
+	"centuryscale/internal/varint"
 )
 
 // The checkpoint's data files; FORMAT.md gives every offset. A sealed
@@ -34,10 +35,10 @@ import (
 // frames (appendCompactFrame), the only ones a checkpoint writes; 1 and 2
 // are the fixed 60-byte buckets of manifest version 3, still read, since
 // a segment written before the upgrade takes compact frames appended to
-// it. The tail file is a sequence of 38-byte point records
-// (tsdb.AppendRecord), the WAL's record type 0x01; the WAL's arrival
-// runs (0x02) are never written there, though its reader would accept
-// them (FORMAT.md).
+// it. The tail file is a sequence of device runs (tsdb.AppendDeviceRuns,
+// record type 0x03), each device's raw points in memtable order; it is
+// read by the WAL's decoder, so the 38-byte point records (0x01) of a
+// version-3 or -4 tail still load (FORMAT.md).
 const (
 	segFrameHeader  = 21
 	maxFrameBuckets = 1024
@@ -217,119 +218,62 @@ func decodeCompact(body []byte, count int, width time.Duration, bs []rollup.Buck
 	if width <= 0 {
 		return bs, errors.New("compact frame, but the manifest gives no width for its tier")
 	}
-	d := compactReader{b: body}
+	d := varint.NewReader(body)
 	var idx int64
 	var seq uint32
 	for i := 0; i < count; i++ {
-		form := d.fixed(1)[0]
+		form := d.Fixed(1)[0]
 		if i == 0 {
-			idx = d.varint()
-		} else if step := d.uvarint(); step == 0 || step > uint64(math.MaxInt64)-uint64(idx) {
-			d.fail("start does not ascend, or overflows")
+			idx = d.Varint()
+		} else if step := d.Uvarint(); step == 0 || step > uint64(math.MaxInt64)-uint64(idx) {
+			d.Fail("start does not ascend, or overflows")
 		} else {
 			idx = int64(uint64(idx) + step)
 		}
 		if idx > math.MaxInt64/int64(width) || idx < math.MinInt64/int64(width) {
-			d.fail("start overflows")
+			d.Fail("start overflows")
 		}
 		b := rollup.Bucket{Start: time.Duration(idx) * width, Count: 1}
-		b.First = d.after(b.Start)
-		if delta := d.varint(); delta < -int64(seq) || delta > math.MaxUint32-int64(seq) {
-			d.fail("max seq out of range")
+		b.First = after(&d, b.Start)
+		if delta := d.Varint(); delta < -int64(seq) || delta > math.MaxUint32-int64(seq) {
+			d.Fail("max seq out of range")
 		} else {
 			seq = uint32(int64(seq) + delta)
 		}
 		b.MaxSeq, b.Last = seq, b.First
 		switch form {
 		case formSingle:
-			b.Min = math.Float32frombits(binary.BigEndian.Uint32(d.fixed(4)))
+			b.Min = math.Float32frombits(binary.BigEndian.Uint32(d.Fixed(4)))
 			b.Max, b.Sum = b.Min, float64(b.Min)
 		case formFull:
-			b.Count = d.uvarint()
-			b.Sum = math.Float64frombits(binary.BigEndian.Uint64(d.fixed(8)))
-			b.Min = math.Float32frombits(binary.BigEndian.Uint32(d.fixed(4)))
-			b.Max = math.Float32frombits(binary.BigEndian.Uint32(d.fixed(4)))
-			b.Last = d.after(b.First)
-			b.MaxGap = d.after(0)
+			b.Count = d.Uvarint()
+			b.Sum = math.Float64frombits(binary.BigEndian.Uint64(d.Fixed(8)))
+			b.Min = math.Float32frombits(binary.BigEndian.Uint32(d.Fixed(4)))
+			b.Max = math.Float32frombits(binary.BigEndian.Uint32(d.Fixed(4)))
+			b.Last = after(&d, b.First)
+			b.MaxGap = after(&d, 0)
 			if singleForm(b) {
-				d.fail("full-form bucket the single form carries")
+				d.Fail("full-form bucket the single form carries")
 			}
 		default:
-			d.fail(fmt.Sprintf("unknown form %d", form))
+			d.Fail(fmt.Sprintf("unknown form %d", form))
 		}
-		if d.err != nil {
-			return bs, fmt.Errorf("bucket %d: %w", i, d.err)
+		if err := d.Err(); err != nil {
+			return bs, fmt.Errorf("bucket %d: %w", i, err)
 		}
 		bs = append(bs, b)
 	}
-	if len(d.b) > 0 {
-		return bs, fmt.Errorf("%d bytes after the last bucket", len(d.b))
+	if d.Len() > 0 {
+		return bs, fmt.Errorf("%d bytes after the last bucket", d.Len())
 	}
 	return bs, nil
 }
 
-// compactReader walks a compact frame's body. The first fault sticks:
-// every read after it returns zeros and consumes nothing.
-type compactReader struct {
-	b   []byte
-	err error
-}
-
-var zeros [8]byte
-
-func (d *compactReader) fail(msg string) {
-	if d.err == nil {
-		d.err = errors.New(msg)
-	}
-}
-
-func (d *compactReader) fixed(n int) []byte {
-	if d.err == nil && len(d.b) < n {
-		d.fail("short")
-	}
-	if d.err != nil {
-		return zeros[:n]
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *compactReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) > 0 && d.b[0] < 0x80 { // one byte: most fields of most buckets
-		v := d.b[0]
-		d.b = d.b[1:]
-		return uint64(v)
-	}
-	v, n := binary.Uvarint(d.b)
-	switch {
-	case n == 0:
-		d.fail("short")
-	case n < 0:
-		d.fail("varint overflows 64 bits")
-	case n > 1 && d.b[n-1] == 0:
-		d.fail("varint not minimal")
-	default:
-		d.b = d.b[n:]
-		return v
-	}
-	return 0
-}
-
-// varint reads a zigzag varint, binary.AppendVarint's encoding.
-func (d *compactReader) varint() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
 // after reads a uvarint offset from base and returns base plus it.
-func (d *compactReader) after(base time.Duration) time.Duration {
-	v := d.uvarint()
+func after(d *varint.Reader, base time.Duration) time.Duration {
+	v := d.Uvarint()
 	if v > uint64(math.MaxInt64)-uint64(base) {
-		d.fail("time overflows")
+		d.Fail("time overflows")
 		return base
 	}
 	return time.Duration(uint64(base) + v)

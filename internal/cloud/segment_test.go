@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -13,6 +14,7 @@ import (
 
 	"centuryscale/internal/lpwan"
 	"centuryscale/internal/rollup"
+	"centuryscale/internal/telemetry"
 )
 
 // fuzzGeometry is the default tier geometry, the widths compact frames
@@ -190,6 +192,69 @@ func TestSealedBytesPinned(t *testing.T) {
 			if int64(len(seg)) != tc.size || crc32.Checksum(seg, castagnoli) != tc.crc || bytes != [2]int{tc.hourlyBytes, tc.dailyBytes} {
 				t.Errorf("sealed segment: %d B, CRC-32C %08x, tiers %v B; pinned %d B, %08x, [%d %d] B",
 					len(seg), crc32.Checksum(seg, castagnoli), bytes, tc.size, tc.crc, tc.hourlyBytes, tc.dailyBytes)
+			}
+		})
+	}
+}
+
+// hourlyYear is a store at default flags — no retention window, so every
+// reading stays raw — fed a year of one hourly reporter, arriving jitter(h)
+// past hour h, its uptime counting seconds since the data clock's zero.
+func hourlyYear(tb testing.TB, jitter func(h int) time.Duration) *Store {
+	s := NewStore(StaticKeys(master))
+	dev := lpwan.EUIFromUint64(0x5EED)
+	key := telemetry.DeriveKey(master, dev)
+	for h := 0; h < 365*24; h++ {
+		at := time.Duration(h)*time.Hour + jitter(h)
+		wire, err := telemetry.Packet{Device: dev, Seq: uint32(h + 1), Sensor: telemetry.SensorStrain, Value: 10 + float32(h%24)/2, UptimeSeconds: uint32(at / time.Second)}.Seal(key)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.Ingest(at, wire); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestTailBytesPinned pins, byte for byte, the tail a year of one hourly
+// reporter checkpoints to at the default -retain-raw 0, where every raw
+// reading stays in the tail: arriving on the hour, and arriving anywhere
+// in the hour, its uptime counting seconds since the data clock's zero.
+// DESIGN.md S59 quotes the per-reading figures; a change to them is a
+// format change and must say so there and in FORMAT.md.
+func TestTailBytesPinned(t *testing.T) {
+	const readings = 365 * 24
+	for _, tc := range []struct {
+		name       string
+		jitter     func(h int) time.Duration
+		size       int64
+		crc        uint32
+		perReading string
+	}{
+		{"on the hour", func(int) time.Duration { return 0 }, 70751, 0x9264ef92, "8.08"},
+		{"jittered", func(h int) time.Duration {
+			return time.Duration(uint64(h)*0x9E3779B97F4A7C15>>40%3_600_000) * time.Millisecond
+		}, 120749, 0xddc80652, "13.78"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := hourlyYear(t, tc.jitter)
+			snap := filepath.Join(t.TempDir(), "snapshot.json")
+			if err := s.Checkpoint(snap); err != nil {
+				t.Fatal(err)
+			}
+			m := readManifest(t, snap)
+			tail, err := os.ReadFile(filepath.Join(snap+".d", m.Tail.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Sealed) != 0 || s.db.Stats().Points != readings {
+				t.Fatalf("%d sealed segments, %d raw points: want every reading raw, in the tail", len(m.Sealed), s.db.Stats().Points)
+			}
+			sum, per := crc32.Checksum(tail, castagnoli), fmt.Sprintf("%.2f", float64(len(tail))/readings)
+			t.Logf("%d B tail: %s B a reading, where point records take 38; CRC-32C %08x", len(tail), per, sum)
+			if int64(len(tail)) != tc.size || sum != tc.crc || per != tc.perReading {
+				t.Errorf("tail: %d B, CRC-32C %08x, %s B a reading; pinned %d B, %08x, %s B", len(tail), sum, per, tc.size, tc.crc, tc.perReading)
 			}
 		})
 	}

@@ -16,7 +16,8 @@
 // The engine stores points; policy (authentication, replay rejection,
 // the weekly-uptime ledger) stays in internal/cloud, and so does the
 // checkpoint (a manifest beside binary segments, DESIGN.md S41), whose
-// raw-tail file reuses this package's point record. The WAL is
+// raw-tail file holds this package's device runs (AppendDeviceRuns) and
+// is read by its decoder (DecodeRecords). The WAL is
 // deliberately not archival — it is the crash-safety path between
 // checkpoints, truncated at each one.
 package tsdb
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"centuryscale/internal/lpwan"
+	"centuryscale/internal/varint"
 )
 
 // Point is one stored reading. It mirrors the fields of an accepted
@@ -72,6 +74,19 @@ type Point struct {
 //	9:    k entries of 21 bytes: device EUI-64 (8), sequence number (4),
 //	      sensor type (1), value bits (4), device uptime seconds (4)
 //
+// A device-run payload (0x03) is k >= 1 readings of one device, in the
+// order the memtable holds them, each a few bytes of deltas:
+//
+//	0     record type (recordDeviceRun)
+//	1:9   device EUI-64
+//	9:    k points: arrival (zigzag varint delta-of-delta), sequence
+//	      number (zigzag varint delta), sensor type (1 byte), value bits
+//	      (4 bytes), device uptime (zigzag varint delta-of-delta)
+//
+// with the arithmetic wrapping mod 2^64 and the delta state at zero at
+// the start of every record, so each record stands alone. Only a
+// checkpoint's tail file holds device runs; the WAL never writes them.
+//
 // The length field is bounded by MaxFrame so that a corrupted or
 // adversarial length prefix can never drive a huge allocation: the
 // decoder rejects the frame before allocating. FORMAT.md has the
@@ -91,6 +106,14 @@ const (
 	runHeader = 9  // type and arrival
 	runEntry  = 21 // one reading without its arrival
 	maxRun    = (MaxFrame - runHeader) / runEntry
+
+	recordDeviceRun = 0x03
+	deviceRunHeader = 9 // type and device
+	// minRunPoint is the shortest point of a device run: three one-byte
+	// varints, the sensor and the value. It bounds the points a payload
+	// can hold.
+	minRunPoint     = 3 + 1 + 4
+	maxDevicePoints = (MaxFrame - deviceRunHeader) / minRunPoint
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -107,12 +130,12 @@ var (
 	ErrUnknownRecord = errors.New("tsdb: unknown record type")
 )
 
-// AppendRecord appends a complete point frame for p to dst: the record
-// of a checkpoint's raw-tail file, and the WAL's record for a point
-// that shares its arrival with no neighbour. The record is encoded in
-// place and the CRC taken over dst's own bytes: a local payload array
-// would escape to the heap through crc32.Checksum, one allocation per
-// record (F9).
+// AppendRecord appends a complete point frame for p to dst: the WAL's
+// record for a point that shares its arrival with no neighbour, and the
+// record of a checkpoint's raw-tail file before manifest version 5. The
+// record is encoded in place and the CRC taken over dst's own bytes: a
+// local payload array would escape to the heap through crc32.Checksum,
+// one allocation per record (F9).
 func AppendRecord(dst []byte, p Point) []byte {
 	n := len(dst)
 	dst = slices.Grow(dst, RecordSize)[:n+RecordSize]
@@ -175,11 +198,83 @@ func appendLog(dst []byte, ps []Point) []byte {
 	return dst
 }
 
-// decodePayload decodes one record payload of either type, handing its
+// AppendDeviceRuns appends device-run frames for ps: one record for each
+// run of consecutive points of one device, split wherever the next point
+// would take the payload past MaxFrame. The checkpoint's tail writes each
+// device's points in memtable order this way, about 9 bytes a reading
+// where a point record takes 38.
+func AppendDeviceRuns(dst []byte, ps []Point) []byte {
+	for len(ps) > 0 {
+		at := len(dst)
+		dst = binary.BigEndian.AppendUint64(dst, 0) // length and CRC, filled in below
+		dst = append(dst, recordDeviceRun)
+		dst = append(dst, ps[0].Device[:]...)
+		var prev, prevDelta, seq, up, upDelta uint64
+		k := 0
+		for ; k < len(ps) && ps[k].Device == ps[0].Device; k++ {
+			p := ps[k]
+			mark := len(dst)
+			delta, uDelta := uint64(p.At)-prev, uint64(p.Uptime)-up
+			dst = binary.AppendVarint(dst, int64(delta-prevDelta))
+			dst = binary.AppendVarint(dst, int64(uint64(p.Seq)-seq))
+			dst = append(dst, p.Sensor)
+			dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(p.Value))
+			dst = binary.AppendVarint(dst, int64(uDelta-upDelta))
+			if len(dst)-at-frameHeader > MaxFrame {
+				dst = dst[:mark] // k ≥ 1 here: a point is at most 25 bytes
+				break
+			}
+			prev, prevDelta, seq, up, upDelta = uint64(p.At), delta, uint64(p.Seq), uint64(p.Uptime), uDelta
+		}
+		binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-frameHeader))
+		binary.BigEndian.PutUint32(dst[at+4:], crc32.Checksum(dst[at+frameHeader:], castagnoli))
+		ps = ps[k:]
+	}
+	return dst
+}
+
+// decodeDeviceRun appends the points of a device-run payload to pts. It
+// accepts exactly what AppendDeviceRuns writes: it refuses a run of no
+// points, a varint that is not minimal or overflows 64 bits, a sequence
+// number or uptime outside 32 bits, and bytes left that are not a whole
+// point.
+func decodeDeviceRun(payload []byte, pts []Point) ([]Point, error) {
+	switch {
+	case len(payload) < deviceRunHeader:
+		return pts, errors.New("device run shorter than its device")
+	case len(payload) == deviceRunHeader:
+		return pts, errors.New("device run of no points")
+	}
+	p := Point{Device: lpwan.EUI64(payload[1:deviceRunHeader])}
+	d := varint.NewReader(payload[deviceRunHeader:])
+	var prev, prevDelta, seq, up, upDelta uint64
+	for d.Len() > 0 {
+		delta := prevDelta + uint64(d.Varint())
+		prev += delta
+		seq += uint64(d.Varint())
+		p.Sensor = d.Fixed(1)[0]
+		p.Value = math.Float32frombits(binary.BigEndian.Uint32(d.Fixed(4)))
+		uDelta := upDelta + uint64(d.Varint())
+		up += uDelta
+		if seq > math.MaxUint32 || up > math.MaxUint32 {
+			d.Fail("sequence number or uptime outside 32 bits")
+		}
+		if err := d.Err(); err != nil {
+			return pts, fmt.Errorf("device run point %d: %w", len(pts), err)
+		}
+		p.At, p.Seq, p.Uptime = time.Duration(prev), uint32(seq), uint32(up)
+		pts = append(pts, p)
+		prevDelta, upDelta = delta, uDelta
+	}
+	return pts, nil
+}
+
+// decodePayload decodes one record payload of any type, handing its
 // points to emit, and returns how many it held. A payload is checked
-// whole before its first point is emitted. A known type that does not
-// decode is ErrBadRecord; any other type is ErrUnknownRecord.
-func decodePayload(payload []byte, emit func(Point)) (int, error) {
+// whole before its first point is emitted: a device run is decoded into
+// *scratch first. A known type that does not decode is ErrBadRecord; any
+// other type is ErrUnknownRecord.
+func decodePayload(payload []byte, scratch *[]Point, emit func(Point)) (int, error) {
 	switch leadByte(payload) {
 	case recordPoint:
 		if len(payload) != pointPayload {
@@ -209,20 +304,31 @@ func decodePayload(payload []byte, emit func(Point)) (int, error) {
 			emit(p)
 		}
 		return body / runEntry, nil
+	case recordDeviceRun:
+		pts, err := decodeDeviceRun(payload, (*scratch)[:0])
+		*scratch = pts
+		if err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrBadRecord, err)
+		}
+		for _, p := range pts {
+			emit(p)
+		}
+		return len(pts), nil
 	default:
 		return 0, fmt.Errorf("%w %#x (%d bytes)", ErrUnknownRecord, leadByte(payload), len(payload))
 	}
 	return 0, fmt.Errorf("%w: %d bytes, type %#x", ErrBadRecord, len(payload), leadByte(payload))
 }
 
-// DecodeRecords reads framed records of either type from r up to a
-// clean end, handing each point to emit, and reports how many points and
+// DecodeRecords reads framed records of any type from r up to a clean
+// end, handing each point to emit, and reports how many points and
 // bytes were intact. A torn, oversized, corrupt or undecodable frame
 // ends the read and is returned as err; what to make of it is the
 // caller's call (WAL replay recovers, a checkpoint's tail refuses the
 // boot).
 func DecodeRecords(r io.Reader, emit func(Point)) (points uint64, good int64, err error) {
 	buf := make([]byte, frameHeader+MaxFrame)
+	var scratch []Point // a device run's points; grown on the first one
 	for {
 		payload, err := readFrame(r, buf)
 		if errors.Is(err, io.EOF) {
@@ -231,7 +337,7 @@ func DecodeRecords(r io.Reader, emit func(Point)) (points uint64, good int64, er
 		if err != nil {
 			return points, good, err
 		}
-		n, err := decodePayload(payload, emit)
+		n, err := decodePayload(payload, &scratch, emit)
 		if err != nil {
 			return points, good, err
 		}

@@ -313,7 +313,7 @@ func TestRecoveryCorruptionInEarlierSegment(t *testing.T) {
 }
 
 // TestUnknownRecordRefusesBoot is K9 for the log: a segment holding
-// three point records, a sound frame of type 0x03 (a record a newer
+// three point records, a sound frame of type 0x04 (a record a newer
 // build could write) and one more point refuses the boot with
 // ErrUnknownRecord, naming the segment, the offset and the type, and
 // leaves every file under wal/ as it was. Recovering past it as damage
@@ -330,7 +330,7 @@ func TestUnknownRecordRefusesBoot(t *testing.T) {
 		seg = AppendRecord(seg, pt(1, seq, time.Duration(seq)*time.Minute))
 	}
 	unknownAt := len(seg)
-	seg = append(seg, framed([]byte{0x03, 0, 0, 0, 0, 0, 0, 0, 42})...)
+	seg = append(seg, framed([]byte{0x04, 0, 0, 0, 0, 0, 0, 0, 42})...)
 	seg = AppendRecord(seg, pt(1, 4, 4*time.Minute))
 	path := filepath.Join(logDir, segName(1))
 	if err := os.WriteFile(path, seg, 0o644); err != nil {
@@ -364,7 +364,7 @@ func TestUnknownRecordRefusesBoot(t *testing.T) {
 	if !errors.Is(err, ErrUnknownRecord) {
 		t.Fatalf("replay = %+v, %v; want ErrUnknownRecord", st, err)
 	}
-	for _, want := range []string{path, fmt.Sprintf("offset %d", unknownAt), "type 0x3"} {
+	for _, want := range []string{path, fmt.Sprintf("offset %d", unknownAt), "type 0x4"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal %q does not name %q", err, want)
 		}

@@ -456,7 +456,7 @@ func replaySegments(fs vfs.FS, dir string, segs []uint64, logf func(string, ...a
 			return points, corruptions, err
 		}
 		if errors.Is(corrupt, ErrUnknownRecord) {
-			return points, corruptions, fmt.Errorf("tsdb: %s at offset %d: %w; this build reads types %#x and %#x, so it refuses the log and truncates nothing", path, good, corrupt, recordPoint, recordRun)
+			return points, corruptions, fmt.Errorf("tsdb: %s at offset %d: %w; this build reads types %#x, %#x and %#x, so it refuses the log and truncates nothing", path, good, corrupt, recordPoint, recordRun, recordDeviceRun)
 		}
 		if corrupt != nil {
 			corruptions++

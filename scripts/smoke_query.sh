@@ -108,8 +108,8 @@ for want in query_requests_total query_tier_daily_buckets_total query_seconds \
     grep -qF "$want" "$METRICS" || smoke_fail "exposition is missing $want"
 done
 REQS="$(grep '^query_requests_total ' "$METRICS" | awk '{print $2}')"
-grep -q 'format version 4' "$TMP/endpointd.log" ||
-    smoke_fail "the reboot did not load a version-4 manifest — endpointd log follows" "$TMP/endpointd.log"
+grep -q 'format version 5' "$TMP/endpointd.log" ||
+    smoke_fail "the reboot did not load a version-5 manifest — endpointd log follows" "$TMP/endpointd.log"
 
 # The archive the reboot loaded is in compact frames: a daily reading is
 # one reading to its hourly and to its daily bucket, each a single-form
@@ -120,6 +120,14 @@ BUCKETS="$(grep '^cloud_archive_buckets ' "$METRICS" | awk '{print $2}')"
 [ "${BUCKETS:-0}" -gt 0 ] || smoke_fail "the rebooted endpoint reports no sealed buckets"
 [ "$SEALED" -le $((16 * BUCKETS)) ] ||
     smoke_fail "sealed segments hold $SEALED bytes for $BUCKETS buckets: more than 16 a bucket"
+
+# Its tail is in device runs: a daily reading is about 12 bytes there
+# (FORMAT.md), where a point record spent 38.
+TAIL="$(grep '^cloud_archive_bytes{kind="tail"} ' "$METRICS" | awk '{print $2}')"
+TAIL_POINTS="$(grep -o '[0-9]* tail points' "$TMP/endpointd.log" | tail -n 1 | awk '{print $1}')"
+[ "${TAIL_POINTS:-0}" -gt 0 ] || smoke_fail "the reboot read no tail points — endpointd log follows" "$TMP/endpointd.log"
+[ "$TAIL" -le $((16 * TAIL_POINTS)) ] ||
+    smoke_fail "the tail holds $TAIL bytes for $TAIL_POINTS points: more than 16 a point"
 
 # The way out: stop the daemon (its final checkpoint included), then ask
 # the binary for the portable export of what the files hold. No flag
@@ -132,4 +140,4 @@ wait "$PID" 2>/dev/null || true
 grep -q '^{"version":2,' "$TMP/export.json" || smoke_fail "-export-json did not write a version-2 JSON snapshot"
 grep -q '"hourly_buckets":{"' "$TMP/export.json" || smoke_fail "the export carries no rollup buckets"
 
-echo "smoke-query: OK (daily tier engaged, crash-equivalent answers, $REQS query requests instrumented, $SEALED sealed bytes for $BUCKETS buckets, JSON export of $(wc -c <"$TMP/export.json") bytes)"
+echo "smoke-query: OK (daily tier engaged, crash-equivalent answers, $REQS query requests instrumented, $SEALED sealed bytes for $BUCKETS buckets, $TAIL tail bytes for $TAIL_POINTS points, JSON export of $(wc -c <"$TMP/export.json") bytes)"
